@@ -25,15 +25,12 @@ from .groups import (
 )
 from .functions import (
     BoundedFn,
-    Constant,
     ConstPlusFinite,
-    Finite,
     FinSuppFn,
     QuotientRep,
     TreeFlow,
     delta,
     pair_eval,
-    translate,
 )
 from .complexes import (
     KIND_L1,
@@ -41,17 +38,14 @@ from .complexes import (
     BoundedCochain,
     EquivariantChain,
     UfChain,
-    bar_coboundary,
     connecting_lift_check,
     deflate,
     fundamental_cycle,
     inflate,
     johnson_cocycle,
-    l1_boundary,
     one_cochain,
     one_l1_cycle,
     one_lift_cochain,
-    uf_boundary,
 )
 from .pairing import PairingCertificate, adjointness_check, make_pairing_certificate, pair
 from .amenability import (
@@ -62,7 +56,7 @@ from .amenability import (
     folner_certificate_from_set,
     folner_search,
     indicator,
-    isoperimetric_min,
+    isoperimetric_argmin,
     reiter_ratio,
 )
 from .witnesses import (

@@ -7,10 +7,11 @@ The Reiter ratio of a nonnegative summable function f is
 an exact rational; indicator functions of finite sets recover the usual
 symmetric-difference Folner quotient. A certificate stores the witness set
 together with the per-generator differences so it can be revalidated
-independently. The non-amenable side is backed by `isoperimetric_min`, a
-brute-force enumeration of every nonempty subset of a ball, and the
-finite-group side by an exact rational rank computation showing that the
-all-ones vector never lies in the span of translation differences.
+independently. The non-amenable side is backed by `isoperimetric_argmin`,
+a brute-force enumeration of every nonempty subset of a ball that returns
+the minimum ratio with a set attaining it, and the finite-group side by an
+exact rational rank computation showing that the all-ones vector never
+lies in the span of translation differences.
 """
 
 from __future__ import annotations
@@ -159,17 +160,12 @@ def folner_search(
     return failure
 
 
-def isoperimetric_min(group: GroupSpec, radius: int) -> Fraction:
-    """Minimum Reiter ratio over every nonempty subset of ball(radius).
+def isoperimetric_argmin(group: GroupSpec, radius: int) -> tuple[Fraction, tuple[Element, ...]]:
+    """Minimum Reiter ratio over every nonempty subset of ball(radius), and a minimizer.
 
     Brute force over 2^|ball| - 1 subsets with bitmask tables; the guard
     keeps the enumeration at desk scale.
     """
-    ratio, _ = isoperimetric_argmin(group, radius)
-    return ratio
-
-
-def isoperimetric_argmin(group: GroupSpec, radius: int) -> tuple[Fraction, tuple[Element, ...]]:
     ball = group.ball(radius)
     n = len(ball)
     if n > 18:

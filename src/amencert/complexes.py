@@ -27,9 +27,7 @@ from typing import Callable, Iterable, Mapping
 from .groups import GroupSpec
 from .functions import (
     BoundedFn,
-    Constant,
     ConstPlusFinite,
-    Finite,
     FinSuppFn,
     Rational,
     bounded_from_json,
@@ -102,7 +100,7 @@ class EquivariantChain:
     def zero_value(self):
         if self.kind == KIND_L1:
             return FinSuppFn.zero(self.group)
-        return Constant(self.group, 0)
+        return ConstPlusFinite(self.group, 0)
 
     def slice_value(self, key):
         key = _tuple_key(self.group, key, self.degree)
@@ -304,12 +302,6 @@ class BoundedCochain:
         self._check_value(value)
         return value
 
-    def with_dual(self, dual: str) -> "BoundedCochain":
-        """Same values reinterpreted in another dual; validation still applies."""
-        if self._entries is not None:
-            return BoundedCochain(self.group, self.degree, dual, entries=self._entries, label=self.label)
-        return BoundedCochain(self.group, self.degree, dual, rule=self._rule, label=self.label)
-
     def __add__(self, other: "BoundedCochain") -> "BoundedCochain":
         if not isinstance(other, BoundedCochain):
             return NotImplemented
@@ -509,18 +501,6 @@ class UfChain:
 # -- complex-level operations -------------------------------------------------
 
 
-def l1_boundary(c: EquivariantChain) -> EquivariantChain:
-    return c.boundary()
-
-
-def bar_coboundary(phi: BoundedCochain) -> BoundedCochain:
-    return phi.coboundary()
-
-
-def uf_boundary(phi: UfChain) -> UfChain:
-    return phi.boundary()
-
-
 def inflate(phi: UfChain) -> EquivariantChain:
     """Equivariant bounded chain with slice values g -> phi(g^-1 . tuple).
 
@@ -534,27 +514,21 @@ def inflate(phi: UfChain) -> EquivariantChain:
         orbit_key = tuple(group.mul(t0i, g) for g in key[1:])
         builders.setdefault(orbit_key, {})[t0i] = c
     entries = {
-        key: Finite(FinSuppFn(group, coeffs)) for key, coeffs in builders.items()
+        key: ConstPlusFinite(group, 0, FinSuppFn(group, coeffs)) for key, coeffs in builders.items()
     }
     return EquivariantChain(group, phi.degree, KIND_LINF, entries)
 
 
 def deflate(chain: EquivariantChain) -> UfChain:
-    """Inverse of `inflate`; requires finite-type slice values."""
+    """Inverse of `inflate`; requires slice values with a zero constant part."""
     if chain.kind != KIND_LINF:
         raise ValueError("deflate expects a bounded-coefficient chain")
     group = chain.group
     coeffs: dict[tuple, Fraction] = {}
     for key, value in chain.slice.items():
-        if isinstance(value, Finite):
-            fn = value.fn
-        elif isinstance(value, ConstPlusFinite) and not value.const:
-            fn = value.fn
-        elif value.is_zero:
-            continue
-        else:
+        if not isinstance(value, ConstPlusFinite) or value.const:
             raise ValueError(f"cannot deflate a chain with value {value!r} (not of finite type)")
-        for h, c in fn.items():
+        for h, c in value.fn.items():
             hi = group.inv(h)
             tup = (hi,) + tuple(group.mul(hi, g) for g in key)
             coeffs[tup] = c
@@ -573,7 +547,7 @@ def johnson_cocycle(group: GroupSpec) -> BoundedCochain:
 
 def fundamental_cycle(group: GroupSpec) -> EquivariantChain:
     """Degree-0 bounded chain with slice value the constant function 1."""
-    return EquivariantChain(group, 0, KIND_LINF, {(): Constant(group, 1)})
+    return EquivariantChain(group, 0, KIND_LINF, {(): ConstPlusFinite(group, 1)})
 
 
 def one_lift_cochain(group: GroupSpec) -> BoundedCochain:

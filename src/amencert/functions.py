@@ -3,8 +3,8 @@
 The summable side is `FinSuppFn`: an exact finitely supported map from
 group elements to rationals (Dirac deltas, slices of summable chains,
 values of bounded cochains). The bounded side is `BoundedFn`: an
-evaluation oracle with structured variants -- a constant, a finitely
-supported part, a constant plus a finitely supported part, and the
+evaluation oracle with two structured variants -- `ConstPlusFinite`, a
+constant plus a finitely supported part (either may be zero), and the
 tree-flow indicator used by the free-group witness. Bounded functions are
 never truncated to vectors; pairings only ever evaluate them at the
 finitely many points of a summable support, so every number in the
@@ -162,10 +162,9 @@ def delta(group: GroupSpec, g: Element) -> FinSuppFn:
 class BoundedFn:
     """Bounded function given as an exact evaluation oracle.
 
-    Structured variants (Constant, Finite, ConstPlusFinite, TreeFlow) carry
-    enough shape for serialization and decidable quotient equality; sums and
-    translates of tree flows fall back to generic wrappers that still
-    evaluate exactly.
+    The structured variants (ConstPlusFinite, TreeFlow) carry enough shape
+    for serialization and decidable quotient equality; sums and translates
+    of tree flows fall back to generic wrappers that still evaluate exactly.
     """
 
     group: GroupSpec
@@ -200,9 +199,6 @@ class BoundedFn:
             return self
         if self.is_zero:
             return other
-        folded = _fold_add(self, other)
-        if folded is not None:
-            return folded
         return Combination.of(self.group, [(Fraction(1), self), (Fraction(1), other)])
 
     def __sub__(self, other: "BoundedFn") -> "BoundedFn":
@@ -214,7 +210,7 @@ class BoundedFn:
     def scale(self, c: Rational) -> "BoundedFn":
         c = frac(c)
         if not c:
-            return Constant(self.group, 0)
+            return ConstPlusFinite(self.group, 0)
         if c == 1:
             return self
         return Combination.of(self.group, [(c, self)])
@@ -228,86 +224,20 @@ class BoundedFn:
         raise ValueError(f"{type(self).__name__} has no serialized form")
 
 
-class Constant(BoundedFn):
-    __slots__ = ("group", "value")
-
-    def __init__(self, group: GroupSpec, value: Rational):
-        self.group = group
-        self.value = frac(value)
-
-    def evaluate(self, g):
-        return self.value
-
-    @property
-    def sup_bound(self):
-        return abs(self.value)
-
-    def translate(self, g):
-        return self
-
-    @property
-    def is_zero(self):
-        return not self.value
-
-    def scale(self, c):
-        return Constant(self.group, frac(c) * self.value)
-
-    def __eq__(self, other):
-        return isinstance(other, Constant) and self.group == other.group and self.value == other.value
-
-    def __repr__(self):
-        return f"Constant({self.value})"
-
-    def to_json(self):
-        return {"constant": frac_str(self.value)}
-
-
-class Finite(BoundedFn):
-    """A finitely supported function regarded as a bounded one."""
-
-    __slots__ = ("group", "fn")
-
-    def __init__(self, fn: FinSuppFn):
-        self.group = fn.group
-        self.fn = fn
-
-    def evaluate(self, g):
-        return self.fn.evaluate(g)
-
-    @property
-    def sup_bound(self):
-        return max((abs(c) for _, c in self.fn.items()), default=Fraction(0))
-
-    def translate(self, g):
-        return Finite(self.fn.translate(g))
-
-    @property
-    def is_zero(self):
-        return self.fn.is_zero
-
-    def scale(self, c):
-        c = frac(c)
-        if not c:
-            return Constant(self.group, 0)
-        return Finite(self.fn * c)
-
-    def __eq__(self, other):
-        return isinstance(other, Finite) and self.fn == other.fn
-
-    def __repr__(self):
-        return f"Finite({self.fn!r})"
-
-    def to_json(self):
-        return {"finite": self.fn.to_pairs()}
-
-
 class ConstPlusFinite(BoundedFn):
+    """A constant plus a finitely supported part; either part may be zero.
+
+    The one structured form of every bounded value the pipeline builds: the
+    fundamental class is the constant 1, and inflated uniformly finite
+    chains are finitely supported. Sums of two such values fold exactly.
+    """
+
     __slots__ = ("group", "const", "fn")
 
-    def __init__(self, group: GroupSpec, const: Rational, fn: FinSuppFn):
+    def __init__(self, group: GroupSpec, const: Rational, fn: FinSuppFn | None = None):
         self.group = group
         self.const = frac(const)
-        self.fn = fn
+        self.fn = FinSuppFn.zero(group) if fn is None else fn
 
     def evaluate(self, g):
         return self.const + self.fn.evaluate(g)
@@ -317,15 +247,23 @@ class ConstPlusFinite(BoundedFn):
         return abs(self.const) + max((abs(c) for _, c in self.fn.items()), default=Fraction(0))
 
     def translate(self, g):
-        return bounded_const_plus_finite(self.group, self.const, self.fn.translate(g))
+        if self.fn.is_zero:
+            return self
+        return ConstPlusFinite(self.group, self.const, self.fn.translate(g))
 
     @property
     def is_zero(self):
         return not self.const and self.fn.is_zero
 
+    def __add__(self, other):
+        folds = isinstance(other, ConstPlusFinite) and self.group == other.group
+        if not folds or self.is_zero or other.is_zero:
+            return super().__add__(other)
+        return ConstPlusFinite(self.group, self.const + other.const, self.fn + other.fn)
+
     def scale(self, c):
         c = frac(c)
-        return bounded_const_plus_finite(self.group, c * self.const, self.fn * c)
+        return ConstPlusFinite(self.group, c * self.const, self.fn * c)
 
     def __eq__(self, other):
         return (
@@ -339,6 +277,11 @@ class ConstPlusFinite(BoundedFn):
         return f"ConstPlusFinite({self.const}, {self.fn!r})"
 
     def to_json(self):
+        """The shortest of the three serialized forms that holds the value."""
+        if self.fn.is_zero:
+            return {"constant": frac_str(self.const)}
+        if not self.const:
+            return {"finite": self.fn.to_pairs()}
         return {"constant-plus-finite": {"constant": frac_str(self.const), "finite": self.fn.to_pairs()}}
 
 
@@ -466,7 +409,7 @@ class Combination(BoundedFn):
             else:
                 flat.append((c, f))
         if not flat:
-            return Constant(group, 0)
+            return ConstPlusFinite(group, 0)
         if len(flat) == 1 and flat[0][0] == 1:
             return flat[0][1]
         return cls(group, tuple(flat))
@@ -491,42 +434,16 @@ class Combination(BoundedFn):
         return f"Combination({self.terms!r})"
 
 
-def bounded_const_plus_finite(group: GroupSpec, const: Rational, fn: FinSuppFn) -> BoundedFn:
-    """Normalized constructor: collapses to Constant or Finite when possible."""
-    const = frac(const)
-    if fn.is_zero:
-        return Constant(group, const)
-    if not const:
-        return Finite(fn)
-    return ConstPlusFinite(group, const, fn)
-
-
-def _fold_add(u: BoundedFn, v: BoundedFn) -> BoundedFn | None:
-    """Structured sum when both operands decompose as constant + finite."""
-    parts = []
-    for f in (u, v):
-        if isinstance(f, Constant):
-            parts.append((f.value, FinSuppFn.zero(f.group)))
-        elif isinstance(f, Finite):
-            parts.append((Fraction(0), f.fn))
-        elif isinstance(f, ConstPlusFinite):
-            parts.append((f.const, f.fn))
-        else:
-            return None
-    (c1, f1), (c2, f2) = parts
-    return bounded_const_plus_finite(u.group, c1 + c2, f1 + f2)
-
-
 def bounded_from_json(group: GroupSpec, data: dict) -> BoundedFn:
     if not isinstance(data, dict) or len(data) != 1:
         raise ValueError(f"malformed bounded-function value {data!r}")
     (kind, payload), = data.items()
     if kind == "constant":
-        return Constant(group, parse_frac(payload))
+        return ConstPlusFinite(group, parse_frac(payload))
     if kind == "finite":
-        return Finite(FinSuppFn.from_pairs(group, payload))
+        return ConstPlusFinite(group, 0, FinSuppFn.from_pairs(group, payload))
     if kind == "constant-plus-finite":
-        return bounded_const_plus_finite(
+        return ConstPlusFinite(
             group, parse_frac(payload["constant"]), FinSuppFn.from_pairs(group, payload["finite"])
         )
     if kind == "tree-flow":
@@ -571,24 +488,17 @@ def is_constant_fn(v: BoundedFn) -> bool:
     variants over infinite groups.
     """
     group = v.group
-    if v.is_zero or isinstance(v, Constant):
+    if v.is_zero or isinstance(v, ConstPlusFinite) and v.fn.is_zero:
         return True
     if isinstance(group, FiniteGroup):
         vals = {v.evaluate(g) for g in range(group.order)}
         return len(vals) == 1
-    if isinstance(v, Finite):
-        return v.fn.is_zero
     if isinstance(v, ConstPlusFinite):
-        return v.fn.is_zero
+        return False  # a nonzero finitely supported part on an infinite group
     raise ValueError("constant test is undecidable for oracle-backed variants over infinite groups")
 
 
-# -- translation action and evaluation pairing -------------------------------
-
-
-def translate(g: Element, f: FinSuppFn | BoundedFn) -> FinSuppFn | BoundedFn:
-    """Left translation (g.f)(h) = f(g^-1 h) for either coefficient kind."""
-    return f.translate(g)
+# -- evaluation pairing ------------------------------------------------------
 
 
 def pair_eval(phi: FinSuppFn, v: FinSuppFn | BoundedFn | QuotientRep) -> Fraction:

@@ -53,9 +53,13 @@ class GroupSpec:
     family = "?"
 
     def __init__(self) -> None:
-        # BFS cache grown on demand; levels[r] holds the sphere of radius r,
-        # sorted by sort_key. The lock keeps concurrent ball() calls from
-        # appending the same level twice; everything else is immutable.
+        # The canonical JSON of the spec, built once: it decides equality,
+        # hashing and the spec hash.
+        self._canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        # BFS cache grown on demand; levels[r] holds the elements at word
+        # distance exactly r, sorted by sort_key. The lock keeps concurrent
+        # ball() calls from appending the same level twice; everything else
+        # is immutable.
         self._levels: list[tuple[Element, ...]] = [(self.identity,)]
         self._seen: set[Element] = {self.identity}
         self._saturated = False
@@ -135,23 +139,14 @@ class GroupSpec:
         self._ball_cache[radius] = result
         return result
 
-    def sphere(self, radius: int) -> tuple[Element, ...]:
-        self._grow_levels(radius)
-        if radius >= len(self._levels):
-            return ()
-        return self._levels[radius]
-
     def spec_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return hashlib.sha256(self._canonical.encode()).hexdigest()
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, GroupSpec) and self.to_dict() == other.to_dict()
+        return self is other or isinstance(other, GroupSpec) and self._canonical == other._canonical
 
     def __hash__(self) -> int:
-        return hash(json.dumps(self.to_dict(), sort_keys=True))
+        return hash(self._canonical)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.to_dict()}>"
@@ -372,7 +367,7 @@ class FiniteGroup(GroupSpec):
             if len(row) != n:
                 raise ValueError("multiplication table must be square")
             for x in row:
-                if not isinstance(x, int) or not 0 <= x < n:
+                if type(x) is not int or not 0 <= x < n:
                     raise ValueError(f"table entry {x!r} out of range")
         ident = None
         full = tuple(range(n))
@@ -498,21 +493,34 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(cyclic_table(n), generators=(1,) if n > 1 else ())
 
 
+def _list_of(value, ok) -> bool:
+    return isinstance(value, list) and all(ok(x) for x in value)
+
+
 def group_from_dict(data: dict) -> GroupSpec:
     """Rebuild a group from its canonical dictionary form."""
     if not isinstance(data, dict) or "family" not in data:
         raise ValueError("group spec must be an object with a 'family' field")
     family = data["family"]
-    if family in ("free", "free-abelian") and "rank" not in data:
-        raise ValueError(f"{family} group spec requires a 'rank'")
-    if family == "free":
-        return FreeGroup(int(data["rank"]), data.get("generators"))
-    if family == "free-abelian":
-        return FreeAbelianGroup(int(data["rank"]), data.get("generators"))
+    gens = data.get("generators")
+    if family in ("free", "free-abelian"):
+        if "rank" not in data:
+            raise ValueError(f"{family} group spec requires a 'rank'")
+        rank = data["rank"]
+        if type(rank) is not int:
+            raise ValueError(f"{family} group 'rank' must be an integer, got {rank!r}")
+        if gens is not None and not _list_of(gens, lambda g: isinstance(g, str)):
+            raise ValueError(f"{family} group 'generators' must be a list of labels, got {gens!r}")
+        return (FreeGroup if family == "free" else FreeAbelianGroup)(rank, gens)
     if family == "finite":
         if "table" not in data:
             raise ValueError("finite group spec requires a 'table'")
-        return FiniteGroup(data["table"], data.get("generators"))
+        table = data["table"]
+        if not _list_of(table, lambda row: isinstance(row, list)):
+            raise ValueError("finite group 'table' must be a list of lists")
+        if gens is not None and not _list_of(gens, lambda g: type(g) is int):
+            raise ValueError(f"finite group 'generators' must be a list of element indices, got {gens!r}")
+        return FiniteGroup(table, gens)
     raise ValueError(f"unknown group family {family!r}")
 
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .complexes import KIND_L1, KIND_LINF, BoundedCochain, EquivariantChain, UfChain
-from .functions import BoundedFn, Constant, Finite, FinSuppFn, bounded_const_plus_finite
+from .functions import BoundedFn, ConstPlusFinite, FinSuppFn
 from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec
 
 
@@ -45,14 +45,11 @@ def random_finsupp(
 
 
 def random_boundedfn(rng: random.Random, group: GroupSpec, max_len: int = 3) -> BoundedFn:
+    """A constant (shape 0), a finite part (shape 1) or both (shape 2)."""
     shape = rng.randrange(3)
-    if shape == 0:
-        return Constant(group, random_fraction(rng, allow_zero=True))
-    if shape == 1:
-        return Finite(random_finsupp(rng, group, max_len=max_len))
-    return bounded_const_plus_finite(
-        group, random_fraction(rng), random_finsupp(rng, group, max_len=max_len)
-    )
+    const = 0 if shape == 1 else random_fraction(rng, allow_zero=shape == 0)
+    fn = FinSuppFn.zero(group) if shape == 0 else random_finsupp(rng, group, max_len=max_len)
+    return ConstPlusFinite(group, const, fn)
 
 
 def random_tuple(rng: random.Random, group: GroupSpec, length: int, max_len: int = 2) -> tuple:

@@ -103,11 +103,16 @@ class TestPair:
         assert code == 0
         assert json.loads(out)["value"] == "6/1"
 
-    def test_malformed_file_is_input_error(self, capsys, tmp_path):
+    def test_malformed_file_is_input_error(self, capsys, tmp_path, f2_dict):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         code, _ = run_cli(capsys, "pair", "--cochain", str(bad), "--cycle", str(bad))
         assert code == 1
+        cochain = write_json(tmp_path / "j.json", {"builtin": "johnson", "group": f2_dict})
+        no_group = write_json(tmp_path / "c.json", {"degree": 1, "kind": "l1", "entries": []})
+        code = main(["pair", "--cochain", cochain, "--cycle", no_group])
+        assert code == 1
+        assert capsys.readouterr().err == "error: missing field 'group'\n"
 
 
 class TestFolner:
@@ -201,6 +206,31 @@ class TestSelftest:
             "inflation-isomorphism",
             "connecting-map",
         }
+
+
+MALFORMED_GROUPS = {
+    "float-rank": {"family": "free", "rank": 2.7},
+    "bool-rank": {"family": "free-abelian", "rank": True},
+    "string-labels": {"family": "free", "rank": 2, "generators": "ab"},
+    "int-label": {"family": "free-abelian", "rank": 1, "generators": [5]},
+    "bool-generator": {"family": "finite", "table": cyclic_table(2), "generators": [True]},
+    "float-generator": {"family": "finite", "table": cyclic_table(2), "generators": [1.0]},
+    "string-generators": {"family": "finite", "table": cyclic_table(2), "generators": "1"},
+    "scalar-table": {"family": "finite", "table": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GROUPS))
+def test_malformed_group_spec_is_one_line_error(tmp_path, name):
+    group = write_json(tmp_path / "g.json", MALFORMED_GROUPS[name])
+    proc = subprocess.run(
+        [sys.executable, "-m", "amencert.cli", "iso-min", "--radius", "0", "--group", group],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 class TestOutputContract:

@@ -5,13 +5,10 @@ from fractions import Fraction
 import pytest
 
 from amencert.functions import (
-    Constant,
     ConstPlusFinite,
-    Finite,
     FinSuppFn,
     QuotientRep,
     TreeFlow,
-    bounded_const_plus_finite,
     bounded_from_json,
     delta,
     frac_str,
@@ -19,7 +16,6 @@ from amencert.functions import (
     pair_eval,
     parse_frac,
     ray_first_letter,
-    translate,
 )
 from amencert.sampling import random_boundedfn, random_element, random_finsupp
 
@@ -35,25 +31,25 @@ class TestFinSuppFn:
 
     def test_translate_delta(self, f2):
         a, b = f2.gen(0), f2.gen(1)
-        assert translate(b, delta(f2, a)) == delta(f2, f2.mul(b, a))
+        assert delta(f2, a).translate(b) == delta(f2, f2.mul(b, a))
 
     def test_translate_is_action(self, all_groups, rng):
         for group in all_groups:
             for _ in range(50):
                 g, h = random_element(rng, group), random_element(rng, group)
                 f = random_finsupp(rng, group)
-                assert translate(g, translate(h, f)) == translate(group.mul(g, h), f)
+                assert f.translate(h).translate(g) == f.translate(group.mul(g, h))
 
     def test_translate_identity(self, f2, rng):
         f = random_finsupp(rng, f2)
-        assert translate(f2.identity, f) == f
+        assert f.translate(f2.identity) == f
 
     def test_norm_translation_invariant(self, all_groups, rng):
         for group in all_groups:
             for _ in range(50):
                 f = random_finsupp(rng, group)
                 g = random_element(rng, group)
-                assert translate(g, f).l1_norm() == f.l1_norm()
+                assert f.translate(g).l1_norm() == f.l1_norm()
 
     def test_no_stored_zeros(self, f2):
         f = FinSuppFn(f2, [((), 1), ((), -1), ((1,), Fraction(1, 2))])
@@ -81,15 +77,15 @@ class TestFinSuppFn:
 
 class TestBoundedFn:
     def test_constant_translate(self, f2, rng):
-        c = Constant(f2, 5)
+        c = ConstPlusFinite(f2, 5)
         g = random_element(rng, f2)
-        assert translate(g, c) is c
+        assert c.translate(g) is c
 
     def test_tree_flow_translate_composition(self, f2):
         # moving the flow by a and evaluating at a^2 is evaluating the
         # original flow at a; the direct geodesic computation gives 1.
         flow = TreeFlow(f2, 1, 1)
-        shifted = translate(f2.gen(0), flow)
+        shifted = flow.translate(f2.gen(0))
         assert shifted.evaluate(f2.elem_from_str("a^2")) == flow.evaluate(f2.gen(0)) == 1
 
     def test_tree_flow_requires_free_group(self, z2):
@@ -111,8 +107,8 @@ class TestBoundedFn:
                     assert abs(v.evaluate(random_element(rng, group))) <= bound
 
     def test_structured_sums_fold(self, f2):
-        f = Finite(delta(f2, f2.gen(0)))
-        c = Constant(f2, 2)
+        f = ConstPlusFinite(f2, 0, delta(f2, f2.gen(0)))
+        c = ConstPlusFinite(f2, 2)
         s = f + c
         assert isinstance(s, ConstPlusFinite)
         assert s.evaluate(f2.gen(0)) == 3
@@ -122,21 +118,21 @@ class TestBoundedFn:
     def test_combination_and_translate_evaluate(self, f2, rng):
         flow = TreeFlow(f2, 2, 1)
         g = random_element(rng, f2)
-        v = flow + Constant(f2, 1)
-        w = translate(g, v)
+        v = flow + ConstPlusFinite(f2, 1)
+        w = v.translate(g)
         for _ in range(10):
             x = random_element(rng, f2)
             assert w.evaluate(x) == v.evaluate(f2.mul(f2.inv(g), x))
 
     def test_normalized_constructor(self, f2):
-        assert isinstance(bounded_const_plus_finite(f2, 3, FinSuppFn.zero(f2)), Constant)
-        assert isinstance(bounded_const_plus_finite(f2, 0, delta(f2, f2.identity)), Finite)
+        assert ConstPlusFinite(f2, 3, FinSuppFn.zero(f2)).to_json() == {"constant": "3/1"}
+        assert ConstPlusFinite(f2, 0, delta(f2, f2.identity)).to_json() == {"finite": [["e", "1/1"]]}
 
     def test_json_roundtrip(self, f2):
         values = [
-            Constant(f2, Fraction(-2, 3)),
-            Finite(delta(f2, f2.gen(1))),
-            bounded_const_plus_finite(f2, 1, delta(f2, f2.identity)),
+            ConstPlusFinite(f2, Fraction(-2, 3)),
+            ConstPlusFinite(f2, 0, delta(f2, f2.gen(1))),
+            ConstPlusFinite(f2, 1, delta(f2, f2.identity)),
             TreeFlow(f2, -2, 1),
         ]
         for v in values:
@@ -144,7 +140,7 @@ class TestBoundedFn:
             assert w == v
 
     def test_oracle_variants_not_serializable(self, f2):
-        v = translate(f2.gen(0), TreeFlow(f2, 1, 1))
+        v = TreeFlow(f2, 1, 1).translate(f2.gen(0))
         with pytest.raises(ValueError):
             v.to_json()
 
@@ -152,10 +148,10 @@ class TestBoundedFn:
 class TestPairEval:
     def test_zero_sum_kills_constants(self, f2):
         phi = delta(f2, f2.gen(0)) - delta(f2, f2.identity)
-        assert pair_eval(phi, Constant(f2, 5)) == 0
+        assert pair_eval(phi, ConstPlusFinite(f2, 5)) == 0
 
     def test_delta_against_one(self, f2):
-        assert pair_eval(delta(f2, f2.identity), Constant(f2, 1)) == 1
+        assert pair_eval(delta(f2, f2.identity), ConstPlusFinite(f2, 1)) == 1
 
     def test_flow_term(self, f2):
         phi = delta(f2, f2.gen(1)) - delta(f2, f2.identity)
@@ -176,10 +172,10 @@ class TestPairEval:
                 f = random_finsupp(rng, group, zero_sum=True)
                 v = random_boundedfn(rng, group)
                 for c in (1, Fraction(-7, 2)):
-                    assert pair_eval(f, v + Constant(group, c)) == pair_eval(f, v)
+                    assert pair_eval(f, v + ConstPlusFinite(group, c)) == pair_eval(f, v)
 
     def test_quotient_rep_requires_zero_sum(self, f2):
-        rep = QuotientRep(Constant(f2, 1))
+        rep = QuotientRep(ConstPlusFinite(f2, 1))
         with pytest.raises(ValueError):
             pair_eval(delta(f2, f2.identity), rep)
         phi = delta(f2, f2.gen(0)) - delta(f2, f2.identity)
@@ -195,20 +191,20 @@ class TestPairEval:
 class TestQuotientRep:
     def test_structured_equality(self, f2):
         f = delta(f2, f2.gen(0))
-        u = QuotientRep(bounded_const_plus_finite(f2, 2, f))
-        v = QuotientRep(bounded_const_plus_finite(f2, -1, f))
-        w = QuotientRep(Finite(f + delta(f2, f2.identity)))
+        u = QuotientRep(ConstPlusFinite(f2, 2, f))
+        v = QuotientRep(ConstPlusFinite(f2, -1, f))
+        w = QuotientRep(ConstPlusFinite(f2, 0, f + delta(f2, f2.identity)))
         assert u.same_class(v)
         assert not u.same_class(w)
 
     def test_finite_group_full_support_constant(self, z3):
         f = FinSuppFn(z3, {0: 1, 1: 1, 2: 1})
-        assert is_constant_fn(Finite(f))
-        assert QuotientRep(Finite(f)).same_class(QuotientRep(Constant(z3, 0)))
+        assert is_constant_fn(ConstPlusFinite(z3, 0, f))
+        assert QuotientRep(ConstPlusFinite(z3, 0, f)).same_class(QuotientRep(ConstPlusFinite(z3, 0)))
 
     def test_oracle_backed_undecidable(self, f2):
         u = QuotientRep(TreeFlow(f2, 1, 1))
-        v = QuotientRep(Constant(f2, 0))
+        v = QuotientRep(ConstPlusFinite(f2, 0))
         with pytest.raises(ValueError):
             u.same_class(v)
 

@@ -225,7 +225,11 @@ class TestSerialization:
         for group in list(all_groups) + [s3]:
             clone = group_from_dict(group.to_dict())
             assert clone == group
+            assert hash(clone) == hash(group)
             assert clone.spec_hash() == group.spec_hash()
+        free, abelian = free_group(2, ("x", "y")), free_abelian_group(2, ("x", "y"))
+        assert free != abelian
+        assert free.spec_hash() != abelian.spec_hash()
 
     def test_elem_json_forms(self, f2, z2, z3):
         assert f2.elem_to_json((1, -2)) == "a*b^-1"
