@@ -43,7 +43,13 @@ from .sampling import (
     random_l1_chain,
     random_uf_chain,
 )
-from .witnesses import FlowCycleSpec, flow_cycle, flow_pairing_certificate, verify_flow_cycle
+from .witnesses import (
+    FlowCycleSpec,
+    check_flow_sweep,
+    flow_cycle,
+    flow_pairing_certificate,
+    verify_flow_cycle,
+)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -54,13 +60,20 @@ def _emit(payload: dict, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
 
 
-def _load_cochain(path: str) -> BoundedCochain:
+def _load_object(path: str, what: str) -> dict:
     data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"the {what} file must hold a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _load_cochain(path: str) -> BoundedCochain:
+    data = _load_object(path, "cochain")
     if "builtin" in data:
         group = group_from_dict(data["group"])
         name = data["builtin"]
@@ -75,7 +88,7 @@ def _load_cochain(path: str) -> BoundedCochain:
 
 
 def _load_cycle(path: str) -> tuple[EquivariantChain, str]:
-    data = _load_json(path)
+    data = _load_object(path, "cycle")
     if "builtin" in data:
         group = group_from_dict(data["group"])
         name = data["builtin"]
@@ -96,6 +109,7 @@ def _load_cycle(path: str) -> tuple[EquivariantChain, str]:
 
 
 def cmd_verify_f2(args) -> int:
+    check_flow_sweep(args.rank, args.radius)
     group = free_group(args.rank)
     if args.ray not in group.gen_labels:
         raise ValueError(f"ray {args.ray!r} is not a generator of the rank-{args.rank} group")

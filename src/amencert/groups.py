@@ -320,7 +320,10 @@ class FreeAbelianGroup(GroupSpec):
     def elem_from_json(self, data):
         if not isinstance(data, list):
             raise ValueError(f"free-abelian element must serialize as a list, got {data!r}")
-        return self.check(tuple(int(x) for x in data))
+        for x in data:
+            if type(x) is not int:
+                raise ValueError(f"free-abelian coordinates must be integers, got {x!r} in {data!r}")
+        return self.check(tuple(data))
 
     def to_dict(self):
         return {

@@ -4,15 +4,31 @@ import importlib.util
 from pathlib import Path
 
 from amencert import pairing, witnesses
+from amencert.groups import free_group
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_tracer_installs_and_restores():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_installs_and_restores():
+    tracing = load_tracing()
     pair, verify = pairing.pair, witnesses.verify_flow_cycle
     with tracing.Tracer().installed():
         assert pairing.pair is not pair
     assert pairing.pair is pair and witnesses.verify_flow_cycle is verify
+
+
+def test_sweep_calls_the_traced_oracle():
+    # 2 rank letters x 2 sides (outgoing, incoming) x |B_2| words
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        report = witnesses.verify_flow_cycle(witnesses.FlowCycleSpec(free_group(2), 1), 1)
+    assert report.passed
+    assert tracer.counts["witnesses.oracle_calls"] == 8 * 17
+    assert tracer.counts["witnesses.pairs_checked"] == 5 * 5

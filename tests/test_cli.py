@@ -62,6 +62,13 @@ class TestVerifyF2:
         code, _ = run_cli(capsys, "verify-f2", "--ray", "c")
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [("--rank", "1000000000"), ("--radius", "1000000"), ("--radius", "6")])
+    def test_work_guard_is_input_error(self, capsys, flag, value):
+        code = main(["verify-f2", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestPair:
     def test_johnson_against_flow(self, capsys, tmp_path, f2_dict):
@@ -113,6 +120,12 @@ class TestPair:
         code = main(["pair", "--cochain", cochain, "--cycle", no_group])
         assert code == 1
         assert capsys.readouterr().err == "error: missing field 'group'\n"
+        not_object = write_json(tmp_path / "list.json", [1, 2])
+        for args in (["--cochain", not_object, "--cycle", not_object], ["--cochain", cochain, "--cycle", not_object]):
+            code = main(["pair", *args])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestFolner:
@@ -225,6 +238,19 @@ def test_malformed_group_spec_is_one_line_error(tmp_path, name):
     group = write_json(tmp_path / "g.json", MALFORMED_GROUPS[name])
     proc = subprocess.run(
         [sys.executable, "-m", "amencert.cli", "iso-min", "--radius", "0", "--group", group],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("point", [[1.7, True], [1, True], [1.0, 2], ["1", 2]])
+def test_non_integer_coordinates_are_one_line_error(tmp_path, z2_file, point):
+    members = write_json(tmp_path / "set.json", [point])
+    proc = subprocess.run(
+        [sys.executable, "-m", "amencert.cli", "reiter", "--group", z2_file, "--set", members],
         capture_output=True,
         text=True,
     )

@@ -238,6 +238,9 @@ class TestSerialization:
         assert z2.elem_from_json([1, -2]) == (1, -2)
         with pytest.raises(ValueError):
             z2.elem_from_json("a")
+        for bad in ([1.7, True], [1, True], [1.0, 2], ["1", 2]):
+            with pytest.raises(ValueError):
+                z2.elem_from_json(bad)
 
     def test_labels_validated(self):
         with pytest.raises(ValueError):

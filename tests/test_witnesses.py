@@ -4,11 +4,15 @@ import pytest
 
 from amencert.groups import free_abelian_group, free_group
 from amencert.witnesses import (
+    MAX_FLOW_RANK,
     FlowCycleSpec,
+    FlowVerification,
+    check_flow_sweep,
     expected_flow_pairing,
     flow_cycle,
     flow_pairing_certificate,
     flow_value,
+    reduced_words,
     verify_flow_cycle,
 )
 
@@ -47,6 +51,42 @@ def bfs_first_edge(group, target):
                     return node[0]
         frontier = nxt
     raise AssertionError("unreachable")
+
+
+def pair_loop_report(fs, radius, flow):
+    """Oracle: the sweep as one oracle round per pair (k, g) of the ball."""
+    group = fs.group
+    letters = [s for letter in range(1, group.rank + 1) for s in (letter, -letter)]
+    ball = group.ball(radius)
+    failures = []
+    for k in ball:
+        ki = group.inv(k)
+        for g in ball:
+            h = group.mul(ki, g)
+            outgoing = sum(flow(s, h) for s in letters)
+            incoming = sum(flow(-s, group.mul((-s,), h)) for s in letters)
+            if outgoing != 1 or incoming != 2 * group.rank - 1:
+                failures.append(
+                    {
+                        "base": group.elem_to_str(k),
+                        "point": group.elem_to_str(g),
+                        "outgoing": outgoing,
+                        "incoming": incoming,
+                        "boundary": incoming - outgoing,
+                    }
+                )
+    return FlowVerification(fs, radius, len(ball) ** 2, 1, 2 * group.rank - 1, 2 * group.rank - 2, failures)
+
+
+def flipped_at(fs, edge, word):
+    """The flow oracle with the value of `edge` at the point `word` flipped."""
+    bad_point = fs.group.elem_from_str(word)
+
+    def perturbed(s, g):
+        value = flow_value(fs, s, g)
+        return 1 - value if s == edge and g == bad_point else value
+
+    return perturbed
 
 
 class TestFlowValue:
@@ -154,6 +194,62 @@ class TestVerifyFlowCycle:
     def test_negative_radius_rejected(self, f2):
         with pytest.raises(ValueError):
             verify_flow_cycle(FlowCycleSpec(f2, 1), -1)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("edge", [2, -2])
+    @pytest.mark.parametrize("word", ["a*b", "b*a^-1"])
+    def test_perturbed_report_matches_pair_loop(self, rank, edge, word):
+        group = free_group(rank)
+        for ray in range(1, rank + 1):
+            fs = FlowCycleSpec(group, ray)
+            flow = flipped_at(fs, edge, word)
+            report = verify_flow_cycle(fs, 2, flow=flow)
+            expected = pair_loop_report(fs, 2, flow)
+            assert expected.failures and report.failures == expected.failures
+            assert report.to_json() == expected.to_json()
+
+
+class TestReducedWords:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_words_are_the_quotients_of_the_ball(self, rank, radius):
+        group = free_group(rank)
+        ball = group.ball(radius)
+        words = list(reduced_words(rank, 2 * radius))
+        assert len(words) == len(set(words))
+        assert set(words) == {group.mul(group.inv(k), g) for k in ball for g in ball}
+
+    def test_lazy(self):
+        words = reduced_words(2, 10**9)
+        assert next(words) == ()
+        assert len(next(words)) == 1
+
+
+class TestSweepGuard:
+    def test_ball_sizes(self):
+        # 1 + rank ((2 rank - 1)^(2r) - 1) / (rank - 1); 4r + 1 in rank 1
+        assert check_flow_sweep(2, 1) == 17
+        assert check_flow_sweep(2, 4) == 13121
+        assert check_flow_sweep(2, 5) == 118097
+        assert check_flow_sweep(3, 3) == 23437
+        assert check_flow_sweep(1, 3) == 13
+        assert check_flow_sweep(4, 0) == 1
+        for rank in (1, 2, 3):
+            for radius in range(4):
+                assert check_flow_sweep(rank, radius) == len(free_group(rank).ball(2 * radius))
+
+    @pytest.mark.parametrize(
+        "rank, radius",
+        [(2, 6), (3, 5), (MAX_FLOW_RANK + 1, 1), (10**9, 1), (2, 10**6), (1, 10**6), (0, 1), (2, -1)],
+    )
+    def test_rejects_past_caps(self, rank, radius):
+        with pytest.raises(ValueError):
+            check_flow_sweep(rank, radius)
+
+    def test_verify_rejects_before_ball(self, f2):
+        with pytest.raises(ValueError):
+            verify_flow_cycle(FlowCycleSpec(f2, 1), 6)
+        assert len(f2._levels) == 1
 
 
 class TestPairingCertificate:
