@@ -17,7 +17,6 @@ from .groups import (
     GroupSpec,
     cyclic_group,
     cyclic_table,
-    finite_group,
     free_abelian_group,
     free_group,
     group_from_dict,

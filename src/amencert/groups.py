@@ -23,6 +23,12 @@ from typing import Sequence, Union
 
 Element = Union[tuple, int]  # reduced word / exponent vector / table index
 
+# Work caps checked before anything is allocated: the rank sets the length
+# of every free-abelian vector and of the label tuple, and validating a
+# table of order n costs O(n^3). 256 admits S_5 (order 120) with room.
+MAX_RANK = 64
+MAX_TABLE_ORDER = 256
+
 _LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
@@ -165,6 +171,8 @@ class FreeGroup(GroupSpec):
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
         if rank < 1:
             raise ValueError("free group rank must be >= 1")
+        if rank > MAX_RANK:
+            raise ValueError(f"free group rank {rank} is above the cap of {MAX_RANK}")
         self.rank = rank
         self.gen_labels = _check_labels(labels or _default_labels(rank), rank)
         self._label_index = {lab: i for i, lab in enumerate(self.gen_labels)}
@@ -271,6 +279,8 @@ class FreeAbelianGroup(GroupSpec):
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
         if rank < 1:
             raise ValueError("free-abelian rank must be >= 1")
+        if rank > MAX_RANK:
+            raise ValueError(f"free-abelian rank {rank} is above the cap of {MAX_RANK}")
         self.rank = rank
         self.gen_labels = _check_labels(labels or _default_labels(rank), rank)
         super().__init__()
@@ -345,6 +355,8 @@ class FiniteGroup(GroupSpec):
     family = "finite"
 
     def __init__(self, table: Sequence[Sequence[int]], generators: Sequence[int] | None = None) -> None:
+        if len(table) > MAX_TABLE_ORDER:
+            raise ValueError(f"table order {len(table)} is above the cap of {MAX_TABLE_ORDER}")
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self._validate_table()
@@ -479,10 +491,6 @@ def free_group(rank: int, labels: Sequence[str] | None = None) -> FreeGroup:
 
 def free_abelian_group(rank: int, labels: Sequence[str] | None = None) -> FreeAbelianGroup:
     return FreeAbelianGroup(rank, labels)
-
-
-def finite_group(table: Sequence[Sequence[int]], generators: Sequence[int] | None = None) -> FiniteGroup:
-    return FiniteGroup(table, generators)
 
 
 def cyclic_table(n: int) -> list[list[int]]:

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .complexes import KIND_LINF, EquivariantChain, johnson_cocycle, one_lift_cochain
 from .functions import TreeFlow, ray_first_letter
-from .groups import Element, FreeGroup
+from .groups import MAX_RANK, Element, FreeGroup
 from .pairing import PairingCertificate, make_pairing_certificate
 
 
@@ -93,11 +93,10 @@ class FlowVerification:
         }
 
 
-# Work caps of the flow sweep: the rank sets the alphabet of every word,
-# the word count |B_2r| is the number of distinct h the sweep evaluates.
+# Work caps of the flow sweep, on top of the group rank cap MAX_RANK: the
+# word count |B_2r| is the number of distinct h the sweep evaluates.
 # Past rank 1 the word cap already keeps 2r <= 10; the radius cap keeps
 # rank-1 words (and the r^2 letters of their ball) short as well.
-MAX_FLOW_RANK = 64
 MAX_FLOW_WORDS = 10**6
 MAX_FLOW_RADIUS = 256
 
@@ -112,8 +111,8 @@ def check_flow_sweep(rank: int, radius: int) -> int:
         raise ValueError("radius must be nonnegative")
     if rank < 1:
         raise ValueError("free group rank must be >= 1")
-    if rank > MAX_FLOW_RANK:
-        raise ValueError(f"rank {rank} is above the flow-sweep cap of {MAX_FLOW_RANK}")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} is above the rank cap of {MAX_RANK}")
     if radius > MAX_FLOW_RADIUS:
         raise ValueError(f"radius {radius} is above the flow-sweep cap of {MAX_FLOW_RADIUS}")
     if rank == 1:

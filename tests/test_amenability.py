@@ -1,10 +1,12 @@
 """Reiter ratios, Folner search, isoperimetric brute force, finite-group span."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from amencert.amenability import (
+    FiniteH0Report,
     FolnerCertificate,
     FolnerFailure,
     finite_h0,
@@ -16,8 +18,9 @@ from amencert.amenability import (
     reiter_ratio,
 )
 from amencert.functions import FinSuppFn
-from amencert.groups import cyclic_group
+from amencert.groups import FiniteGroup, cyclic_group
 from amencert.sampling import random_element, random_finsupp
+from conftest import symmetric_table
 
 
 def box(group, side):
@@ -200,7 +203,7 @@ def rank_and_membership_oracle(group):
 
     Builds every row g.delta_h - delta_h, reduces the stacked matrix with
     the all-ones target appended, and reads off rank and membership; a
-    different algorithm from the incremental pivot insertion in finite_h0.
+    different algorithm from the incremental pivot insertion oracle below.
     """
     n = group.order
     rows = []
@@ -231,9 +234,95 @@ def rank_and_membership_oracle(group):
     return rank, all(x == 0 for x in target)
 
 
+def pivot_insertion_report(group):
+    """Oracle: the incremental pivot-insertion elimination finite_h0 once ran.
+
+    Rows g.delta_h - delta_h are inserted into a reduced pivot basis one at
+    a time; the rank caps at n - 1 because every row has coefficient sum
+    zero, so insertion stops early once that rank is reached.
+    """
+    n = group.order
+    pivots: dict[int, list[Fraction]] = {}
+
+    def reduce(vec: list[Fraction]) -> list[Fraction]:
+        for col, row in pivots.items():
+            if vec[col]:
+                c = vec[col]
+                vec = [x - c * y for x, y in zip(vec, row)]
+        return vec
+
+    for g in range(n):
+        if len(pivots) == n - 1:
+            break
+        for h in range(n):
+            gh = group.mul(g, h)
+            if gh == h:
+                continue
+            vec = [Fraction(0)] * n
+            vec[gh] += 1
+            vec[h] -= 1
+            vec = reduce(vec)
+            lead = next((i for i, x in enumerate(vec) if x), None)
+            if lead is not None:
+                inv = vec[lead]
+                pivots[lead] = [x / inv for x in vec]
+                if len(pivots) == n - 1:
+                    break
+
+    residual = reduce([Fraction(1)] * n)
+    residual_l1 = sum((abs(x) for x in residual), Fraction(0))
+    return FiniteH0Report(
+        group=group,
+        order=n,
+        span_dimension=len(pivots),
+        one_in_span=residual_l1 == 0,
+        residual_l1=residual_l1,
+    )
+
+
+def relabelled(table, perm):
+    """The same group with element i renamed perm[i]."""
+    out = [[0] * len(table) for _ in table]
+    for i, row in enumerate(table):
+        for j, x in enumerate(row):
+            out[perm[i]][perm[j]] = perm[x]
+    return out
+
+
+def shuffled_s4():
+    table, _, _ = symmetric_table(4)
+    perm = list(range(24))
+    random.Random(4).shuffle(perm)
+    return FiniteGroup(relabelled(table, perm))
+
+
+def dihedral_group(n):
+    """D_n of order 2n, element r^k s^f stored at index (2k + f + 3) mod 2n."""
+    order = 2 * n
+
+    def compose(a, b):
+        (k, f), (m, e) = a, b
+        return ((k + (-m if f else m)) % n, f ^ e)
+
+    elems = [(k, f) for k in range(n) for f in (0, 1)]
+    index = {x: (2 * x[0] + x[1] + 3) % order for x in elems}
+    table = [[0] * order for _ in range(order)]
+    for a in elems:
+        for b in elems:
+            table[index[a]][index[b]] = index[compose(a, b)]
+    return FiniteGroup(table)
+
+
 class TestFiniteH0:
+    def test_matches_pivot_insertion_oracle(self, s3):
+        d18 = dihedral_group(18)
+        assert d18.identity != 0
+        groups = (cyclic_group(1), cyclic_group(2), cyclic_group(5), s3, shuffled_s4(), d18)
+        for group in groups:
+            assert finite_h0(group).to_json() == pivot_insertion_report(group).to_json()
+
     def test_matches_row_echelon_oracle(self, z3, s3):
-        for group in (z3, cyclic_group(2), cyclic_group(5), s3):
+        for group in (z3, cyclic_group(2), cyclic_group(5), s3, shuffled_s4(), dihedral_group(6)):
             report = finite_h0(group)
             rank, member = rank_and_membership_oracle(group)
             assert report.span_dimension == rank

@@ -8,6 +8,7 @@ import pytest
 
 from amencert.cli import main
 from amencert.groups import cyclic_table
+from conftest import s3_group
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +189,19 @@ class TestFiniteH0:
         assert payload["one-in-span"] is False
         assert payload["span-dimension"] == 2
 
+    def test_s3_payload(self, capsys, tmp_path):
+        group = write_json(tmp_path / "s3.json", s3_group().to_dict())
+        code, out = run_cli(capsys, "finite-h0", "--group", group)
+        assert code == 0
+        assert json.loads(out) == {
+            "type": "finite-h0-report",
+            "group-hash": "740f1f6161edc782f797448d9512b4e0870cee8bdcf54929f9f87ca710f7ab93",
+            "order": 6,
+            "span-dimension": 5,
+            "one-in-span": False,
+            "residual-l1": "6/1",
+        }
+
     def test_infinite_group_rejected(self, capsys, z2_file):
         code, _ = run_cli(capsys, "finite-h0", "--group", z2_file)
         assert code == 1
@@ -230,6 +244,9 @@ MALFORMED_GROUPS = {
     "float-generator": {"family": "finite", "table": cyclic_table(2), "generators": [1.0]},
     "string-generators": {"family": "finite", "table": cyclic_table(2), "generators": "1"},
     "scalar-table": {"family": "finite", "table": 5},
+    "huge-free-rank": {"family": "free", "rank": 10**12},
+    "huge-free-abelian-rank": {"family": "free-abelian", "rank": 10**12},
+    "table-order-257": {"family": "finite", "table": cyclic_table(257)},
 }
 
 

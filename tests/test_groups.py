@@ -5,7 +5,11 @@ import itertools
 import pytest
 
 from amencert.groups import (
+    MAX_RANK,
+    MAX_TABLE_ORDER,
     FiniteGroup,
+    FreeAbelianGroup,
+    FreeGroup,
     cyclic_group,
     cyclic_table,
     free_abelian_group,
@@ -202,6 +206,33 @@ class TestFiniteValidation:
     def test_rejects_out_of_range_entry(self):
         with pytest.raises(ValueError):
             FiniteGroup([[0, 1], [1, 7]])
+
+
+class Unreadable:
+    """A table that has a length but fails on any read of its rows."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError("the table was read past the order cap")
+
+
+class TestWorkGuards:
+    @pytest.mark.parametrize("cls", [FreeGroup, FreeAbelianGroup])
+    def test_rank_cap(self, cls):
+        assert cls(MAX_RANK).rank == MAX_RANK
+        for rank in (MAX_RANK + 1, 10**12):
+            with pytest.raises(ValueError, match="cap"):
+                cls(rank)
+
+    def test_table_order_cap_fires_before_reading(self):
+        assert FiniteGroup(cyclic_table(MAX_TABLE_ORDER)).order == MAX_TABLE_ORDER
+        with pytest.raises(ValueError, match="cap"):
+            FiniteGroup(Unreadable(MAX_TABLE_ORDER + 1))
 
 
 class TestSerialization:

@@ -2,9 +2,8 @@
 
 import pytest
 
-from amencert.groups import free_abelian_group, free_group
+from amencert.groups import MAX_RANK, free_abelian_group, free_group
 from amencert.witnesses import (
-    MAX_FLOW_RANK,
     FlowCycleSpec,
     FlowVerification,
     check_flow_sweep,
@@ -240,7 +239,7 @@ class TestSweepGuard:
 
     @pytest.mark.parametrize(
         "rank, radius",
-        [(2, 6), (3, 5), (MAX_FLOW_RANK + 1, 1), (10**9, 1), (2, 10**6), (1, 10**6), (0, 1), (2, -1)],
+        [(2, 6), (3, 5), (MAX_RANK + 1, 1), (10**9, 1), (2, 10**6), (1, 10**6), (0, 1), (2, -1)],
     )
     def test_rejects_past_caps(self, rank, radius):
         with pytest.raises(ValueError):
