@@ -57,6 +57,7 @@ from .amenability import (
     indicator,
     isoperimetric_argmin,
     reiter_ratio,
+    reiter_report,
 )
 from .witnesses import (
     FlowCycleSpec,

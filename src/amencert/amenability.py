@@ -5,7 +5,8 @@ The Reiter ratio of a nonnegative summable function f is
     sum over s in S u S^-1 of ||s.f - f||_1 / ||f||_1,
 
 an exact rational; indicator functions of finite sets recover the usual
-symmetric-difference Folner quotient. A certificate stores the witness set
+symmetric-difference Folner quotient, which a Folner certificate counts
+in integers by set membership. A certificate stores the witness set
 together with the per-generator differences so it can be revalidated
 independently. The non-amenable side is backed by `isoperimetric_argmin`,
 a brute-force enumeration of every nonempty subset of a ball that returns
@@ -32,19 +33,24 @@ def indicator(group: GroupSpec, members: Iterable[Element]) -> FinSuppFn:
 
 def generator_differences(group: GroupSpec, f: FinSuppFn) -> dict[str, Fraction]:
     """||s.f - f||_1 for every generator and inverse, keyed by letter label."""
-    return {label: (f.translate(s) - f).l1_norm() for label, s in group.letters()}
+    return {label: f.translate_distance(s) for label, s in group.letters()}
 
 
-def reiter_ratio(group: GroupSpec, f: FinSuppFn) -> Fraction:
-    """Normalized generator-difference ratio of a nonnegative, nonzero f."""
+def reiter_report(group: GroupSpec, f: FinSuppFn) -> tuple[dict[str, Fraction], Fraction]:
+    """Generator differences and Reiter ratio of a nonnegative, nonzero f."""
     if f.group != group:
         raise ValueError("function is defined over a different group")
     if f.is_zero:
         raise ValueError("the Reiter ratio of the zero function is undefined")
     if any(c < 0 for _, c in f.items()):
         raise ValueError("the Reiter ratio requires a nonnegative function")
-    total = sum(generator_differences(group, f).values(), Fraction(0))
-    return total / f.l1_norm()
+    diffs = generator_differences(group, f)
+    return diffs, sum(diffs.values(), Fraction(0)) / f.l1_norm()
+
+
+def reiter_ratio(group: GroupSpec, f: FinSuppFn) -> Fraction:
+    """Normalized generator-difference ratio of a nonnegative, nonzero f."""
+    return reiter_report(group, f)[1]
 
 
 @dataclass
@@ -105,21 +111,30 @@ class FolnerFailure:
 def folner_certificate_from_set(
     group: GroupSpec, members: Sequence[Element], strategy: str = "explicit", parameter: int = 0
 ) -> FolnerCertificate:
-    """Build (or revalidate) a certificate directly from a candidate set."""
-    members = tuple(dict.fromkeys(group.check(g) for g in members))
-    if not members:
+    """Build (or revalidate) a certificate directly from a candidate set.
+
+    Counted in integers: |sF| = |F|, so |sF symmetric-difference F| is twice
+    the number of members g with s.g outside F.
+    """
+    inside = dict.fromkeys(group.check(g) for g in members)
+    if not inside:
         raise ValueError("a Folner certificate needs a nonempty set")
-    f = indicator(group, members)
-    diffs = generator_differences(group, f)
-    ratio = sum(diffs.values(), Fraction(0)) / len(members)
+    mul = group.mul
+    differences = {
+        label: 2 * sum(mul(s, g) not in inside for g in inside) for label, s in group.letters()
+    }
     return FolnerCertificate(
         group=group,
         strategy=strategy,
         parameter=parameter,
-        members=tuple(sorted(members, key=group.sort_key)),
-        differences={k: int(v) for k, v in diffs.items()},
-        ratio=ratio,
+        members=tuple(sorted(inside, key=group.sort_key)),
+        differences=differences,
+        ratio=Fraction(sum(differences.values()), len(inside)),
     )
+
+
+# the largest box folner_search may build: side ** rank elements
+MAX_BOX_ELEMS = 10**6
 
 
 def _box(group: FreeAbelianGroup, side: int) -> list[tuple[int, ...]]:
@@ -136,6 +151,8 @@ def folner_search(
 
     Failure is a value, not an error: the report lists the ratio reached at
     every parameter tried, so the caller sees how the search degenerated.
+    The box strategy refuses a largest box of more than MAX_BOX_ELEMS
+    elements before building any box.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -146,6 +163,10 @@ def folner_search(
         raise ValueError("the box strategy only applies to free-abelian groups")
     if max_radius < (1 if strategy == "boxes" else 0):
         raise ValueError("max_radius leaves no candidate sets to try")
+    if strategy == "boxes" and max_radius ** group.rank > MAX_BOX_ELEMS:
+        raise ValueError(
+            f"a box of side {max_radius} in rank {group.rank} exceeds the cap of {MAX_BOX_ELEMS} elements"
+        )
 
     failure = FolnerFailure(group=group, strategy=strategy, eps=eps, max_parameter=max_radius)
     if strategy == "balls":

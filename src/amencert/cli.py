@@ -20,8 +20,7 @@ from .amenability import (
     folner_search,
     indicator,
     isoperimetric_argmin,
-    generator_differences,
-    reiter_ratio,
+    reiter_report,
     FolnerCertificate,
 )
 from .complexes import (
@@ -150,15 +149,14 @@ def cmd_reiter(args) -> int:
     if all(isinstance(x, list) and len(x) == 2 and isinstance(x[1], str) for x in data):
         f = FinSuppFn.from_pairs(group, data)
     else:
-        f = indicator(group, (group.elem_from_json(x) for x in data))
-    ratio = reiter_ratio(group, f)
+        # a plain list names a set: repeated elements are dropped, not weighted
+        f = indicator(group, dict.fromkeys(group.elem_from_json(x) for x in data))
+    diffs, ratio = reiter_report(group, f)
     payload = {
         "type": "reiter-ratio",
         "group-hash": group.spec_hash(),
         "l1-norm": frac_str(f.l1_norm()),
-        "generator-differences": {
-            label: frac_str(v) for label, v in generator_differences(group, f).items()
-        },
+        "generator-differences": {label: frac_str(v) for label, v in diffs.items()},
         "ratio": frac_str(ratio),
     }
     _emit(payload, args.out)

@@ -97,6 +97,21 @@ class FinSuppFn:
         mul = self.group.mul
         return FinSuppFn._raw(self.group, {mul(g, k): c for k, c in self._coeffs.items()})
 
+    def translate_distance(self, g: Element) -> Fraction:
+        """||g.f - f||_1, summed over the support without building g.f.
+
+        (g.f)(h) = f(g^-1 h), so each h in supp f adds |f(g^-1 h) - f(h)|,
+        and each k in supp f with g.k outside supp f adds |f(k)| at g.k.
+        """
+        mul, coeffs = self.group.mul, self._coeffs
+        g_inv = self.group.inv(g)
+        total = Fraction(0)
+        for h, c in coeffs.items():
+            total += abs(coeffs.get(mul(g_inv, h), 0) - c)
+            if mul(g, h) not in coeffs:
+                total += abs(c)
+        return total
+
     def __add__(self, other: "FinSuppFn") -> "FinSuppFn":
         if not isinstance(other, FinSuppFn):
             return NotImplemented

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from amencert import amenability
 from amencert.amenability import (
     FiniteH0Report,
     FolnerCertificate,
@@ -16,9 +17,10 @@ from amencert.amenability import (
     indicator,
     isoperimetric_argmin,
     reiter_ratio,
+    reiter_report,
 )
 from amencert.functions import FinSuppFn
-from amencert.groups import FiniteGroup, cyclic_group
+from amencert.groups import FiniteGroup, cyclic_group, free_abelian_group
 from amencert.sampling import random_element, random_finsupp
 from conftest import symmetric_table
 
@@ -44,6 +46,11 @@ def abs_fn(f):
     return FinSuppFn(f.group, {k: abs(c) for k, c in f.items()})
 
 
+def translate_oracle(group, f):
+    """||s.f - f||_1 through the translate, a negation and a sum of functions."""
+    return {label: (f.translate(s) - f).l1_norm() for label, s in group.letters()}
+
+
 class TestReiterRatio:
     def test_box_example(self, z2):
         f = indicator(z2, box(z2, 10))
@@ -63,6 +70,24 @@ class TestReiterRatio:
             reiter_ratio(f2, FinSuppFn.zero(f2))
         with pytest.raises(ValueError):
             reiter_ratio(f2, FinSuppFn(f2, {f2.identity: -1}))
+
+    def test_report_keeps_every_check(self, f2, z2):
+        cases = [
+            (indicator(z2, [(0, 0)]), "function is defined over a different group"),
+            (FinSuppFn.zero(f2), "the Reiter ratio of the zero function is undefined"),
+            (FinSuppFn(f2, {f2.identity: 1, f2.gen(0): -1}), "the Reiter ratio requires a nonnegative function"),
+        ]
+        for f, message in cases:
+            for fn in (reiter_report, reiter_ratio):
+                with pytest.raises(ValueError) as info:
+                    fn(f2, f)
+                assert str(info.value) == message
+
+    def test_report_pairs_differences_with_ratio(self, f2):
+        f = FinSuppFn(f2, {f2.identity: Fraction(1, 2), f2.gen(1): 2})
+        diffs, ratio = reiter_report(f2, f)
+        assert diffs == translate_oracle(f2, f)
+        assert ratio == sum(diffs.values()) / f.l1_norm() == reiter_ratio(f2, f)
 
     def test_zero_only_for_invariant(self, z3, f2):
         assert reiter_ratio(z3, indicator(z3, range(3))) == 0
@@ -140,6 +165,22 @@ class TestFolnerSearch:
     def test_eps_validated(self, z2):
         with pytest.raises(ValueError):
             folner_search(z2, Fraction(0), strategy="balls")
+
+    def test_rejects_bool_coordinates(self, z2):
+        with pytest.raises(ValueError):
+            folner_certificate_from_set(z2, [(True, 0), (0, 1)])
+
+    def test_box_cap_fires_before_building(self, monkeypatch):
+        def no_box(group, side):
+            raise AssertionError("a box was built")
+
+        monkeypatch.setattr(amenability, "_box", no_box)
+        with pytest.raises(ValueError, match="cap"):
+            folner_search(free_abelian_group(4), Fraction(1, 2), strategy="boxes", max_radius=100)
+        # the cap is inclusive: 100^3 = MAX_BOX_ELEMS passes the guard and reaches _box
+        assert 100**3 == amenability.MAX_BOX_ELEMS
+        with pytest.raises(AssertionError, match="a box was built"):
+            folner_search(free_abelian_group(3), Fraction(1, 2), strategy="boxes", max_radius=100)
 
 
 class TestIsoperimetricMin:
@@ -371,3 +412,24 @@ class TestGeneratorDifferences:
         assert set(diffs) == {"a", "a^-1", "b", "b^-1"}
         g = indicator(z3, [0])
         assert set(generator_differences(z3, g)) == {"g1", "g1^-1"}
+
+    def test_weighted_matches_translate_oracle(self, f2, z2, z3, s3, rng):
+        for group in (f2, z2, z3, s3):
+            for _ in range(60):
+                f = abs_fn(random_finsupp(rng, group, max_terms=8))
+                if f.is_zero:
+                    continue
+                assert generator_differences(group, f) == translate_oracle(group, f)
+
+    def test_indicator_sets_match_translate_oracle(self, f2, z2, z3, s3, rng):
+        for group in (f2, z2, z3, s3):
+            for _ in range(60):
+                # repeats are drawn on purpose: the certificate counts a set
+                members = [random_element(rng, group) for _ in range(rng.randint(1, 12))]
+                f = indicator(group, set(members))
+                expected = translate_oracle(group, f)
+                assert generator_differences(group, f) == expected
+                cert = folner_certificate_from_set(group, members)
+                assert cert.differences == {k: int(v) for k, v in expected.items()}
+                assert cert.ratio == sum(expected.values()) / len(set(members))
+                assert cert.ratio == symmetric_difference_ratio(group, members)

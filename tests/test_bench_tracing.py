@@ -1,10 +1,11 @@
 """The traced benchmark run wraps library names; each of them must exist."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
-from amencert import pairing, witnesses
-from amencert.groups import free_group
+from amencert import amenability, pairing, witnesses
+from amencert.groups import free_abelian_group, free_group
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -32,3 +33,14 @@ def test_sweep_calls_the_traced_oracle():
     assert report.passed
     assert tracer.counts["witnesses.oracle_calls"] == 8 * 17
     assert tracer.counts["witnesses.pairs_checked"] == 5 * 5
+
+
+def test_box_search_counts_every_candidate():
+    # Z^2 boxes of side n have ratio 8/n, so eps 1/4 tries sides 1..32
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        cert = amenability.folner_search(free_abelian_group(2), Fraction(1, 4), strategy="boxes", max_radius=40)
+    assert cert.parameter == 32
+    assert tracer.counts["amenability.candidates"] == 32
+    assert tracer.counts["amenability.candidate_elems"] == sum(n * n for n in range(1, 33))
+    assert tracer.counts["amenability.accepted"] == 1

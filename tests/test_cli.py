@@ -166,6 +166,19 @@ class TestFolner:
         )
         assert frac_str(rebuilt.ratio) == payload["ratio"]
 
+    def test_box_cap_is_one_line_error(self, tmp_path):
+        z4 = write_json(tmp_path / "z4.json", {"family": "free-abelian", "rank": 4})
+        proc = subprocess.run(
+            [sys.executable, "-m", "amencert.cli", "folner", "--group", z4, "--eps", "1/2",
+             "--strategy", "boxes", "--max-radius", "100"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "cap" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestReiter:
     def test_indicator_set(self, capsys, tmp_path, z2_file):
@@ -179,6 +192,16 @@ class TestReiter:
         code, out = run_cli(capsys, "reiter", "--group", z3_file, "--set", fn)
         assert code == 0
         assert json.loads(out)["ratio"] == "0/1"
+
+    def test_repeated_elements_are_dropped(self, capsys, tmp_path, z2_file):
+        repeated = write_json(tmp_path / "rep.json", [[0, 0], [0, 0], [1, 0]])
+        plain = write_json(tmp_path / "set.json", [[0, 0], [1, 0]])
+        code, out = run_cli(capsys, "reiter", "--group", z2_file, "--set", repeated)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["l1-norm"] == "2/1"
+        assert payload["ratio"] == "6/1"
+        assert run_cli(capsys, "reiter", "--group", z2_file, "--set", plain) == (0, out)
 
 
 class TestFiniteH0:

@@ -208,6 +208,30 @@ class TestFiniteValidation:
             FiniteGroup([[0, 1], [1, 7]])
 
 
+class TestCheckRejectsBools:
+    # bool is an int subclass; an element part must be an exact int
+
+    def test_free_letter(self, f2):
+        assert f2.check((1, 2)) == (1, 2)
+        for bad in ((True, 2), (1, False), (True,)):
+            with pytest.raises(ValueError):
+                f2.check(bad)
+
+    def test_free_abelian_coordinate(self, z2):
+        assert z2.check((1, 0)) == (1, 0)
+        for bad in ((True, 0), (0, False)):
+            with pytest.raises(ValueError):
+                z2.check(bad)
+
+    def test_finite_index(self, z3):
+        assert z3.check(1) == 1
+        for bad in (True, False):
+            with pytest.raises(ValueError):
+                z3.check(bad)
+            with pytest.raises(ValueError):
+                z3.elem_from_json(bad)
+
+
 class Unreadable:
     """A table that has a length but fails on any read of its rows."""
 
