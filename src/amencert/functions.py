@@ -190,11 +190,6 @@ class BoundedFn:
     def __call__(self, g: Element) -> Fraction:
         return self.evaluate(g)
 
-    @property
-    def sup_bound(self) -> Fraction:
-        """A declared upper bound for |evaluate(g)| over the whole group."""
-        raise NotImplementedError
-
     def translate(self, g: Element) -> "BoundedFn":
         if g == self.group.identity:
             return self
@@ -256,10 +251,6 @@ class ConstPlusFinite(BoundedFn):
 
     def evaluate(self, g):
         return self.const + self.fn.evaluate(g)
-
-    @property
-    def sup_bound(self):
-        return abs(self.const) + max((abs(c) for _, c in self.fn.items()), default=Fraction(0))
 
     def translate(self, g):
         if self.fn.is_zero:
@@ -325,10 +316,6 @@ class TreeFlow(BoundedFn):
     def evaluate(self, g):
         return Fraction(1) if ray_first_letter(g, self.ray) == self.edge else Fraction(0)
 
-    @property
-    def sup_bound(self):
-        return Fraction(1)
-
     def __eq__(self, other):
         return (
             isinstance(other, TreeFlow)
@@ -382,10 +369,6 @@ class Translated(BoundedFn):
     def evaluate(self, g):
         return self.inner.evaluate(self.group.mul(self._shift_inv, g))
 
-    @property
-    def sup_bound(self):
-        return self.inner.sup_bound
-
     def translate(self, g):
         total = self.group.mul(g, self.shift)
         if total == self.group.identity:
@@ -431,10 +414,6 @@ class Combination(BoundedFn):
 
     def evaluate(self, g):
         return sum((c * f.evaluate(g) for c, f in self.terms), Fraction(0))
-
-    @property
-    def sup_bound(self):
-        return sum((abs(c) * f.sup_bound for c, f in self.terms), Fraction(0))
 
     def translate(self, g):
         return Combination.of(self.group, [(c, f.translate(g)) for c, f in self.terms])

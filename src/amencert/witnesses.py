@@ -17,7 +17,6 @@ identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from .complexes import KIND_LINF, EquivariantChain, johnson_cocycle, one_lift_cochain
@@ -36,8 +35,8 @@ class FlowCycleSpec:
     def __post_init__(self):
         if not isinstance(self.group, FreeGroup):
             raise ValueError("flow cycles are only defined over free groups")
-        if not 1 <= self.ray <= self.group.rank:
-            raise ValueError(f"ray letter {self.ray} is not a generator of the group")
+        if type(self.ray) is not int or not 1 <= self.ray <= self.group.rank:
+            raise ValueError(f"ray letter {self.ray!r} is not a generator of the group")
 
     @property
     def ray_label(self) -> str:
@@ -45,10 +44,15 @@ class FlowCycleSpec:
 
 
 def flow_value(fs: FlowCycleSpec, s: int, g: Element) -> int:
-    """1 when the edge from e labelled s starts the geodesic from e to g.p."""
+    """1 when the edge from e labelled s starts the geodesic from e to g.p.
+
+    g must be a reduced word of `fs.group`, as `TreeFlow.evaluate` assumes;
+    it is not re-validated here. Words from outside go through
+    `fs.group.check` first; `verify_flow_cycle` builds its words reduced.
+    """
     if s == 0 or abs(s) > fs.group.rank:
         raise ValueError(f"edge letter {s} is not a generator or inverse")
-    return 1 if ray_first_letter(fs.group.check(g), fs.ray) == s else 0
+    return 1 if ray_first_letter(g, fs.ray) == s else 0
 
 
 def flow_cycle(fs: FlowCycleSpec) -> EquivariantChain:
@@ -107,6 +111,10 @@ def check_flow_sweep(rank: int, radius: int) -> int:
     Sums the level sizes 2 rank (2 rank - 1)^(j - 1) and stops as soon as
     the total passes MAX_FLOW_WORDS, so no count grows past the cap.
     """
+    if type(rank) is not int:
+        raise ValueError(f"free group rank must be an integer, got {rank!r}")
+    if type(radius) is not int:
+        raise ValueError(f"radius must be an integer, got {radius!r}")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if rank < 1:
@@ -166,6 +174,16 @@ def verify_flow_cycle(
     So the sums are evaluated once per such h, |B_2r| oracle rounds instead
     of |B_r|^2; for any pure oracle the report is the one the pair loop
     gives. The pairs are walked only to expand failing h back into rows.
+
+    Only the entry is validated (`check_flow_sweep`, `FlowCycleSpec`): every
+    word handed to the oracle is reduced by construction, so no word is
+    checked again. `reduced_words` extends a word only by letters other
+    than the inverse of its last letter, so no cancelling pair ever forms.
+    The incoming point (-s).h is formed by the one-letter rule: h[1:] when
+    h starts with s, a suffix of a reduced word; else (-s,) + h, whose only
+    new adjacent pair (-s, h[0]) cancels just when h[0] = s, the case
+    excluded. Both are the free reduction of -s followed by h, which is
+    `group.mul((-s,), h)`.
     """
     group = fs.group
     check_flow_sweep(group.rank, radius)
@@ -176,8 +194,9 @@ def verify_flow_cycle(
     in_expect = 2 * group.rank - 1
     bad: dict[Element, tuple[int, int]] = {}
     for h in reduced_words(group.rank, 2 * radius):
+        first = h[0] if h else 0
         outgoing = sum(flow(s, h) for s in letters)
-        incoming = sum(flow(-s, group.mul((-s,), h)) for s in letters)
+        incoming = sum(flow(-s, h[1:] if s == first else (-s,) + h) for s in letters)
         if outgoing != out_expect or incoming != in_expect:
             bad[h] = (outgoing, incoming)
     ball = group.ball(radius)
@@ -225,8 +244,3 @@ def flow_pairing_certificate(fs: FlowCycleSpec) -> PairingCertificate:
         adjoint_of=one_lift_cochain(fs.group),
     )
     return cert
-
-
-def expected_flow_pairing(rank: int) -> Fraction:
-    """The pairing value forced by the incoming/outgoing flow counts."""
-    return Fraction(2 * rank - 2)

@@ -98,14 +98,6 @@ class TestBoundedFn:
         assert ray_first_letter((2, -1, -1), 1) == 2
         assert ray_first_letter((-2,), 1) == -2
 
-    def test_sup_bound_holds_on_samples(self, all_groups, rng):
-        for group in all_groups:
-            for _ in range(30):
-                v = random_boundedfn(rng, group)
-                bound = v.sup_bound
-                for _ in range(10):
-                    assert abs(v.evaluate(random_element(rng, group))) <= bound
-
     def test_structured_sums_fold(self, f2):
         f = ConstPlusFinite(f2, 0, delta(f2, f2.gen(0)))
         c = ConstPlusFinite(f2, 2)

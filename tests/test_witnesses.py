@@ -1,13 +1,15 @@
 """The free-group flow-cycle witness and its certificates."""
 
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
-from amencert.groups import MAX_RANK, free_abelian_group, free_group
+from amencert.groups import MAX_RANK, FreeGroup, free_abelian_group, free_group
 from amencert.witnesses import (
     FlowCycleSpec,
     FlowVerification,
     check_flow_sweep,
-    expected_flow_pairing,
     flow_cycle,
     flow_pairing_certificate,
     flow_value,
@@ -77,6 +79,17 @@ def pair_loop_report(fs, radius, flow):
     return FlowVerification(fs, radius, len(ball) ** 2, 1, 2 * group.rank - 1, 2 * group.rank - 2, failures)
 
 
+def expected_flow_pairing(rank):
+    """The pairing value forced by the incoming/outgoing flow counts."""
+    return Fraction(2 * rank - 2)
+
+
+def one_line_value_error(call, *args):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert "\n" not in str(info.value)
+
+
 def flipped_at(fs, edge, word):
     """The flow oracle with the value of `edge` at the point `word` flipped."""
     bad_point = fs.group.elem_from_str(word)
@@ -137,6 +150,10 @@ class TestFlowCycleSpec:
             FlowCycleSpec(f2, 3)
         with pytest.raises(ValueError):
             FlowCycleSpec(f2, 0)
+
+    @pytest.mark.parametrize("ray", [True, 1.0, 2.5, "1", None])
+    def test_ray_must_be_int(self, f2, ray):
+        one_line_value_error(FlowCycleSpec, f2, ray)
 
     def test_ray_label(self, f2):
         assert FlowCycleSpec(f2, 2).ray_label == "b"
@@ -208,6 +225,58 @@ class TestVerifyFlowCycle:
             assert report.to_json() == expected.to_json()
 
 
+class TestOracleWords:
+    """The sweep hands the oracle only reduced words and validates none of them."""
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_every_word_is_reduced(self, rank, radius):
+        group = free_group(rank)
+        fs = FlowCycleSpec(group, 1)
+        seen = []
+
+        def checked(s, g):
+            assert group.check(g) == g
+            seen.append(g)
+            return flow_value(fs, s, g)
+
+        assert verify_flow_cycle(fs, radius, flow=checked).passed
+        assert len(seen) == 4 * rank * check_flow_sweep(rank, radius)
+
+    def test_default_oracle_makes_no_check_calls(self, monkeypatch):
+        fs = FlowCycleSpec(free_group(2), 1)
+        calls = []
+        check = FreeGroup.check
+
+        def counted(self, a):
+            calls.append(a)
+            return check(self, a)
+
+        monkeypatch.setattr(FreeGroup, "check", counted)
+        assert verify_flow_cycle(fs, 2).passed
+        assert calls == []
+
+    @pytest.mark.parametrize("rank, radius", [(2, 2), (3, 1)])
+    def test_incoming_shift_is_the_product(self, rank, radius):
+        # the sweep's one-letter rule against group.mul, over every h in B_2r
+        group = free_group(rank)
+        fs = FlowCycleSpec(group, 1)
+        calls = Counter()
+
+        def recorded(s, g):
+            calls[s, g] += 1
+            return flow_value(fs, s, g)
+
+        verify_flow_cycle(fs, radius, flow=recorded)
+        letters = [s for letter in range(1, rank + 1) for s in (letter, -letter)]
+        expected = Counter()
+        for h in group.ball(2 * radius):
+            for s in letters:
+                expected[s, h] += 1
+                expected[-s, group.mul((-s,), h)] += 1
+        assert calls == expected
+
+
 class TestReducedWords:
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("radius", [0, 1, 2, 3])
@@ -244,6 +313,16 @@ class TestSweepGuard:
     def test_rejects_past_caps(self, rank, radius):
         with pytest.raises(ValueError):
             check_flow_sweep(rank, radius)
+
+    @pytest.mark.parametrize(
+        "rank, radius", [(2, True), (2, False), (2, 2.5), (2, 1.0), (True, 1), (2.0, 1), ("2", 1), (2, None)]
+    )
+    def test_rejects_non_int(self, rank, radius):
+        one_line_value_error(check_flow_sweep, rank, radius)
+
+    @pytest.mark.parametrize("radius", [True, 2.5, 1.0])
+    def test_verify_rejects_non_int_radius(self, f2, radius):
+        one_line_value_error(verify_flow_cycle, FlowCycleSpec(f2, 1), radius)
 
     def test_verify_rejects_before_ball(self, f2):
         with pytest.raises(ValueError):
