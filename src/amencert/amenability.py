@@ -9,8 +9,9 @@ symmetric-difference Folner quotient, which a Folner certificate counts
 in integers by set membership. A certificate stores the witness set
 together with the per-generator differences so it can be revalidated
 independently. The non-amenable side is backed by `isoperimetric_argmin`,
-a brute-force enumeration of every nonempty subset of a ball that returns
-the minimum ratio with a set attaining it. On the finite-group side the
+a brute-force enumeration of every nonempty subset of a ball, scored by an
+incremental edge count, that returns the minimum ratio with a set
+attaining it. On the finite-group side the
 augmentation functional (the sum of the coordinates) is a closed-form
 witness that the all-ones vector never lies in the span of translation
 differences: it vanishes on the span and takes the value |G| on the
@@ -183,45 +184,77 @@ def folner_search(
     return failure
 
 
+# the largest ball isoperimetric_argmin enumerates: 2^18 - 1 subsets
+MAX_ISO_BALL = 18
+
+
 def isoperimetric_argmin(group: GroupSpec, radius: int) -> tuple[Fraction, tuple[Element, ...]]:
     """Minimum Reiter ratio over every nonempty subset of ball(radius), and a minimizer.
 
-    Brute force over 2^|ball| - 1 subsets with bitmask tables; the guard
-    keeps the enumeration at desk scale.
+    Brute force over 2^|ball| - 1 subsets by an incremental edge count:
+    internal[F] is the number of pairs (s, g) with g and s.g both in F, s
+    running over the k letters. Then |sF n F| summed over s is internal[F],
+    and as |sF| = |F|, sum_s |sF symmetric-difference F| = 2(k|F| - internal[F]).
+
+    - nb[i] has the bit of s.ball[i] for every letter s whose product stays
+      in the ball. letters() deduplicates its elements and s -> s.g is
+      injective, so distinct letters give distinct bits and
+      popcount(nb[i] & R) counts the pairs (s, ball[i]) with s.ball[i] in R.
+    - Peeling the lowest member g = ball[i] of F leaves R = F - {g}. The
+      pairs of F not inside R are the out-edges (s, g) with s.g in R, the
+      in-edges (s, h) with h in R and s.h = g, and the self-loops (s, g)
+      with s.g = g. The letter set is closed under inversion, so
+      (s, h) -> (s^-1, g) maps the in-edges one to one onto the out-edges:
+      together they give 2 popcount(nb[i] & R). No letter is the identity
+      (FiniteGroup rejects an identity generator; free and free-abelian
+      generators are never trivial), so there are no self-loops.
+
+    Masks are visited in increasing order and a strictly smaller ratio
+    replaces the best, so ties keep the lowest mask. The guard refuses a
+    ball of more than MAX_ISO_BALL elements as soon as one level passes
+    it, before any larger ball is built.
     """
-    ball = group.ball(radius)
+    if type(radius) is not int:
+        raise ValueError(f"radius must be an integer, got {radius!r}")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    # one level at a time; a level that adds nothing means the ball has
+    # saturated, so a huge radius on a finite group stops at its diameter
+    ball = group.ball(0)
+    for r in range(1, radius + 1):
+        grown = group.ball(r)
+        if len(grown) > MAX_ISO_BALL:
+            raise ValueError(
+                f"the ball of radius {r} has {len(grown)} elements; "
+                f"subset enumeration is capped at {MAX_ISO_BALL}"
+            )
+        if len(grown) == len(ball):
+            break
+        ball = grown
     n = len(ball)
-    if n > 18:
-        raise ValueError(f"ball has {n} elements; subset enumeration is capped at 18")
     index = {g: i for i, g in enumerate(ball)}
+    mul = group.mul
     letters = [s for _, s in group.letters()]
-    # images[s][i] = bit of s * ball[i], or 0 when the image leaves the ball
-    # (an element outside the ball can never lie in a candidate subset).
-    images = []
-    for s in letters:
-        bits = []
-        for g in ball:
-            j = index.get(group.mul(s, g))
-            bits.append(0 if j is None else 1 << j)
-        images.append(bits)
-    # shifted[s][mask] = bitmask of the in-ball part of s * mask, built by
-    # peeling the lowest bit so each entry costs O(1).
-    shifted = []
-    for bits in images:
-        table = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] | bits[low.bit_length() - 1]
-        shifted.append(table)
-    best_num, best_den, best_mask = None, None, 0
-    n_letters = len(letters)
+    # products that leave the ball get no bit: no candidate subset holds them
+    nb = []
+    for g in ball:
+        bits = 0
+        for s in letters:
+            j = index.get(mul(s, g))
+            if j is not None:
+                bits |= 1 << j
+        nb.append(bits)
+    k = len(letters)
+    internal = [0] * (1 << n)
+    best_num, best_den, best_mask = 1, 0, 0  # 1/0: beaten by the first mask
     for mask in range(1, 1 << n):
-        size = bin(mask).count("1")
-        lost = 0
-        for table in shifted:
-            lost += size - bin(table[mask] & mask).count("1")
-        num = 2 * lost  # sum over letters of |sF symmetric-difference F|
-        if best_num is None or num * best_den < best_num * size:
+        low = mask & -mask
+        rest = mask ^ low
+        inside = internal[rest] + 2 * (nb[low.bit_length() - 1] & rest).bit_count()
+        internal[mask] = inside
+        size = mask.bit_count()
+        num = 2 * (k * size - inside)  # sum over letters of |sF symmetric-difference F|
+        if num * best_den < best_num * size:
             best_num, best_den, best_mask = num, size, mask
     members = tuple(ball[i] for i in range(n) if (best_mask >> i) & 1)
     return Fraction(best_num, best_den), members

@@ -305,6 +305,10 @@ class TreeFlow(BoundedFn):
     def __init__(self, group: FreeGroup, edge: int, ray: int):
         if not isinstance(group, FreeGroup):
             raise ValueError("tree flows are only defined over free groups")
+        if type(edge) is not int:
+            raise ValueError(f"edge letter must be an integer, got {edge!r}")
+        if type(ray) is not int:
+            raise ValueError(f"ray letter must be an integer, got {ray!r}")
         if edge == 0 or abs(edge) > group.rank:
             raise ValueError(f"edge letter {edge} out of range")
         if not 1 <= ray <= group.rank:

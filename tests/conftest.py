@@ -17,6 +17,19 @@ def symmetric_table(n):
     return table, perms, index
 
 
+def dihedral_table(n):
+    """D_n of order 2n: index k is r^k, index n + k is r^k s, with s r = r^-1 s."""
+    table = []
+    for a in range(2 * n):
+        i, x = a % n, a // n
+        row = []
+        for b in range(2 * n):
+            j, y = b % n, b // n
+            row.append((i + (-j if x else j)) % n + n * ((x + y) % 2))
+        table.append(row)
+    return table
+
+
 def s3_group():
     table, perms, index = symmetric_table(3)
     gens = (index[(1, 0, 2)], index[(1, 2, 0)])  # a transposition and a 3-cycle

@@ -20,9 +20,9 @@ from amencert.amenability import (
     reiter_report,
 )
 from amencert.functions import FinSuppFn
-from amencert.groups import FiniteGroup, cyclic_group, free_abelian_group
+from amencert.groups import FiniteGroup, cyclic_group, cyclic_table, free_abelian_group, free_group
 from amencert.sampling import random_element, random_finsupp
-from conftest import symmetric_table
+from conftest import dihedral_table, s3_group, symmetric_table
 
 
 def box(group, side):
@@ -183,6 +183,46 @@ class TestFolnerSearch:
             folner_search(free_abelian_group(3), Fraction(1, 2), strategy="boxes", max_radius=100)
 
 
+def shifted_table_argmin(group, radius):
+    """The earlier enumeration, kept as an oracle: one shifted-mask table per letter."""
+    ball = group.ball(radius)
+    n = len(ball)
+    if n > 18:
+        raise ValueError(f"ball has {n} elements; subset enumeration is capped at 18")
+    index = {g: i for i, g in enumerate(ball)}
+    letters = [s for _, s in group.letters()]
+    # images[s][i] = bit of s * ball[i], or 0 when the image leaves the ball
+    # (an element outside the ball can never lie in a candidate subset).
+    images = []
+    for s in letters:
+        bits = []
+        for g in ball:
+            j = index.get(group.mul(s, g))
+            bits.append(0 if j is None else 1 << j)
+        images.append(bits)
+    # shifted[s][mask] = bitmask of the in-ball part of s * mask, built by
+    # peeling the lowest bit so each entry costs O(1).
+    shifted = []
+    for bits in images:
+        table = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | bits[low.bit_length() - 1]
+        shifted.append(table)
+    best_num, best_den, best_mask = None, None, 0
+    n_letters = len(letters)
+    for mask in range(1, 1 << n):
+        size = bin(mask).count("1")
+        lost = 0
+        for table in shifted:
+            lost += size - bin(table[mask] & mask).count("1")
+        num = 2 * lost  # sum over letters of |sF symmetric-difference F|
+        if best_num is None or num * best_den < best_num * size:
+            best_num, best_den, best_mask = num, size, mask
+    members = tuple(ball[i] for i in range(n) if (best_mask >> i) & 1)
+    return Fraction(best_num, best_den), members
+
+
 class TestIsoperimetricMin:
     def test_singleton(self, f2):
         assert isoperimetric_argmin(f2, 0)[0] == 8
@@ -205,6 +245,38 @@ class TestIsoperimetricMin:
     def test_guard_rejects_large_balls(self, f2):
         with pytest.raises(ValueError):
             isoperimetric_argmin(f2, 3)
+
+    def test_guard_fires_before_the_ball_is_built(self, f2):
+        # |B_3| = 53 passes the cap, so B_40 (about 3^40 words) is never grown
+        with pytest.raises(ValueError, match="radius 3 has 53 elements"):
+            isoperimetric_argmin(f2, 40)
+        assert max(f2._ball_cache) <= 3
+        assert len(f2._levels) <= 4
+
+    def test_saturated_ball_stops_growing(self):
+        d8 = FiniteGroup(dihedral_table(8), generators=(1, 8))
+        ratio, members = isoperimetric_argmin(d8, 10**9)
+        assert ratio == 0 and len(members) == 16
+        assert max(d8._ball_cache) < 10  # one radius per level, up to the diameter
+
+    @pytest.mark.parametrize("radius", [True, 1.0, "1", -1])
+    def test_rejects_non_integer_or_negative_radius(self, f2, radius):
+        with pytest.raises(ValueError):
+            isoperimetric_argmin(f2, radius)
+
+    def test_matches_shifted_table_oracle(self):
+        d8 = FiniteGroup(dihedral_table(8), generators=(1, 8))
+        cases = [(free_group(2), r) for r in (0, 1, 2)]
+        cases += [(free_group(3), r) for r in (0, 1)]
+        cases += [(free_abelian_group(2), r) for r in (0, 1, 2)]
+        cases += [(free_abelian_group(3), 1)]
+        cases += [(d8, r) for r in range(6)]
+        z6 = FiniteGroup(cyclic_table(6), generators=(1, 3))  # 3 is its own inverse
+        cases += [(z6, r) for r in range(4)]
+        # S_3 at radius 1 has two minimizers of ratio 2: the lower mask must win
+        cases += [(s3_group(), r) for r in range(3)]
+        for group, radius in cases:
+            assert isoperimetric_argmin(group, radius) == shifted_table_argmin(group, radius), (group, radius)
 
     def test_ball_two_exhaustive_oracle_and_tree_bound(self, f2):
         # independent per-bit enumeration of all 2^17 - 1 subsets: cross-checks

@@ -8,7 +8,7 @@ import pytest
 
 from amencert.cli import main
 from amencert.groups import cyclic_table
-from conftest import s3_group
+from conftest import dihedral_table, s3_group
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +241,64 @@ class TestIsoMin:
     def test_radius_guard(self, capsys):
         code, _ = run_cli(capsys, "iso-min", "--radius", "3")
         assert code == 1
+
+    def test_radius_two_stdout_is_pinned(self, capsys):
+        # the minimizer is the whole ball: every proper subset has a
+        # strictly larger ratio
+        code, out = run_cli(capsys, "iso-min", "--radius", "2")
+        assert code == 0
+        assert out == ISO_F2_R2_STDOUT
+
+    def test_huge_radius_on_finite_group_answers(self, capsys, tmp_path):
+        # the ball saturates at D_8's diameter, so the radius is never looped
+        d8 = write_json(tmp_path / "d8.json", {"family": "finite", "table": dihedral_table(8), "generators": [1, 8]})
+        code, out = run_cli(capsys, "iso-min", "--radius", "1000000000", "--group", d8)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["ball-size"] == 16
+        assert payload["min-ratio"] == "0/1"
+
+    def test_guard_fires_before_the_ball_is_built(self):
+        # B_40 of F_2 has about 3^40 elements; the guard stops at B_3
+        proc = subprocess.run(
+            [sys.executable, "-m", "amencert.cli", "iso-min", "--radius", "40"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
+ISO_F2_R2_STDOUT = """{
+  "type": "isoperimetric-minimum",
+  "group-hash": "dcf65c4885d1a43ee2c26aa8ebe97614ea3c70379d41340f67115e4c93aeac6d",
+  "radius": 2,
+  "ball-size": 17,
+  "subsets-enumerated": 131071,
+  "min-ratio": "72/17",
+  "minimizer": [
+    "e",
+    "a",
+    "a^-1",
+    "b",
+    "b^-1",
+    "a^2",
+    "a*b",
+    "a*b^-1",
+    "a^-2",
+    "a^-1*b",
+    "a^-1*b^-1",
+    "b*a",
+    "b*a^-1",
+    "b^2",
+    "b^-1*a",
+    "b^-1*a^-1",
+    "b^-2"
+  ]
+}
+"""
 
 
 class TestSelftest:

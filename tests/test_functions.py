@@ -92,6 +92,16 @@ class TestBoundedFn:
         with pytest.raises(ValueError):
             TreeFlow(z2, 1, 1)
 
+    @pytest.mark.parametrize(
+        "edge, ray, which",
+        [(True, 1, "edge"), (1, True, "ray"), (1.0, 1, "edge"), (1, 1.0, "ray"), ("1", 1, "edge")],
+    )
+    def test_tree_flow_letters_are_exact_ints(self, f2, edge, ray, which):
+        # a bool would be read as letter 1 and a float would break repr/to_json
+        with pytest.raises(ValueError, match=f"^{which} letter must be an integer") as err:
+            TreeFlow(f2, edge, ray)
+        assert "\n" not in str(err.value)
+
     def test_ray_first_letter(self, f2):
         assert ray_first_letter((), 1) == 1
         assert ray_first_letter((-1, -1), 1) == 1
