@@ -29,24 +29,43 @@ from .groups import Element, FiniteGroup, FreeAbelianGroup, GroupSpec
 
 
 def indicator(group: GroupSpec, members: Iterable[Element]) -> FinSuppFn:
-    return FinSuppFn(group, ((g, 1) for g in members))
+    one = Fraction(1)
+    return FinSuppFn(group, ((g, one) for g in members))
 
 
 def generator_differences(group: GroupSpec, f: FinSuppFn) -> dict[str, Fraction]:
-    """||s.f - f||_1 for every generator and inverse, keyed by letter label."""
-    return {label: f.translate_distance(s) for label, s in group.letters()}
+    """||s.f - f||_1 for every generator and inverse, keyed by letter label.
+
+    Counted in integers over one common denominator D (see
+    FinSuppFn.translate_distances); one Fraction is formed per letter.
+    """
+    letters = group.letters()
+    d, _, dists = f.translate_distances(s for _, s in letters)
+    return {label: Fraction(x, d) for (label, _), x in zip(letters, dists)}
 
 
-def reiter_report(group: GroupSpec, f: FinSuppFn) -> tuple[dict[str, Fraction], Fraction]:
-    """Generator differences and Reiter ratio of a nonnegative, nonzero f."""
+def reiter_counts(group: GroupSpec, f: FinSuppFn) -> tuple[int, dict[str, int], int]:
+    """The Reiter quantities of a nonnegative, nonzero f as integers over one denominator.
+
+    Returns (D, diffs, mass): ||s.f - f||_1 = diffs[s] / D for every letter
+    s, and ||f||_1 = mass / D. The ratio sum_s ||s.f - f||_1 / ||f||_1 is
+    then sum(diffs) / mass, as D cancels, and mass > 0 as f is nonzero.
+    """
     if f.group != group:
         raise ValueError("function is defined over a different group")
     if f.is_zero:
         raise ValueError("the Reiter ratio of the zero function is undefined")
     if any(c < 0 for _, c in f.items()):
         raise ValueError("the Reiter ratio requires a nonnegative function")
-    diffs = generator_differences(group, f)
-    return diffs, sum(diffs.values(), Fraction(0)) / f.l1_norm()
+    letters = group.letters()
+    d, mass, dists = f.translate_distances(s for _, s in letters)
+    return d, {label: x for (label, _), x in zip(letters, dists)}, mass
+
+
+def reiter_report(group: GroupSpec, f: FinSuppFn) -> tuple[dict[str, Fraction], Fraction]:
+    """Generator differences and Reiter ratio of a nonnegative, nonzero f."""
+    d, diffs, mass = reiter_counts(group, f)
+    return {label: Fraction(x, d) for label, x in diffs.items()}, Fraction(sum(diffs.values()), mass)
 
 
 def reiter_ratio(group: GroupSpec, f: FinSuppFn) -> Fraction:
@@ -134,8 +153,8 @@ def folner_certificate_from_set(
     )
 
 
-# the largest box folner_search may build: side ** rank elements
-MAX_BOX_ELEMS = 10**6
+# the largest candidate set folner_search may build, ball or box
+MAX_FOLNER_ELEMS = 10**6
 
 
 def _box(group: FreeAbelianGroup, side: int) -> list[tuple[int, ...]]:
@@ -152,8 +171,9 @@ def folner_search(
 
     Failure is a value, not an error: the report lists the ratio reached at
     every parameter tried, so the caller sees how the search degenerated.
-    The box strategy refuses a largest box of more than MAX_BOX_ELEMS
-    elements before building any box.
+    Before any candidate is built, the largest one is counted in closed
+    form (side^rank for a box, GroupSpec.ball_size for a ball) and a
+    count above MAX_FOLNER_ELEMS is refused.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -164,10 +184,12 @@ def folner_search(
         raise ValueError("the box strategy only applies to free-abelian groups")
     if max_radius < (1 if strategy == "boxes" else 0):
         raise ValueError("max_radius leaves no candidate sets to try")
-    if strategy == "boxes" and max_radius ** group.rank > MAX_BOX_ELEMS:
+    if strategy == "boxes" and max_radius ** group.rank > MAX_FOLNER_ELEMS:
         raise ValueError(
-            f"a box of side {max_radius} in rank {group.rank} exceeds the cap of {MAX_BOX_ELEMS} elements"
+            f"a box of side {max_radius} in rank {group.rank} exceeds the cap of {MAX_FOLNER_ELEMS} elements"
         )
+    if strategy == "balls" and group.ball_size(max_radius, MAX_FOLNER_ELEMS) > MAX_FOLNER_ELEMS:
+        raise ValueError(f"the ball of radius {max_radius} exceeds the cap of {MAX_FOLNER_ELEMS} elements")
 
     failure = FolnerFailure(group=group, strategy=strategy, eps=eps, max_parameter=max_radius)
     if strategy == "balls":

@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .amenability import (
@@ -20,7 +21,7 @@ from .amenability import (
     folner_search,
     indicator,
     isoperimetric_argmin,
-    reiter_report,
+    reiter_counts,
     FolnerCertificate,
 )
 from .complexes import (
@@ -151,13 +152,13 @@ def cmd_reiter(args) -> int:
     else:
         # a plain list names a set: repeated elements are dropped, not weighted
         f = indicator(group, dict.fromkeys(group.elem_from_json(x) for x in data))
-    diffs, ratio = reiter_report(group, f)
+    d, diffs, mass = reiter_counts(group, f)
     payload = {
         "type": "reiter-ratio",
         "group-hash": group.spec_hash(),
-        "l1-norm": frac_str(f.l1_norm()),
-        "generator-differences": {label: frac_str(v) for label, v in diffs.items()},
-        "ratio": frac_str(ratio),
+        "l1-norm": frac_str(Fraction(mass, d)),
+        "generator-differences": {label: frac_str(Fraction(x, d)) for label, x in diffs.items()},
+        "ratio": frac_str(Fraction(sum(diffs.values()), mass)),
     }
     _emit(payload, args.out)
     return 0

@@ -15,7 +15,9 @@ Translation is the left action (g.f)(h) = f(g^-1 h) throughout.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .groups import Element, FiniteGroup, FreeGroup, GroupSpec
@@ -32,11 +34,35 @@ def frac_str(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# CPython converts no integer of more than 4300 digits to or from a string,
+# so frac_str can print no rational with a longer numerator or denominator
+MAX_RATIONAL_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_RATIONAL_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\Z")
+
+
 def parse_frac(s: str) -> Fraction:
+    """Exact rational from "p/q", an integer, a decimal or an exponent form.
+
+    Fraction builds 10^|e| for an exponent e before it reduces, so
+    "1e-10000000" would cost seconds before frac_str refused it. The
+    mantissa has fewer than len(text) digits, so when it is nonzero and
+    |e| > MAX_RATIONAL_DIGITS + len(text), the reduced numerator or
+    denominator has more than MAX_RATIONAL_DIGITS digits: such an exponent
+    is refused before Fraction runs. Below that bound 10^|e| is cheap, and
+    the reduced value is checked instead. The "p/q" form needs no guard:
+    int() already refuses a string of more than 4300 digits.
+    """
+    text = s.strip()
+    exp = _EXPONENT.search(text)
     try:
-        return Fraction(s.strip())
+        too_long = exp is not None and abs(int(exp.group(1))) > MAX_RATIONAL_DIGITS + len(text)
+        q = None if too_long else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational {s!r}") from exc
+    if too_long or exp and max(abs(q.numerator), q.denominator) >= _DIGIT_BOUND:
+        raise ValueError(f"rational {s!r} passes the {MAX_RATIONAL_DIGITS}-digit limit")
+    return q
 
 
 class FinSuppFn:
@@ -53,11 +79,17 @@ class FinSuppFn:
         clean: dict[Element, Fraction] = {}
         for g, c in items:
             g = group.check(g)
-            c = frac(c)
-            if c:
-                clean[g] = clean.get(g, Fraction(0)) + c
-                if not clean[g]:
-                    del clean[g]
+            if not c:
+                continue
+            old = clean.get(g)
+            if old is None:
+                clean[g] = frac(c)
+                continue
+            total = old + c
+            if total:
+                clean[g] = total
+            else:
+                del clean[g]
         self.group = group
         self._coeffs = clean
 
@@ -87,8 +119,19 @@ class FinSuppFn:
     def is_zero(self) -> bool:
         return not self._coeffs
 
+    def scaled(self) -> tuple[int, dict[Element, int]]:
+        """(D, n): D the lcm of the coefficient denominators, n[h] = f(h) * D.
+
+        D is a multiple of every denominator, so each n[h] is an integer,
+        and f = n / D exactly.
+        """
+        coeffs = self._coeffs
+        d = lcm(*(c.denominator for c in coeffs.values()))
+        return d, {h: c.numerator * (d // c.denominator) for h, c in coeffs.items()}
+
     def l1_norm(self) -> Fraction:
-        return sum((abs(c) for c in self._coeffs.values()), Fraction(0))
+        d, n = self.scaled()
+        return Fraction(sum(map(abs, n.values())), d)
 
     def coeff_sum(self) -> Fraction:
         return sum(self._coeffs.values(), Fraction(0))
@@ -97,20 +140,32 @@ class FinSuppFn:
         mul = self.group.mul
         return FinSuppFn._raw(self.group, {mul(g, k): c for k, c in self._coeffs.items()})
 
-    def translate_distance(self, g: Element) -> Fraction:
-        """||g.f - f||_1, summed over the support without building g.f.
+    def translate_distances(self, shifts: Iterable[Element]) -> tuple[int, int, list[int]]:
+        """D, D ||f||_1 and every D ||g.f - f||_1: integers over one denominator.
 
-        (g.f)(h) = f(g^-1 h), so each h in supp f adds |f(g^-1 h) - f(h)|,
-        and each k in supp f with g.k outside supp f adds |f(k)| at g.k.
+        With (D, n) = self.scaled(), f = n / D, and |x / D| = |x| / D as
+        D > 0, so D ||g.f - f||_1 = sum_k |n(g^-1 k) - n(k)| exactly. Only
+        points k in supp f or in g.supp f contribute. Split them:
+
+        - k = g.h for h in supp f adds |n(h) - n(g.h)|;
+        - k in supp f outside g.supp f adds |n(k)|, and these sum to
+          ||n||_1 minus |n(g.h)| over the h in supp f with g.h in supp f.
+
+        So one product g.h per support point and shift gives the whole
+        sum, and neither the numerators nor ||n||_1 depend on g: both are
+        built once for all shifts. Signs are not assumed.
         """
-        mul, coeffs = self.group.mul, self._coeffs
-        g_inv = self.group.inv(g)
-        total = Fraction(0)
-        for h, c in coeffs.items():
-            total += abs(coeffs.get(mul(g_inv, h), 0) - c)
-            if mul(g, h) not in coeffs:
-                total += abs(c)
-        return total
+        d, n = self.scaled()
+        mass = sum(map(abs, n.values()))
+        mul = self.group.mul
+        out = []
+        for g in shifts:
+            total = mass
+            for h, c in n.items():
+                m = n.get(mul(g, h))
+                total += abs(c) if m is None else abs(c - m) - abs(m)
+            out.append(total)
+        return d, mass, out
 
     def __add__(self, other: "FinSuppFn") -> "FinSuppFn":
         if not isinstance(other, FinSuppFn):

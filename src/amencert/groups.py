@@ -20,6 +20,7 @@ import json
 import operator
 import re
 import threading
+from math import comb
 from typing import Sequence, Union
 
 Element = Union[tuple, int]  # reduced word / exponent vector / table index
@@ -149,6 +150,10 @@ class GroupSpec:
         self._ball_cache[radius] = result
         return result
 
+    def ball_size(self, radius: int, cap: int) -> int:
+        """|ball(radius)| counted without building it; past cap, any larger number."""
+        raise NotImplementedError
+
     def spec_hash(self) -> str:
         return hashlib.sha256(self._canonical.encode()).hexdigest()
 
@@ -230,6 +235,9 @@ class FreeGroup(GroupSpec):
 
     def dist(self, a, b):
         return len(self.mul(self.inv(a), b))
+
+    def ball_size(self, radius, cap):
+        return free_ball_size(self.rank, radius, cap)
 
     def elem_to_str(self, a) -> str:
         if not a:
@@ -324,6 +332,20 @@ class FreeAbelianGroup(GroupSpec):
 
     def dist(self, a, b):
         return sum(abs(y - x) for x, y in zip(a, b))
+
+    def ball_size(self, radius, cap):
+        """Sum over i of 2^i C(rank, i) C(radius, i), stopped once it passes cap.
+
+        A point with exactly i nonzero coordinates and l1 norm <= radius is
+        a choice of the i coordinates, of their signs, and of i absolute
+        values >= 1 summing to at most radius: C(radius, i) of those.
+        """
+        total = 0
+        for i in range(min(self.rank, radius) + 1):
+            total += 2**i * comb(self.rank, i) * comb(radius, i)
+            if total > cap:
+                break
+        return total
 
     def elem_to_str(self, a) -> str:
         return "(" + ",".join(str(x) for x in a) + ")"
@@ -464,6 +486,9 @@ class FiniteGroup(GroupSpec):
     def dist(self, a, b):
         return self._distances[self.table[self._inverses[a]][b]]
 
+    def ball_size(self, radius, cap):
+        return sum(d <= radius for d in self._distances)
+
     def elem_to_str(self, a) -> str:
         return str(a)
 
@@ -482,6 +507,24 @@ class FiniteGroup(GroupSpec):
 
 
 # -- constructors ---------------------------------------------------------
+
+
+def free_ball_size(rank: int, radius: int, cap: int) -> int:
+    """|B_radius| in the free group of rank `rank`, counted in closed form.
+
+    Level j >= 1 holds 2 rank (2 rank - 1)^(j - 1) reduced words. From
+    rank 2 on the sum stops as soon as it passes cap, so no count grows
+    past the cap whatever the radius.
+    """
+    if rank == 1:
+        return 2 * radius + 1
+    total, level = 1, 2 * rank
+    for _ in range(radius):
+        total += level
+        if total > cap:
+            break
+        level *= 2 * rank - 1
+    return total
 
 
 def free_group(rank: int, labels: Sequence[str] | None = None) -> FreeGroup:

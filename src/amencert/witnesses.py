@@ -21,7 +21,7 @@ from typing import Callable
 
 from .complexes import KIND_LINF, EquivariantChain, johnson_cocycle, one_lift_cochain
 from .functions import TreeFlow, ray_first_letter
-from .groups import MAX_RANK, Element, FreeGroup
+from .groups import MAX_RANK, Element, FreeGroup, free_ball_size
 from .pairing import PairingCertificate, make_pairing_certificate
 
 
@@ -108,8 +108,8 @@ MAX_FLOW_RADIUS = 256
 def check_flow_sweep(rank: int, radius: int) -> int:
     """|B_2r| in the free group of rank `rank`; ValueError past the work caps.
 
-    Sums the level sizes 2 rank (2 rank - 1)^(j - 1) and stops as soon as
-    the total passes MAX_FLOW_WORDS, so no count grows past the cap.
+    The count is free_ball_size's closed form, stopped as soon as it
+    passes MAX_FLOW_WORDS.
     """
     if type(rank) is not int:
         raise ValueError(f"free group rank must be an integer, got {rank!r}")
@@ -123,15 +123,7 @@ def check_flow_sweep(rank: int, radius: int) -> int:
         raise ValueError(f"rank {rank} is above the rank cap of {MAX_RANK}")
     if radius > MAX_FLOW_RADIUS:
         raise ValueError(f"radius {radius} is above the flow-sweep cap of {MAX_FLOW_RADIUS}")
-    if rank == 1:
-        total = 4 * radius + 1
-    else:
-        total, level = 1, 2 * rank
-        for _ in range(2 * radius):
-            total += level
-            if total > MAX_FLOW_WORDS:
-                break
-            level *= 2 * rank - 1
+    total = free_ball_size(rank, 2 * radius, MAX_FLOW_WORDS)
     if total > MAX_FLOW_WORDS:
         raise ValueError(
             f"the flow sweep at rank {rank}, radius {radius} checks more than"

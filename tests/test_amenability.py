@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from amencert import amenability
+from amencert import amenability, groups
 from amencert.amenability import (
     FiniteH0Report,
     FolnerCertificate,
@@ -16,6 +16,7 @@ from amencert.amenability import (
     generator_differences,
     indicator,
     isoperimetric_argmin,
+    reiter_counts,
     reiter_ratio,
     reiter_report,
 )
@@ -46,9 +47,14 @@ def abs_fn(f):
     return FinSuppFn(f.group, {k: abs(c) for k, c in f.items()})
 
 
+def plain_l1(f):
+    """||f||_1 as a plain Fraction sum of absolute values."""
+    return sum((abs(c) for _, c in f.items()), Fraction(0))
+
+
 def translate_oracle(group, f):
-    """||s.f - f||_1 through the translate, a negation and a sum of functions."""
-    return {label: (f.translate(s) - f).l1_norm() for label, s in group.letters()}
+    """||s.f - f||_1 through the translate, a negation and a Fraction sum."""
+    return {label: plain_l1(f.translate(s) - f) for label, s in group.letters()}
 
 
 class TestReiterRatio:
@@ -177,10 +183,31 @@ class TestFolnerSearch:
         monkeypatch.setattr(amenability, "_box", no_box)
         with pytest.raises(ValueError, match="cap"):
             folner_search(free_abelian_group(4), Fraction(1, 2), strategy="boxes", max_radius=100)
-        # the cap is inclusive: 100^3 = MAX_BOX_ELEMS passes the guard and reaches _box
-        assert 100**3 == amenability.MAX_BOX_ELEMS
+        # the cap is inclusive: 100^3 = MAX_FOLNER_ELEMS passes the guard and reaches _box
+        assert 100**3 == amenability.MAX_FOLNER_ELEMS
         with pytest.raises(AssertionError, match="a box was built"):
             folner_search(free_abelian_group(3), Fraction(1, 2), strategy="boxes", max_radius=100)
+
+
+    def test_ball_cap_fires_before_building(self, monkeypatch):
+        def no_ball(group, radius):
+            raise AssertionError("a ball was built")
+
+        monkeypatch.setattr(groups.GroupSpec, "ball", no_ball)
+        # |B_11| = 354293 in F_2 and |B_8| = 585937 in F_3 pass the cap; one more radius does not
+        for group, largest in ((free_group(2), 11), (free_group(3), 8)):
+            with pytest.raises(ValueError, match="cap"):
+                folner_search(group, Fraction(1, 10), max_radius=largest + 1)
+            with pytest.raises(AssertionError, match="a ball was built"):
+                folner_search(group, Fraction(1, 10), max_radius=largest)
+        with pytest.raises(ValueError, match="cap"):
+            folner_search(free_abelian_group(64), Fraction(1, 10), max_radius=10)
+
+    def test_finite_ball_bounded_by_order(self):
+        # a finite group's ball never passes its order, so no radius hits the cap
+        result = folner_search(cyclic_group(5), Fraction(1, 10), max_radius=10**30)
+        assert isinstance(result, FolnerCertificate)
+        assert result.parameter == 2 and result.ratio == 0
 
 
 def shifted_table_argmin(group, radius):
@@ -505,3 +532,65 @@ class TestGeneratorDifferences:
                 assert cert.differences == {k: int(v) for k, v in expected.items()}
                 assert cert.ratio == sum(expected.values()) / len(set(members))
                 assert cert.ratio == symmetric_difference_ratio(group, members)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def weighted(rng, group, denominators, signed=False):
+    """Distinct random elements carrying the given denominators."""
+    elems = list(dict.fromkeys(random_element(rng, group) for _ in range(4 * len(denominators))))
+    coeffs = {}
+    for g, d in zip(elems, denominators):
+        num = rng.randint(1, 60) * (rng.choice((-1, 1)) if signed else 1)
+        coeffs[g] = Fraction(num, d)
+    return FinSuppFn(group, coeffs)
+
+
+def integer_route_cases(rng, group, signed=False):
+    yield weighted(rng, group, PRIMES, signed)  # pairwise coprime denominators
+    yield weighted(rng, group, [10**40, 10**40, 3, 10**40 + 1], signed)
+    yield weighted(rng, group, [7], signed)  # one-element support
+    yield FinSuppFn(group, {group.identity: Fraction(1, 10**40)})
+    for _ in range(10):
+        yield weighted(rng, group, [rng.choice(PRIMES) ** rng.randint(1, 3) for _ in range(9)], signed)
+
+
+class TestIntegerRoute:
+    """The integer count over one denominator against the Fraction oracle."""
+
+    def test_reiter_matches_fraction_oracle(self, f2, z2, z3, s3, rng):
+        for group in (f2, z2, z3, s3):
+            for f in integer_route_cases(rng, group):
+                expected = translate_oracle(group, f)
+                assert f.l1_norm() == plain_l1(f)
+                assert generator_differences(group, f) == expected
+                diffs, ratio = reiter_report(group, f)
+                assert diffs == expected
+                assert ratio == sum(expected.values(), Fraction(0)) / plain_l1(f)
+                assert reiter_ratio(group, f) == ratio
+
+    def test_signed_coefficients(self, f2, z2, z3, s3, rng):
+        # translate_distances and l1_norm assume no sign; only the Reiter ratio does
+        for group in (f2, z2, z3, s3):
+            for f in integer_route_cases(rng, group, signed=True):
+                assert f.l1_norm() == plain_l1(f)
+                assert generator_differences(group, f) == translate_oracle(group, f)
+                d, mass, dists = f.translate_distances(s for _, s in group.letters())
+                assert Fraction(mass, d) == plain_l1(f)
+                assert [Fraction(x, d) for x in dists] == list(translate_oracle(group, f).values())
+
+    def test_one_denominator_is_the_lcm(self, f2):
+        f = FinSuppFn(f2, {(): Fraction(1, 4), (1,): Fraction(5, 6), (2,): Fraction(-7, 10**40)})
+        d, n = f.scaled()
+        assert d == 3 * 10**40
+        assert n == {(): 3 * 10**40 // 4, (1,): 25 * 10**39, (2,): -21}
+        assert FinSuppFn.zero(f2).scaled() == (1, {})
+
+    def test_counts_cancel_the_denominator(self, z2):
+        f = FinSuppFn(z2, {(0, 0): Fraction(1, 3), (1, 0): Fraction(1, 6)})
+        d, diffs, mass = reiter_counts(z2, f)
+        assert (d, mass) == (6, 3)
+        # n = 2 at (0,0) and 1 at (1,0): a.n - n is -2, 1, 1 on (0,0), (1,0), (2,0)
+        assert diffs == {"a": 4, "a^-1": 4, "b": 6, "b^-1": 6}
+        assert reiter_ratio(z2, f) == Fraction(20, 3)

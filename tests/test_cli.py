@@ -180,6 +180,33 @@ class TestFolner:
         assert "cap" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def one_line_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "amencert.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+class TestFolnerBallCap:
+    def test_f2_radius_20_is_one_line_error(self, tmp_path, f2_dict):
+        f2 = write_json(tmp_path / "f2.json", f2_dict)
+        err = one_line_error(["folner", "--group", f2, "--eps", "1/10", "--max-radius", "20"])
+        assert "cap" in err
+
+
+class TestRationalDigitLimit:
+    def test_reiter_weight(self, tmp_path, z2_file):
+        fn = write_json(tmp_path / "fn.json", [[[0, 0], "1/2"], [[1, 0], "1e-10000000"]])
+        err = one_line_error(["reiter", "--group", z2_file, "--set", fn])
+        assert "4300-digit limit" in err
+
+    def test_folner_eps(self, z2_file):
+        err = one_line_error(["folner", "--group", z2_file, "--eps", "1e-10000000"])
+        assert "4300-digit limit" in err
+
+
 class TestReiter:
     def test_indicator_set(self, capsys, tmp_path, z2_file):
         members = write_json(tmp_path / "set.json", [[i, j] for i in range(10) for j in range(10)])
@@ -202,6 +229,18 @@ class TestReiter:
         assert payload["l1-norm"] == "2/1"
         assert payload["ratio"] == "6/1"
         assert run_cli(capsys, "reiter", "--group", z2_file, "--set", plain) == (0, out)
+
+    def test_repeated_and_cancelling_weights(self, capsys, tmp_path, z2_file):
+        fn = write_json(tmp_path / "fn.json", [
+            [[0, 0], "1/2"], [[1, 0], "1/3"], [[0, 0], "1/4"], [[2, 0], "1/5"], [[2, 0], "-1/5"],
+        ])
+        code, out = run_cli(capsys, "reiter", "--group", z2_file, "--set", fn)
+        assert code == 0
+        payload = json.loads(out)
+        # f = 3/4 at (0,0) and 1/3 at (1,0); the weights at (2,0) cancel
+        assert payload["l1-norm"] == "13/12"
+        assert payload["generator-differences"] == {"a": "3/2", "a^-1": "3/2", "b": "13/6", "b^-1": "13/6"}
+        assert payload["ratio"] == "88/13"
 
 
 class TestFiniteH0:

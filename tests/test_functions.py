@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from amencert import functions
 from amencert.functions import (
     ConstPlusFinite,
     FinSuppFn,
@@ -73,6 +74,36 @@ class TestFinSuppFn:
     def test_invalid_key_rejected(self, f2):
         with pytest.raises(ValueError):
             FinSuppFn(f2, {(1, -1): 1})
+
+
+class TestConstruction:
+    def test_repeated_keys_merge(self, f2):
+        g = f2.elem_to_json(f2.gen(0))
+        f = FinSuppFn.from_pairs(f2, [[g, "1/2"], [g, "1/3"]])
+        assert f.items() == {(1,): Fraction(5, 6)}.items()
+        assert FinSuppFn(f2, [((1,), Fraction(1, 2)), ((1,), Fraction(1, 3))]) == f
+
+    def test_repeats_summing_to_zero_leave_no_key(self, f2, z2):
+        for group, g in ((f2, "a*b"), (z2, [1, -2])):
+            f = FinSuppFn.from_pairs(group, [[g, "1/2"], [g, "-1/3"], [g, "-1/6"]])
+            assert f == FinSuppFn.zero(group)
+            assert not f.items() and f.is_zero
+        # a key that cancelled comes back fresh when it repeats once more
+        f = FinSuppFn.from_pairs(f2, [["a", "1"], ["a", "-1"], ["a", "2/3"]])
+        assert f.items() == {(1,): Fraction(2, 3)}.items()
+
+    def test_zero_weight_never_stored(self, f2, z3):
+        assert FinSuppFn.from_pairs(f2, [["a", "0"], ["b", "0/5"]]) == FinSuppFn.zero(f2)
+        assert FinSuppFn(f2, {(1,): 0, (2,): Fraction(0)}) == FinSuppFn.zero(f2)
+        f = FinSuppFn(z3, {0: Fraction(0), 1: 3, 2: Fraction(1, 2)})
+        assert dict(f.items()) == {1: Fraction(3), 2: Fraction(1, 2)}
+        assert all(type(c) is Fraction for _, c in f.items())
+
+    def test_l1_norm_is_plain_sum(self, all_groups, rng):
+        for group in all_groups:
+            for _ in range(40):
+                f = random_finsupp(rng, group)
+                assert f.l1_norm() == sum((abs(c) for _, c in f.items()), Fraction(0))
 
 
 class TestBoundedFn:
@@ -219,3 +250,26 @@ def test_rational_strings():
         parse_frac("1/0")
     with pytest.raises(ValueError):
         parse_frac("x")
+
+
+def test_rational_digit_limit():
+    # the reduced value may have up to MAX_RATIONAL_DIGITS digits
+    assert functions.MAX_RATIONAL_DIGITS == 4300
+    assert parse_frac("1e4299") == 10**4299
+    assert parse_frac("1e-4299") == Fraction(1, 10**4299)
+    assert parse_frac("5e-4300") == Fraction(1, 2 * 10**4299)
+    assert parse_frac("1000e-4302") == Fraction(1, 10**4299)
+    assert frac_str(parse_frac("1e-4299")) == "1/1" + "0" * 4299
+    for text in ("1e4300", "-1e-4300", "3.5e4300", "1e-4301"):
+        with pytest.raises(ValueError, match="4300-digit limit"):
+            parse_frac(text)
+
+
+def test_rational_exponent_refused_before_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction was called")
+
+    monkeypatch.setattr(functions, "Fraction", no_fraction)
+    for text in ("1e-1000000", "1e-10000000", "2.5E+10000000", "0e99999999"):
+        with pytest.raises(ValueError, match="4300-digit limit"):
+            parse_frac(text)

@@ -147,6 +147,19 @@ class TestBall:
         with pytest.raises(ValueError):
             f2.ball(-1)
 
+    def test_ball_size_matches_enumeration(self, all_groups):
+        groups = list(all_groups) + [free_group(1), free_group(3), free_abelian_group(1), free_abelian_group(3)]
+        for group in groups:
+            for r in range(6):
+                assert group.ball_size(r, 10**9) == len(group.ball(r))
+
+    def test_ball_size_stops_past_the_cap(self):
+        # the count passes the cap and stops: no power of the radius is formed
+        assert free_group(2).ball_size(10**100, 10**6) > 10**6
+        assert free_abelian_group(64).ball_size(10**100, 10**6) > 10**6
+        assert free_group(2).ball_size(11, 10**6) == 354293
+        assert free_group(3).ball_size(8, 10**6) == 585937
+
 
 class TestWordMetric:
     def test_identity_and_adjacent(self, f2):
