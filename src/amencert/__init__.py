@@ -26,7 +26,6 @@ from .functions import (
     BoundedFn,
     ConstPlusFinite,
     FinSuppFn,
-    QuotientRep,
     TreeFlow,
     delta,
     pair_eval,

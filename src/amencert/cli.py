@@ -35,7 +35,7 @@ from .complexes import (
     one_cochain,
 )
 from .functions import FinSuppFn, frac_str, parse_frac
-from .groups import FiniteGroup, FreeGroup, free_group, group_from_dict, load_group
+from .groups import FiniteGroup, FreeGroup, free_group, group_from_dict, json_field, load_group, load_json
 from .pairing import make_pairing_certificate
 from .sampling import (
     random_element,
@@ -60,52 +60,37 @@ def _emit(payload: dict, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+def _flow_cycle(group, data: dict) -> tuple[EquivariantChain, str]:
+    if not isinstance(group, FreeGroup):
+        raise ValueError("the flow cycle requires a free group")
+    label = json_field(data, "ray", str, "the cycle file", group.gen_labels[0])
+    if label not in group.gen_labels:
+        raise ValueError(f"ray {label!r} is not a generator label")
+    return flow_cycle(FlowCycleSpec(group, group.gen_labels.index(label) + 1)), f"tree-flow({label})"
 
 
-def _load_object(path: str, what: str) -> dict:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"the {what} file must hold a JSON object, got {type(data).__name__}")
-    return data
+# builtin cochains and cycles by name, each built from the file's group and the file itself
+BUILTIN_COCHAINS = {
+    "johnson": lambda group, data: johnson_cocycle(group),
+    "one-lift": lambda group, data: one_lift_cochain(group),
+    "one": lambda group, data: one_cochain(group),
+}
+BUILTIN_CYCLES = {
+    "fundamental": lambda group, data: (fundamental_cycle(group), "fundamental-cycle"),
+    "one-l1": lambda group, data: (one_l1_cycle(group), "one-l1-cycle"),
+    "flow": _flow_cycle,
+}
 
 
-def _load_cochain(path: str) -> BoundedCochain:
-    data = _load_object(path, "cochain")
-    if "builtin" in data:
-        group = group_from_dict(data["group"])
-        name = data["builtin"]
-        if name == "johnson":
-            return johnson_cocycle(group)
-        if name == "one-lift":
-            return one_lift_cochain(group)
-        if name == "one":
-            return one_cochain(group)
-        raise ValueError(f"unknown builtin cochain {name!r}")
-    return BoundedCochain.from_json(data)
-
-
-def _load_cycle(path: str) -> tuple[EquivariantChain, str]:
-    data = _load_object(path, "cycle")
-    if "builtin" in data:
-        group = group_from_dict(data["group"])
-        name = data["builtin"]
-        if name == "fundamental":
-            return fundamental_cycle(group), "fundamental-cycle"
-        if name == "one-l1":
-            return one_l1_cycle(group), "one-l1-cycle"
-        if name == "flow":
-            if not isinstance(group, FreeGroup):
-                raise ValueError("the flow cycle requires a free group")
-            ray_label = data.get("ray", group.gen_labels[0])
-            if ray_label not in group.gen_labels:
-                raise ValueError(f"ray {ray_label!r} is not a generator label")
-            ray = group.gen_labels.index(ray_label) + 1
-            return flow_cycle(FlowCycleSpec(group, ray)), f"tree-flow({ray_label})"
-        raise ValueError(f"unknown builtin cycle {name!r}")
-    return EquivariantChain.from_json(data), "cycle-file"
+def _load_pair_input(path: str, what: str, builtins: dict, from_json):
+    """A {"builtin": name, "group": spec, ...} file through builtins[name], any other through from_json."""
+    data = load_json(path)
+    name = json_field(data, "builtin", str, f"the {what} file", None)
+    if name is None:
+        return from_json(data)
+    if name not in builtins:
+        raise ValueError(f"unknown builtin {what} {name!r}")
+    return builtins[name](group_from_dict(json_field(data, "group", dict, f"the {what} file")), data)
 
 
 def cmd_verify_f2(args) -> int:
@@ -125,8 +110,10 @@ def cmd_verify_f2(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    phi = _load_cochain(args.cochain)
-    cycle, cycle_id = _load_cycle(args.cycle)
+    phi = _load_pair_input(args.cochain, "cochain", BUILTIN_COCHAINS, BoundedCochain.from_json)
+    cycle, cycle_id = _load_pair_input(
+        args.cycle, "cycle", BUILTIN_CYCLES, lambda data: (EquivariantChain.from_json(data), "cycle-file")
+    )
     cert = make_pairing_certificate(phi, cycle, cycle_id=cycle_id)
     _emit(cert.to_json(), args.out)
     return 0
@@ -143,7 +130,7 @@ def cmd_folner(args) -> int:
 
 def cmd_reiter(args) -> int:
     group = load_group(args.group)
-    data = _load_json(args.set)
+    data = load_json(args.set)
     if not isinstance(data, list) or not data:
         raise ValueError("the set file must hold a nonempty list of elements or [element, rational] pairs")
     # weighted entries are [element, "p/q"]; everything else is an element list
@@ -325,9 +312,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"error: missing field {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

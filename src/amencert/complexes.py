@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .groups import GroupSpec
+from .groups import GroupSpec, group_from_dict, json_check, json_field, json_pairs
 from .functions import (
     BoundedFn,
     ConstPlusFinite,
@@ -54,6 +54,23 @@ def _tuple_key(group: GroupSpec, key, length: int) -> tuple:
 
 def _key_sort(group: GroupSpec, key: tuple):
     return tuple(group.sort_key(g) for g in key)
+
+
+def _read(data, what: str, read_value) -> tuple[GroupSpec, int, list]:
+    """(group, degree, entries) of a chain or cochain file; read_value(group, value) reads each value."""
+    group = group_from_dict(json_field(data, "group", dict, what))
+    degree = json_field(data, "degree", int, what)
+    entries = []
+    for key, value in json_pairs(json_field(data, "entries", list, what), f"{what} entries"):
+        key = tuple(map(group.elem_from_json, json_check(key, list, f"{what} key")))
+        entries.append((key, read_value(group, value)))
+    return group, degree, entries
+
+
+def _read_l1(group: GroupSpec, value) -> FinSuppFn:
+    if type(value) is not dict or list(value) != ["l1"]:
+        raise ValueError('an l1 chain value must be an object whose one field is "l1"')
+    return FinSuppFn.from_pairs(group, value["l1"])
 
 
 class EquivariantChain:
@@ -219,22 +236,10 @@ class EquivariantChain:
         }
 
     @classmethod
-    def from_json(cls, data: dict, group: GroupSpec | None = None) -> "EquivariantChain":
-        from .groups import group_from_dict
-
-        group = group or group_from_dict(data["group"])
-        kind = data["kind"]
-        entries = []
-        for key_json, value_json in data["entries"]:
-            key = tuple(group.elem_from_json(g) for g in key_json)
-            if kind == KIND_L1:
-                if set(value_json) != {"l1"}:
-                    raise ValueError(f"malformed l1 chain value {value_json!r}")
-                value = FinSuppFn.from_pairs(group, value_json["l1"])
-            else:
-                value = bounded_from_json(group, value_json)
-            entries.append((key, value))
-        return cls(group, int(data["degree"]), kind, entries)
+    def from_json(cls, data: dict) -> "EquivariantChain":
+        kind = json_field(data, "kind", str, "chain")
+        group, degree, entries = _read(data, "chain", _read_l1 if kind == KIND_L1 else bounded_from_json)
+        return cls(group, degree, kind, entries)
 
 
 class BoundedCochain:
@@ -362,17 +367,11 @@ class BoundedCochain:
         return out
 
     @classmethod
-    def from_json(cls, data: dict, group: GroupSpec | None = None) -> "BoundedCochain":
-        from .groups import group_from_dict
-
-        group = group or group_from_dict(data["group"])
-        entries = [
-            (tuple(group.elem_from_json(g) for g in key_json), FinSuppFn.from_pairs(group, pairs))
-            for key_json, pairs in data["entries"]
-        ]
-        return cls.from_map(
-            group, int(data["degree"]), entries, dual=data.get("dual", DUAL_FULL), label=data.get("label")
-        )
+    def from_json(cls, data: dict) -> "BoundedCochain":
+        group, degree, entries = _read(data, "cochain", FinSuppFn.from_pairs)
+        dual = json_field(data, "dual", str, "cochain", DUAL_FULL)
+        label = json_field(data, "label", str, "cochain", None)
+        return cls.from_map(group, degree, entries, dual=dual, label=label)
 
 
 class UfChain:
@@ -487,15 +486,10 @@ class UfChain:
         }
 
     @classmethod
-    def from_json(cls, data: dict, group: GroupSpec | None = None) -> "UfChain":
-        from .groups import group_from_dict
-
-        group = group or group_from_dict(data["group"])
-        coeffs = [
-            (tuple(group.elem_from_json(g) for g in key_json), parse_frac(c))
-            for key_json, c in data["entries"]
-        ]
-        return cls(group, int(data["degree"]), coeffs, diameter_bound=data.get("diameter-bound"))
+    def from_json(cls, data: dict) -> "UfChain":
+        group, degree, coeffs = _read(data, "uniformly finite chain", lambda group, c: parse_frac(c))
+        bound = json_field(data, "diameter-bound", int, "uniformly finite chain", None)
+        return cls(group, degree, coeffs, diameter_bound=bound)
 
 
 # -- complex-level operations -------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .groups import Element, FiniteGroup, FreeGroup, GroupSpec
+from .groups import Element, FiniteGroup, FreeGroup, GroupSpec, json_field, json_pairs
 
 Rational = Union[Fraction, int]
 
@@ -53,6 +53,8 @@ def parse_frac(s: str) -> Fraction:
     the reduced value is checked instead. The "p/q" form needs no guard:
     int() already refuses a string of more than 4300 digits.
     """
+    if type(s) is not str:
+        raise ValueError(f'a rational must be a "p/q" string, got {s!r}')
     text = s.strip()
     exp = _EXPONENT.search(text)
     try:
@@ -217,8 +219,8 @@ class FinSuppFn:
         ]
 
     @classmethod
-    def from_pairs(cls, group: GroupSpec, pairs: Iterable) -> "FinSuppFn":
-        return cls(group, ((group.elem_from_json(e), parse_frac(c)) for e, c in pairs))
+    def from_pairs(cls, group: GroupSpec, pairs: list) -> "FinSuppFn":
+        return cls(group, ((group.elem_from_json(e), parse_frac(c)) for e, c in json_pairs(pairs, "function")))
 
 
 def delta(group: GroupSpec, g: Element) -> FinSuppFn:
@@ -488,49 +490,26 @@ class Combination(BoundedFn):
 
 
 def bounded_from_json(group: GroupSpec, data: dict) -> BoundedFn:
-    if not isinstance(data, dict) or len(data) != 1:
-        raise ValueError(f"malformed bounded-function value {data!r}")
+    if type(data) is not dict or len(data) != 1:
+        raise ValueError("a bounded value must be an object with exactly one field")
     (kind, payload), = data.items()
     if kind == "constant":
         return ConstPlusFinite(group, parse_frac(payload))
     if kind == "finite":
         return ConstPlusFinite(group, 0, FinSuppFn.from_pairs(group, payload))
     if kind == "constant-plus-finite":
-        return ConstPlusFinite(
-            group, parse_frac(payload["constant"]), FinSuppFn.from_pairs(group, payload["finite"])
-        )
+        const = parse_frac(json_field(payload, "constant", str, kind))
+        finite = FinSuppFn.from_pairs(group, json_field(payload, "finite", list, kind))
+        return ConstPlusFinite(group, const, finite)
     if kind == "tree-flow":
         if not isinstance(group, FreeGroup):
             raise ValueError("tree-flow values require a free group")
-        edge_word = group.elem_from_str(payload["edge"])
-        ray_word = group.elem_from_str(payload["ray"])
+        edge_word = group.elem_from_str(json_field(payload, "edge", str, kind))
+        ray_word = group.elem_from_str(json_field(payload, "ray", str, kind))
         if len(edge_word) != 1 or len(ray_word) != 1 or ray_word[0] < 0:
             raise ValueError("tree-flow edge/ray must be single letters (ray positive)")
         return TreeFlow(group, edge_word[0], ray_word[0])
     raise ValueError(f"unknown bounded-function kind {kind!r}")
-
-
-# -- quotient (mod constants) representatives --------------------------------
-
-
-class QuotientRep:
-    """A bounded function regarded as a representative modulo constants."""
-
-    __slots__ = ("rep",)
-
-    def __init__(self, rep: BoundedFn):
-        self.rep = rep
-
-    @property
-    def group(self) -> GroupSpec:
-        return self.rep.group
-
-    def same_class(self, other: "QuotientRep") -> bool:
-        """Exact equality in the quotient; decidable for structured variants."""
-        return is_constant_fn(self.rep - other.rep)
-
-    def __repr__(self):
-        return f"QuotientRep({self.rep!r})"
 
 
 def is_constant_fn(v: BoundedFn) -> bool:
@@ -554,17 +533,8 @@ def is_constant_fn(v: BoundedFn) -> bool:
 # -- evaluation pairing ------------------------------------------------------
 
 
-def pair_eval(phi: FinSuppFn, v: FinSuppFn | BoundedFn | QuotientRep) -> Fraction:
-    """Evaluation pairing <phi, v> = sum_g phi(g) v(g) over supp(phi).
-
-    When v is a quotient representative the summable side must have
-    coefficient sum zero, which makes the value independent of the chosen
-    representative.
-    """
-    if isinstance(v, QuotientRep):
-        if phi.coeff_sum():
-            raise ValueError("pairing against a quotient representative needs a zero-sum function")
-        v = v.rep
+def pair_eval(phi: FinSuppFn, v: FinSuppFn | BoundedFn) -> Fraction:
+    """Evaluation pairing <phi, v> = sum_g phi(g) v(g) over supp(phi)."""
     if phi.group != v.group:
         raise ValueError("pairing requires functions over the same group")
     return sum((c * v.evaluate(g) for g, c in phi.items()), Fraction(0))

@@ -11,6 +11,9 @@ dictionary keys in the function and chain modules.
 Ball enumeration is breadth-first with a canonical within-level order;
 the order is part of the contract because certificates serialize support
 sets and must be byte-for-byte reproducible.
+
+Every JSON input file of the library and the CLI is read through
+`load_json` and checked with `json_field`, `json_pairs` and `json_check`.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ def _check_labels(labels: Sequence[str], count: int) -> tuple[str, ...]:
     labels = tuple(labels)
     if len(labels) != count:
         raise ValueError(f"expected {count} generator labels, got {len(labels)}")
-    if len(set(labels)) != len(labels):
-        raise ValueError("generator labels must be distinct")
     for lab in labels:
-        if not _LABEL_RE.match(lab):
+        if type(lab) is not str or not _LABEL_RE.match(lab):
             raise ValueError(f"invalid generator label {lab!r}")
         if lab == "e":
             raise ValueError("label 'e' is reserved for the identity")
+    if len(set(labels)) != len(labels):
+        raise ValueError("generator labels must be distinct")
     return labels
 
 
@@ -385,10 +388,8 @@ class FiniteGroup(GroupSpec):
         self._validate_table()
         if generators is None:
             generators = tuple(i for i in range(self.order) if i != self._identity)
-        self.gens = tuple(int(g) for g in generators)
+        self.gens = tuple(map(self.check, generators))
         for g in self.gens:
-            if not 0 <= g < self.order:
-                raise ValueError(f"generator index {g} out of range")
             if g == self._identity:
                 raise ValueError("identity cannot be a declared generator")
         if len(set(self.gens)) != len(self.gens):
@@ -546,37 +547,56 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(cyclic_table(n), generators=(1,) if n > 1 else ())
 
 
-def _list_of(value, ok) -> bool:
-    return isinstance(value, list) and all(ok(x) for x in value)
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def json_check(value, kind: type, what: str):
+    """value itself when its type is exactly kind: a bool or a float never passes as an int."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {_JSON_KINDS.get(type(value)) or repr(value)}")
+    return value
+
+
+def json_field(data, name: str, kind: type, what: str, default=...):
+    """Field `name` of the JSON object `data`, of exactly type kind; default when absent, if given."""
+    json_check(data, dict, what)
+    if name not in data:
+        if default is ...:
+            raise ValueError(f"missing field {name!r}")
+        return default
+    return json_check(data[name], kind, f"{what} field {name!r}")
+
+
+def json_pairs(data, what: str) -> list:
+    """data checked to be a list of two-item lists, each unpackable as (key, value)."""
+    for item in json_check(data, list, what):
+        if len(json_check(item, list, f"each {what} item")) != 2:
+            raise ValueError(f"each {what} item must be a [key, value] pair, got {len(item)} items")
+    return data
 
 
 def group_from_dict(data: dict) -> GroupSpec:
     """Rebuild a group from its canonical dictionary form."""
-    if not isinstance(data, dict) or "family" not in data:
-        raise ValueError("group spec must be an object with a 'family' field")
-    family = data["family"]
-    gens = data.get("generators")
+    family = json_field(data, "family", str, "group spec")
     if family in ("free", "free-abelian"):
-        if "rank" not in data:
-            raise ValueError(f"{family} group spec requires a 'rank'")
-        rank = data["rank"]
-        if type(rank) is not int:
-            raise ValueError(f"{family} group 'rank' must be an integer, got {rank!r}")
-        if gens is not None and not _list_of(gens, lambda g: isinstance(g, str)):
-            raise ValueError(f"{family} group 'generators' must be a list of labels, got {gens!r}")
+        rank = json_field(data, "rank", int, f"{family} group")
+        gens = json_field(data, "generators", list, f"{family} group", None)
         return (FreeGroup if family == "free" else FreeAbelianGroup)(rank, gens)
     if family == "finite":
-        if "table" not in data:
-            raise ValueError("finite group spec requires a 'table'")
-        table = data["table"]
-        if not _list_of(table, lambda row: isinstance(row, list)):
-            raise ValueError("finite group 'table' must be a list of lists")
-        if gens is not None and not _list_of(gens, lambda g: type(g) is int):
-            raise ValueError(f"finite group 'generators' must be a list of element indices, got {gens!r}")
-        return FiniteGroup(table, gens)
+        rows = json_field(data, "table", list, "finite group")
+        table = [json_check(row, list, "each finite group table row") for row in rows]
+        return FiniteGroup(table, json_field(data, "generators", list, "finite group", None))
     raise ValueError(f"unknown group family {family!r}")
 
 
-def load_group(path: str) -> GroupSpec:
+def load_json(path: str):
+    """The JSON value in the file at path; nesting too deep to parse is a ValueError."""
     with open(path) as fh:
-        return group_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def load_group(path: str) -> GroupSpec:
+    return group_from_dict(load_json(path))

@@ -360,6 +360,7 @@ MALFORMED_GROUPS = {
     "bool-rank": {"family": "free-abelian", "rank": True},
     "string-labels": {"family": "free", "rank": 2, "generators": "ab"},
     "int-label": {"family": "free-abelian", "rank": 1, "generators": [5]},
+    "list-label": {"family": "free", "rank": 2, "generators": [["a"], "b"]},
     "bool-generator": {"family": "finite", "table": cyclic_table(2), "generators": [True]},
     "float-generator": {"family": "finite", "table": cyclic_table(2), "generators": [1.0]},
     "string-generators": {"family": "finite", "table": cyclic_table(2), "generators": "1"},
@@ -394,6 +395,50 @@ def test_non_integer_coordinates_are_one_line_error(tmp_path, z2_file, point):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+F2 = {"family": "free", "rank": 2, "generators": ["a", "b"]}
+COCHAIN = {"group": F2, "degree": 1, "dual": "full-dual", "entries": [[["a"], [["e", "2/1"]]]]}
+L1_CYCLE = {"group": F2, "degree": 1, "kind": "l1", "entries": [[["a"], {"l1": [["e", "3/1"]]}]]}
+FUNDAMENTAL = {"builtin": "fundamental", "group": F2}
+
+# name: (cochain file, cycle file, a fragment the one-line error must hold)
+MALFORMED_PAIR_FILES = {
+    "entries-int": ({**COCHAIN, "entries": 5}, L1_CYCLE, "'entries'"),
+    "entries-null": (COCHAIN, {**L1_CYCLE, "entries": None}, "'entries'"),
+    "slice-key-int": ({**COCHAIN, "entries": [[5, [["e", "2/1"]]]]}, L1_CYCLE, "key"),
+    "slice-key-string": ({**COCHAIN, "entries": [["a", [["e", "2/1"]]]]}, L1_CYCLE, "key"),
+    "constant-plus-finite-string": (
+        {**COCHAIN, "degree": 0, "entries": [[[], [["e", "1/1"]]]]},
+        {**L1_CYCLE, "degree": 0, "kind": "linf", "entries": [[[], {"constant-plus-finite": "x"}]]},
+        "constant-plus-finite",
+    ),
+    "l1-value-list": (COCHAIN, {**L1_CYCLE, "entries": [[["a"], ["l1"]]]}, "l1"),
+    "integer-rational": ({**COCHAIN, "entries": [[["a"], [["e", 3]]]]}, L1_CYCLE, "rational"),
+    "float-degree": ({**COCHAIN, "degree": 0.7, "entries": []}, FUNDAMENTAL, "'degree'"),
+    "string-degree": (COCHAIN, {**L1_CYCLE, "degree": "1"}, "'degree'"),
+    "one-item-pair": ({**COCHAIN, "entries": [[["a"], [["a"]]]]}, L1_CYCLE, "[key, value] pair"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PAIR_FILES))
+def test_malformed_pair_file_is_one_line_error(capsys, tmp_path, name):
+    cochain, cycle, fragment = MALFORMED_PAIR_FILES[name]
+    code = main(["pair", "--cochain", write_json(tmp_path / "phi.json", cochain),
+                 "--cycle", write_json(tmp_path / "c.json", cycle)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert fragment in captured.err
+
+
+def test_deeply_nested_set_is_one_line_error(capsys, tmp_path, z2_file):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    code = main(["reiter", "--group", z2_file, "--set", str(nested)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestOutputContract:

@@ -8,7 +8,6 @@ from amencert import functions
 from amencert.functions import (
     ConstPlusFinite,
     FinSuppFn,
-    QuotientRep,
     TreeFlow,
     bounded_from_json,
     delta,
@@ -207,13 +206,6 @@ class TestPairEval:
                 for c in (1, Fraction(-7, 2)):
                     assert pair_eval(f, v + ConstPlusFinite(group, c)) == pair_eval(f, v)
 
-    def test_quotient_rep_requires_zero_sum(self, f2):
-        rep = QuotientRep(ConstPlusFinite(f2, 1))
-        with pytest.raises(ValueError):
-            pair_eval(delta(f2, f2.identity), rep)
-        phi = delta(f2, f2.gen(0)) - delta(f2, f2.identity)
-        assert pair_eval(phi, rep) == 0
-
     def test_against_finsuppfn_values(self, f2, rng):
         f = random_finsupp(rng, f2)
         g = random_finsupp(rng, f2)
@@ -222,24 +214,24 @@ class TestPairEval:
 
 
 class TestQuotientRep:
+    """Equality of bounded functions modulo constants: u ~ v when u - v is constant."""
+
     def test_structured_equality(self, f2):
         f = delta(f2, f2.gen(0))
-        u = QuotientRep(ConstPlusFinite(f2, 2, f))
-        v = QuotientRep(ConstPlusFinite(f2, -1, f))
-        w = QuotientRep(ConstPlusFinite(f2, 0, f + delta(f2, f2.identity)))
-        assert u.same_class(v)
-        assert not u.same_class(w)
+        u = ConstPlusFinite(f2, 2, f)
+        v = ConstPlusFinite(f2, -1, f)
+        w = ConstPlusFinite(f2, 0, f + delta(f2, f2.identity))
+        assert is_constant_fn(u - v)
+        assert not is_constant_fn(u - w)
 
     def test_finite_group_full_support_constant(self, z3):
         f = FinSuppFn(z3, {0: 1, 1: 1, 2: 1})
         assert is_constant_fn(ConstPlusFinite(z3, 0, f))
-        assert QuotientRep(ConstPlusFinite(z3, 0, f)).same_class(QuotientRep(ConstPlusFinite(z3, 0)))
+        assert is_constant_fn(ConstPlusFinite(z3, 0, f) - ConstPlusFinite(z3, 0))
 
     def test_oracle_backed_undecidable(self, f2):
-        u = QuotientRep(TreeFlow(f2, 1, 1))
-        v = QuotientRep(ConstPlusFinite(f2, 0))
         with pytest.raises(ValueError):
-            u.same_class(v)
+            is_constant_fn(TreeFlow(f2, 1, 1) - ConstPlusFinite(f2, 0))
 
 
 def test_rational_strings():

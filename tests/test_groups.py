@@ -216,6 +216,11 @@ class TestFiniteValidation:
         with pytest.raises(ValueError):
             FiniteGroup(cyclic_table(3), generators=(0,))
 
+    @pytest.mark.parametrize("generators", [[1.7], [True], ["1"], [3]])
+    def test_rejects_generators_that_are_not_indices(self, generators):
+        with pytest.raises(ValueError):
+            FiniteGroup(cyclic_table(3), generators)
+
     def test_rejects_out_of_range_entry(self):
         with pytest.raises(ValueError):
             FiniteGroup([[0, 1], [1, 7]])
