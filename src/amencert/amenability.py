@@ -8,7 +8,11 @@ an exact rational; indicator functions of finite sets recover the usual
 symmetric-difference Folner quotient, which a Folner certificate counts
 in integers by set membership. A certificate stores the witness set
 together with the per-generator differences so it can be revalidated
-independently. The non-amenable side is backed by `isoperimetric_argmin`,
+independently. `folner_search` reads the size and ratio of boxes in Z^d
+and of balls in free groups from closed forms, and builds and counts only
+the set it returns, so a free group's failure report builds no ball;
+balls of Z^d and of finite groups are built and counted one radius at a
+time. The non-amenable side is backed by `isoperimetric_argmin`,
 a brute-force enumeration of every nonempty subset of a ball, scored by an
 incremental edge count, that returns the minimum ratio with a set
 attaining it. On the finite-group side the
@@ -22,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Sequence
 
 from .functions import FinSuppFn, frac_str
-from .groups import Element, FiniteGroup, FreeAbelianGroup, GroupSpec
+from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec, free_ball_size
 
 
 def indicator(group: GroupSpec, members: Iterable[Element]) -> FinSuppFn:
@@ -164,6 +169,22 @@ def _box(group: FreeAbelianGroup, side: int) -> list[tuple[int, ...]]:
     return coords
 
 
+def _closed_form(group: GroupSpec, strategy: str):
+    """parameter -> (set size, ratio) for boxes and free balls, else None; proofs in folner_search."""
+    if strategy == "boxes":
+        d = group.rank
+        return lambda n: (n**d, Fraction(4 * d, n))
+    if isinstance(group, FreeGroup):
+        k = group.rank
+
+        def ball(r: int) -> tuple[int, Fraction]:
+            size = free_ball_size(k, r, MAX_FOLNER_ELEMS)
+            return size, 4 * (k - 1) + Fraction(4, size)
+
+        return ball
+    return None
+
+
 def folner_search(
     group: GroupSpec, eps: Fraction, strategy: str = "balls", max_radius: int = 10
 ) -> FolnerCertificate | FolnerFailure:
@@ -174,6 +195,29 @@ def folner_search(
     Before any candidate is built, the largest one is counted in closed
     form (side^rank for a box, GroupSpec.ball_size for a ball) and a
     count above MAX_FOLNER_ELEMS is refused.
+
+    Two families have every candidate's size and ratio in closed form, so
+    no rejected candidate is built:
+
+    - A box of side n in Z^d has n^d points and ratio 4d/n. For the letter
+      s = +-e_i, s.g leaves the box exactly when g sits on the face
+      x_i = n - 1 (or x_i = 0), which holds n^(d-1) points; so each of
+      the 2d letters has |sF symmetric-difference F| = 2 n^(d-1).
+    - A ball B_r in F_k has |B_r| = free_ball_size(k, r) and ratio
+      4(k - 1) + 4/|B_r|. Dropping the first letter of a nonempty word in
+      B_r gives a shorter one, so the edges {g, s.g} inside B_r connect it;
+      the Cayley graph of F_k on a free basis is a tree, so there are
+      |B_r| - 1 such edges, and 2(|B_r| - 1) of the 2k|B_r| pairs (s, g)
+      stay inside. The other 2(k - 1)|B_r| + 2 pairs leave, and each
+      counts twice in the differences. F_1 gives 4/(2r + 1); F_2 at
+      r = 2 gives 72/17.
+
+    Only the accepted set is built, and folner_certificate_from_set counts
+    it; a count that disagrees with the closed form raises. So the
+    returned certificate is counted, not assumed, and a search that fails
+    builds nothing (every F_k with k >= 2 and eps <= 4(k - 1)). Balls of
+    Z^d and of finite groups have no closed form here and are built and
+    counted one radius at a time.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -191,13 +235,24 @@ def folner_search(
     if strategy == "balls" and group.ball_size(max_radius, MAX_FOLNER_ELEMS) > MAX_FOLNER_ELEMS:
         raise ValueError(f"the ball of radius {max_radius} exceeds the cap of {MAX_FOLNER_ELEMS} elements")
 
-    failure = FolnerFailure(group=group, strategy=strategy, eps=eps, max_parameter=max_radius)
-    if strategy == "balls":
-        candidates = ((r, group.ball(r)) for r in range(max_radius + 1))
+    if strategy == "boxes":
+        parameters, build = range(1, max_radius + 1), partial(_box, group)
     else:
-        candidates = ((n, _box(group, n)) for n in range(1, max_radius + 1))
-    for parameter, members in candidates:
-        cert = folner_certificate_from_set(group, members, strategy=strategy, parameter=parameter)
+        parameters, build = range(max_radius + 1), group.ball
+    closed_form = _closed_form(group, strategy)
+    failure = FolnerFailure(group=group, strategy=strategy, eps=eps, max_parameter=max_radius)
+    for parameter in parameters:
+        if closed_form is not None:
+            size, ratio = closed_form(parameter)
+            if ratio > eps:
+                failure.attempts.append({"parameter": parameter, "set-size": size, "_ratio": ratio})
+                continue
+        cert = folner_certificate_from_set(group, build(parameter), strategy=strategy, parameter=parameter)
+        if closed_form is not None and (len(cert.members), cert.ratio) != (size, ratio):
+            raise RuntimeError(
+                f"{strategy} parameter {parameter}: counted {len(cert.members)} elements of ratio "
+                f"{cert.ratio}, closed form {size} of ratio {ratio}"
+            )
         if cert.ratio <= eps:
             return cert
         failure.attempts.append(

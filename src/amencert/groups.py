@@ -29,10 +29,12 @@ from typing import Sequence, Union
 Element = Union[tuple, int]  # reduced word / exponent vector / table index
 
 # Work caps checked before anything is allocated: the rank sets the length
-# of every free-abelian vector and of the label tuple, and validating a
-# table of order n costs O(n^3). 256 admits S_5 (order 120) with room.
+# of every free-abelian vector and of the label tuple, validating a table
+# of order n costs O(n^3), and a word string is expanded letter by letter
+# before it is reduced. 256 admits S_5 (order 120) with room.
 MAX_RANK = 64
 MAX_TABLE_ORDER = 256
+MAX_WORD_LETTERS = 10**6
 
 _LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
@@ -186,7 +188,7 @@ class FreeGroup(GroupSpec):
         if rank > MAX_RANK:
             raise ValueError(f"free group rank {rank} is above the cap of {MAX_RANK}")
         self.rank = rank
-        self.gen_labels = _check_labels(labels or _default_labels(rank), rank)
+        self.gen_labels = _check_labels(_default_labels(rank) if labels is None else labels, rank)
         self._label_index = {lab: i for i, lab in enumerate(self.gen_labels)}
         super().__init__()
 
@@ -258,6 +260,13 @@ class FreeGroup(GroupSpec):
         return "*".join(parts)
 
     def elem_from_str(self, s: str):
+        """The reduced word written as `a^2*b^-1` (or `e`).
+
+        Tokens are expanded before the word is reduced, so the running sum
+        of the |exponents| is checked against MAX_WORD_LETTERS before each
+        expansion: nothing is allocated for a word past the cap, even one
+        that would reduce to a short word.
+        """
         s = s.strip()
         if s in ("e", ""):
             return ()
@@ -270,6 +279,8 @@ class FreeGroup(GroupSpec):
             if lab not in self._label_index:
                 raise ValueError(f"unknown generator {lab!r}")
             exp = int(exp_s) if exp_s is not None else 1
+            if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+                raise ValueError(f"word token {token.strip()!r} passes the cap of {MAX_WORD_LETTERS} letters")
             letter = self._label_index[lab] + 1
             letters.extend([letter if exp > 0 else -letter] * abs(exp))
         return self.mul((), tuple(letters))
@@ -297,7 +308,7 @@ class FreeAbelianGroup(GroupSpec):
         if rank > MAX_RANK:
             raise ValueError(f"free-abelian rank {rank} is above the cap of {MAX_RANK}")
         self.rank = rank
-        self.gen_labels = _check_labels(labels or _default_labels(rank), rank)
+        self.gen_labels = _check_labels(_default_labels(rank) if labels is None else labels, rank)
         super().__init__()
 
     @property

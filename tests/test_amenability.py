@@ -198,10 +198,41 @@ class TestFolnerSearch:
         for group, largest in ((free_group(2), 11), (free_group(3), 8)):
             with pytest.raises(ValueError, match="cap"):
                 folner_search(group, Fraction(1, 10), max_radius=largest + 1)
-            with pytest.raises(AssertionError, match="a ball was built"):
-                folner_search(group, Fraction(1, 10), max_radius=largest)
+            # every free ball is ruled out by its closed-form ratio, so none is built
+            result = folner_search(group, Fraction(1, 10), max_radius=largest)
+            assert isinstance(result, FolnerFailure)
+            assert result.max_parameter == largest
         with pytest.raises(ValueError, match="cap"):
             folner_search(free_abelian_group(64), Fraction(1, 10), max_radius=10)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_box_closed_form_matches_count(self, rank):
+        group = free_abelian_group(rank)
+        closed_form = amenability._closed_form(group, "boxes")
+        for side in range(1, 13):
+            cert = folner_certificate_from_set(group, box(group, side))
+            assert closed_form(side) == (len(cert.members), cert.ratio)
+
+    # F_2 and F_3: every ball of at most 10^4 words. F_1 stops at radius 100:
+    # counting a ball of F_1 costs a cube of its radius, as a product walks
+    # the whole word.
+    @pytest.mark.parametrize("rank, largest", [(1, 100), (2, 7), (3, 5)])
+    def test_free_ball_closed_form_matches_count(self, rank, largest):
+        group = free_group(rank)
+        closed_form = amenability._closed_form(group, "balls")
+        for r in range(largest + 1):
+            cert = folner_certificate_from_set(group, group.ball(r))
+            assert closed_form(r) == (len(cert.members), cert.ratio)
+        if rank > 1:
+            assert groups.free_ball_size(rank, largest + 1, 10**6) > 10**4
+        # 4(k - 1) + 4/|B_2|
+        assert closed_form(2)[1] == {1: Fraction(4, 5), 2: Fraction(72, 17), 3: Fraction(300, 37)}[rank]
+
+    def test_closed_form_disagreement_raises(self, monkeypatch, f2):
+        # a closed form that accepts radius 0 with ratio 0, against the counted 8
+        monkeypatch.setattr(amenability, "_closed_form", lambda group, strategy: lambda r: (1, Fraction(0)))
+        with pytest.raises(RuntimeError, match="closed form"):
+            folner_search(f2, Fraction(1, 10), max_radius=2)
 
     def test_finite_ball_bounded_by_order(self):
         # a finite group's ball never passes its order, so no radius hits the cap

