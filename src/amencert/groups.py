@@ -172,6 +172,17 @@ class GroupSpec:
         return f"<{type(self).__name__} {self.to_dict()}>"
 
 
+def _free_reduce(letters) -> tuple[int, ...]:
+    """The free reduction of any sequence of signed letters, by one stack walk."""
+    word: list[int] = []
+    for letter in letters:
+        if word and word[-1] == -letter:
+            word.pop()
+        else:
+            word.append(letter)
+    return tuple(word)
+
+
 class FreeGroup(GroupSpec):
     """Free group; elements are reduced words of signed 1-based letters.
 
@@ -202,13 +213,19 @@ class FreeGroup(GroupSpec):
         return (i + 1,)
 
     def mul(self, a, b):
-        word = list(a)
-        for letter in b:
-            if word and word[-1] == -letter:
-                word.pop()
-            else:
-                word.append(letter)
-        return tuple(word)
+        """The product of two reduced words, cancelled only at the junction.
+
+        No adjacent pair cancels inside a or inside b, so the free reduction
+        of a followed by b only removes the longest run of a's last letters
+        that are the inverses of b's first letters, i of each. What is left
+        is reduced: its one new adjacent pair, a[n - i - 1] next to b[i],
+        does not cancel, or the run would be longer.
+        """
+        n = len(a)
+        i, stop = 0, min(n, len(b))
+        while i < stop and a[n - 1 - i] == -b[i]:
+            i += 1
+        return a[: n - i] + b[i:]
 
     def inv(self, a):
         return tuple(-letter for letter in reversed(a))
@@ -283,7 +300,7 @@ class FreeGroup(GroupSpec):
                 raise ValueError(f"word token {token.strip()!r} passes the cap of {MAX_WORD_LETTERS} letters")
             letter = self._label_index[lab] + 1
             letters.extend([letter if exp > 0 else -letter] * abs(exp))
-        return self.mul((), tuple(letters))
+        return _free_reduce(letters)
 
     def elem_to_json(self, a):
         return self.elem_to_str(a)

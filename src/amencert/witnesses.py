@@ -17,6 +17,7 @@ identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq
 from typing import Callable
 
 from .complexes import KIND_LINF, EquivariantChain, johnson_cocycle, one_lift_cochain
@@ -48,7 +49,9 @@ def flow_value(fs: FlowCycleSpec, s: int, g: Element) -> int:
 
     g must be a reduced word of `fs.group`, as `TreeFlow.evaluate` assumes;
     it is not re-validated here. Words from outside go through
-    `fs.group.check` first; `verify_flow_cycle` builds its words reduced.
+    `fs.group.check` first. This is the per-edge oracle for outside callers
+    and for oracles handed to `verify_flow_cycle`; its default sweep reads
+    `ray_first_letter` directly and makes no call here.
     """
     if s == 0 or abs(s) > fs.group.rank:
         raise ValueError(f"edge letter {s} is not a generator or inverse")
@@ -163,37 +166,54 @@ def verify_flow_cycle(
 
     The check at (k, g) sees only h = k^-1 g, and {k^-1 g : k, g in
     ball(radius)} is exactly the set of reduced words of length <= 2 radius.
-    So the sums are evaluated once per such h, |B_2r| oracle rounds instead
-    of |B_r|^2; for any pure oracle the report is the one the pair loop
-    gives. The pairs are walked only to expand failing h back into rows.
+    So the sums are evaluated once per such h, |B_2r| rounds instead of
+    |B_r|^2; for any pure oracle the report is the one the pair loop gives.
+    `points_checked` is |B_r|^2 by free_ball_size's closed form, and the
+    ball is built only to expand failing h back into (k, g) rows.
+
+    Without `flow`, the sums are read from `ray_first_letter`, the tree
+    flow's defining function, with no per-letter oracle: flow_value(s, h)
+    is 1 exactly when ray_first_letter(h) = s, so the outgoing sum is the
+    number of letters s equal to the one head of h, and the incoming sum
+    compares the head of each incoming point with its edge letter. That is
+    2 rank + 1 head evaluations per h instead of 4 rank oracle calls, and
+    every point the oracle route evaluates is still evaluated.
 
     Only the entry is validated (`check_flow_sweep`, `FlowCycleSpec`): every
-    word handed to the oracle is reduced by construction, so no word is
-    checked again. `reduced_words` extends a word only by letters other
-    than the inverse of its last letter, so no cancelling pair ever forms.
-    The incoming point (-s).h is formed by the one-letter rule: h[1:] when
-    h starts with s, a suffix of a reduced word; else (-s,) + h, whose only
-    new adjacent pair (-s, h[0]) cancels just when h[0] = s, the case
-    excluded. Both are the free reduction of -s followed by h, which is
-    `group.mul((-s,), h)`.
+    word evaluated is reduced by construction, so no word is checked again.
+    `reduced_words` extends a word only by letters other than the inverse
+    of its last letter, so no cancelling pair ever forms. The incoming
+    point (-s).h is formed by the one-letter rule: h[1:] when h starts with
+    s, a suffix of a reduced word; else (-s,) + h, whose only new adjacent
+    pair (-s, h[0]) cancels just when h[0] = s, the case excluded. Both are
+    the free reduction of -s followed by h, which is `group.mul((-s,), h)`.
+    The edge letters are the 2 rank signed letters of range(1, rank + 1),
+    so `flow_value`'s edge-letter check could never fire on them either.
     """
     group = fs.group
-    check_flow_sweep(group.rank, radius)
-    if flow is None:
-        flow = lambda s, g: flow_value(fs, s, g)
-    letters = [s for letter in range(1, group.rank + 1) for s in (letter, -letter)]
+    rank = group.rank
+    check_flow_sweep(rank, radius)
+    letters = [s for letter in range(1, rank + 1) for s in (letter, -letter)]
+    edges = [-s for s in letters]
+    ray = fs.ray
+    rays = [ray] * len(letters)
     out_expect = 1
-    in_expect = 2 * group.rank - 1
+    in_expect = 2 * rank - 1
     bad: dict[Element, tuple[int, int]] = {}
-    for h in reduced_words(group.rank, 2 * radius):
+    for h in reduced_words(rank, 2 * radius):
         first = h[0] if h else 0
-        outgoing = sum(flow(s, h) for s in letters)
-        incoming = sum(flow(-s, h[1:] if s == first else (-s,) + h) for s in letters)
+        points = [h[1:] if s == first else (-s,) + h for s in letters]
+        if flow is None:
+            outgoing = letters.count(ray_first_letter(h, ray))
+            incoming = sum(map(eq, map(ray_first_letter, points, rays), edges))
+        else:
+            outgoing = sum(flow(s, h) for s in letters)
+            incoming = sum(map(flow, edges, points))
         if outgoing != out_expect or incoming != in_expect:
             bad[h] = (outgoing, incoming)
-    ball = group.ball(radius)
     failures = []
     if bad:
+        ball = group.ball(radius)
         for k in ball:
             ki = group.inv(k)
             for g in ball:
@@ -212,7 +232,7 @@ def verify_flow_cycle(
     return FlowVerification(
         fs=fs,
         radius=radius,
-        points_checked=len(ball) ** 2,
+        points_checked=free_ball_size(rank, radius, MAX_FLOW_WORDS) ** 2,
         outgoing_constant=out_expect,
         incoming_constant=in_expect,
         boundary_constant=in_expect - out_expect,

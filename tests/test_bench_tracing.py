@@ -26,12 +26,24 @@ def test_tracer_installs_and_restores():
 
 
 def test_sweep_calls_the_traced_oracle():
-    # 2 rank letters x 2 sides (outgoing, incoming) x |B_2| words
+    # a caller oracle that looks flow_value up at call time meets the tracer's
+    # wrapper: 2 rank letters x 2 sides (outgoing, incoming) x |B_2| words
+    tracer = load_tracing().Tracer()
+    fs = witnesses.FlowCycleSpec(free_group(2), 1)
+    with tracer.installed():
+        report = witnesses.verify_flow_cycle(fs, 1, flow=lambda s, g: witnesses.flow_value(fs, s, g))
+    assert report.passed
+    assert tracer.counts["witnesses.oracle_calls"] == 8 * 17
+    assert tracer.counts["witnesses.pairs_checked"] == 5 * 5
+
+
+def test_default_sweep_calls_no_oracle():
+    # the default route reads ray_first_letter directly, never flow_value
     tracer = load_tracing().Tracer()
     with tracer.installed():
         report = witnesses.verify_flow_cycle(witnesses.FlowCycleSpec(free_group(2), 1), 1)
     assert report.passed
-    assert tracer.counts["witnesses.oracle_calls"] == 8 * 17
+    assert tracer.counts["witnesses.oracle_calls"] == 0
     assert tracer.counts["witnesses.pairs_checked"] == 5 * 5
 
 

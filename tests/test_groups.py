@@ -86,6 +86,22 @@ class TestMultiply:
             v = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 6)))
             assert f2.mul(naive_reduce(u), naive_reduce(v)) == naive_reduce(u + v)
 
+    def test_ball_three_products_match_naive_reduction(self, f2):
+        # every pair of reduced words of length <= 3: the junction-only
+        # cancellation against the rescanning oracle
+        ball = f2.ball(3)
+        for u in ball:
+            for v in ball:
+                assert f2.mul(u, v) == naive_reduce(u + v)
+
+    @pytest.mark.parametrize("word", ["a*b*b^-1*a^-1", "a^2*a^-2", "b*a*a^-1*b^-1*a^3*a^-3"])
+    def test_unreduced_strings_parse_to_identity(self, f2, word):
+        assert f2.elem_from_str(word) == f2.identity
+
+    def test_unreduced_string_reduces_inside(self, f2):
+        # cancellation away from any junction still happens in parsing
+        assert f2.elem_from_str("a*b*b^-1*a") == (1, 1)
+
     def test_family_mismatch_rejected(self, f2, z2):
         with pytest.raises(ValueError):
             f2.check((1, 0, 0))

@@ -1,10 +1,13 @@
 """The free-group flow-cycle witness and its certificates."""
 
+import functools
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from amencert import witnesses
+from amencert.functions import ray_first_letter
 from amencert.groups import MAX_RANK, FreeGroup, free_abelian_group, free_group
 from amencert.witnesses import (
     FlowCycleSpec,
@@ -275,6 +278,60 @@ class TestOracleWords:
                 expected[s, h] += 1
                 expected[-s, group.mul((-s,), h)] += 1
         assert calls == expected
+
+
+class TestDefaultRoute:
+    """Without `flow`, the sweep reads ray_first_letter directly."""
+
+    @pytest.mark.parametrize(
+        "rank, radius", [(1, r) for r in range(21)] + [(rank, r) for rank in (2, 3) for r in range(4)]
+    )
+    def test_matches_the_flow_value_oracle(self, rank, radius):
+        group = free_group(rank)
+        for ray in range(1, rank + 1):
+            fs = FlowCycleSpec(group, ray)
+            expected = verify_flow_cycle(fs, radius, flow=functools.partial(flow_value, fs))
+            assert verify_flow_cycle(fs, radius).to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("word, wrong", [("b*a^-1", 1), ("b*a^-1", -2), ("a*b", 0)])
+    def test_wrong_head_is_caught(self, monkeypatch, rank, word, wrong):
+        group = free_group(rank)
+        fs = FlowCycleSpec(group, 1)
+        bad_point = group.elem_from_str(word)
+
+        def perturbed_head(g, ray):
+            return wrong if g == bad_point else ray_first_letter(g, ray)
+
+        def perturbed_flow(s, g):
+            return 1 if perturbed_head(g, fs.ray) == s else 0
+
+        expected = pair_loop_report(fs, 2, perturbed_flow)
+        monkeypatch.setattr(witnesses, "ray_first_letter", perturbed_head)
+        report = verify_flow_cycle(fs, 2)
+        assert expected.failures and report.failures == expected.failures
+        assert report.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_one_head_per_word_and_incoming_point(self, monkeypatch, rank, radius):
+        # (2 rank + 1) |B_2r| evaluations: no point of the sweep is skipped
+        calls = Counter()
+
+        def counted(g, ray):
+            calls[g] += 1
+            return ray_first_letter(g, ray)
+
+        monkeypatch.setattr(witnesses, "ray_first_letter", counted)
+        assert verify_flow_cycle(FlowCycleSpec(free_group(rank), 1), radius).passed
+        assert sum(calls.values()) == (2 * rank + 1) * check_flow_sweep(rank, radius)
+
+    def test_ball_is_built_only_for_failures(self, f2):
+        fs = FlowCycleSpec(f2, 1)
+        assert verify_flow_cycle(fs, 3).points_checked == 53**2
+        assert len(f2._levels) == 1
+        assert verify_flow_cycle(fs, 2, flow=flipped_at(fs, 2, "a*b")).failures
+        assert len(f2._levels) == 3
 
 
 class TestReducedWords:
