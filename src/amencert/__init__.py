@@ -17,8 +17,6 @@ from .groups import (
     GroupSpec,
     cyclic_group,
     cyclic_table,
-    free_abelian_group,
-    free_group,
     group_from_dict,
     load_group,
 )

@@ -35,7 +35,7 @@ from .complexes import (
     one_cochain,
 )
 from .functions import FinSuppFn, frac_str, parse_frac
-from .groups import FiniteGroup, FreeGroup, free_group, group_from_dict, json_field, load_group, load_json
+from .groups import FiniteGroup, FreeGroup, group_from_dict, json_field, load_group, load_json
 from .pairing import make_pairing_certificate
 from .sampling import (
     random_element,
@@ -95,7 +95,7 @@ def _load_pair_input(path: str, what: str, builtins: dict, from_json):
 
 def cmd_verify_f2(args) -> int:
     check_flow_sweep(args.rank, args.radius)
-    group = free_group(args.rank)
+    group = FreeGroup(args.rank)
     if args.ray not in group.gen_labels:
         raise ValueError(f"ray {args.ray!r} is not a generator of the rank-{args.rank} group")
     fs = FlowCycleSpec(group, group.gen_labels.index(args.ray) + 1)
@@ -160,7 +160,7 @@ def cmd_finite_h0(args) -> int:
 
 
 def cmd_iso_min(args) -> int:
-    group = load_group(args.group) if args.group else free_group(2)
+    group = load_group(args.group) if args.group else FreeGroup(2)
     ratio, members = isoperimetric_argmin(group, args.radius)
     ball = group.ball(args.radius)
     payload = {
@@ -178,13 +178,13 @@ def cmd_iso_min(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Seeded randomized property checks across the whole library."""
-    from .groups import cyclic_group, free_abelian_group
+    from .groups import FreeAbelianGroup, cyclic_group
     from .pairing import adjointness_check
     from .complexes import deflate, inflate
 
     rng = random.Random(args.seed)
     trials = max(1, args.trials)
-    specs = [free_group(2), free_abelian_group(2), cyclic_group(3)]
+    specs = [FreeGroup(2), FreeAbelianGroup(2), cyclic_group(3)]
     checks = []
 
     def run(name, fn):

@@ -15,6 +15,13 @@ Four complexes share this module:
 * the inflation isomorphism between uniformly finite chains and bounded
   equivariant chains, in both directions.
 
+Values are checked where they enter: the public constructors and
+`from_json` check every degree, key, value and diameter bound. Internal
+operations (boundaries, sums, negation, inflation) build their results
+through the private `_raw` constructors, each with the reason no check
+can fail there. `_read` and `_write` own the chain and cochain file
+format.
+
 An equivariant degree-m chain is recovered from its slice by
 c(g0,...,gm) = g0 . slice(g0^-1 g1, ..., g0^-1 gm).
 """
@@ -22,7 +29,7 @@ c(g0,...,gm) = g0 . slice(g0^-1 g1, ..., g0^-1 gm).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .groups import GroupSpec, group_from_dict, json_check, json_field, json_pairs
 from .functions import (
@@ -30,6 +37,7 @@ from .functions import (
     ConstPlusFinite,
     FinSuppFn,
     Rational,
+    _add_terms,
     bounded_from_json,
     delta,
     frac,
@@ -56,6 +64,30 @@ def _key_sort(group: GroupSpec, key: tuple):
     return tuple(group.sort_key(g) for g in key)
 
 
+def _check_degree(degree, what: str) -> None:
+    json_check(degree, int, f"{what} degree")
+    if degree < 0:
+        raise ValueError(f"{what} degree must be >= 0")
+
+
+def _slice_map(group: GroupSpec, degree: int, entries, value_type: type, bad_type: str, bad_group: str, what: str):
+    """The checked dict of entries: `degree`-tuple keys of group elements,
+    value_type values over group, zero values dropped, duplicate keys refused."""
+    items = entries.items() if isinstance(entries, Mapping) else entries
+    out: dict[tuple, object] = {}
+    for key, value in items:
+        key = _tuple_key(group, key, degree)
+        if not isinstance(value, value_type):
+            raise ValueError(bad_type)
+        if value.group != group:
+            raise ValueError(bad_group)
+        if value:
+            if key in out:
+                raise ValueError(f"duplicate {what} key {key!r}")
+            out[key] = value
+    return out
+
+
 def _read(data, what: str, read_value) -> tuple[GroupSpec, int, list]:
     """(group, degree, entries) of a chain or cochain file; read_value(group, value) reads each value."""
     group = group_from_dict(json_field(data, "group", dict, what))
@@ -65,6 +97,19 @@ def _read(data, what: str, read_value) -> tuple[GroupSpec, int, list]:
         key = tuple(map(group.elem_from_json, json_check(key, list, f"{what} key")))
         entries.append((key, read_value(group, value)))
     return group, degree, entries
+
+
+def _write(group: GroupSpec, degree: int, fields: dict, entries: Mapping, write_value) -> dict:
+    """The file form read by `_read`: group, degree, fields, then entries in canonical key order."""
+    return {
+        "group": group.to_dict(),
+        "degree": degree,
+        **fields,
+        "entries": [
+            [[group.elem_to_json(g) for g in key], write_value(entries[key])]
+            for key in sorted(entries, key=lambda k: _key_sort(group, k))
+        ],
+    }
 
 
 def _read_l1(group: GroupSpec, value) -> FinSuppFn:
@@ -79,31 +124,17 @@ class EquivariantChain:
     __slots__ = ("group", "degree", "kind", "slice")
 
     def __init__(self, group: GroupSpec, degree: int, kind: str, entries: Mapping | Iterable = ()):
-        if degree < 0:
-            raise ValueError("chain degree must be >= 0")
+        _check_degree(degree, "chain")
         if kind not in (KIND_L1, KIND_LINF):
             raise ValueError(f"unknown chain kind {kind!r}")
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        slice_map: dict[tuple, object] = {}
-        for key, value in items:
-            key = _tuple_key(group, key, degree)
-            if kind == KIND_L1:
-                if not isinstance(value, FinSuppFn):
-                    raise ValueError("l1 chains take FinSuppFn values")
-            else:
-                if not isinstance(value, BoundedFn):
-                    raise ValueError("linf chains take BoundedFn values")
-            if value.group != group:
-                raise ValueError("chain value over the wrong group")
-            if value.is_zero:
-                continue
-            if key in slice_map:
-                raise ValueError(f"duplicate slice key {key!r}")
-            slice_map[key] = value
+        value_type = FinSuppFn if kind == KIND_L1 else BoundedFn
         self.group = group
         self.degree = degree
         self.kind = kind
-        self.slice = slice_map
+        self.slice = _slice_map(
+            group, degree, entries, value_type,
+            f"{kind} chains take {value_type.__name__} values", "chain value over the wrong group", "slice",
+        )
 
     @classmethod
     def _raw(cls, group, degree, kind, slice_map):
@@ -135,9 +166,6 @@ class EquivariantChain:
     def is_zero(self) -> bool:
         return not self.slice
 
-    def support_keys(self) -> list[tuple]:
-        return sorted(self.slice, key=lambda k: _key_sort(self.group, k))
-
     def support_radius(self) -> int:
         """Largest word length appearing in a slice key (0 for degree 0)."""
         e = self.group.identity
@@ -160,22 +188,11 @@ class EquivariantChain:
             raise ValueError("boundary of a degree-0 chain is undefined")
         group = self.group
         out: dict[tuple, object] = {}
-
-        def acc(key, value):
-            if key in out:
-                out[key] = out[key] + value
-            else:
-                out[key] = value
-
         for key, value in self.slice.items():
             g1i = group.inv(key[0])
-            front_key = tuple(group.mul(g1i, g) for g in key[1:])
-            acc(front_key, value.translate(g1i))
-            sign = -1
-            for i in range(self.degree):
-                acc(key[:i] + key[i + 1 :], value if sign > 0 else -value)
-                sign = -sign
-        out = {k: v for k, v in out.items() if not v.is_zero}
+            _add_terms(out, [(tuple(group.mul(g1i, g) for g in key[1:]), value.translate(g1i))])
+            neg = -value
+            _add_terms(out, ((key[:i] + key[i + 1 :], value if i % 2 else neg) for i in range(self.degree)))
         return EquivariantChain._raw(group, self.degree - 1, self.kind, out)
 
     def __add__(self, other: "EquivariantChain") -> "EquivariantChain":
@@ -183,14 +200,8 @@ class EquivariantChain:
             return NotImplemented
         if (self.group, self.degree, self.kind) != (other.group, other.degree, other.kind):
             raise ValueError("cannot add chains of different shape")
-        out = dict(self.slice)
-        for key, value in other.slice.items():
-            merged = out[key] + value if key in out else value
-            if merged.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = merged
-        return EquivariantChain._raw(self.group, self.degree, self.kind, out)
+        merged = _add_terms(dict(self.slice), other.slice.items())
+        return EquivariantChain._raw(self.group, self.degree, self.kind, merged)
 
     def __neg__(self):
         return EquivariantChain._raw(
@@ -223,17 +234,8 @@ class EquivariantChain:
         return f"EquivariantChain(degree={self.degree}, kind={self.kind}, entries={len(self.slice)})"
 
     def to_json(self) -> dict:
-        entries = []
-        for key in self.support_keys():
-            value = self.slice[key]
-            value_json = {"l1": value.to_pairs()} if self.kind == KIND_L1 else value.to_json()
-            entries.append([[self.group.elem_to_json(g) for g in key], value_json])
-        return {
-            "group": self.group.to_dict(),
-            "degree": self.degree,
-            "kind": self.kind,
-            "entries": entries,
-        }
+        write = (lambda v: {"l1": v.to_pairs()}) if self.kind == KIND_L1 else (lambda v: v.to_json())
+        return _write(self.group, self.degree, {"kind": self.kind}, self.slice, write)
 
     @classmethod
     def from_json(cls, data: dict) -> "EquivariantChain":
@@ -255,8 +257,7 @@ class BoundedCochain:
     __slots__ = ("group", "degree", "dual", "label", "_entries", "_rule")
 
     def __init__(self, group, degree, dual, *, entries=None, rule=None, label=None):
-        if degree < 0:
-            raise ValueError("cochain degree must be >= 0")
+        _check_degree(degree, "cochain")
         if dual not in (DUAL_QUOTIENT, DUAL_FULL, DUAL_SCALAR):
             raise ValueError(f"unknown dual flag {dual!r}")
         if (entries is None) == (rule is None):
@@ -266,34 +267,12 @@ class BoundedCochain:
         self.dual = dual
         self.label = label
         self._rule = rule
+        self._entries = None
         if entries is not None:
-            items = entries.items() if isinstance(entries, Mapping) else entries
-            clean = {}
-            for key, value in items:
-                key = _tuple_key(group, key, degree)
-                if not isinstance(value, FinSuppFn) or value.group != group:
-                    raise ValueError("cochain values must be FinSuppFn over the same group")
-                if value.is_zero:
-                    continue
-                if key in clean:
-                    raise ValueError(f"duplicate cochain key {key!r}")
+            bad = "cochain values must be FinSuppFn over the same group"
+            self._entries = _slice_map(group, degree, entries, FinSuppFn, bad, bad, "cochain")
+            for value in self._entries.values():
                 self._check_value(value)
-                clean[key] = value
-            self._entries = clean
-        else:
-            self._entries = None
-
-    @classmethod
-    def from_map(cls, group, degree, entries, dual=DUAL_FULL, label=None):
-        return cls(group, degree, dual, entries=entries, label=label)
-
-    @classmethod
-    def from_rule(cls, group, degree, rule: Callable[[tuple], FinSuppFn], dual=DUAL_FULL, label=None):
-        return cls(group, degree, dual, rule=rule, label=label)
-
-    @property
-    def is_map_backed(self) -> bool:
-        return self._entries is not None
 
     def _check_value(self, value: FinSuppFn) -> None:
         if self.dual == DUAL_QUOTIENT and value.coeff_sum():
@@ -312,11 +291,8 @@ class BoundedCochain:
             return NotImplemented
         if (self.group, self.degree, self.dual) != (other.group, other.degree, other.dual):
             raise ValueError("cannot add cochains of different shape")
-        return BoundedCochain.from_rule(
-            self.group,
-            self.degree,
-            lambda key: self.value_at(key) + other.value_at(key),
-            dual=self.dual,
+        return BoundedCochain(
+            self.group, self.degree, self.dual, rule=lambda key: self.value_at(key) + other.value_at(key)
         )
 
     def coboundary(self) -> "BoundedCochain":
@@ -336,7 +312,7 @@ class BoundedCochain:
             return acc
 
         label = f"coboundary({self.label})" if self.label else None
-        return BoundedCochain.from_rule(group, m + 1, rule, dual=self.dual, label=label)
+        return BoundedCochain(group, m + 1, self.dual, rule=rule, label=label)
 
     def equal_on(self, other: "BoundedCochain", keys: Iterable) -> bool:
         """Exact value equality over an explicit finite family of keys."""
@@ -345,23 +321,13 @@ class BoundedCochain:
         return all(self.value_at(k) == other.value_at(k) for k in keys)
 
     def __repr__(self):
-        backing = "map" if self.is_map_backed else "rule"
+        backing = "rule" if self._entries is None else "map"
         return f"BoundedCochain(degree={self.degree}, dual={self.dual}, backing={backing})"
 
     def to_json(self) -> dict:
         if self._entries is None:
             raise ValueError("only map-backed cochains have a serialized form")
-        entries = []
-        for key in sorted(self._entries, key=lambda k: _key_sort(self.group, k)):
-            entries.append(
-                [[self.group.elem_to_json(g) for g in key], self._entries[key].to_pairs()]
-            )
-        out = {
-            "group": self.group.to_dict(),
-            "degree": self.degree,
-            "dual": self.dual,
-            "entries": entries,
-        }
+        out = _write(self.group, self.degree, {"dual": self.dual}, self._entries, FinSuppFn.to_pairs)
         if self.label:
             out["label"] = self.label
         return out
@@ -371,7 +337,7 @@ class BoundedCochain:
         group, degree, entries = _read(data, "cochain", FinSuppFn.from_pairs)
         dual = json_field(data, "dual", str, "cochain", DUAL_FULL)
         label = json_field(data, "label", str, "cochain", None)
-        return cls.from_map(group, degree, entries, dual=dual, label=label)
+        return cls(group, degree, dual, entries=entries, label=label)
 
 
 class UfChain:
@@ -381,23 +347,14 @@ class UfChain:
     __slots__ = ("group", "degree", "coeffs", "diameter_bound")
 
     def __init__(self, group, degree, coeffs: Mapping | Iterable = (), diameter_bound: int | None = None):
-        if degree < 0:
-            raise ValueError("chain degree must be >= 0")
+        _check_degree(degree, "chain")
+        if diameter_bound is not None and (type(diameter_bound) is not int or diameter_bound < 0):
+            raise ValueError(f"diameter bound must be an integer >= 0, got {diameter_bound!r}")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean: dict[tuple, Fraction] = {}
-        for key, c in items:
-            key = _tuple_key(group, key, degree + 1)
-            c = frac(c)
-            if not c:
-                continue
-            clean[key] = clean.get(key, Fraction(0)) + c
-            if not clean[key]:
-                del clean[key]
-        realized = 0
-        for key in clean:
-            for i, a in enumerate(key):
-                for b in key[i + 1 :]:
-                    realized = max(realized, group.dist(a, b))
+        clean = _add_terms({}, ((_tuple_key(group, key, degree + 1), frac(c)) for key, c in items))
+        realized = max(
+            (group.dist(a, b) for key in clean for i, a in enumerate(key) for b in key[i + 1 :]), default=0
+        )
         if diameter_bound is None:
             diameter_bound = realized
         elif realized > diameter_bound:
@@ -409,55 +366,50 @@ class UfChain:
         self.coeffs = clean
         self.diameter_bound = diameter_bound
 
+    @classmethod
+    def _raw(cls, group, degree, coeffs, diameter_bound):
+        """A chain from parts that are already valid: `degree + 1`-tuple keys of
+        group elements, nonzero Fraction coefficients, support diameter at
+        most diameter_bound."""
+        obj = object.__new__(cls)
+        obj.group = group
+        obj.degree = degree
+        obj.coeffs = coeffs
+        obj.diameter_bound = diameter_bound
+        return obj
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def boundary(self) -> "UfChain":
+        """Face-deletion boundary, built unchecked under the same bound.
+
+        A face drops one coordinate of a tuple, so its pairwise distances
+        are some of the tuple's: a face of a tuple of diameter <= K has
+        diameter <= K. Its coordinates are already group elements, and
+        `_add_terms` keeps only nonzero sums.
+        """
         if self.degree == 0:
             raise ValueError("boundary of a degree-0 chain is undefined")
         out: dict[tuple, Fraction] = {}
         for key, c in self.coeffs.items():
-            sign = 1
-            for i in range(self.degree + 1):
-                face = key[:i] + key[i + 1 :]
-                s = out.get(face, Fraction(0)) + (c if sign > 0 else -c)
-                if s:
-                    out[face] = s
-                else:
-                    out.pop(face, None)
-                sign = -sign
-        return UfChain(self.group, self.degree - 1, out, diameter_bound=self.diameter_bound)
-
-    def support_keys(self) -> list[tuple]:
-        return sorted(self.coeffs, key=lambda k: _key_sort(self.group, k))
+            _add_terms(out, ((key[:i] + key[i + 1 :], -c if i % 2 else c) for i in range(self.degree + 1)))
+        return UfChain._raw(self.group, self.degree - 1, out, self.diameter_bound)
 
     def __add__(self, other: "UfChain") -> "UfChain":
+        """Built unchecked: a sum is supported on the union of the two
+        supports, so the larger of the two bounds holds for it."""
         if not isinstance(other, UfChain):
             return NotImplemented
         if (self.group, self.degree) != (other.group, other.degree):
             raise ValueError("cannot add chains of different shape")
-        merged = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = merged.get(key, Fraction(0)) + c
-            if s:
-                merged[key] = s
-            else:
-                merged.pop(key, None)
-        return UfChain(
-            self.group,
-            self.degree,
-            merged,
-            diameter_bound=max(self.diameter_bound, other.diameter_bound),
-        )
+        merged = _add_terms(dict(self.coeffs), other.coeffs.items())
+        return UfChain._raw(self.group, self.degree, merged, max(self.diameter_bound, other.diameter_bound))
 
     def __neg__(self):
-        return UfChain(
-            self.group,
-            self.degree,
-            {k: -c for k, c in self.coeffs.items()},
-            diameter_bound=self.diameter_bound,
-        )
+        """Built unchecked: negation keeps the support and every coefficient nonzero."""
+        return UfChain._raw(self.group, self.degree, {k: -c for k, c in self.coeffs.items()}, self.diameter_bound)
 
     def __sub__(self, other):
         return self + (-other)
@@ -475,15 +427,7 @@ class UfChain:
         return f"UfChain(degree={self.degree}, entries={len(self.coeffs)}, K={self.diameter_bound})"
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group.to_dict(),
-            "degree": self.degree,
-            "diameter-bound": self.diameter_bound,
-            "entries": [
-                [[self.group.elem_to_json(g) for g in key], frac_str(self.coeffs[key])]
-                for key in self.support_keys()
-            ],
-        }
+        return _write(self.group, self.degree, {"diameter-bound": self.diameter_bound}, self.coeffs, frac_str)
 
     @classmethod
     def from_json(cls, data: dict) -> "UfChain":
@@ -499,7 +443,11 @@ def inflate(phi: UfChain) -> EquivariantChain:
     """Equivariant bounded chain with slice values g -> phi(g^-1 . tuple).
 
     Each supported tuple t lands in the orbit of (e, t0^-1 t1, ...); its
-    coefficient appears in that slice value as a delta at t0^-1.
+    coefficient appears in that slice value as a delta at t0^-1. The result
+    is built unchecked: every key and point is made by group operations
+    from phi's checked keys, and t = t0 . (e, orbit key) is fixed by t0 and
+    its orbit key, so each delta point is written once with its nonzero
+    coefficient and no slice value is zero.
     """
     group = phi.group
     builders: dict[tuple, dict] = {}
@@ -508,13 +456,17 @@ def inflate(phi: UfChain) -> EquivariantChain:
         orbit_key = tuple(group.mul(t0i, g) for g in key[1:])
         builders.setdefault(orbit_key, {})[t0i] = c
     entries = {
-        key: ConstPlusFinite(group, 0, FinSuppFn(group, coeffs)) for key, coeffs in builders.items()
+        key: ConstPlusFinite(group, 0, FinSuppFn._raw(group, coeffs)) for key, coeffs in builders.items()
     }
-    return EquivariantChain(group, phi.degree, KIND_LINF, entries)
+    return EquivariantChain._raw(group, phi.degree, KIND_LINF, entries)
 
 
 def deflate(chain: EquivariantChain) -> UfChain:
-    """Inverse of `inflate`; requires slice values with a zero constant part."""
+    """Inverse of `inflate`; requires slice values with a zero constant part.
+
+    Built through the constructor, which computes the realised support
+    diameter that becomes the chain's bound.
+    """
     if chain.kind != KIND_LINF:
         raise ValueError("deflate expects a bounded-coefficient chain")
     group = chain.group
@@ -536,7 +488,7 @@ def johnson_cocycle(group: GroupSpec) -> BoundedCochain:
     def rule(key: tuple) -> FinSuppFn:
         return delta(group, key[0]) - delta(group, e)
 
-    return BoundedCochain.from_rule(group, 1, rule, dual=DUAL_QUOTIENT, label="johnson-cocycle")
+    return BoundedCochain(group, 1, DUAL_QUOTIENT, rule=rule, label="johnson-cocycle")
 
 
 def fundamental_cycle(group: GroupSpec) -> EquivariantChain:
@@ -551,16 +503,12 @@ def one_lift_cochain(group: GroupSpec) -> BoundedCochain:
     functionals; its coboundary has the same values as the degree-1
     quotient-dual cocycle above.
     """
-    return BoundedCochain.from_map(
-        group, 0, {(): delta(group, group.identity)}, dual=DUAL_FULL, label="one-lift"
-    )
+    return BoundedCochain(group, 0, DUAL_FULL, entries={(): delta(group, group.identity)}, label="one-lift")
 
 
 def one_cochain(group: GroupSpec) -> BoundedCochain:
     """The constant-one scalar cochain, represented through its canonical lift."""
-    return BoundedCochain.from_map(
-        group, 0, {(): delta(group, group.identity)}, dual=DUAL_SCALAR, label="one"
-    )
+    return BoundedCochain(group, 0, DUAL_SCALAR, entries={(): delta(group, group.identity)}, label="one")
 
 
 def one_l1_cycle(group: GroupSpec) -> EquivariantChain:

@@ -67,6 +67,26 @@ def parse_frac(s: str) -> Fraction:
     return q
 
 
+def _add_terms(out: dict, terms: Iterable) -> dict:
+    """out, with each (key, value) of terms added into it; a key whose sum reaches zero is removed.
+
+    Values are rationals or functions; each is false exactly when it is zero
+    (a function by its structural `is_zero`), so a zero term adds nothing.
+    """
+    for key, value in terms:
+        old = out.get(key)
+        if old is None:
+            if value:
+                out[key] = value
+        else:
+            total = old + value
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    return out
+
+
 class FinSuppFn:
     """Finitely supported exact-rational function on a group.
 
@@ -78,22 +98,8 @@ class FinSuppFn:
 
     def __init__(self, group: GroupSpec, coeffs: Mapping[Element, Rational] | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean: dict[Element, Fraction] = {}
-        for g, c in items:
-            g = group.check(g)
-            if not c:
-                continue
-            old = clean.get(g)
-            if old is None:
-                clean[g] = frac(c)
-                continue
-            total = old + c
-            if total:
-                clean[g] = total
-            else:
-                del clean[g]
         self.group = group
-        self._coeffs = clean
+        self._coeffs = _add_terms({}, ((group.check(g), frac(c)) for g, c in items))
 
     @classmethod
     def _raw(cls, group: GroupSpec, coeffs: dict) -> "FinSuppFn":
@@ -120,6 +126,9 @@ class FinSuppFn:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
 
     def scaled(self) -> tuple[int, dict[Element, int]]:
         """(D, n): D the lcm of the coefficient denominators, n[h] = f(h) * D.
@@ -174,14 +183,7 @@ class FinSuppFn:
             return NotImplemented
         if self.group != other.group:
             raise ValueError("cannot add functions over different groups")
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return FinSuppFn._raw(self.group, out)
+        return FinSuppFn._raw(self.group, _add_terms(dict(self._coeffs), other._coeffs.items()))
 
     def __neg__(self) -> "FinSuppFn":
         return FinSuppFn._raw(self.group, {k: -c for k, c in self._coeffs.items()})
@@ -256,6 +258,9 @@ class BoundedFn:
     def is_zero(self) -> bool:
         """Structural zero test; False does not prove the function nonzero."""
         return False
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
 
     def __add__(self, other: "BoundedFn") -> "BoundedFn":
         if not isinstance(other, BoundedFn):

@@ -54,6 +54,16 @@ def _check_labels(labels: Sequence[str], count: int) -> tuple[str, ...]:
     return labels
 
 
+def _check_rank(rank: int, what: str) -> int:
+    """rank itself when it is an int (not a bool) in 1..MAX_RANK."""
+    json_check(rank, int, f"{what} rank")
+    if rank < 1:
+        raise ValueError(f"{what} rank must be >= 1")
+    if rank > MAX_RANK:
+        raise ValueError(f"{what} rank {rank} is above the cap of {MAX_RANK}")
+    return rank
+
+
 def _default_labels(rank: int) -> tuple[str, ...]:
     if rank <= 26:
         return tuple(chr(ord("a") + i) for i in range(rank))
@@ -194,11 +204,7 @@ class FreeGroup(GroupSpec):
     family = "free"
 
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
-        if rank < 1:
-            raise ValueError("free group rank must be >= 1")
-        if rank > MAX_RANK:
-            raise ValueError(f"free group rank {rank} is above the cap of {MAX_RANK}")
-        self.rank = rank
+        self.rank = _check_rank(rank, "free group")
         self.gen_labels = _check_labels(_default_labels(rank) if labels is None else labels, rank)
         self._label_index = {lab: i for i, lab in enumerate(self.gen_labels)}
         super().__init__()
@@ -320,11 +326,7 @@ class FreeAbelianGroup(GroupSpec):
     family = "free-abelian"
 
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
-        if rank < 1:
-            raise ValueError("free-abelian rank must be >= 1")
-        if rank > MAX_RANK:
-            raise ValueError(f"free-abelian rank {rank} is above the cap of {MAX_RANK}")
-        self.rank = rank
+        self.rank = _check_rank(rank, "free-abelian")
         self.gen_labels = _check_labels(_default_labels(rank) if labels is None else labels, rank)
         super().__init__()
 
@@ -554,14 +556,6 @@ def free_ball_size(rank: int, radius: int, cap: int) -> int:
             break
         level *= 2 * rank - 1
     return total
-
-
-def free_group(rank: int, labels: Sequence[str] | None = None) -> FreeGroup:
-    return FreeGroup(rank, labels)
-
-
-def free_abelian_group(rank: int, labels: Sequence[str] | None = None) -> FreeAbelianGroup:
-    return FreeAbelianGroup(rank, labels)
 
 
 def cyclic_table(n: int) -> list[list[int]]:

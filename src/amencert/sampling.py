@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .complexes import KIND_L1, KIND_LINF, BoundedCochain, EquivariantChain, UfChain
+from .complexes import DUAL_FULL, KIND_L1, KIND_LINF, BoundedCochain, EquivariantChain, UfChain
 from .functions import BoundedFn, ConstPlusFinite, FinSuppFn
 from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec
 
@@ -80,7 +80,7 @@ def random_cochain(
     entries = {}
     for _ in range(rng.randint(1, max_entries)):
         entries[random_tuple(rng, group, degree, max_len)] = random_finsupp(rng, group, max_len=max_len)
-    return BoundedCochain.from_map(group, degree, entries)
+    return BoundedCochain(group, degree, DUAL_FULL, entries=entries)
 
 
 def random_uf_chain(

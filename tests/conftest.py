@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from amencert.groups import FiniteGroup, cyclic_group, free_abelian_group, free_group
+from amencert.groups import FiniteGroup, FreeAbelianGroup, FreeGroup, cyclic_group
 
 
 def symmetric_table(n):
@@ -43,12 +43,12 @@ def rng():
 
 @pytest.fixture
 def f2():
-    return free_group(2)
+    return FreeGroup(2)
 
 
 @pytest.fixture
 def z2():
-    return free_abelian_group(2)
+    return FreeAbelianGroup(2)
 
 
 @pytest.fixture

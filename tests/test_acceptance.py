@@ -20,7 +20,7 @@ from amencert.amenability import (
 )
 from amencert.cli import main
 from amencert.complexes import connecting_lift_check, deflate, inflate
-from amencert.groups import cyclic_group, free_abelian_group, free_group
+from amencert.groups import FreeAbelianGroup, FreeGroup, cyclic_group
 from amencert.pairing import adjointness_values
 from amencert.sampling import (
     random_cochain,
@@ -38,7 +38,7 @@ def report(number, name, ok):
 
 
 def spec_groups():
-    return [free_group(2), free_abelian_group(2), cyclic_group(3)]
+    return [FreeGroup(2), FreeAbelianGroup(2), cyclic_group(3)]
 
 
 def test_criterion_1_f2_witness(capsys):
@@ -64,8 +64,8 @@ def test_criterion_1_f2_witness(capsys):
 
 def test_criterion_2_connecting_map():
     results = {
-        "free(2)": connecting_lift_check(free_group(2), radius=3),
-        "free-abelian(2)": connecting_lift_check(free_abelian_group(2), radius=3),
+        "free(2)": connecting_lift_check(FreeGroup(2), radius=3),
+        "free-abelian(2)": connecting_lift_check(FreeAbelianGroup(2), radius=3),
         "Z/3": connecting_lift_check(cyclic_group(3), radius=3),
     }
     report(2, f"coboundary of the delta lift equals the degree-1 cocycle on ball(3) slices {results}", all(results.values()))
@@ -126,7 +126,7 @@ def test_criterion_5_inflation():
 
 
 def test_criterion_6_amenable_side():
-    z2 = free_abelian_group(2)
+    z2 = FreeAbelianGroup(2)
     cert = folner_search(z2, Fraction(1, 10), strategy="boxes", max_radius=100)
     folner_ok = (
         isinstance(cert, FolnerCertificate)
@@ -153,7 +153,7 @@ def test_criterion_6_amenable_side():
 
 
 def test_criterion_7_isoperimetric_brute_force():
-    f2 = free_group(2)
+    f2 = FreeGroup(2)
     start = time.perf_counter()
     minimum, _ = isoperimetric_argmin(f2, 2)
     elapsed = time.perf_counter() - start
@@ -162,7 +162,7 @@ def test_criterion_7_isoperimetric_brute_force():
 
 
 def test_criterion_8_negative_control():
-    f2 = free_group(2)
+    f2 = FreeGroup(2)
     fs = FlowCycleSpec(f2, 1)
     bad_point = f2.elem_from_str("b*a^-1")
 

@@ -21,7 +21,7 @@ from amencert.amenability import (
     reiter_report,
 )
 from amencert.functions import FinSuppFn
-from amencert.groups import FiniteGroup, cyclic_group, cyclic_table, free_abelian_group, free_group
+from amencert.groups import FiniteGroup, FreeAbelianGroup, FreeGroup, cyclic_group, cyclic_table
 from amencert.sampling import random_element, random_finsupp
 from conftest import dihedral_table, s3_group, symmetric_table
 
@@ -182,11 +182,11 @@ class TestFolnerSearch:
 
         monkeypatch.setattr(amenability, "_box", no_box)
         with pytest.raises(ValueError, match="cap"):
-            folner_search(free_abelian_group(4), Fraction(1, 2), strategy="boxes", max_radius=100)
+            folner_search(FreeAbelianGroup(4), Fraction(1, 2), strategy="boxes", max_radius=100)
         # the cap is inclusive: 100^3 = MAX_FOLNER_ELEMS passes the guard and reaches _box
         assert 100**3 == amenability.MAX_FOLNER_ELEMS
         with pytest.raises(AssertionError, match="a box was built"):
-            folner_search(free_abelian_group(3), Fraction(1, 2), strategy="boxes", max_radius=100)
+            folner_search(FreeAbelianGroup(3), Fraction(1, 2), strategy="boxes", max_radius=100)
 
 
     def test_ball_cap_fires_before_building(self, monkeypatch):
@@ -195,7 +195,7 @@ class TestFolnerSearch:
 
         monkeypatch.setattr(groups.GroupSpec, "ball", no_ball)
         # |B_11| = 354293 in F_2 and |B_8| = 585937 in F_3 pass the cap; one more radius does not
-        for group, largest in ((free_group(2), 11), (free_group(3), 8)):
+        for group, largest in ((FreeGroup(2), 11), (FreeGroup(3), 8)):
             with pytest.raises(ValueError, match="cap"):
                 folner_search(group, Fraction(1, 10), max_radius=largest + 1)
             # every free ball is ruled out by its closed-form ratio, so none is built
@@ -203,11 +203,11 @@ class TestFolnerSearch:
             assert isinstance(result, FolnerFailure)
             assert result.max_parameter == largest
         with pytest.raises(ValueError, match="cap"):
-            folner_search(free_abelian_group(64), Fraction(1, 10), max_radius=10)
+            folner_search(FreeAbelianGroup(64), Fraction(1, 10), max_radius=10)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_box_closed_form_matches_count(self, rank):
-        group = free_abelian_group(rank)
+        group = FreeAbelianGroup(rank)
         closed_form = amenability._closed_form(group, "boxes")
         for side in range(1, 13):
             cert = folner_certificate_from_set(group, box(group, side))
@@ -218,7 +218,7 @@ class TestFolnerSearch:
     # the whole word.
     @pytest.mark.parametrize("rank, largest", [(1, 100), (2, 7), (3, 5)])
     def test_free_ball_closed_form_matches_count(self, rank, largest):
-        group = free_group(rank)
+        group = FreeGroup(rank)
         closed_form = amenability._closed_form(group, "balls")
         for r in range(largest + 1):
             cert = folner_certificate_from_set(group, group.ball(r))
@@ -324,10 +324,10 @@ class TestIsoperimetricMin:
 
     def test_matches_shifted_table_oracle(self):
         d8 = FiniteGroup(dihedral_table(8), generators=(1, 8))
-        cases = [(free_group(2), r) for r in (0, 1, 2)]
-        cases += [(free_group(3), r) for r in (0, 1)]
-        cases += [(free_abelian_group(2), r) for r in (0, 1, 2)]
-        cases += [(free_abelian_group(3), 1)]
+        cases = [(FreeGroup(2), r) for r in (0, 1, 2)]
+        cases += [(FreeGroup(3), r) for r in (0, 1)]
+        cases += [(FreeAbelianGroup(2), r) for r in (0, 1, 2)]
+        cases += [(FreeAbelianGroup(3), 1)]
         cases += [(d8, r) for r in range(6)]
         z6 = FiniteGroup(cyclic_table(6), generators=(1, 3))  # 3 is its own inverse
         cases += [(z6, r) for r in range(4)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from amencert import amenability, pairing, witnesses
-from amencert.groups import free_abelian_group, free_group
+from amencert.groups import FreeAbelianGroup, FreeGroup
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -29,7 +29,7 @@ def test_sweep_calls_the_traced_oracle():
     # a caller oracle that looks flow_value up at call time meets the tracer's
     # wrapper: 2 rank letters x 2 sides (outgoing, incoming) x |B_2| words
     tracer = load_tracing().Tracer()
-    fs = witnesses.FlowCycleSpec(free_group(2), 1)
+    fs = witnesses.FlowCycleSpec(FreeGroup(2), 1)
     with tracer.installed():
         report = witnesses.verify_flow_cycle(fs, 1, flow=lambda s, g: witnesses.flow_value(fs, s, g))
     assert report.passed
@@ -41,7 +41,7 @@ def test_default_sweep_calls_no_oracle():
     # the default route reads ray_first_letter directly, never flow_value
     tracer = load_tracing().Tracer()
     with tracer.installed():
-        report = witnesses.verify_flow_cycle(witnesses.FlowCycleSpec(free_group(2), 1), 1)
+        report = witnesses.verify_flow_cycle(witnesses.FlowCycleSpec(FreeGroup(2), 1), 1)
     assert report.passed
     assert tracer.counts["witnesses.oracle_calls"] == 0
     assert tracer.counts["witnesses.pairs_checked"] == 5 * 5
@@ -52,7 +52,7 @@ def test_box_search_counts_every_candidate():
     # 1..31 are ruled out by that closed form, and only side 32 is counted
     tracer = load_tracing().Tracer()
     with tracer.installed():
-        cert = amenability.folner_search(free_abelian_group(2), Fraction(1, 4), strategy="boxes", max_radius=40)
+        cert = amenability.folner_search(FreeAbelianGroup(2), Fraction(1, 4), strategy="boxes", max_radius=40)
     assert cert.parameter == 32
     assert tracer.counts["amenability.candidates"] == 1
     assert tracer.counts["amenability.candidate_elems"] == 32 * 32

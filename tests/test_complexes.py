@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from amencert.complexes import (
+    DUAL_FULL,
     DUAL_QUOTIENT,
     KIND_L1,
     KIND_LINF,
@@ -19,7 +20,7 @@ from amencert.complexes import (
     one_lift_cochain,
 )
 from amencert.functions import ConstPlusFinite, FinSuppFn, delta
-from amencert.groups import free_abelian_group
+from amencert.groups import FreeAbelianGroup
 from amencert.sampling import (
     random_cochain,
     random_element,
@@ -139,7 +140,7 @@ class TestBarCoboundary:
     def test_connecting_check(self, all_groups):
         for group in all_groups:
             assert connecting_lift_check(group)
-        assert connecting_lift_check(free_abelian_group(1))
+        assert connecting_lift_check(FreeAbelianGroup(1))
 
     def test_coboundary_squared_zero(self, all_groups, rng):
         for group in all_groups:
@@ -151,19 +152,15 @@ class TestBarCoboundary:
                     assert dd.value_at(key).is_zero
 
     def test_zero_cochain(self, f2, rng):
-        zero = BoundedCochain.from_map(f2, 1, {})
+        zero = BoundedCochain(f2, 1, DUAL_FULL, entries={})
         d = zero.coboundary()
         for _ in range(5):
             assert d.value_at(random_tuple(rng, f2, 2)).is_zero
 
     def test_quotient_dual_validation(self, f2):
         with pytest.raises(ValueError):
-            BoundedCochain.from_map(
-                f2, 0, {(): delta(f2, f2.identity)}, dual=DUAL_QUOTIENT
-            )
-        bad = BoundedCochain.from_rule(
-            f2, 0, lambda key: delta(f2, f2.identity), dual=DUAL_QUOTIENT
-        )
+            BoundedCochain(f2, 0, DUAL_QUOTIENT, entries={(): delta(f2, f2.identity)})
+        bad = BoundedCochain(f2, 0, DUAL_QUOTIENT, rule=lambda key: delta(f2, f2.identity))
         with pytest.raises(ValueError):
             bad.value_at(())
 
@@ -307,3 +304,25 @@ class TestChainValidation:
     def test_zero_values_dropped(self, f2):
         chain = EquivariantChain(f2, 1, KIND_L1, {(f2.gen(0),): FinSuppFn.zero(f2)})
         assert chain.is_zero
+
+    # a degree or bound that from_json would refuse is refused by the constructor too
+    @pytest.mark.parametrize("degree", [True, 1.0, "1", None])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda f2, degree: EquivariantChain(f2, degree, KIND_L1),
+            lambda f2, degree: BoundedCochain(f2, degree, DUAL_FULL, entries={}),
+            lambda f2, degree: UfChain(f2, degree),
+        ],
+        ids=["chain", "cochain", "uf-chain"],
+    )
+    def test_degree_must_be_int(self, f2, build, degree):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            build(f2, degree)
+
+    @pytest.mark.parametrize("bound", [1.5, True, "2", -1])
+    def test_diameter_bound_must_be_nonnegative_int(self, f2, bound):
+        with pytest.raises(ValueError, match="diameter bound must be an integer >= 0"):
+            UfChain(f2, 1, {(f2.identity, f2.gen(0)): 1}, diameter_bound=bound)
+        with pytest.raises(ValueError, match="diameter bound must be an integer >= 0"):
+            UfChain(f2, 1, diameter_bound=bound)

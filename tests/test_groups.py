@@ -14,8 +14,6 @@ from amencert.groups import (
     FreeGroup,
     cyclic_group,
     cyclic_table,
-    free_abelian_group,
-    free_group,
     group_from_dict,
 )
 from conftest import s3_group
@@ -166,17 +164,17 @@ class TestBall:
             f2.ball(-1)
 
     def test_ball_size_matches_enumeration(self, all_groups):
-        groups = list(all_groups) + [free_group(1), free_group(3), free_abelian_group(1), free_abelian_group(3)]
+        groups = list(all_groups) + [FreeGroup(1), FreeGroup(3), FreeAbelianGroup(1), FreeAbelianGroup(3)]
         for group in groups:
             for r in range(6):
                 assert group.ball_size(r, 10**9) == len(group.ball(r))
 
     def test_ball_size_stops_past_the_cap(self):
         # the count passes the cap and stops: no power of the radius is formed
-        assert free_group(2).ball_size(10**100, 10**6) > 10**6
-        assert free_abelian_group(64).ball_size(10**100, 10**6) > 10**6
-        assert free_group(2).ball_size(11, 10**6) == 354293
-        assert free_group(3).ball_size(8, 10**6) == 585937
+        assert FreeGroup(2).ball_size(10**100, 10**6) > 10**6
+        assert FreeAbelianGroup(64).ball_size(10**100, 10**6) > 10**6
+        assert FreeGroup(2).ball_size(11, 10**6) == 354293
+        assert FreeGroup(3).ball_size(8, 10**6) == 585937
 
 
 class TestWordMetric:
@@ -267,6 +265,13 @@ class TestCheckRejectsBools:
             with pytest.raises(ValueError):
                 z3.elem_from_json(bad)
 
+    @pytest.mark.parametrize("cls", [FreeGroup, FreeAbelianGroup])
+    @pytest.mark.parametrize("rank", [True, 2.0, "2", None])
+    def test_rank(self, cls, rank):
+        # a rank the group file reader would refuse is refused by the constructor too
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            cls(rank)
+
 
 class Unreadable:
     """A table that has a length but fails on any read of its rows."""
@@ -336,7 +341,7 @@ class TestSerialization:
             assert clone == group
             assert hash(clone) == hash(group)
             assert clone.spec_hash() == group.spec_hash()
-        free, abelian = free_group(2, ("x", "y")), free_abelian_group(2, ("x", "y"))
+        free, abelian = FreeGroup(2, ("x", "y")), FreeAbelianGroup(2, ("x", "y"))
         assert free != abelian
         assert free.spec_hash() != abelian.spec_hash()
 
@@ -353,8 +358,8 @@ class TestSerialization:
 
     def test_labels_validated(self):
         with pytest.raises(ValueError):
-            free_group(2, labels=("a", "a"))
+            FreeGroup(2, labels=("a", "a"))
         with pytest.raises(ValueError):
-            free_group(1, labels=("e",))
+            FreeGroup(1, labels=("e",))
         with pytest.raises(ValueError):
-            free_abelian_group(2, labels=("x", "y z"))
+            FreeAbelianGroup(2, labels=("x", "y z"))

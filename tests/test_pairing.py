@@ -46,9 +46,7 @@ class TestPair:
             pair(random_cochain(rng, f2, 1), random_l1_chain(rng, z2, 1))
 
     def test_quotient_violation_detected(self, f2):
-        bad = BoundedCochain.from_rule(
-            f2, 1, lambda key: delta(f2, key[0]), dual="quotient-dual"
-        )
+        bad = BoundedCochain(f2, 1, "quotient-dual", rule=lambda key: delta(f2, key[0]))
         cycle = flow_cycle(FlowCycleSpec(f2, 1))
         with pytest.raises(ValueError):
             pair(bad, cycle)
@@ -79,7 +77,7 @@ class TestAdjointness:
         assert left == right == 2
 
     def test_zero_inputs(self, f2):
-        phi = BoundedCochain.from_map(f2, 0, {})
+        phi = BoundedCochain(f2, 0, "full-dual", entries={})
         zero = EquivariantChain(f2, 1, KIND_L1, {})
         assert adjointness_check(phi, zero)
 

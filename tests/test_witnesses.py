@@ -8,7 +8,7 @@ import pytest
 
 from amencert import witnesses
 from amencert.functions import ray_first_letter
-from amencert.groups import MAX_RANK, FreeGroup, free_abelian_group, free_group
+from amencert.groups import MAX_RANK, FreeAbelianGroup, FreeGroup
 from amencert.witnesses import (
     FlowCycleSpec,
     FlowVerification,
@@ -146,7 +146,7 @@ class TestFlowValue:
 class TestFlowCycleSpec:
     def test_requires_free_group(self):
         with pytest.raises(ValueError):
-            FlowCycleSpec(free_abelian_group(2), 1)
+            FlowCycleSpec(FreeAbelianGroup(2), 1)
 
     def test_ray_must_be_generator(self, f2):
         with pytest.raises(ValueError):
@@ -191,7 +191,7 @@ class TestVerifyFlowCycle:
         assert verify_flow_cycle(FlowCycleSpec(f2, 2), 2).passed
 
     def test_rank_three_constants(self):
-        report = verify_flow_cycle(FlowCycleSpec(free_group(3), 1), 2)
+        report = verify_flow_cycle(FlowCycleSpec(FreeGroup(3), 1), 2)
         assert report.passed
         assert report.incoming_constant == 5
         assert report.boundary_constant == 4
@@ -218,7 +218,7 @@ class TestVerifyFlowCycle:
     @pytest.mark.parametrize("edge", [2, -2])
     @pytest.mark.parametrize("word", ["a*b", "b*a^-1"])
     def test_perturbed_report_matches_pair_loop(self, rank, edge, word):
-        group = free_group(rank)
+        group = FreeGroup(rank)
         for ray in range(1, rank + 1):
             fs = FlowCycleSpec(group, ray)
             flow = flipped_at(fs, edge, word)
@@ -234,7 +234,7 @@ class TestOracleWords:
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize("radius", [0, 1, 2])
     def test_every_word_is_reduced(self, rank, radius):
-        group = free_group(rank)
+        group = FreeGroup(rank)
         fs = FlowCycleSpec(group, 1)
         seen = []
 
@@ -247,7 +247,7 @@ class TestOracleWords:
         assert len(seen) == 4 * rank * check_flow_sweep(rank, radius)
 
     def test_default_oracle_makes_no_check_calls(self, monkeypatch):
-        fs = FlowCycleSpec(free_group(2), 1)
+        fs = FlowCycleSpec(FreeGroup(2), 1)
         calls = []
         check = FreeGroup.check
 
@@ -262,7 +262,7 @@ class TestOracleWords:
     @pytest.mark.parametrize("rank, radius", [(2, 2), (3, 1)])
     def test_incoming_shift_is_the_product(self, rank, radius):
         # the sweep's one-letter rule against group.mul, over every h in B_2r
-        group = free_group(rank)
+        group = FreeGroup(rank)
         fs = FlowCycleSpec(group, 1)
         calls = Counter()
 
@@ -287,7 +287,7 @@ class TestDefaultRoute:
         "rank, radius", [(1, r) for r in range(21)] + [(rank, r) for rank in (2, 3) for r in range(4)]
     )
     def test_matches_the_flow_value_oracle(self, rank, radius):
-        group = free_group(rank)
+        group = FreeGroup(rank)
         for ray in range(1, rank + 1):
             fs = FlowCycleSpec(group, ray)
             expected = verify_flow_cycle(fs, radius, flow=functools.partial(flow_value, fs))
@@ -296,7 +296,7 @@ class TestDefaultRoute:
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize("word, wrong", [("b*a^-1", 1), ("b*a^-1", -2), ("a*b", 0)])
     def test_wrong_head_is_caught(self, monkeypatch, rank, word, wrong):
-        group = free_group(rank)
+        group = FreeGroup(rank)
         fs = FlowCycleSpec(group, 1)
         bad_point = group.elem_from_str(word)
 
@@ -323,7 +323,7 @@ class TestDefaultRoute:
             return ray_first_letter(g, ray)
 
         monkeypatch.setattr(witnesses, "ray_first_letter", counted)
-        assert verify_flow_cycle(FlowCycleSpec(free_group(rank), 1), radius).passed
+        assert verify_flow_cycle(FlowCycleSpec(FreeGroup(rank), 1), radius).passed
         assert sum(calls.values()) == (2 * rank + 1) * check_flow_sweep(rank, radius)
 
     def test_ball_is_built_only_for_failures(self, f2):
@@ -338,7 +338,7 @@ class TestReducedWords:
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("radius", [0, 1, 2, 3])
     def test_words_are_the_quotients_of_the_ball(self, rank, radius):
-        group = free_group(rank)
+        group = FreeGroup(rank)
         ball = group.ball(radius)
         words = list(reduced_words(rank, 2 * radius))
         assert len(words) == len(set(words))
@@ -361,7 +361,7 @@ class TestSweepGuard:
         assert check_flow_sweep(4, 0) == 1
         for rank in (1, 2, 3):
             for radius in range(4):
-                assert check_flow_sweep(rank, radius) == len(free_group(rank).ball(2 * radius))
+                assert check_flow_sweep(rank, radius) == len(FreeGroup(rank).ball(2 * radius))
 
     @pytest.mark.parametrize(
         "rank, radius",
@@ -397,12 +397,12 @@ class TestPairingCertificate:
         assert flow_pairing_certificate(FlowCycleSpec(f2, 2)).value == 2
 
     def test_rank_three_value_four(self):
-        cert = flow_pairing_certificate(FlowCycleSpec(free_group(3), 1))
+        cert = flow_pairing_certificate(FlowCycleSpec(FreeGroup(3), 1))
         assert cert.value == 4
 
     def test_expected_value_formula(self):
         for rank in (1, 2, 3, 4):
-            cert = flow_pairing_certificate(FlowCycleSpec(free_group(rank), 1))
+            cert = flow_pairing_certificate(FlowCycleSpec(FreeGroup(rank), 1))
             assert cert.value == expected_flow_pairing(rank) == 2 * rank - 2
 
     def test_cycle_slice_support(self, f2):
