@@ -54,7 +54,6 @@ from .amenability import (
     indicator,
     isoperimetric_argmin,
     reiter_ratio,
-    reiter_report,
 )
 from .witnesses import (
     FlowCycleSpec,

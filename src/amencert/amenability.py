@@ -38,17 +38,6 @@ def indicator(group: GroupSpec, members: Iterable[Element]) -> FinSuppFn:
     return FinSuppFn(group, ((g, one) for g in members))
 
 
-def generator_differences(group: GroupSpec, f: FinSuppFn) -> dict[str, Fraction]:
-    """||s.f - f||_1 for every generator and inverse, keyed by letter label.
-
-    Counted in integers over one common denominator D (see
-    FinSuppFn.translate_distances); one Fraction is formed per letter.
-    """
-    letters = group.letters()
-    d, _, dists = f.translate_distances(s for _, s in letters)
-    return {label: Fraction(x, d) for (label, _), x in zip(letters, dists)}
-
-
 def reiter_counts(group: GroupSpec, f: FinSuppFn) -> tuple[int, dict[str, int], int]:
     """The Reiter quantities of a nonnegative, nonzero f as integers over one denominator.
 
@@ -67,15 +56,10 @@ def reiter_counts(group: GroupSpec, f: FinSuppFn) -> tuple[int, dict[str, int], 
     return d, {label: x for (label, _), x in zip(letters, dists)}, mass
 
 
-def reiter_report(group: GroupSpec, f: FinSuppFn) -> tuple[dict[str, Fraction], Fraction]:
-    """Generator differences and Reiter ratio of a nonnegative, nonzero f."""
-    d, diffs, mass = reiter_counts(group, f)
-    return {label: Fraction(x, d) for label, x in diffs.items()}, Fraction(sum(diffs.values()), mass)
-
-
 def reiter_ratio(group: GroupSpec, f: FinSuppFn) -> Fraction:
     """Normalized generator-difference ratio of a nonnegative, nonzero f."""
-    return reiter_report(group, f)[1]
+    _, diffs, mass = reiter_counts(group, f)
+    return Fraction(sum(diffs.values()), mass)
 
 
 @dataclass

@@ -60,13 +60,18 @@ def _emit(payload: dict, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
+def _flow_spec(group: FreeGroup, label: str) -> FlowCycleSpec:
+    """The flow cycle spec whose ray is the generator labelled `label`."""
+    if label not in group.gen_labels:
+        raise ValueError(f"ray {label!r} is not a generator of the rank-{group.rank} group")
+    return FlowCycleSpec(group, group.gen_labels.index(label) + 1)
+
+
 def _flow_cycle(group, data: dict) -> tuple[EquivariantChain, str]:
     if not isinstance(group, FreeGroup):
         raise ValueError("the flow cycle requires a free group")
     label = json_field(data, "ray", str, "the cycle file", group.gen_labels[0])
-    if label not in group.gen_labels:
-        raise ValueError(f"ray {label!r} is not a generator label")
-    return flow_cycle(FlowCycleSpec(group, group.gen_labels.index(label) + 1)), f"tree-flow({label})"
+    return flow_cycle(_flow_spec(group, label)), f"tree-flow({label})"
 
 
 # builtin cochains and cycles by name, each built from the file's group and the file itself
@@ -95,10 +100,7 @@ def _load_pair_input(path: str, what: str, builtins: dict, from_json):
 
 def cmd_verify_f2(args) -> int:
     check_flow_sweep(args.rank, args.radius)
-    group = FreeGroup(args.rank)
-    if args.ray not in group.gen_labels:
-        raise ValueError(f"ray {args.ray!r} is not a generator of the rank-{args.rank} group")
-    fs = FlowCycleSpec(group, group.gen_labels.index(args.ray) + 1)
+    fs = _flow_spec(FreeGroup(args.rank), args.ray)
     report = verify_flow_cycle(fs, args.radius)
     cert = flow_pairing_certificate(fs)
     payload = report.to_json()

@@ -26,7 +26,12 @@ Rational = Union[Fraction, int]
 
 
 def frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction; only an int (not a bool) or a Fraction passes, as a float is not exact."""
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is not int:
+        raise ValueError(f"a coefficient must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
 
 
 def frac_str(q: Rational) -> str:
@@ -390,19 +395,17 @@ class TreeFlow(BoundedFn):
             and self.ray == other.ray
         )
 
+    def _labels(self) -> tuple[str, str]:
+        """The edge and ray letters as the group writes one-letter words: ("b^-1", "a")."""
+        word = self.group.elem_to_str
+        return word((self.edge,)), word((self.ray,))
+
     def __repr__(self):
-        labs = self.group.gen_labels
-        edge = labs[abs(self.edge) - 1] + ("" if self.edge > 0 else "^-1")
-        return f"TreeFlow(edge={edge}, ray={labs[self.ray - 1]})"
+        return "TreeFlow(edge={}, ray={})".format(*self._labels())
 
     def to_json(self):
-        labs = self.group.gen_labels
-        return {
-            "tree-flow": {
-                "edge": labs[abs(self.edge) - 1] + ("" if self.edge > 0 else "^-1"),
-                "ray": labs[self.ray - 1],
-            }
-        }
+        edge, ray = self._labels()
+        return {"tree-flow": {"edge": edge, "ray": ray}}
 
 
 def ray_first_letter(word: tuple[int, ...], ray: int) -> int:

@@ -12,6 +12,13 @@ Ball enumeration is breadth-first with a canonical within-level order;
 the order is part of the contract because certificates serialize support
 sets and must be byte-for-byte reproducible.
 
+Each group declares its generators once, as `gens` with `gen_labels`;
+`GroupSpec.__init__` builds the letter set from them, each generator and
+then its inverse, and `letters()` returns that one tuple to every caller:
+balls, word metrics, Reiter and Folner differences and the flow cycle.
+Free and free-abelian groups share the rank, the labels, `gen` and
+`to_dict` through `_RankedGroup`; each family supplies only its basis.
+
 Every JSON input file of the library and the CLI is read through
 `load_json` and checked with `json_field`, `json_pairs` and `json_check`.
 """
@@ -71,11 +78,28 @@ def _default_labels(rank: int) -> tuple[str, ...]:
 
 
 class GroupSpec:
-    """Base class: a finitely generated group with a fixed generating set."""
+    """Base class: a finitely generated group with a fixed generating set.
+
+    A family sets `gens` (the declared generators) and `gen_labels` (one
+    label each), and whatever `inv` needs, before calling this __init__.
+    """
 
     family = "?"
+    gens: tuple[Element, ...]
+    gen_labels: tuple[str, ...]
 
     def __init__(self) -> None:
+        # Each declared generator, then its inverse labelled "^-1", skipping
+        # an element already listed: a self-inverse generator, or one that
+        # is the inverse of an earlier one, appears once.
+        letters: list[tuple[str, Element]] = []
+        seen: set[Element] = set()
+        for g, lab in zip(self.gens, self.gen_labels):
+            for label, x in ((lab, g), (lab + "^-1", self.inv(g))):
+                if x not in seen:
+                    seen.add(x)
+                    letters.append((label, x))
+        self._letters = tuple(letters)
         # The canonical JSON of the spec, built once: it decides equality,
         # hashing and the spec hash.
         self._canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -108,10 +132,6 @@ class GroupSpec:
         """
         raise NotImplementedError
 
-    def letters(self) -> tuple[tuple[str, Element], ...]:
-        """Generators and their inverses as (label, element), deduplicated."""
-        raise NotImplementedError
-
     def sort_key(self, a: Element):
         raise NotImplementedError
 
@@ -132,6 +152,18 @@ class GroupSpec:
         raise NotImplementedError
 
     # -- shared machinery -------------------------------------------------
+
+    def letters(self) -> tuple[tuple[str, Element], ...]:
+        """Generators and their inverses as (label, element), deduplicated.
+
+        Built once in __init__. In a free or free-abelian group of rank n
+        the 2n letters are distinct -- a generator is a one-letter word
+        (+k,) or a unit vector, its inverse (-k,) or the negated unit
+        vector, and no two of these coincide -- so nothing is skipped and
+        the order is a, a^-1, b, b^-1, ... This order is the key order of
+        every "generator-differences" object.
+        """
+        return self._letters
 
     def _grow_levels(self, radius: int) -> None:
         with self._lock:
@@ -193,7 +225,33 @@ def _free_reduce(letters) -> tuple[int, ...]:
     return tuple(word)
 
 
-class FreeGroup(GroupSpec):
+class _RankedGroup(GroupSpec):
+    """A group on `rank` free generators: the free and free-abelian families.
+
+    Both check the rank and the labels the same way, take generator i from
+    the family's `_basis(i)` and serialize as family, rank and labels. Each
+    family's own __init__ names it in rank errors (`what`).
+    """
+
+    def __init__(self, rank: int, labels: Sequence[str] | None, what: str) -> None:
+        self.rank = _check_rank(rank, what)
+        self.gen_labels = _check_labels(_default_labels(rank) if labels is None else labels, rank)
+        self.gens = tuple(self._basis(i) for i in range(rank))
+        super().__init__()
+
+    def _basis(self, i: int) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    def gen(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.rank:
+            raise ValueError(f"generator index {i} out of range")
+        return self.gens[i]
+
+    def to_dict(self):
+        return {"family": self.family, "rank": self.rank, "generators": list(self.gen_labels)}
+
+
+class FreeGroup(_RankedGroup):
     """Free group; elements are reduced words of signed 1-based letters.
 
     Letter +k stands for generator k-1, letter -k for its inverse. Words
@@ -204,19 +262,15 @@ class FreeGroup(GroupSpec):
     family = "free"
 
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
-        self.rank = _check_rank(rank, "free group")
-        self.gen_labels = _check_labels(_default_labels(rank) if labels is None else labels, rank)
+        super().__init__(rank, labels, "free group")
         self._label_index = {lab: i for i, lab in enumerate(self.gen_labels)}
-        super().__init__()
+
+    def _basis(self, i):
+        return (i + 1,)
 
     @property
     def identity(self) -> tuple[int, ...]:
         return ()
-
-    def gen(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.rank:
-            raise ValueError(f"generator index {i} out of range")
-        return (i + 1,)
 
     def mul(self, a, b):
         """The product of two reduced words, cancelled only at the junction.
@@ -245,13 +299,6 @@ class FreeGroup(GroupSpec):
             if i and a[i - 1] == -letter:
                 raise ValueError(f"word {a!r} is not reduced")
         return a
-
-    def letters(self):
-        out = []
-        for i, lab in enumerate(self.gen_labels):
-            out.append((lab, (i + 1,)))
-            out.append((lab + "^-1", (-(i + 1),)))
-        return tuple(out)
 
     @staticmethod
     def _letter_rank(letter: int) -> int:
@@ -316,28 +363,21 @@ class FreeGroup(GroupSpec):
             raise ValueError(f"free-group element must serialize as a string, got {data!r}")
         return self.elem_from_str(data)
 
-    def to_dict(self):
-        return {"family": "free", "rank": self.rank, "generators": list(self.gen_labels)}
 
-
-class FreeAbelianGroup(GroupSpec):
+class FreeAbelianGroup(_RankedGroup):
     """Free-abelian group Z^d; elements are integer exponent vectors."""
 
     family = "free-abelian"
 
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
-        self.rank = _check_rank(rank, "free-abelian")
-        self.gen_labels = _check_labels(_default_labels(rank) if labels is None else labels, rank)
-        super().__init__()
+        super().__init__(rank, labels, "free-abelian")
+
+    def _basis(self, i):
+        return tuple(1 if j == i else 0 for j in range(self.rank))
 
     @property
     def identity(self):
         return (0,) * self.rank
-
-    def gen(self, i: int):
-        if not 0 <= i < self.rank:
-            raise ValueError(f"generator index {i} out of range")
-        return tuple(1 if j == i else 0 for j in range(self.rank))
 
     def mul(self, a, b):
         return tuple(map(operator.add, a, b))
@@ -352,13 +392,6 @@ class FreeAbelianGroup(GroupSpec):
             if type(x) is not int:
                 raise ValueError(f"non-integer coordinate in {a!r}")
         return a
-
-    def letters(self):
-        out = []
-        for i, lab in enumerate(self.gen_labels):
-            out.append((lab, self.gen(i)))
-            out.append((lab + "^-1", self.inv(self.gen(i))))
-        return tuple(out)
 
     def sort_key(self, a):
         return (sum(map(abs, a)), a)
@@ -390,13 +423,6 @@ class FreeAbelianGroup(GroupSpec):
         if not isinstance(data, list):
             raise ValueError(f"free-abelian element must serialize as a list, got {data!r}")
         return self.check(tuple(data))
-
-    def to_dict(self):
-        return {
-            "family": "free-abelian",
-            "rank": self.rank,
-            "generators": list(self.gen_labels),
-        }
 
 
 class FiniteGroup(GroupSpec):
@@ -467,7 +493,7 @@ class FiniteGroup(GroupSpec):
         dist = [-1] * self.order
         dist[self._identity] = 0
         frontier = [self._identity]
-        gens = {g for g in self.gens} | {self._inverses[g] for g in self.gens}
+        gens = [s for _, s in self.letters()]
         d = 0
         while frontier:
             d += 1
@@ -497,19 +523,6 @@ class FiniteGroup(GroupSpec):
         if type(a) is not int or not 0 <= a < self.order:
             raise ValueError(f"finite-group element must be an index 0..{self.order - 1}, got {a!r}")
         return a
-
-    def letters(self):
-        out = []
-        seen = set()
-        for g, lab in zip(self.gens, self.gen_labels):
-            if g not in seen:
-                out.append((lab, g))
-                seen.add(g)
-            gi = self._inverses[g]
-            if gi not in seen:
-                out.append((lab + "^-1", gi))
-                seen.add(gi)
-        return tuple(out)
 
     def sort_key(self, a):
         return (self._distances[a], a)

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .complexes import KIND_LINF, EquivariantChain, johnson_cocycle, one_lift_cochain
 from .functions import TreeFlow, ray_first_letter
-from .groups import MAX_RANK, Element, FreeGroup, free_ball_size
+from .groups import Element, FreeGroup, _check_rank, free_ball_size
 from .pairing import PairingCertificate, make_pairing_certificate
 
 
@@ -61,10 +61,7 @@ def flow_value(fs: FlowCycleSpec, s: int, g: Element) -> int:
 def flow_cycle(fs: FlowCycleSpec) -> EquivariantChain:
     """Degree-1 bounded chain with one tree-flow value per edge letter."""
     group = fs.group
-    entries = {}
-    for letter in range(1, group.rank + 1):
-        for s in (letter, -letter):
-            entries[((s,),)] = TreeFlow(group, s, fs.ray)
+    entries = {(word,): TreeFlow(group, word[0], fs.ray) for _, word in group.letters()}
     return EquivariantChain(group, 1, KIND_LINF, entries)
 
 
@@ -100,8 +97,9 @@ class FlowVerification:
         }
 
 
-# Work caps of the flow sweep, on top of the group rank cap MAX_RANK: the
-# word count |B_2r| is the number of distinct h the sweep evaluates.
+# Work caps of the flow sweep, on top of the group rank cap MAX_RANK that
+# groups._check_rank applies: the word count |B_2r| is the number of
+# distinct h the sweep evaluates.
 # Past rank 1 the word cap already keeps 2r <= 10; the radius cap keeps
 # rank-1 words (and the r^2 letters of their ball) short as well.
 MAX_FLOW_WORDS = 10**6
@@ -114,16 +112,11 @@ def check_flow_sweep(rank: int, radius: int) -> int:
     The count is free_ball_size's closed form, stopped as soon as it
     passes MAX_FLOW_WORDS.
     """
-    if type(rank) is not int:
-        raise ValueError(f"free group rank must be an integer, got {rank!r}")
+    _check_rank(rank, "free group")
     if type(radius) is not int:
         raise ValueError(f"radius must be an integer, got {radius!r}")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if rank < 1:
-        raise ValueError("free group rank must be >= 1")
-    if rank > MAX_RANK:
-        raise ValueError(f"rank {rank} is above the rank cap of {MAX_RANK}")
     if radius > MAX_FLOW_RADIUS:
         raise ValueError(f"radius {radius} is above the flow-sweep cap of {MAX_FLOW_RADIUS}")
     total = free_ball_size(rank, 2 * radius, MAX_FLOW_WORDS)

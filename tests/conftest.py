@@ -1,9 +1,16 @@
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from amencert.groups import FiniteGroup, FreeAbelianGroup, FreeGroup, cyclic_group
+
+# pytest's `pythonpath` setting puts src on this process's path; the CLI
+# tests that start `python -m amencert.cli` pass it on to the child too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def symmetric_table(n):

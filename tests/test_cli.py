@@ -82,6 +82,13 @@ class TestPair:
         assert payload["value"] == "2/1"
         assert payload["cycle"] == "tree-flow(a)"
 
+    def test_bad_ray_same_error_as_verify_f2(self, capsys, tmp_path, f2_dict):
+        cochain = write_json(tmp_path / "j.json", {"builtin": "johnson", "group": f2_dict})
+        cycle = write_json(tmp_path / "c.json", {"builtin": "flow", "group": f2_dict, "ray": "c"})
+        for argv in (["pair", "--cochain", cochain, "--cycle", cycle], ["verify-f2", "--ray", "c"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: ray 'c' is not a generator of the rank-2 group\n"
+
     def test_one_against_fundamental(self, capsys, tmp_path, f2_dict):
         cochain = write_json(tmp_path / "one.json", {"builtin": "one", "group": f2_dict})
         cycle = write_json(tmp_path / "f.json", {"builtin": "fundamental", "group": f2_dict})

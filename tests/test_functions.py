@@ -17,6 +17,7 @@ from amencert.functions import (
     parse_frac,
     ray_first_letter,
 )
+from amencert.complexes import KIND_L1, EquivariantChain, UfChain
 from amencert.sampling import random_boundedfn, random_element, random_finsupp
 
 
@@ -98,6 +99,24 @@ class TestConstruction:
         assert dict(f.items()) == {1: Fraction(3), 2: Fraction(1, 2)}
         assert all(type(c) is Fraction for _, c in f.items())
 
+    @pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g, c: FinSuppFn(g, {(): c}),
+            lambda g, c: UfChain(g, 0, {((),): c}),
+            lambda g, c: ConstPlusFinite(g, c),
+            lambda g, c: EquivariantChain(g, 0, KIND_L1, {(): delta(g, ())}) * c,
+            lambda g, c: TreeFlow(g, 1, 1).scale(c),
+        ],
+        ids=["FinSuppFn", "UfChain", "ConstPlusFinite", "EquivariantChain.__mul__", "BoundedFn.scale"],
+    )
+    def test_coefficient_must_be_int_or_fraction(self, f2, build, value):
+        # 0.1 would enter as 3602879701896397/36028797018963968 and True as 1
+        with pytest.raises(ValueError, match="^a coefficient must be an int or a Fraction, got") as err:
+            build(f2, value)
+        assert "\n" not in str(err.value)
+
     def test_l1_norm_is_plain_sum(self, all_groups, rng):
         for group in all_groups:
             for _ in range(40):
@@ -131,6 +150,12 @@ class TestBoundedFn:
         with pytest.raises(ValueError, match=f"^{which} letter must be an integer") as err:
             TreeFlow(f2, edge, ray)
         assert "\n" not in str(err.value)
+
+    def test_tree_flow_labels(self, f2):
+        flow = TreeFlow(f2, -2, 1)
+        assert repr(flow) == "TreeFlow(edge=b^-1, ray=a)"
+        assert flow.to_json() == {"tree-flow": {"edge": "b^-1", "ray": "a"}}
+        assert bounded_from_json(f2, flow.to_json()) == flow
 
     def test_ray_first_letter(self, f2):
         assert ray_first_letter((), 1) == 1

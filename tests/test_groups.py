@@ -16,7 +16,7 @@ from amencert.groups import (
     cyclic_table,
     group_from_dict,
 )
-from conftest import s3_group
+from conftest import dihedral_table, s3_group
 
 
 def naive_reduce(letters):
@@ -363,3 +363,40 @@ class TestSerialization:
             FreeGroup(1, labels=("e",))
         with pytest.raises(ValueError):
             FreeAbelianGroup(2, labels=("x", "y z"))
+
+
+class TestLetters:
+    """letters() is built once from the declared generators, each then its inverse, none twice."""
+
+    def test_free_custom_labels(self):
+        group = FreeGroup(2, ("x", "y"))
+        assert group.letters() == (("x", (1,)), ("x^-1", (-1,)), ("y", (2,)), ("y^-1", (-2,)))
+        assert group.letters() is group.letters()
+
+    def test_free_abelian(self, z2):
+        assert z2.letters() == (("a", (1, 0)), ("a^-1", (-1, 0)), ("b", (0, 1)), ("b^-1", (0, -1)))
+
+    def test_finite_self_inverse_generator(self):
+        # D_3: 1 is the rotation r, whose inverse r^2 is 2; 3 is the reflection s = s^-1
+        group = FiniteGroup(dihedral_table(3), [1, 3])
+        assert group.letters() == (("g1", 1), ("g1^-1", 2), ("g3", 3))
+
+    def test_finite_generators_inverse_to_each_other(self):
+        # 4 = -1 in Z/5 is both the second declared generator and the first one's inverse
+        group = FiniteGroup(cyclic_table(5), [1, 4])
+        assert group.letters() == (("g1", 1), ("g1^-1", 4))
+        assert [group.dist(0, x) for x in range(5)] == [0, 1, 2, 2, 1]
+
+
+class TestRankedFamilies:
+    @pytest.mark.parametrize("cls, family", [(FreeGroup, "free"), (FreeAbelianGroup, "free-abelian")])
+    def test_to_dict_key_order(self, cls, family):
+        data = cls(2, ("x", "y")).to_dict()
+        assert list(data.items()) == [("family", family), ("rank", 2), ("generators", ["x", "y"])]
+
+    def test_generators_are_the_basis(self, f2, z2):
+        assert f2.gens == ((1,), (2,)) and [f2.gen(i) for i in range(2)] == [(1,), (2,)]
+        assert z2.gens == ((1, 0), (0, 1)) and [z2.gen(i) for i in range(2)] == [(1, 0), (0, 1)]
+        for group in (f2, z2):
+            with pytest.raises(ValueError, match="generator index 2 out of range"):
+                group.gen(2)
