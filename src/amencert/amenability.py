@@ -12,10 +12,14 @@ independently. `folner_search` reads the size and ratio of boxes in Z^d
 and of balls in free groups from closed forms, and builds and counts only
 the set it returns, so a free group's failure report builds no ball;
 balls of Z^d and of finite groups are built and counted one radius at a
-time. The non-amenable side is backed by `isoperimetric_argmin`,
-a brute-force enumeration of every nonempty subset of a ball, scored by an
-incremental edge count, that returns the minimum ratio with a set
-attaining it. On the finite-group side the
+time. The non-amenable side is backed by `isoperimetric_argmin`, the
+minimum ratio over every nonempty subset of a ball with a set attaining
+it. On a free group it is a theorem, the forest count: every finite set
+has ratio above 4(rank - 1), and the ball itself is the unique minimizer;
+a finite group's ball that has reached the group's order has the unique
+minimizer G at ratio 0. Every other ball (Z^d, or a finite ball short of
+the group) is enumerated subset by subset, scored by an incremental edge
+count. On the finite-group side the
 augmentation functional (the sum of the coordinates) is a closed-form
 witness that the all-ones vector never lies in the span of translation
 differences: it vanishes on the span and takes the value |G| on the
@@ -153,6 +157,15 @@ def _box(group: FreeAbelianGroup, side: int) -> list[tuple[int, ...]]:
     return coords
 
 
+def _free_ball_ratio(rank: int, size: int) -> Fraction:
+    """The ratio 4(rank - 1) + 4/size of a ball of `size` elements in a free group.
+
+    Proved in folner_search (the ball's edges form a tree) and in
+    isoperimetric_argmin (the forest count).
+    """
+    return 4 * (rank - 1) + Fraction(4, size)
+
+
 def _closed_form(group: GroupSpec, strategy: str):
     """parameter -> (set size, ratio) for boxes and free balls, else None; proofs in folner_search."""
     if strategy == "boxes":
@@ -163,7 +176,7 @@ def _closed_form(group: GroupSpec, strategy: str):
 
         def ball(r: int) -> tuple[int, Fraction]:
             size = free_ball_size(k, r, MAX_FOLNER_ELEMS)
-            return size, 4 * (k - 1) + Fraction(4, size)
+            return size, _free_ball_ratio(k, size)
 
         return ball
     return None
@@ -252,28 +265,29 @@ MAX_ISO_BALL = 18
 def isoperimetric_argmin(group: GroupSpec, radius: int) -> tuple[Fraction, tuple[Element, ...]]:
     """Minimum Reiter ratio over every nonempty subset of ball(radius), and a minimizer.
 
-    Brute force over 2^|ball| - 1 subsets by an incremental edge count:
-    internal[F] is the number of pairs (s, g) with g and s.g both in F, s
-    running over the k letters. Then |sF n F| summed over s is internal[F],
-    and as |sF| = |F|, sum_s |sF symmetric-difference F| = 2(k|F| - internal[F]).
+    The ball is grown one radius at a time, and the guard refuses a ball of
+    more than MAX_ISO_BALL elements as soon as one level passes it, before
+    any larger ball is built. Two cases then have a proved, unique
+    minimizer, the whole ball B, and return it without enumeration; every
+    other ball goes to _iso_enumerate. Write k for the number of letters
+    and internal[F] for the number of pairs (s, g) with g and s.g in F, so
+    that sum_s |sF symmetric-difference F| = 2(k|F| - internal[F]).
 
-    - nb[i] has the bit of s.ball[i] for every letter s whose product stays
-      in the ball. letters() deduplicates its elements and s -> s.g is
-      injective, so distinct letters give distinct bits and
-      popcount(nb[i] & R) counts the pairs (s, ball[i]) with s.ball[i] in R.
-    - Peeling the lowest member g = ball[i] of F leaves R = F - {g}. The
-      pairs of F not inside R are the out-edges (s, g) with s.g in R, the
-      in-edges (s, h) with h in R and s.h = g, and the self-loops (s, g)
-      with s.g = g. The letter set is closed under inversion, so
-      (s, h) -> (s^-1, g) maps the in-edges one to one onto the out-edges:
-      together they give 2 popcount(nb[i] & R). No letter is the identity
-      (FiniteGroup rejects an identity generator; free and free-abelian
-      generators are never trivial), so there are no self-loops.
+    - Free group of rank n (the forest count; Lyons-Peres, Probability on
+      Trees and Networks, ch. 6). The pairs {g, s.g} with both ends in F
+      are edges of the Cayley tree, so they form a forest with
+      e <= |F| - c edges, c >= 1 its components, and internal[F] = 2e.
+      So sum_s |sF symmetric-difference F| = 4n|F| - 4e >= (4n - 4)|F| + 4c
+      and the ratio is at least 4(n - 1) + 4c/|F| > 4(n - 1) on every
+      finite F. Within B this is least exactly when c = 1 and |F| = |B|,
+      that is F = B, which is connected (drop a word's first letter): the
+      ratio is 4(n - 1) + 4/|B|.
+    - Finite group whose ball has reached its order. F = G has ratio 0, and
+      ratio 0 means sF = F for every letter s; the letters generate G, so
+      a nonempty such F is G.
 
-    Masks are visited in increasing order and a strictly smaller ratio
-    replaces the best, so ties keep the lowest mask. The guard refuses a
-    ball of more than MAX_ISO_BALL elements as soon as one level passes
-    it, before any larger ball is built.
+    The minimizer being unique, the lowest-mask tie rule of the
+    enumeration never changes these answers.
     """
     if type(radius) is not int:
         raise ValueError(f"radius must be an integer, got {radius!r}")
@@ -292,6 +306,36 @@ def isoperimetric_argmin(group: GroupSpec, radius: int) -> tuple[Fraction, tuple
         if len(grown) == len(ball):
             break
         ball = grown
+    if isinstance(group, FreeGroup):
+        return _free_ball_ratio(group.rank, len(ball)), ball
+    if isinstance(group, FiniteGroup) and len(ball) == group.order:
+        return Fraction(0), ball
+    return _iso_enumerate(group, ball)
+
+
+def _iso_enumerate(group: GroupSpec, ball: tuple[Element, ...]) -> tuple[Fraction, tuple[Element, ...]]:
+    """Brute force over the 2^|ball| - 1 nonempty subsets of ball by an incremental edge count.
+
+    internal[F] is the number of pairs (s, g) with g and s.g both in F, s
+    running over the k letters. Then |sF n F| summed over s is internal[F],
+    and as |sF| = |F|, sum_s |sF symmetric-difference F| = 2(k|F| - internal[F]).
+
+    - nb[i] has the bit of s.ball[i] for every letter s whose product stays
+      in the ball. letters() deduplicates its elements and s -> s.g is
+      injective, so distinct letters give distinct bits and
+      popcount(nb[i] & R) counts the pairs (s, ball[i]) with s.ball[i] in R.
+    - Peeling the lowest member g = ball[i] of F leaves R = F - {g}. The
+      pairs of F not inside R are the out-edges (s, g) with s.g in R, the
+      in-edges (s, h) with h in R and s.h = g, and the self-loops (s, g)
+      with s.g = g. The letter set is closed under inversion, so
+      (s, h) -> (s^-1, g) maps the in-edges one to one onto the out-edges:
+      together they give 2 popcount(nb[i] & R). No letter is the identity
+      (FiniteGroup rejects an identity generator; free and free-abelian
+      generators are never trivial), so there are no self-loops.
+
+    Masks are visited in increasing order and a strictly smaller ratio
+    replaces the best, so ties keep the lowest mask.
+    """
     n = len(ball)
     index = {g: i for i, g in enumerate(ball)}
     mul = group.mul

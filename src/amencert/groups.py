@@ -37,7 +37,7 @@ Element = Union[tuple, int]  # reduced word / exponent vector / table index
 
 # Work caps checked before anything is allocated: the rank sets the length
 # of every free-abelian vector and of the label tuple, validating a table
-# of order n costs O(n^3), and a word string is expanded letter by letter
+# of order n costs O(n^2 log n), and a word string is expanded letter by letter
 # before it is reduced. 256 admits S_5 (order 120) with room.
 MAX_RANK = 64
 MAX_TABLE_ORDER = 256
@@ -184,6 +184,8 @@ class GroupSpec:
 
     def ball(self, radius: int) -> tuple[Element, ...]:
         """All elements at word distance <= radius from e, canonically ordered."""
+        if type(radius) is not int:
+            raise ValueError(f"radius must be an integer, got {radius!r}")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         cached = self._ball_cache.get(radius)
@@ -243,6 +245,8 @@ class _RankedGroup(GroupSpec):
         raise NotImplementedError
 
     def gen(self, i: int) -> tuple[int, ...]:
+        if type(i) is not int:
+            raise ValueError(f"generator index must be an integer, got {i!r}")
         if not 0 <= i < self.rank:
             raise ValueError(f"generator index {i} out of range")
         return self.gens[i]
@@ -428,10 +432,11 @@ class FreeAbelianGroup(_RankedGroup):
 class FiniteGroup(GroupSpec):
     """Finite group given by a full multiplication table.
 
-    The table is validated eagerly: closure, associativity, a two-sided
-    identity and two-sided inverses. Declared generators (element indices)
-    must generate the whole group; they default to all non-identity
-    elements.
+    The table is validated eagerly, in this order: entries in range, a
+    two-sided identity, two-sided inverses, associativity by Light's test
+    (n |L| row comparisons for a set L of at most 2 log2 n letters, see
+    _validate_table), then the declared generators. These must generate
+    the whole group; they default to all non-identity elements.
     """
 
     family = "finite"
@@ -455,6 +460,22 @@ class FiniteGroup(GroupSpec):
         self._distances = self._bfs_distances()
 
     def _validate_table(self) -> None:
+        """Entries in range, a two-sided identity, two-sided inverses, then Light's test.
+
+        Light's associativity test (Clifford-Preston, The Algebraic Theory
+        of Semigroups I, 1.2): if (x.s).y = x.(s.y) for all x, y and every
+        s in a set L whose left-normed products ((e.s1).s2)...sk reach every
+        element, the table is associative. Proof: A = {a : (x.a).y = x.(a.y)
+        for all x, y} holds e and L. For a, b in A,
+        (x.(a.b)).y = ((x.a).b).y = (x.a).(b.y) = x.(a.(b.y)) = x.((a.b).y),
+        using a, b, a and then b in A (the last with x = a). So A is closed
+        under products and holds every left-normed product: A is everything.
+
+        L comes from _light_letters, at most 2 log2 n letters for a group, so
+        the check is n |L| row comparisons: O(n^2 log n) where all triples
+        were n^3. A failing comparison names a triple (x, s, y) with
+        (x.s).y != x.(s.y), a witness that holds whatever L was.
+        """
         n = self.order
         if n == 0:
             raise ValueError("empty multiplication table")
@@ -481,13 +502,47 @@ class FiniteGroup(GroupSpec):
                     break
             if self._inverses[i] < 0:
                 raise ValueError(f"element {i} has no two-sided inverse")
-        for i in range(n):
-            row_i = self.table[i]
-            for j in range(n):
-                left = self.table[row_i[j]]
-                row_j = self.table[j]
-                if left != tuple(row_i[row_j[k]] for k in range(n)):
-                    raise ValueError(f"table is not associative at ({i},{j})")
+        table = self.table
+        for s in self._light_letters():
+            # row_x -> (x.(s.y) for y); a tuple, as L is nonempty only when n >= 2
+            pick = operator.itemgetter(*table[s])
+            for x, row_x in enumerate(table):
+                left = table[row_x[s]]
+                if left != pick(row_x):
+                    y = next(y for y in range(n) if left[y] != row_x[table[s][y]])
+                    raise ValueError(f"table is not associative at ({x},{s},{y})")
+
+    def _light_letters(self) -> list[int]:
+        """A greedy L for Light's test: e's left-normed products over L reach every element.
+
+        Start from the reached set {e}; while some element is unreached, add
+        the lowest one and its inverse to L and close the reached set under
+        right multiplication by L. For a group the reached set is the
+        submonoid generated by L, which in a finite group is a subgroup; each
+        new letter lies outside it, so by Lagrange the next subgroup is at
+        least twice as large. Hence at most log2 n steps of at most two
+        letters: |L| <= 2 log2 n. A table that is not a group still stops,
+        as each step reaches one more element at least.
+        """
+        table = self.table
+        reached = [False] * self.order
+        reached[self._identity] = True
+        found = [self._identity]
+        letters: list[int] = []
+        for a in range(self.order):
+            if reached[a]:
+                continue
+            letters.extend(dict.fromkeys((a, self._inverses[a])))
+            stack = list(found)  # the new letters act on everything reached so far
+            while stack:
+                row = table[stack.pop()]
+                for s in letters:
+                    y = row[s]
+                    if not reached[y]:
+                        reached[y] = True
+                        found.append(y)
+                        stack.append(y)
+        return letters
 
     def _bfs_distances(self) -> list[int]:
         dist = [-1] * self.order

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from amencert.amenability import (
     FolnerCertificate,
+    _iso_enumerate,
     finite_h0,
     folner_search,
     indicator,
@@ -153,12 +154,20 @@ def test_criterion_6_amenable_side():
 
 
 def test_criterion_7_isoperimetric_brute_force():
+    # the enumeration of all 2^17 - 1 subsets is the oracle for the forest count
     f2 = FreeGroup(2)
     start = time.perf_counter()
-    minimum, _ = isoperimetric_argmin(f2, 2)
+    enumerated = _iso_enumerate(f2, f2.ball(2))
     elapsed = time.perf_counter() - start
-    ok = minimum == Fraction(72, 17) and minimum >= 4 and elapsed < 60.0
-    report(7, f"min over 2^17-1 subsets of ball(2) = {minimum} ({elapsed:.2f}s)", ok)
+    minimum = enumerated[0]
+    closed_form = isoperimetric_argmin(f2, 2)
+    ok = enumerated == closed_form and minimum == Fraction(72, 17) and minimum >= 4 and elapsed < 60.0
+    report(
+        7,
+        f"min over 2^17-1 subsets of ball(2) = {minimum} ({elapsed:.2f}s), "
+        f"equal to the forest count {closed_form[0]}",
+        ok,
+    )
 
 
 def test_criterion_8_negative_control():

@@ -367,6 +367,51 @@ class TestIsoperimetricMin:
             best = ratio if best is None else min(best, ratio)
         assert best == Fraction(72, 17) == isoperimetric_argmin(f2, 2)[0]
 
+    def test_closed_forms_match_the_enumeration(self):
+        # the forest count on free balls and G on saturated finite balls give
+        # the enumeration's exact answer, ratio and member tuple
+        cases = [(FreeGroup(1), r) for r in range(9)]
+        cases += [(FreeGroup(2), r) for r in range(3)]
+        cases += [(FreeGroup(3), r) for r in range(2)]
+        for table, gens in ((dihedral_table(4), (1, 4)), (dihedral_table(8), (1, 8)), (cyclic_table(6), (1, 3))):
+            cases += [(FiniteGroup(table, gens), None)]
+        cases += [(s3_group(), None)]
+        for group, radius in cases:
+            if radius is None:  # every saturated ball: from the diameter on
+                radius = max(group.dist(group.identity, g) for g in range(group.order))
+                assert len(group.ball(radius)) == group.order
+                assert len(group.ball(radius - 1)) < group.order
+                expected = amenability._iso_enumerate(group, group.ball(radius))
+                for r in (radius, radius + 1, 10**6):
+                    assert isoperimetric_argmin(group, r) == expected, (group, r)
+            else:
+                expected = amenability._iso_enumerate(group, group.ball(radius))
+                assert isoperimetric_argmin(group, radius) == expected, (group, radius)
+
+    def test_forced_closed_forms_disagree_where_unproved(self, monkeypatch):
+        # negative controls: the free formula on Z^2 and the saturated formula
+        # on an unsaturated D_8 ball are wrong, and the dispatch enumerates them
+        z2 = FreeAbelianGroup(2)
+        d8 = FiniteGroup(dihedral_table(8), generators=(1, 8))
+        forced = [(z2, 2, amenability._free_ball_ratio(z2.rank, len(z2.ball(2))))]
+        forced += [(d8, r, Fraction(0)) for r in (2, 3)]
+        for group, radius, ratio in forced:
+            ball = group.ball(radius)
+            enumerated = amenability._iso_enumerate(group, ball)
+            assert enumerated != (ratio, ball), (group, radius)
+            assert enumerated[0] != ratio and len(enumerated[1]) < len(ball)
+            assert isoperimetric_argmin(group, radius) == enumerated
+        real = amenability._iso_enumerate
+        calls = []
+        monkeypatch.setattr(amenability, "_iso_enumerate", lambda g, b: calls.append(len(b)) or real(g, b))
+        for group, radius, _ in forced:
+            isoperimetric_argmin(group, radius)
+        enumerated_sizes = [13, 8, 12]  # |B_2| of Z^2; |B_2|, |B_3| of D_8 on (1, 8)
+        assert calls == enumerated_sizes
+        isoperimetric_argmin(FreeGroup(2), 2)
+        isoperimetric_argmin(d8, 10**9)
+        assert calls == enumerated_sizes
+
     def test_search_ratios_never_beat_four(self, f2):
         result = folner_search(f2, Fraction(4), strategy="balls", max_radius=5)
         assert isinstance(result, FolnerFailure)

@@ -1,6 +1,8 @@
 """Normal forms, ball enumeration and the word metric."""
 
 import itertools
+import random
+import re
 import tracemalloc
 
 import pytest
@@ -16,7 +18,7 @@ from amencert.groups import (
     cyclic_table,
     group_from_dict,
 )
-from conftest import dihedral_table, s3_group
+from conftest import dihedral_table, s3_group, symmetric_table
 
 
 def naive_reduce(letters):
@@ -204,6 +206,62 @@ class TestWordMetric:
                 assert s3.dist(a, b) == bfs_distance(s3, a, b)
 
 
+def first_non_associative_triple(table):
+    """Associativity oracle: the first (x, s, y) of all n^3 with (x.s).y != x.(s.y), else None."""
+    n = len(table)
+    for x in range(n):
+        for s in range(n):
+            for y in range(n):
+                if table[table[x][s]][y] != table[x][table[s][y]]:
+                    return (x, s, y)
+    return None
+
+
+def random_magma(rng, n, latin):
+    """A random table on 0..n-1 with identity 0 and a two-sided inverse for each element.
+
+    The inverses are a random involution, placed first. With latin=True
+    the rest is filled by randomized backtracking into a Latin square (a
+    loop); otherwise each remaining entry is drawn at random.
+    """
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    inverse = {0: 0}
+    while rest:
+        a = rest.pop()
+        b = a if not rest or rng.random() < 0.3 else rest.pop()
+        inverse[a], inverse[b] = b, a
+    table = [[None] * n for _ in range(n)]
+    for x in range(n):
+        table[0][x] = table[x][0] = x
+        table[x][inverse[x]] = 0
+    cells = [(x, y) for x in range(1, n) for y in range(1, n) if table[x][y] is None]
+    if not latin:
+        for x, y in cells:
+            table[x][y] = rng.randrange(n)
+        return table
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        x, y = cells[k]
+        used = set(table[x]) | {table[i][y] for i in range(n)}
+        values = [v for v in range(n) if v not in used]
+        rng.shuffle(values)
+        for v in values:
+            table[x][y] = v
+            if fill(k + 1):
+                return True
+        table[x][y] = None
+        return False
+
+    return table if fill(0) else None
+
+
+def light_letters_bound(n):
+    return 2 * (n - 1).bit_length()  # 2 ceil(log2 n)
+
+
 class TestFiniteValidation:
     def test_valid_tables(self):
         cyclic_group(5)
@@ -213,8 +271,50 @@ class TestFiniteValidation:
         # swap two entries of the Z/4 table to break associativity
         table = cyclic_table(4)
         table[1][1], table[1][2] = table[1][2], table[1][1]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"not associative at \(\d+,\d+,\d+\)"):
             FiniteGroup(table)
+
+    @pytest.mark.parametrize("latin", [True, False])
+    def test_light_matches_the_cubic_oracle(self, latin):
+        # seeded random loops (latin) and magmas of order 4-8, each with an
+        # identity and inverses: rejected exactly when the n^3 loop finds a
+        # failing triple, and the error names a triple that really fails
+        rng = random.Random(16)
+        verdicts = {True: 0, False: 0}
+        for n in range(4, 9):
+            for _ in range(40):
+                table = random_magma(rng, n, latin)
+                if table is None:
+                    continue
+                oracle = first_non_associative_triple(table)
+                verdicts[oracle is None] += 1
+                if oracle is None:
+                    group = FiniteGroup(table)
+                    assert len(group._light_letters()) <= light_letters_bound(n)
+                    continue
+                with pytest.raises(ValueError, match="not associative") as err:
+                    FiniteGroup(table)
+                match = re.search(r"not associative at \((\d+),(\d+),(\d+)\)", str(err.value))
+                x, s, y = map(int, match.groups())
+                assert table[table[x][s]][y] != table[x][table[s][y]]
+        assert verdicts[False] > 100
+        if latin:
+            assert verdicts[True] > 10  # every loop of order 4 is a group
+
+    def test_light_accepts_groups_with_few_letters(self):
+        tables = [cyclic_table(n) for n in (1, 2, 7, 12, 64, MAX_TABLE_ORDER)]
+        tables += [dihedral_table(n) for n in (3, 4, 8, 18)]
+        tables += [symmetric_table(k)[0] for k in (3, 4, 5)]
+        for table in tables:
+            group = FiniteGroup(table)
+            letters = group._light_letters()
+            assert len(letters) <= light_letters_bound(group.order), (group.order, letters)
+            # left-normed products of the letters, from e, reach every element
+            reached, frontier = {group.identity}, [group.identity]
+            while frontier:
+                frontier = {y for x in frontier for s in letters if (y := group.mul(x, s)) not in reached}
+                reached.update(frontier)
+            assert len(reached) == group.order
 
     def test_rejects_missing_identity(self):
         with pytest.raises(ValueError):
@@ -264,6 +364,19 @@ class TestCheckRejectsBools:
                 z3.check(bad)
             with pytest.raises(ValueError):
                 z3.elem_from_json(bad)
+
+    @pytest.mark.parametrize("index", [True, 1.0, "1"])
+    def test_generator_index(self, f2, z2, index):
+        for group in (f2, z2):
+            with pytest.raises(ValueError, match="generator index must be an integer"):
+                group.gen(index)
+
+    @pytest.mark.parametrize("radius", [True, 1.0, "1"])
+    def test_ball_radius(self, all_groups, radius):
+        for group in all_groups:
+            group.ball(1)  # a cached ball(1) is not returned for True either
+            with pytest.raises(ValueError, match="radius must be an integer"):
+                group.ball(radius)
 
     @pytest.mark.parametrize("cls", [FreeGroup, FreeAbelianGroup])
     @pytest.mark.parametrize("rank", [True, 2.0, "2", None])
