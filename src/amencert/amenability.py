@@ -28,10 +28,9 @@ all-ones vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .functions import FinSuppFn, frac_str
 from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec, free_ball_size
@@ -66,8 +65,7 @@ def reiter_ratio(group: GroupSpec, f: FinSuppFn) -> Fraction:
     return Fraction(sum(diffs.values()), mass)
 
 
-@dataclass
-class FolnerCertificate:
+class FolnerCertificate(NamedTuple):
     """A finite set whose generator translates move at most `ratio` of it."""
 
     group: GroupSpec
@@ -91,15 +89,17 @@ class FolnerCertificate:
         }
 
 
-@dataclass
 class FolnerFailure:
     """Exhausted search: the best ratio seen at each parameter value."""
 
-    group: GroupSpec
-    strategy: str
-    eps: Fraction
-    max_parameter: int
-    attempts: list[dict] = field(default_factory=list)
+    __slots__ = ("group", "strategy", "eps", "max_parameter", "attempts")
+
+    def __init__(self, group: GroupSpec, strategy: str, eps: Fraction, max_parameter: int):
+        self.group = group
+        self.strategy = strategy
+        self.eps = eps
+        self.max_parameter = max_parameter
+        self.attempts: list[dict] = []
 
     @property
     def best_ratio(self) -> Fraction:
@@ -365,8 +365,7 @@ def _iso_enumerate(group: GroupSpec, ball: tuple[Element, ...]) -> tuple[Fractio
     return Fraction(best_num, best_den), members
 
 
-@dataclass
-class FiniteH0Report:
+class FiniteH0Report(NamedTuple):
     """Exact check that the all-ones vector avoids the translation-difference span."""
 
     group: GroupSpec

@@ -9,8 +9,8 @@ two independent computation routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import BoundedCochain, EquivariantChain
 from .functions import frac_str, pair_eval
@@ -38,8 +38,7 @@ def adjointness_values(phi: BoundedCochain, c: EquivariantChain) -> tuple[Fracti
     return pair(phi.coboundary(), c), pair(phi, c.boundary())
 
 
-@dataclass
-class PairingCertificate:
+class PairingCertificate(NamedTuple):
     """Serializable record of one pairing computation."""
 
     cochain_id: str

@@ -12,13 +12,18 @@ the exact value 2 rank - 2 (2 in rank 2).
 The cycle's slice is supported on the 2 rank one-letter tuples: every
 edge orbit of the Cayley tree has a representative starting at the
 identity.
+
+`verify_flow_cycle` checks those two sums at every pair of points of a
+ball B_r. The sums at k^-1 g depend only on a finite type of that word,
+so by default it evaluates them on the words of length <= 3, which show
+every type, and sweeps all of B_2r only to list failures or to run an
+oracle passed as `flow=`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import eq
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .complexes import KIND_LINF, EquivariantChain, johnson_cocycle, one_lift_cochain
 from .functions import TreeFlow, ray_first_letter
@@ -26,18 +31,18 @@ from .groups import Element, FreeGroup, _check_rank, free_ball_size
 from .pairing import PairingCertificate, make_pairing_certificate
 
 
-@dataclass(frozen=True)
 class FlowCycleSpec:
     """Free group plus the ray letter defining the boundary point."""
 
-    group: FreeGroup
-    ray: int = 1  # positive letter index; p is the endpoint of (ray^n)
+    __slots__ = ("group", "ray")
 
-    def __post_init__(self):
-        if not isinstance(self.group, FreeGroup):
+    def __init__(self, group: FreeGroup, ray: int = 1):
+        if not isinstance(group, FreeGroup):
             raise ValueError("flow cycles are only defined over free groups")
-        if type(self.ray) is not int or not 1 <= self.ray <= self.group.rank:
-            raise ValueError(f"ray letter {self.ray!r} is not a generator of the group")
+        if type(ray) is not int or not 1 <= ray <= group.rank:
+            raise ValueError(f"ray letter {ray!r} is not a generator of the group")
+        self.group = group
+        self.ray = ray  # positive letter index; p is the endpoint of (ray^n)
 
     @property
     def ray_label(self) -> str:
@@ -51,7 +56,8 @@ def flow_value(fs: FlowCycleSpec, s: int, g: Element) -> int:
     it is not re-validated here. Words from outside go through
     `fs.group.check` first. This is the per-edge oracle for outside callers
     and for oracles handed to `verify_flow_cycle`; its default sweep reads
-    `ray_first_letter` directly and makes no call here.
+    `ray_first_letter` directly, on the words of B_min(2r, 3) only, and
+    makes no call here.
     """
     if s == 0 or abs(s) > fs.group.rank:
         raise ValueError(f"edge letter {s} is not a generator or inverse")
@@ -65,8 +71,7 @@ def flow_cycle(fs: FlowCycleSpec) -> EquivariantChain:
     return EquivariantChain(group, 1, KIND_LINF, entries)
 
 
-@dataclass
-class FlowVerification:
+class FlowVerification(NamedTuple):
     """Pointwise verification of the flow sums over a ball of base points."""
 
     fs: FlowCycleSpec
@@ -75,7 +80,7 @@ class FlowVerification:
     outgoing_constant: int
     incoming_constant: int
     boundary_constant: int
-    failures: list = field(default_factory=list)
+    failures: list
 
     @property
     def passed(self) -> bool:
@@ -99,11 +104,17 @@ class FlowVerification:
 
 # Work caps of the flow sweep, on top of the group rank cap MAX_RANK that
 # groups._check_rank applies: the word count |B_2r| is the number of
-# distinct h the sweep evaluates.
+# distinct h that the full sweep evaluates. The default route sweeps only
+# B_min(2r, 3) and runs the full sweep just when that finds a failure; the
+# `flow=` route always runs it, so the caps bound those two.
 # Past rank 1 the word cap already keeps 2r <= 10; the radius cap keeps
 # rank-1 words (and the r^2 letters of their ball) short as well.
 MAX_FLOW_WORDS = 10**6
 MAX_FLOW_RADIUS = 256
+
+# Every cone type of the flow sums occurs at a word of length <= 3; see
+# verify_flow_cycle.
+_TYPE_DEPTH = 3
 
 
 def check_flow_sweep(rank: int, radius: int) -> int:
@@ -169,8 +180,31 @@ def verify_flow_cycle(
     is 1 exactly when ray_first_letter(h) = s, so the outgoing sum is the
     number of letters s equal to the one head of h, and the incoming sum
     compares the head of each incoming point with its edge letter. That is
-    2 rank + 1 head evaluations per h instead of 4 rank oracle calls, and
-    every point the oracle route evaluates is still evaluated.
+    2 rank + 1 head evaluations per h instead of 4 rank oracle calls.
+
+    The default route then sweeps only B_min(2r, 3), as the sums at h
+    depend on a finite type of h, its cone type in the sense of Cannon
+    (1984). Write t for the ray letter and pure(w) when every letter of w
+    is t^-1; the empty word is pure.
+    - head(w) = ray_first_letter(w) strips the trailing run of t^-1, so it
+      is t if pure(w), else w[0]. The outgoing sum reads head(h).
+    - The incoming point for s = h[0] is h[1:], whose head is t if
+      pure(h[1:]), else h[1].
+    - For any other s the incoming point is (-s,) + h, which is pure just
+      when s = t and pure(h); its head is then t, else -s.
+    - So both sums are a function of T(h) = (h[:2], pure(h), pure(h[1:])).
+    - Every T of a word h of length >= 3 is the T of a word of length
+      <= 3. If pure(h), take (t^-1, t^-1). If pure(h[1:]) only, take
+      h[:2]. If h[1] != t^-1, take h[:2] again: neither is pure. Else
+      h = (x, t^-1, ..., t^-1, y, ...) with y the first letter after
+      h[1] other than t^-1; y != t as it follows t^-1, so (x, t^-1, y)
+      is reduced and has the same T. Only this type needs length 3.
+    Hence the sums over B_min(2r, 3) take every value that they take over
+    B_2r, and if none fails the full sweep cannot fail either. If one
+    fails, the same loop runs again over all of B_2r, so `failures` lists
+    exactly the full sweep's rows. `points_checked` stays |B_r|^2: the
+    pairs that the type argument covers. The `flow=` route cannot assume
+    that an oracle depends on T alone and always sweeps B_2r.
 
     Only the entry is validated (`check_flow_sweep`, `FlowCycleSpec`): every
     word evaluated is reduced by construction, so no word is checked again.
@@ -192,18 +226,23 @@ def verify_flow_cycle(
     rays = [ray] * len(letters)
     out_expect = 1
     in_expect = 2 * rank - 1
-    bad: dict[Element, tuple[int, int]] = {}
-    for h in reduced_words(rank, 2 * radius):
-        first = h[0] if h else 0
-        points = [h[1:] if s == first else (-s,) + h for s in letters]
-        if flow is None:
-            outgoing = letters.count(ray_first_letter(h, ray))
-            incoming = sum(map(eq, map(ray_first_letter, points, rays), edges))
-        else:
-            outgoing = sum(flow(s, h) for s in letters)
-            incoming = sum(map(flow, edges, points))
-        if outgoing != out_expect or incoming != in_expect:
-            bad[h] = (outgoing, incoming)
+    full = 2 * radius
+    depths = (full,) if flow is not None or full <= _TYPE_DEPTH else (_TYPE_DEPTH, full)
+    for depth in depths:
+        bad: dict[Element, tuple[int, int]] = {}
+        for h in reduced_words(rank, depth):
+            first = h[0] if h else 0
+            points = [h[1:] if s == first else (-s,) + h for s in letters]
+            if flow is None:
+                outgoing = letters.count(ray_first_letter(h, ray))
+                incoming = sum(map(eq, map(ray_first_letter, points, rays), edges))
+            else:
+                outgoing = sum(flow(s, h) for s in letters)
+                incoming = sum(map(flow, edges, points))
+            if outgoing != out_expect or incoming != in_expect:
+                bad[h] = (outgoing, incoming)
+        if not bad:
+            break
     failures = []
     if bad:
         ball = group.ball(radius)

@@ -508,6 +508,13 @@ class TestOutputContract:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["order"] == 3
 
+    def test_import_leaves_out_inspect(self):
+        # dataclasses would pull in inspect with ast, dis and tokenize: about
+        # 1 MB of RSS and 9 ms of import in every process that runs the CLI
+        code = "import amencert.cli, sys; assert 'inspect' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_missing_file_is_input_error(self, capsys):
         code, _ = run_cli(capsys, "finite-h0", "--group", "/does/not/exist.json")
         assert code == 1

@@ -8,7 +8,7 @@ import pytest
 
 from amencert import witnesses
 from amencert.functions import ray_first_letter
-from amencert.groups import MAX_RANK, FreeAbelianGroup, FreeGroup
+from amencert.groups import MAX_RANK, FreeAbelianGroup, FreeGroup, free_ball_size
 from amencert.witnesses import (
     FlowCycleSpec,
     FlowVerification,
@@ -57,18 +57,23 @@ def bfs_first_edge(group, target):
     raise AssertionError("unreachable")
 
 
+def oracle_sums(group, flow, h):
+    """(outgoing, incoming) at h through `flow` and group.mul."""
+    letters = [s for letter in range(1, group.rank + 1) for s in (letter, -letter)]
+    outgoing = sum(flow(s, h) for s in letters)
+    incoming = sum(flow(-s, group.mul((-s,), h)) for s in letters)
+    return outgoing, incoming
+
+
 def pair_loop_report(fs, radius, flow):
     """Oracle: the sweep as one oracle round per pair (k, g) of the ball."""
     group = fs.group
-    letters = [s for letter in range(1, group.rank + 1) for s in (letter, -letter)]
     ball = group.ball(radius)
     failures = []
     for k in ball:
         ki = group.inv(k)
         for g in ball:
-            h = group.mul(ki, g)
-            outgoing = sum(flow(s, h) for s in letters)
-            incoming = sum(flow(-s, group.mul((-s,), h)) for s in letters)
+            outgoing, incoming = oracle_sums(group, flow, group.mul(ki, g))
             if outgoing != 1 or incoming != 2 * group.rank - 1:
                 failures.append(
                     {
@@ -80,6 +85,11 @@ def pair_loop_report(fs, radius, flow):
                     }
                 )
     return FlowVerification(fs, radius, len(ball) ** 2, 1, 2 * group.rank - 1, 2 * group.rank - 2, failures)
+
+
+def flow_type(h, ray):
+    """T(h) = (h[:2], pure(h), pure(h[1:])), pure meaning that every letter is ray^-1."""
+    return h[:2], all(x == -ray for x in h), all(x == -ray for x in h[1:])
 
 
 def expected_flow_pairing(rank):
@@ -284,17 +294,20 @@ class TestDefaultRoute:
     """Without `flow`, the sweep reads ray_first_letter directly."""
 
     @pytest.mark.parametrize(
-        "rank, radius", [(1, r) for r in range(21)] + [(rank, r) for rank in (2, 3) for r in range(4)]
+        "rank, radius",
+        [(1, r) for r in range(21)] + [(2, r) for r in range(5)] + [(3, r) for r in range(4)],
     )
     def test_matches_the_flow_value_oracle(self, rank, radius):
         group = FreeGroup(rank)
-        for ray in range(1, rank + 1):
+        for ray in range(1, rank + 1) if radius <= 3 else (rank,):
             fs = FlowCycleSpec(group, ray)
             expected = verify_flow_cycle(fs, radius, flow=functools.partial(flow_value, fs))
             assert verify_flow_cycle(fs, radius).to_json() == expected.to_json()
 
     @pytest.mark.parametrize("rank", [2, 3])
-    @pytest.mark.parametrize("word, wrong", [("b*a^-1", 1), ("b*a^-1", -2), ("a*b", 0)])
+    @pytest.mark.parametrize(
+        "word, wrong", [("b*a^-1", 1), ("b*a^-1", -2), ("a*b", 0), ("a*b*a", 2), ("a*b*a", 0)]
+    )
     def test_wrong_head_is_caught(self, monkeypatch, rank, word, wrong):
         group = FreeGroup(rank)
         fs = FlowCycleSpec(group, 1)
@@ -313,9 +326,9 @@ class TestDefaultRoute:
         assert report.to_json() == expected.to_json()
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
-    @pytest.mark.parametrize("radius", [0, 1, 2])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
     def test_one_head_per_word_and_incoming_point(self, monkeypatch, rank, radius):
-        # (2 rank + 1) |B_2r| evaluations: no point of the sweep is skipped
+        # (2 rank + 1) |B_min(2r, 3)| evaluations: one per word of the type sweep
         calls = Counter()
 
         def counted(g, ray):
@@ -324,7 +337,8 @@ class TestDefaultRoute:
 
         monkeypatch.setattr(witnesses, "ray_first_letter", counted)
         assert verify_flow_cycle(FlowCycleSpec(FreeGroup(rank), 1), radius).passed
-        assert sum(calls.values()) == (2 * rank + 1) * check_flow_sweep(rank, radius)
+        words = free_ball_size(rank, min(2 * radius, 3), witnesses.MAX_FLOW_WORDS)
+        assert sum(calls.values()) == (2 * rank + 1) * words
 
     def test_ball_is_built_only_for_failures(self, f2):
         fs = FlowCycleSpec(f2, 1)
@@ -332,6 +346,34 @@ class TestDefaultRoute:
         assert len(f2._levels) == 1
         assert verify_flow_cycle(fs, 2, flow=flipped_at(fs, 2, "a*b")).failures
         assert len(f2._levels) == 3
+
+
+class TestConeTypes:
+    """The default sweep's type argument, against brute force over longer words."""
+
+    @pytest.mark.parametrize("rank, length", [(1, 6), (2, 6), (3, 5)])
+    def test_sums_are_a_function_of_the_type(self, rank, length):
+        group = FreeGroup(rank)
+        for ray in range(1, rank + 1):
+            flow = functools.partial(flow_value, FlowCycleSpec(group, ray))
+            short = {flow_type(h, ray): oracle_sums(group, flow, h) for h in reduced_words(rank, 3)}
+            for h in reduced_words(rank, length):
+                assert oracle_sums(group, flow, h) == short[flow_type(h, ray)], h
+
+    @pytest.mark.parametrize(
+        "rank, radius", [(1, r) for r in range(6)] + [(2, r) for r in range(4)] + [(3, r) for r in range(3)]
+    )
+    def test_the_type_sweep_finds_every_type(self, rank, radius):
+        depth = min(2 * radius, witnesses._TYPE_DEPTH)
+        for ray in range(1, rank + 1):
+            found = {flow_type(h, ray) for h in reduced_words(rank, depth)}
+            assert found == {flow_type(h, ray) for h in reduced_words(rank, 2 * radius)}
+
+    def test_depth_two_is_not_enough(self):
+        # (x, a^-1, y) with y not a or a^-1 first occurs at length 3
+        shallow = {flow_type(h, 1) for h in reduced_words(2, 2)}
+        missing = {flow_type(h, 1) for h in reduced_words(2, 4)} - shallow
+        assert missing == {((x, -1), False, False) for x in (-1, 2, -2)}
 
 
 class TestReducedWords:
