@@ -43,7 +43,7 @@ from .complexes import (
     one_l1_cycle,
     one_lift_cochain,
 )
-from .pairing import PairingCertificate, adjointness_check, make_pairing_certificate, pair
+from .pairing import PairingCertificate, make_pairing_certificate, pair
 from .amenability import (
     FiniteH0Report,
     FolnerCertificate,

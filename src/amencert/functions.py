@@ -2,13 +2,14 @@
 
 The summable side is `FinSuppFn`: an exact finitely supported map from
 group elements to rationals (Dirac deltas, slices of summable chains,
-values of bounded cochains). The bounded side is `BoundedFn`: an
-evaluation oracle with two structured variants -- `ConstPlusFinite`, a
-constant plus a finitely supported part (either may be zero), and the
-tree-flow indicator used by the free-group witness. Bounded functions are
-never truncated to vectors; pairings only ever evaluate them at the
-finitely many points of a summable support, so every number in the
-pipeline stays an exact rational.
+values of bounded cochains). The bounded side is `BoundedFn`, in one
+normal form: a `ConstPlusFinite` base (a constant plus a finitely
+supported part, either may be zero) plus rational multiples of translated
+leaves, such as the tree-flow indicator of the free-group witness. Terms
+with the same shift and leaf merge, so sums that cancel are structurally
+zero. Bounded functions are never truncated to vectors; pairings only
+ever evaluate them at the finitely many points of a summable support, so
+every number in the pipeline stays an exact rational.
 
 Translation is the left action (g.f)(h) = f(g^-1 h) throughout.
 """
@@ -239,11 +240,15 @@ def delta(group: GroupSpec, g: Element) -> FinSuppFn:
 
 
 class BoundedFn:
-    """Bounded function given as an exact evaluation oracle.
+    """Bounded function on a group, in one normal form.
 
-    The structured variants (ConstPlusFinite, TreeFlow) carry enough shape
-    for serialization and decidable quotient equality; sums and translates
-    of tree flows fall back to generic wrappers that still evaluate exactly.
+    Every value is base + sum c * (shift . leaf), and `parts()` returns
+    (base, terms): base a `ConstPlusFinite`, terms a dict {(shift, leaf): c}
+    with no zero c. A leaf is a variant that only evaluates (`TreeFlow`);
+    it is its own one term (e, leaf) with coefficient 1, so it must be
+    hashable. `translate`, `+` and `scale` are written once, over parts():
+    equal terms merge, so a sum that cancels term by term is structurally
+    zero, and equality does not depend on the order of the terms.
     """
 
     group: GroupSpec
@@ -254,10 +259,17 @@ class BoundedFn:
     def __call__(self, g: Element) -> Fraction:
         return self.evaluate(g)
 
+    def parts(self) -> tuple["ConstPlusFinite", dict]:
+        """(base, terms) of the normal form; a leaf is a zero base and itself as its one term."""
+        return ConstPlusFinite(self.group, 0), {(self.group.identity, self): Fraction(1)}
+
     def translate(self, g: Element) -> "BoundedFn":
-        if g == self.group.identity:
-            return self
-        return Translated(g, self)
+        """(g.f)(h) = f(g^-1 h): base and shifts move by g; s -> g s is injective, so no terms merge."""
+        base, terms = self.parts()
+        if base.fn:
+            base = ConstPlusFinite(self.group, base.const, base.fn.translate(g))
+        mul = self.group.mul
+        return Combination.of(base, {(mul(g, s), leaf): c for (s, leaf), c in terms.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -272,11 +284,13 @@ class BoundedFn:
             return NotImplemented
         if self.group != other.group:
             raise ValueError("cannot add bounded functions over different groups")
-        if other.is_zero:
+        if not other:
             return self
-        if self.is_zero:
+        if not self:
             return other
-        return Combination.of(self.group, [(Fraction(1), self), (Fraction(1), other)])
+        base, terms = self.parts()
+        other_base, other_terms = other.parts()
+        return Combination.of(base + other_base, _add_terms(dict(terms), other_terms.items()))
 
     def __sub__(self, other: "BoundedFn") -> "BoundedFn":
         return self + (-other)
@@ -286,11 +300,10 @@ class BoundedFn:
 
     def scale(self, c: Rational) -> "BoundedFn":
         c = frac(c)
-        if not c:
-            return ConstPlusFinite(self.group, 0)
-        if c == 1:
-            return self
-        return Combination.of(self.group, [(c, self)])
+        base, terms = self.parts()
+        if base:
+            base = ConstPlusFinite(self.group, c * base.const, base.fn * c)
+        return Combination.of(base, {key: c * ci for key, ci in terms.items()} if c else {})
 
     def __mul__(self, scalar: Rational) -> "BoundedFn":
         return self.scale(scalar)
@@ -304,9 +317,10 @@ class BoundedFn:
 class ConstPlusFinite(BoundedFn):
     """A constant plus a finitely supported part; either part may be zero.
 
-    The one structured form of every bounded value the pipeline builds: the
-    fundamental class is the constant 1, and inflated uniformly finite
-    chains are finitely supported. Sums of two such values fold exactly.
+    The base of every normal form, and every bounded value the file formats
+    hold except a tree flow: the fundamental class is the constant 1, and
+    inflated uniformly finite chains are finitely supported. Sums of two
+    such values fold exactly.
     """
 
     __slots__ = ("group", "const", "fn")
@@ -319,24 +333,17 @@ class ConstPlusFinite(BoundedFn):
     def evaluate(self, g):
         return self.const + self.fn.evaluate(g)
 
-    def translate(self, g):
-        if self.fn.is_zero:
-            return self
-        return ConstPlusFinite(self.group, self.const, self.fn.translate(g))
+    def parts(self):
+        return self, {}
 
     @property
     def is_zero(self):
         return not self.const and self.fn.is_zero
 
     def __add__(self, other):
-        folds = isinstance(other, ConstPlusFinite) and self.group == other.group
-        if not folds or self.is_zero or other.is_zero:
-            return super().__add__(other)
-        return ConstPlusFinite(self.group, self.const + other.const, self.fn + other.fn)
-
-    def scale(self, c):
-        c = frac(c)
-        return ConstPlusFinite(self.group, c * self.const, self.fn * c)
+        if isinstance(other, ConstPlusFinite) and self.group == other.group and self and other:
+            return ConstPlusFinite(self.group, self.const + other.const, self.fn + other.fn)
+        return super().__add__(other)
 
     def __eq__(self, other):
         return (
@@ -364,7 +371,7 @@ class TreeFlow(BoundedFn):
     Defined over a free group with a boundary point p given by an
     eventually-constant generator ray. evaluate(g) is 1 exactly when the
     first letter of the reduced infinite word g * ray^infinity equals the
-    edge letter, else 0.
+    edge letter, else 0. A leaf of the normal form.
     """
 
     __slots__ = ("group", "edge", "ray")
@@ -395,6 +402,9 @@ class TreeFlow(BoundedFn):
             and self.ray == other.ray
         )
 
+    def __hash__(self):
+        return hash((self.edge, self.ray))
+
     def _labels(self) -> tuple[str, str]:
         """The edge and ray letters as the group writes one-letter words: ("b^-1", "a")."""
         word = self.group.elem_to_str
@@ -421,80 +431,43 @@ def ray_first_letter(word: tuple[int, ...], ray: int) -> int:
     return word[0] if i else ray
 
 
-class Translated(BoundedFn):
-    """Left translate of an arbitrary bounded function."""
-
-    __slots__ = ("group", "shift", "_shift_inv", "inner")
-
-    def __init__(self, shift: Element, inner: BoundedFn):
-        self.group = inner.group
-        if isinstance(inner, Translated):
-            shift = self.group.mul(shift, inner.shift)
-            inner = inner.inner
-        self.shift = shift
-        self._shift_inv = self.group.inv(shift)
-        self.inner = inner
-
-    def evaluate(self, g):
-        return self.inner.evaluate(self.group.mul(self._shift_inv, g))
-
-    def translate(self, g):
-        total = self.group.mul(g, self.shift)
-        if total == self.group.identity:
-            return self.inner
-        return Translated(total, self.inner)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Translated)
-            and self.shift == other.shift
-            and self.inner == other.inner
-        )
-
-    def __repr__(self):
-        return f"Translated({self.group.elem_to_str(self.shift)}, {self.inner!r})"
-
-
 class Combination(BoundedFn):
-    """Exact rational linear combination of bounded functions."""
+    """A normal form with at least one term: base + sum c * (shift . leaf)."""
 
-    __slots__ = ("group", "terms")
+    __slots__ = ("group", "base", "terms")
 
-    def __init__(self, group: GroupSpec, terms: tuple):
-        self.group = group
+    def __init__(self, base: ConstPlusFinite, terms: dict):
+        self.group = base.group
+        self.base = base
         self.terms = terms
 
     @classmethod
-    def of(cls, group: GroupSpec, terms: Iterable) -> BoundedFn:
-        flat: list[tuple[Fraction, BoundedFn]] = []
-        for c, f in terms:
-            c = frac(c)
-            if not c or f.is_zero:
-                continue
-            if isinstance(f, Combination):
-                flat.extend((c * ci, fi) for ci, fi in f.terms)
-            else:
-                flat.append((c, f))
-        if not flat:
-            return ConstPlusFinite(group, 0)
-        if len(flat) == 1 and flat[0][0] == 1:
-            return flat[0][1]
-        return cls(group, tuple(flat))
+    def of(cls, base: ConstPlusFinite, terms: dict) -> BoundedFn:
+        """The simplest value with these parts: base alone, a lone leaf, or a Combination."""
+        if not terms:
+            return base
+        if len(terms) == 1 and not base:
+            ((shift, leaf), c), = terms.items()
+            if c == 1 and shift == base.group.identity:
+                return leaf
+        return cls(base, terms)
+
+    def parts(self):
+        return self.base, self.terms
 
     def evaluate(self, g):
-        return sum((c * f.evaluate(g) for c, f in self.terms), Fraction(0))
-
-    def translate(self, g):
-        return Combination.of(self.group, [(c, f.translate(g)) for c, f in self.terms])
-
-    def scale(self, c):
-        return Combination.of(self.group, [(frac(c) * ci, fi) for ci, fi in self.terms])
+        group = self.group
+        return self.base.evaluate(g) + sum(
+            (c * leaf.evaluate(group.mul(group.inv(s), g)) for (s, leaf), c in self.terms.items()), Fraction(0)
+        )
 
     def __eq__(self, other):
-        return isinstance(other, Combination) and self.terms == other.terms
+        return isinstance(other, Combination) and self.base == other.base and self.terms == other.terms
 
     def __repr__(self):
-        return f"Combination({self.terms!r})"
+        word = self.group.elem_to_str
+        terms = ", ".join(f"{c} * {word(s)}.{leaf!r}" for (s, leaf), c in self.terms.items())
+        return f"Combination({self.base!r}, {terms})"
 
 
 def bounded_from_json(group: GroupSpec, data: dict) -> BoundedFn:

@@ -3,8 +3,8 @@
 The pairing sums, over the finitely supported slice of the chain, the
 evaluation pairing of the cochain value against the chain value. It is
 well defined on classes because the coboundary is adjoint to the boundary;
-`adjointness_check` verifies that identity instance by instance through
-two independent computation routes.
+`adjointness_values` computes both sides of that identity through two
+independent routes.
 """
 
 from __future__ import annotations
@@ -26,13 +26,8 @@ def pair(phi: BoundedCochain, c: EquivariantChain) -> Fraction:
     return sum((pair_eval(phi.value_at(key), value) for key, value in c.slice.items()), Fraction(0))
 
 
-def adjointness_check(phi: BoundedCochain, c: EquivariantChain) -> bool:
-    """pair(d phi, c) == pair(phi, boundary c), computed independently."""
-    left, right = adjointness_values(phi, c)
-    return left == right
-
-
 def adjointness_values(phi: BoundedCochain, c: EquivariantChain) -> tuple[Fraction, Fraction]:
+    """pair(d phi, c) and pair(phi, boundary c), computed independently; adjointness says they are equal."""
     if c.degree != phi.degree + 1:
         raise ValueError("adjointness needs chain degree = cochain degree + 1")
     return pair(phi.coboundary(), c), pair(phi, c.boundary())
@@ -65,7 +60,6 @@ class PairingCertificate(NamedTuple):
 def make_pairing_certificate(
     phi: BoundedCochain,
     c: EquivariantChain,
-    cochain_id: str | None = None,
     cycle_id: str | None = None,
     adjoint_of: BoundedCochain | None = None,
 ) -> PairingCertificate:
@@ -86,7 +80,7 @@ def make_pairing_certificate(
             "equal": via_cochain == value == via_chain,
         }
     return PairingCertificate(
-        cochain_id=cochain_id or phi.label or "cochain",
+        cochain_id=phi.label or "cochain",
         cycle_id=cycle_id or "cycle",
         truncation_radius=c.support_radius(),
         value=value,

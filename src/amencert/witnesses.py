@@ -279,12 +279,9 @@ def flow_pairing_certificate(fs: FlowCycleSpec) -> PairingCertificate:
     same number computed as pair(lift, boundary(cycle)) through the chain
     route.
     """
-    cycle = flow_cycle(fs)
-    cert = make_pairing_certificate(
+    return make_pairing_certificate(
         johnson_cocycle(fs.group),
-        cycle,
-        cochain_id="johnson-cocycle",
+        flow_cycle(fs),
         cycle_id=f"tree-flow({fs.ray_label})",
         adjoint_of=one_lift_cochain(fs.group),
     )
-    return cert

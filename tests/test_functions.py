@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amencert import functions
 from amencert.functions import (
+    Combination,
     ConstPlusFinite,
     FinSuppFn,
     TreeFlow,
@@ -18,6 +20,7 @@ from amencert.functions import (
     ray_first_letter,
 )
 from amencert.complexes import KIND_L1, EquivariantChain, UfChain
+from amencert.groups import FreeGroup
 from amencert.sampling import random_boundedfn, random_element, random_finsupp
 
 
@@ -196,10 +199,105 @@ class TestBoundedFn:
             w = bounded_from_json(f2, v.to_json())
             assert w == v
 
+    def test_parts(self, f2):
+        flow = TreeFlow(f2, 1, 1)
+        assert flow.parts() == (ConstPlusFinite(f2, 0), {(f2.identity, flow): 1})
+        c = ConstPlusFinite(f2, 2, delta(f2, f2.gen(0)))
+        assert c.parts() == (c, {})
+
+    def test_lone_leaf_is_itself(self, f2):
+        flow = TreeFlow(f2, 1, 1)
+        assert flow.translate(f2.identity) is flow
+        assert flow - ConstPlusFinite(f2, 0) is flow
+        assert flow.translate(f2.gen(0)).translate(f2.inv(f2.gen(0))) is flow
+
+    def test_cancelled_sum_is_structurally_zero(self, f2):
+        t = TreeFlow(f2, 1, 1)
+        assert not t - t
+        assert t - t == ConstPlusFinite(f2, 0)
+        v = 2 * t.translate(f2.gen(1)) + ConstPlusFinite(f2, 1, delta(f2, f2.gen(0)))
+        assert (v - v).is_zero
+
+    def test_sum_does_not_depend_on_term_order(self, f2):
+        t = TreeFlow(f2, 1, 1)
+        a = f2.gen(0)
+        assert t.translate(a) + t == t + t.translate(a)
+
+    def test_combination_translate_is_action(self, f2, rng):
+        a = f2.gen(0)
+        v = TreeFlow(f2, -2, 1).translate(a) - 3 * TreeFlow(f2, 1, 2) + ConstPlusFinite(f2, 1, delta(f2, a))
+        for _ in range(20):
+            g, h = random_element(rng, f2), random_element(rng, f2)
+            assert v.translate(g).translate(h) == v.translate(f2.mul(h, g))
+
+    def test_combination_evaluate_sums_its_terms(self, f2):
+        a, b = f2.gen(0), f2.gen(1)
+        t, u = TreeFlow(f2, -2, 1), TreeFlow(f2, 1, 2)
+        v = Fraction(2, 3) * t.translate(a) + u - ConstPlusFinite(f2, 4, delta(f2, b))
+        assert type(v) is Combination
+        for x in f2.ball(3):
+            expected = Fraction(2, 3) * t(f2.mul(f2.inv(a), x)) + u(x) - 4 - delta(f2, b)(x)
+            assert v.evaluate(x) == expected
+
     def test_oracle_variants_not_serializable(self, f2):
         v = TreeFlow(f2, 1, 1).translate(f2.gen(0))
         with pytest.raises(ValueError):
             v.to_json()
+
+
+FREE_GROUPS = [FreeGroup(1), FreeGroup(2), FreeGroup(3)]
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+@st.composite
+def bounded_values(draw, count):
+    """(group, g, c, values): a free group of rank 1-3, an element and a
+    rational to act with, and `count` values built by the public operations
+    from a constant, a finite part and scaled translates of tree flows. The
+    small pools make terms meet, merge and cancel often."""
+    group = draw(st.sampled_from(FREE_GROUPS))
+    near = st.sampled_from(group.ball(1))
+    letters = [s for s in range(-group.rank, group.rank + 1) if s]
+    values = []
+    for _ in range(count):
+        finite = FinSuppFn(group, draw(st.lists(st.tuples(near, small_rationals), max_size=2)))
+        v = ConstPlusFinite(group, draw(small_rationals), finite)
+        for _ in range(draw(st.integers(0, 3))):
+            flow = TreeFlow(group, draw(st.sampled_from(letters)), draw(st.integers(1, group.rank)))
+            v = v + draw(small_rationals) * flow.translate(draw(near))
+        values.append(v)
+    return group, draw(st.sampled_from(group.ball(2))), draw(small_rationals), values
+
+
+class TestNormalForm:
+    """Properties of the bounded normal form over values drawn through the public operations."""
+
+    _settings = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+    @_settings
+    @given(bounded_values(2))
+    def test_evaluate_is_linear_and_translate_is_the_left_action(self, drawn):
+        group, g, c, (u, v) = drawn
+        w = u + c * v
+        moved = u.translate(g)
+        g_inv = group.inv(g)
+        for x in group.ball(2):
+            assert w(x) == u(x) + c * v(x)
+            assert moved(x) == u(group.mul(g_inv, x))
+
+    @_settings
+    @given(bounded_values(1))
+    def test_difference_with_itself_is_structurally_zero(self, drawn):
+        group, _, _, (x,) = drawn
+        assert (x - x).is_zero
+        assert x - x == ConstPlusFinite(group, 0)
+
+    @_settings
+    @given(bounded_values(3))
+    def test_sum_is_commutative_and_associative(self, drawn):
+        _, _, _, (a, b, c) = drawn
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
 
 
 class TestPairEval:
