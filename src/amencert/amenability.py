@@ -32,8 +32,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
-from .functions import FinSuppFn, frac_str
-from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec, free_ball_size
+from .functions import FinSuppFn, frac, frac_str
+from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec, _check_radius, free_ball_size
 
 
 def indicator(group: GroupSpec, members: Iterable[Element]) -> FinSuppFn:
@@ -216,7 +216,7 @@ def folner_search(
     Z^d and of finite groups have no closed form here and are built and
     counted one radius at a time.
     """
-    eps = Fraction(eps)
+    eps = frac(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if strategy not in ("balls", "boxes"):
@@ -289,10 +289,7 @@ def isoperimetric_argmin(group: GroupSpec, radius: int) -> tuple[Fraction, tuple
     The minimizer being unique, the lowest-mask tie rule of the
     enumeration never changes these answers.
     """
-    if type(radius) is not int:
-        raise ValueError(f"radius must be an integer, got {radius!r}")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_radius(radius)
     # one level at a time; a level that adds nothing means the ball has
     # saturated, so a huge radius on a finite group stops at its diameter
     ball = group.ball(0)

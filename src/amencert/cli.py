@@ -10,6 +10,7 @@ set is serialized in the canonical element order and all rationals are
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -41,6 +42,7 @@ from .sampling import (
     random_element,
     random_cochain,
     random_l1_chain,
+    random_linf_chain,
     random_uf_chain,
 )
 from .witnesses import (
@@ -217,12 +219,14 @@ def cmd_selftest(args) -> int:
             assert chain.boundary().boundary().is_zero
             uf = random_uf_chain(rng, g, rng.randint(2, 3))
             assert uf.boundary().boundary().is_zero
+            linf = random_linf_chain(rng, g, rng.randint(2, 3))
+            assert linf.boundary().boundary().is_zero
             phi = random_cochain(rng, g, rng.randint(0, 1))
             dd = phi.coboundary().coboundary()
             for _ in range(3):
                 key = tuple(random_element(rng, g, 2) for _ in range(dd.degree))
                 assert dd.value_at(key).is_zero
-            n += 3
+            n += 4
         return n
 
     def adjointness():
@@ -261,7 +265,8 @@ def cmd_selftest(args) -> int:
     return 0 if passed else 2
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:  # built on the first call, reused after
     parser = argparse.ArgumentParser(
         prog="amencert",
         description="Exact amenability certificates for finitely generated groups.",
@@ -312,8 +317,11 @@ def main(argv=None) -> int:
     p.add_argument("--trials", type=int, default=60)
     p.add_argument("--out")
     p.set_defaults(func=cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

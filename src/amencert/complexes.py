@@ -286,15 +286,6 @@ class BoundedCochain:
         self._check_value(value)
         return value
 
-    def __add__(self, other: "BoundedCochain") -> "BoundedCochain":
-        if not isinstance(other, BoundedCochain):
-            return NotImplemented
-        if (self.group, self.degree, self.dual) != (other.group, other.degree, other.dual):
-            raise ValueError("cannot add cochains of different shape")
-        return BoundedCochain(
-            self.group, self.degree, self.dual, rule=lambda key: self.value_at(key) + other.value_at(key)
-        )
-
     def coboundary(self) -> "BoundedCochain":
         """Face-deletion coboundary; the result is rule-backed."""
         group = self.group

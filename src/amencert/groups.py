@@ -8,9 +8,11 @@ infinite families, table indices for the finite one -- and every group
 operation lives on the group object, so values can be used directly as
 dictionary keys in the function and chain modules.
 
-Ball enumeration is breadth-first with a canonical within-level order;
-the order is part of the contract because certificates serialize support
-sets and must be byte-for-byte reproducible.
+Balls come from one breadth-first walk of the Cayley graph per group,
+whose levels, in the canonical order, are the only ball cache; a finite
+group runs it to saturation to read off its word metric. The order is
+part of the contract because certificates serialize support sets and
+must be byte-for-byte reproducible.
 
 Each group declares its generators once, as `gens` with `gen_labels`;
 `GroupSpec.__init__` builds the letter set from them, each generator and
@@ -30,6 +32,7 @@ import json
 import operator
 import re
 import threading
+from itertools import chain
 from math import comb
 from typing import Sequence, Union
 
@@ -43,6 +46,7 @@ MAX_RANK = 64
 MAX_TABLE_ORDER = 256
 MAX_WORD_LETTERS = 10**6
 
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
@@ -71,6 +75,14 @@ def _check_rank(rank: int, what: str) -> int:
     return rank
 
 
+def _check_radius(radius: int) -> None:
+    """ValueError unless radius is an int (not a bool) and nonnegative."""
+    if type(radius) is not int:
+        raise ValueError(f"radius must be an integer, got {radius!r}")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+
+
 def _default_labels(rank: int) -> tuple[str, ...]:
     if rank <= 26:
         return tuple(chr(ord("a") + i) for i in range(rank))
@@ -82,11 +94,17 @@ class GroupSpec:
 
     A family sets `gens` (the declared generators) and `gen_labels` (one
     label each), and whatever `inv` needs, before calling this __init__.
+
+    `_grow_levels` walks the Cayley graph breadth first, as far as asked:
+    `_levels[r]` holds the elements at word distance r, which tie on
+    sort_key's first part, sorted by the rest, `_level_key` (None where it
+    is the elements' own order). `ball(r)` joins `_levels[:r + 1]`.
     """
 
     family = "?"
     gens: tuple[Element, ...]
     gen_labels: tuple[str, ...]
+    _level_key = None
 
     def __init__(self) -> None:
         # Each declared generator, then its inverse labelled "^-1", skipping
@@ -102,15 +120,12 @@ class GroupSpec:
         self._letters = tuple(letters)
         # The canonical JSON of the spec, built once: it decides equality,
         # hashing and the spec hash.
-        self._canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        # BFS cache grown on demand; levels[r] holds the elements at word
-        # distance exactly r, sorted by sort_key. The lock keeps concurrent
-        # ball() calls from appending the same level twice; everything else
-        # is immutable.
+        self._canonical = _canonical_json(self.to_dict())
+        # The walk's state. The lock keeps concurrent ball() calls from
+        # appending a level twice; everything else is immutable.
         self._levels: list[tuple[Element, ...]] = [(self.identity,)]
         self._seen: set[Element] = {self.identity}
         self._saturated = False
-        self._ball_cache: dict[int, tuple[Element, ...]] = {}
         self._lock = threading.Lock()
 
     # -- core operations, provided by each family ------------------------
@@ -166,38 +181,29 @@ class GroupSpec:
         return self._letters
 
     def _grow_levels(self, radius: int) -> None:
+        """Extend the walk to levels 0..radius, or until a level comes out empty."""
         with self._lock:
+            levels, seen, mul = self._levels, self._seen, self.mul
             gens = [el for _, el in self.letters()]
-            while len(self._levels) <= radius and not self._saturated:
-                frontier = self._levels[-1]
-                nxt = set()
-                for x in frontier:
+            while len(levels) <= radius and not self._saturated:
+                nxt = []
+                for x in levels[-1]:
                     for s in gens:
-                        y = self.mul(x, s)
-                        if y not in self._seen:
-                            nxt.add(y)
+                        y = mul(x, s)
+                        if y not in seen:
+                            seen.add(y)
+                            nxt.append(y)
                 if not nxt:
                     self._saturated = True
                     break
-                self._seen.update(nxt)
-                self._levels.append(tuple(sorted(nxt, key=self.sort_key)))
+                nxt.sort(key=self._level_key)
+                levels.append(tuple(nxt))
 
     def ball(self, radius: int) -> tuple[Element, ...]:
         """All elements at word distance <= radius from e, canonically ordered."""
-        if type(radius) is not int:
-            raise ValueError(f"radius must be an integer, got {radius!r}")
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        cached = self._ball_cache.get(radius)
-        if cached is not None:
-            return cached
+        _check_radius(radius)
         self._grow_levels(radius)
-        out: list[Element] = []
-        for level in self._levels[: radius + 1]:
-            out.extend(level)
-        result = tuple(out)
-        self._ball_cache[radius] = result
-        return result
+        return tuple(chain.from_iterable(self._levels[: radius + 1]))
 
     def ball_size(self, radius: int, cap: int) -> int:
         """|ball(radius)| counted without building it; past cap, any larger number."""
@@ -309,8 +315,11 @@ class FreeGroup(_RankedGroup):
         # a < a^-1 < b < b^-1 < ...
         return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
 
+    def _level_key(self, a):
+        return tuple(map(self._letter_rank, a))
+
     def sort_key(self, a):
-        return (len(a), tuple(self._letter_rank(x) for x in a))
+        return (len(a), self._level_key(a))
 
     def dist(self, a, b):
         return len(self.mul(self.inv(a), b))
@@ -457,7 +466,14 @@ class FiniteGroup(GroupSpec):
             raise ValueError("declared generators must be distinct")
         self.gen_labels = tuple(f"g{i}" for i in self.gens)
         super().__init__()
-        self._distances = self._bfs_distances()
+        # The shared walk, run to saturation, gives every word distance.
+        self._grow_levels(self.order)
+        if len(self._seen) < self.order:
+            raise ValueError("declared generators do not generate the group")
+        dist = self._distances = [0] * self.order
+        for d, level in enumerate(self._levels):
+            for x in level:
+                dist[x] = d
 
     def _validate_table(self) -> None:
         """Entries in range, a two-sided identity, two-sided inverses, then Light's test.
@@ -494,15 +510,17 @@ class FiniteGroup(GroupSpec):
         if ident is None:
             raise ValueError("table has no two-sided identity")
         self._identity = ident
-        self._inverses = [-1] * n
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == ident and self.table[j][i] == ident:
-                    self._inverses[i] = j
-                    break
-            if self._inverses[i] < 0:
-                raise ValueError(f"element {i} has no two-sided inverse")
         table = self.table
+        self._inverses = []
+        for i, row in enumerate(table):
+            # the first j with i.j = e = j.i
+            try:
+                j = row.index(ident)
+                while table[j][i] != ident:
+                    j = row.index(ident, j + 1)
+            except ValueError:
+                raise ValueError(f"element {i} has no two-sided inverse") from None
+            self._inverses.append(j)
         for s in self._light_letters():
             # row_x -> (x.(s.y) for y); a tuple, as L is nonempty only when n >= 2
             pick = operator.itemgetter(*table[s])
@@ -543,26 +561,6 @@ class FiniteGroup(GroupSpec):
                         found.append(y)
                         stack.append(y)
         return letters
-
-    def _bfs_distances(self) -> list[int]:
-        dist = [-1] * self.order
-        dist[self._identity] = 0
-        frontier = [self._identity]
-        gens = [s for _, s in self.letters()]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = self.table[x][s]
-                    if dist[y] < 0:
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
-        if any(v < 0 for v in dist):
-            raise ValueError("declared generators do not generate the group")
-        return dist
 
     @property
     def identity(self) -> int:

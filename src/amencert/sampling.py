@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .complexes import DUAL_FULL, KIND_L1, KIND_LINF, BoundedCochain, EquivariantChain, UfChain
-from .functions import BoundedFn, ConstPlusFinite, FinSuppFn
+from .functions import BoundedFn, ConstPlusFinite, FinSuppFn, TreeFlow
 from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec
 
 
@@ -45,11 +45,17 @@ def random_finsupp(
 
 
 def random_boundedfn(rng: random.Random, group: GroupSpec, max_len: int = 3) -> BoundedFn:
-    """A constant (shape 0), a finite part (shape 1) or both (shape 2)."""
+    """A constant (shape 0), a finite part (shape 1) or both (shape 2); on a
+    free group, half the draws add a tree flow term c (s . TreeFlow(edge, ray))."""
     shape = rng.randrange(3)
     const = 0 if shape == 1 else random_fraction(rng, allow_zero=shape == 0)
     fn = FinSuppFn.zero(group) if shape == 0 else random_finsupp(rng, group, max_len=max_len)
-    return ConstPlusFinite(group, const, fn)
+    value = ConstPlusFinite(group, const, fn)
+    if isinstance(group, FreeGroup) and rng.randrange(2):
+        edge = rng.choice([s for s in range(-group.rank, group.rank + 1) if s])
+        flow = TreeFlow(group, edge, rng.randint(1, group.rank)).translate(random_element(rng, group, max_len))
+        value += flow.scale(random_fraction(rng))
+    return value
 
 
 def random_tuple(rng: random.Random, group: GroupSpec, length: int, max_len: int = 2) -> tuple:

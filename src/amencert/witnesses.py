@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from .complexes import KIND_LINF, EquivariantChain, johnson_cocycle, one_lift_cochain
 from .functions import TreeFlow, ray_first_letter
-from .groups import Element, FreeGroup, _check_rank, free_ball_size
+from .groups import Element, FreeGroup, _check_radius, _check_rank, free_ball_size
 from .pairing import PairingCertificate, make_pairing_certificate
 
 
@@ -124,10 +124,7 @@ def check_flow_sweep(rank: int, radius: int) -> int:
     passes MAX_FLOW_WORDS.
     """
     _check_rank(rank, "free group")
-    if type(radius) is not int:
-        raise ValueError(f"radius must be an integer, got {radius!r}")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_radius(radius)
     if radius > MAX_FLOW_RADIUS:
         raise ValueError(f"radius {radius} is above the flow-sweep cap of {MAX_FLOW_RADIUS}")
     total = free_ball_size(rank, 2 * radius, MAX_FLOW_WORDS)
@@ -214,13 +211,14 @@ def verify_flow_cycle(
     s, a suffix of a reduced word; else (-s,) + h, whose only new adjacent
     pair (-s, h[0]) cancels just when h[0] = s, the case excluded. Both are
     the free reduction of -s followed by h, which is `group.mul((-s,), h)`.
-    The edge letters are the 2 rank signed letters of range(1, rank + 1),
-    so `flow_value`'s edge-letter check could never fire on them either.
+    The edge letters are the 2 rank signed letters of group.letters(), in
+    its order a, a^-1, b, b^-1, ..., so `flow_value`'s edge-letter check
+    could never fire on them either.
     """
     group = fs.group
     rank = group.rank
     check_flow_sweep(rank, radius)
-    letters = [s for letter in range(1, rank + 1) for s in (letter, -letter)]
+    letters = [s for _, (s,) in group.letters()]
     edges = [-s for s in letters]
     ray = fs.ray
     rays = [ray] * len(letters)

@@ -140,6 +140,12 @@ class TestFolnerSearch:
         assert result.ratio == Fraction(1, 10)
         assert len(result.members) == 6400
 
+    @pytest.mark.parametrize("eps", [0.1, True])
+    def test_float_and_bool_eps_refused(self, z2, eps):
+        # a float would print as a binary fraction, and True would count as 1
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            folner_search(z2, eps, strategy="boxes", max_radius=5)
+
     def test_finite_group_reaches_zero(self, z3, s3):
         for group in (z3, s3):
             result = folner_search(group, Fraction(1, 1000), strategy="balls", max_radius=10)
@@ -312,14 +318,14 @@ class TestIsoperimetricMin:
         # |B_3| = 53 passes the cap, so B_40 (about 3^40 words) is never grown
         with pytest.raises(ValueError, match="radius 3 has 53 elements"):
             isoperimetric_argmin(f2, 40)
-        assert max(f2._ball_cache) <= 3
+        assert [len(level) for level in f2._levels] == [1, 4, 12, 36]
         assert len(f2._levels) <= 4
 
     def test_saturated_ball_stops_growing(self):
         d8 = FiniteGroup(dihedral_table(8), generators=(1, 8))
         ratio, members = isoperimetric_argmin(d8, 10**9)
         assert ratio == 0 and len(members) == 16
-        assert max(d8._ball_cache) < 10  # one radius per level, up to the diameter
+        assert d8._saturated and len(d8._levels) < 10  # one level per distance, up to the diameter
 
     @pytest.mark.parametrize("radius", [True, 1.0, "1", -1])
     def test_rejects_non_integer_or_negative_radius(self, f2, radius):

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: JSON payloads, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -36,6 +37,22 @@ def z3_file(tmp_path):
 @pytest.fixture
 def f2_dict():
     return {"family": "free", "rank": 2, "generators": ["a", "b"]}
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(2):
+            assert run_cli(capsys, "verify-f2", "--radius", "0")[0] == 0
+        # one build if no earlier call built it, none if one did
+        assert built.count("amencert") <= 1
 
 
 class TestVerifyF2:

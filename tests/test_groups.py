@@ -20,6 +20,8 @@ from amencert.groups import (
 )
 from conftest import dihedral_table, s3_group, symmetric_table
 
+S4_TABLE, _, S4_INDEX = symmetric_table(4)
+
 
 def naive_reduce(letters):
     """Reduction oracle: rescan for an adjacent cancelling pair until none is left."""
@@ -156,6 +158,39 @@ class TestBall:
         ball = f2.ball(2)
         assert ball[:5] == ((), (1,), (-1,), (2,), (-2,))
         assert all(f2.sort_key(ball[i]) < f2.sort_key(ball[i + 1]) for i in range(len(ball) - 1))
+
+    @pytest.mark.parametrize(
+        "table, gens",
+        [
+            (S4_TABLE, (S4_INDEX[(1, 2, 3, 0)], S4_INDEX[(1, 0, 2, 3)])),
+            (dihedral_table(18), (1, 18)),
+            (cyclic_table(60), (7,)),
+            (cyclic_table(256), None),
+        ],
+        ids=["s4", "d18", "z60-unit", "z256-default"],
+    )
+    def test_finite_walk_matches_table_bfs(self, table, gens):
+        # distances from a BFS over the raw table, independent of letters()
+        group = FiniteGroup(table, gens)
+        n = len(table)
+        e = next(i for i in range(n) if list(table[i]) == list(range(n)))
+        gens = [g for g in range(n) if g != e] if gens is None else gens
+        steps = set(gens) | {table[g].index(e) for g in gens}
+        dist, frontier = {e: 0}, [e]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s in steps:
+                    y = table[x][s]
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        assert len(dist) == n
+        assert [group.dist(e, g) for g in range(n)] == [dist[g] for g in range(n)]
+        for r in range(max(dist.values()) + 2):
+            inside = [g for g in range(n) if dist[g] <= r]
+            assert group.ball(r) == tuple(sorted(inside, key=lambda g: (dist[g], g)))
 
     def test_finite_saturates(self, z3, s3):
         assert len(z3.ball(10)) == 3
@@ -374,7 +409,7 @@ class TestCheckRejectsBools:
     @pytest.mark.parametrize("radius", [True, 1.0, "1"])
     def test_ball_radius(self, all_groups, radius):
         for group in all_groups:
-            group.ball(1)  # a cached ball(1) is not returned for True either
+            group.ball(1)  # levels already grown to 1 are not read for True either
             with pytest.raises(ValueError, match="radius must be an integer"):
                 group.ball(radius)
 
