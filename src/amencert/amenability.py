@@ -37,8 +37,9 @@ from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec
 
 
 def indicator(group: GroupSpec, members: Iterable[Element]) -> FinSuppFn:
-    one = Fraction(1)
-    return FinSuppFn(group, ((g, one) for g in members))
+    """1 on each member, 0 elsewhere; a repeated member counts once. The members are checked
+    first, as dict.fromkeys would fold False onto 0, or (True,) onto (1,), unchecked."""
+    return FinSuppFn._raw(group, dict.fromkeys([group.check(g) for g in members], Fraction(1)))
 
 
 def reiter_counts(group: GroupSpec, f: FinSuppFn) -> tuple[int, dict[str, int], int]:
@@ -89,17 +90,14 @@ class FolnerCertificate(NamedTuple):
         }
 
 
-class FolnerFailure:
+class FolnerFailure(NamedTuple):
     """Exhausted search: the best ratio seen at each parameter value."""
 
-    __slots__ = ("group", "strategy", "eps", "max_parameter", "attempts")
-
-    def __init__(self, group: GroupSpec, strategy: str, eps: Fraction, max_parameter: int):
-        self.group = group
-        self.strategy = strategy
-        self.eps = eps
-        self.max_parameter = max_parameter
-        self.attempts: list[dict] = []
+    group: GroupSpec
+    strategy: str
+    eps: Fraction
+    max_parameter: int
+    attempts: list[dict]
 
     @property
     def best_ratio(self) -> Fraction:
@@ -237,12 +235,12 @@ def folner_search(
     else:
         parameters, build = range(max_radius + 1), group.ball
     closed_form = _closed_form(group, strategy)
-    failure = FolnerFailure(group=group, strategy=strategy, eps=eps, max_parameter=max_radius)
+    attempts = []
     for parameter in parameters:
         if closed_form is not None:
             size, ratio = closed_form(parameter)
             if ratio > eps:
-                failure.attempts.append({"parameter": parameter, "set-size": size, "_ratio": ratio})
+                attempts.append({"parameter": parameter, "set-size": size, "_ratio": ratio})
                 continue
         cert = folner_certificate_from_set(group, build(parameter), strategy=strategy, parameter=parameter)
         if closed_form is not None and (len(cert.members), cert.ratio) != (size, ratio):
@@ -252,10 +250,8 @@ def folner_search(
             )
         if cert.ratio <= eps:
             return cert
-        failure.attempts.append(
-            {"parameter": parameter, "set-size": len(cert.members), "_ratio": cert.ratio}
-        )
-    return failure
+        attempts.append({"parameter": parameter, "set-size": len(cert.members), "_ratio": cert.ratio})
+    return FolnerFailure(group, strategy, eps, max_radius, attempts)
 
 
 # the largest ball isoperimetric_argmin enumerates: 2^18 - 1 subsets

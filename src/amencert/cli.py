@@ -29,15 +29,19 @@ from .complexes import (
     BoundedCochain,
     EquivariantChain,
     connecting_lift_check,
+    deflate,
     fundamental_cycle,
+    inflate,
     johnson_cocycle,
     one_l1_cycle,
     one_lift_cochain,
     one_cochain,
 )
 from .functions import FinSuppFn, frac_str, parse_frac
-from .groups import FiniteGroup, FreeGroup, group_from_dict, json_field, load_group, load_json
-from .pairing import make_pairing_certificate
+from .groups import (
+    FiniteGroup, FreeAbelianGroup, FreeGroup, cyclic_group, group_from_dict, json_field, load_group, load_json
+)
+from .pairing import adjointness_values, make_pairing_certificate
 from .sampling import (
     random_element,
     random_cochain,
@@ -47,7 +51,6 @@ from .sampling import (
 )
 from .witnesses import (
     FlowCycleSpec,
-    check_flow_sweep,
     flow_cycle,
     flow_pairing_certificate,
     verify_flow_cycle,
@@ -101,7 +104,6 @@ def _load_pair_input(path: str, what: str, builtins: dict, from_json):
 
 
 def cmd_verify_f2(args) -> int:
-    check_flow_sweep(args.rank, args.radius)
     fs = _flow_spec(FreeGroup(args.rank), args.ray)
     report = verify_flow_cycle(fs, args.radius)
     cert = flow_pairing_certificate(fs)
@@ -142,7 +144,7 @@ def cmd_reiter(args) -> int:
         f = FinSuppFn.from_pairs(group, data)
     else:
         # a plain list names a set: repeated elements are dropped, not weighted
-        f = indicator(group, dict.fromkeys(group.elem_from_json(x) for x in data))
+        f = indicator(group, [group.elem_from_json(x) for x in data])
     d, diffs, mass = reiter_counts(group, f)
     payload = {
         "type": "reiter-ratio",
@@ -183,10 +185,6 @@ def cmd_iso_min(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Seeded randomized property checks across the whole library."""
-    from .groups import FreeAbelianGroup, cyclic_group
-    from .pairing import adjointness_values
-    from .complexes import deflate, inflate
-
     rng = random.Random(args.seed)
     trials = max(1, args.trials)
     specs = [FreeGroup(2), FreeAbelianGroup(2), cyclic_group(3)]

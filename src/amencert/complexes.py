@@ -17,9 +17,9 @@ Four complexes share this module:
 
 Values are checked where they enter: the public constructors and
 `from_json` check every degree, key, value and diameter bound. Internal
-operations (boundaries, sums, negation, inflation) build their results
-through the private `_raw` constructors, each with the reason no check
-can fail there. `_read` and `_write` own the chain and cochain file
+operations (boundaries, sums and scalar multiples of equivariant chains,
+inflation) build their results through the private `_raw` constructors,
+each with the reason no check can fail there. `_read` and `_write` own the chain and cochain file
 format.
 
 An equivariant degree-m chain is recovered from its slice by
@@ -203,14 +203,6 @@ class EquivariantChain:
         merged = _add_terms(dict(self.slice), other.slice.items())
         return EquivariantChain._raw(self.group, self.degree, self.kind, merged)
 
-    def __neg__(self):
-        return EquivariantChain._raw(
-            self.group, self.degree, self.kind, {k: -v for k, v in self.slice.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, scalar: Rational):
         c = frac(scalar)
         if not c:
@@ -387,23 +379,6 @@ class UfChain:
         for key, c in self.coeffs.items():
             _add_terms(out, ((key[:i] + key[i + 1 :], -c if i % 2 else c) for i in range(self.degree + 1)))
         return UfChain._raw(self.group, self.degree - 1, out, self.diameter_bound)
-
-    def __add__(self, other: "UfChain") -> "UfChain":
-        """Built unchecked: a sum is supported on the union of the two
-        supports, so the larger of the two bounds holds for it."""
-        if not isinstance(other, UfChain):
-            return NotImplemented
-        if (self.group, self.degree) != (other.group, other.degree):
-            raise ValueError("cannot add chains of different shape")
-        merged = _add_terms(dict(self.coeffs), other.coeffs.items())
-        return UfChain._raw(self.group, self.degree, merged, max(self.diameter_bound, other.diameter_bound))
-
-    def __neg__(self):
-        """Built unchecked: negation keeps the support and every coefficient nonzero."""
-        return UfChain._raw(self.group, self.degree, {k: -c for k, c in self.coeffs.items()}, self.diameter_bound)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __eq__(self, other):
         # The diameter bound is metadata, not part of the chain's identity.

@@ -121,8 +121,6 @@ class FinSuppFn:
     def evaluate(self, g: Element) -> Fraction:
         return self._coeffs.get(g, Fraction(0))
 
-    __call__ = evaluate
-
     def items(self):
         return self._coeffs.items()
 
@@ -213,22 +211,20 @@ class FinSuppFn:
         )
 
     def __repr__(self) -> str:
-        terms = ", ".join(
-            f"{self.group.elem_to_str(g)}: {c}" for g, c in sorted(
-                self._coeffs.items(), key=lambda kv: self.group.sort_key(kv[0])
-            )
-        )
+        coeffs = self._coeffs
+        terms = ", ".join(f"{self.group.elem_to_str(g)}: {coeffs[g]}" for g in self.support())
         return f"FinSuppFn({{{terms}}})"
 
     def to_pairs(self) -> list:
-        return [
-            [self.group.elem_to_json(g), frac_str(c)]
-            for g, c in sorted(self._coeffs.items(), key=lambda kv: self.group.sort_key(kv[0]))
-        ]
+        coeffs = self._coeffs
+        return [[self.group.elem_to_json(g), frac_str(coeffs[g])] for g in self.support()]
 
     @classmethod
     def from_pairs(cls, group: GroupSpec, pairs: list) -> "FinSuppFn":
-        return cls(group, ((group.elem_from_json(e), parse_frac(c)) for e, c in json_pairs(pairs, "function")))
+        """The function a file's [element, "p/q"] pairs name; repeated elements sum. The
+        readers return checked elements and Fractions, so nothing is checked twice."""
+        terms = ((group.elem_from_json(e), parse_frac(c)) for e, c in json_pairs(pairs, "function"))
+        return cls._raw(group, _add_terms({}, terms))
 
 
 def delta(group: GroupSpec, g: Element) -> FinSuppFn:
@@ -246,7 +242,7 @@ class BoundedFn:
     (base, terms): base a `ConstPlusFinite`, terms a dict {(shift, leaf): c}
     with no zero c. A leaf is a variant that only evaluates (`TreeFlow`);
     it is its own one term (e, leaf) with coefficient 1, so it must be
-    hashable. `translate`, `+` and `scale` are written once, over parts():
+    hashable. `translate`, `+` and `*` are written once, over parts():
     equal terms merge, so a sum that cancels term by term is structurally
     zero, and equality does not depend on the order of the terms.
     """
@@ -255,9 +251,6 @@ class BoundedFn:
 
     def evaluate(self, g: Element) -> Fraction:
         raise NotImplementedError
-
-    def __call__(self, g: Element) -> Fraction:
-        return self.evaluate(g)
 
     def parts(self) -> tuple["ConstPlusFinite", dict]:
         """(base, terms) of the normal form; a leaf is a zero base and itself as its one term."""
@@ -296,17 +289,14 @@ class BoundedFn:
         return self + (-other)
 
     def __neg__(self) -> "BoundedFn":
-        return self.scale(-1)
+        return self * -1
 
-    def scale(self, c: Rational) -> "BoundedFn":
-        c = frac(c)
+    def __mul__(self, scalar: Rational) -> "BoundedFn":
+        c = frac(scalar)
         base, terms = self.parts()
         if base:
             base = ConstPlusFinite(self.group, c * base.const, base.fn * c)
         return Combination.of(base, {key: c * ci for key, ci in terms.items()} if c else {})
-
-    def __mul__(self, scalar: Rational) -> "BoundedFn":
-        return self.scale(scalar)
 
     __rmul__ = __mul__
 

@@ -96,15 +96,16 @@ class GroupSpec:
     label each), and whatever `inv` needs, before calling this __init__.
 
     `_grow_levels` walks the Cayley graph breadth first, as far as asked:
-    `_levels[r]` holds the elements at word distance r, which tie on
-    sort_key's first part, sorted by the rest, `_level_key` (None where it
-    is the elements' own order). `ball(r)` joins `_levels[:r + 1]`.
+    `_levels[r]` holds the elements at word distance r in canonical order:
+    if `_sort_levels`, sorted by their own order, the rest of sort_key;
+    a free group's walk yields them in order (see FreeGroup). `ball(r)`
+    joins `_levels[:r + 1]`.
     """
 
     family = "?"
     gens: tuple[Element, ...]
     gen_labels: tuple[str, ...]
-    _level_key = None
+    _sort_levels = True
 
     def __init__(self) -> None:
         # Each declared generator, then its inverse labelled "^-1", skipping
@@ -196,7 +197,8 @@ class GroupSpec:
                 if not nxt:
                     self._saturated = True
                     break
-                nxt.sort(key=self._level_key)
+                if self._sort_levels:
+                    nxt.sort()
                 levels.append(tuple(nxt))
 
     def ball(self, radius: int) -> tuple[Element, ...]:
@@ -267,9 +269,18 @@ class FreeGroup(_RankedGroup):
     Letter +k stands for generator k-1, letter -k for its inverse. Words
     never contain an adjacent cancelling pair, so equality of elements is
     equality of tuples.
+
+    The walk's levels need no sort. Let level r be in canonical order (the
+    letter ranks, left to right), as level 0 = (e) is. The walk extends
+    each x of it in turn by the letters s in rank order a, a^-1, b, ...;
+    x.s is x + (s,), or shorter and already seen when s cancels x's last
+    letter. A word of length r + 1 has one parent, its prefix, so it is
+    appended once, and level r + 1 comes out ordered by prefix, then by
+    last letter: in canonical order.
     """
 
     family = "free"
+    _sort_levels = False
 
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
         super().__init__(rank, labels, "free group")
@@ -315,11 +326,8 @@ class FreeGroup(_RankedGroup):
         # a < a^-1 < b < b^-1 < ...
         return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
 
-    def _level_key(self, a):
-        return tuple(map(self._letter_rank, a))
-
     def sort_key(self, a):
-        return (len(a), self._level_key(a))
+        return (len(a), tuple(map(self._letter_rank, a)))
 
     def dist(self, a, b):
         return len(self.mul(self.inv(a), b))

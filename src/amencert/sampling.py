@@ -54,7 +54,7 @@ def random_boundedfn(rng: random.Random, group: GroupSpec, max_len: int = 3) -> 
     if isinstance(group, FreeGroup) and rng.randrange(2):
         edge = rng.choice([s for s in range(-group.rank, group.rank + 1) if s])
         flow = TreeFlow(group, edge, rng.randint(1, group.rank)).translate(random_element(rng, group, max_len))
-        value += flow.scale(random_fraction(rng))
+        value += flow * random_fraction(rng)
     return value
 
 

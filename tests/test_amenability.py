@@ -75,6 +75,16 @@ class TestReiterRatio:
         assert reiter_ratio(f2, indicator(f2, members)) == Fraction(72, 17)
         assert symmetric_difference_ratio(f2, members) == Fraction(72, 17)
 
+    def test_indicator_counts_a_repeated_member_once(self, f2, z2, z3):
+        a, e = f2.gen(0), f2.identity
+        f = indicator(f2, [a, a, e])
+        assert f == indicator(f2, [a, e]) == FinSuppFn(f2, {a: 1, e: 1})
+        assert reiter_ratio(f2, f) == 6 == symmetric_difference_ratio(f2, [a, e])
+        # a bool is refused, not folded onto the int it equals
+        for group, members in ((z3, [0, False]), (z2, [(0, 0), (False, 0)])):
+            with pytest.raises(ValueError):
+                indicator(group, members)
+
     def test_rejects_zero_and_signed(self, f2):
         with pytest.raises(ValueError):
             reiter_ratio(f2, FinSuppFn.zero(f2))

@@ -65,8 +65,8 @@ class TestFinSuppFn:
         g = random_finsupp(rng, f2)
         h = f + g
         for x in set(f.support()) | set(g.support()):
-            assert h(x) == f(x) + g(x)
-        assert (2 * f)(f.support()[0]) == 2 * f(f.support()[0])
+            assert h.evaluate(x) == f.evaluate(x) + g.evaluate(x)
+        assert (2 * f).evaluate(f.support()[0]) == 2 * f.evaluate(f.support()[0])
         assert (-f + f).is_zero
 
     def test_pairs_roundtrip(self, all_groups, rng):
@@ -110,9 +110,9 @@ class TestConstruction:
             lambda g, c: UfChain(g, 0, {((),): c}),
             lambda g, c: ConstPlusFinite(g, c),
             lambda g, c: EquivariantChain(g, 0, KIND_L1, {(): delta(g, ())}) * c,
-            lambda g, c: TreeFlow(g, 1, 1).scale(c),
+            lambda g, c: TreeFlow(g, 1, 1) * c,
         ],
-        ids=["FinSuppFn", "UfChain", "ConstPlusFinite", "EquivariantChain.__mul__", "BoundedFn.scale"],
+        ids=["FinSuppFn", "UfChain", "ConstPlusFinite", "EquivariantChain.__mul__", "BoundedFn.__mul__"],
     )
     def test_coefficient_must_be_int_or_fraction(self, f2, build, value):
         # 0.1 would enter as 3602879701896397/36028797018963968 and True as 1
@@ -236,7 +236,7 @@ class TestBoundedFn:
         v = Fraction(2, 3) * t.translate(a) + u - ConstPlusFinite(f2, 4, delta(f2, b))
         assert type(v) is Combination
         for x in f2.ball(3):
-            expected = Fraction(2, 3) * t(f2.mul(f2.inv(a), x)) + u(x) - 4 - delta(f2, b)(x)
+            expected = Fraction(2, 3) * t.evaluate(f2.mul(f2.inv(a), x)) + u.evaluate(x) - 4 - delta(f2, b).evaluate(x)
             assert v.evaluate(x) == expected
 
     def test_oracle_variants_not_serializable(self, f2):
@@ -282,8 +282,8 @@ class TestNormalForm:
         moved = u.translate(g)
         g_inv = group.inv(g)
         for x in group.ball(2):
-            assert w(x) == u(x) + c * v(x)
-            assert moved(x) == u(group.mul(g_inv, x))
+            assert w.evaluate(x) == u.evaluate(x) + c * v.evaluate(x)
+            assert moved.evaluate(x) == u.evaluate(group.mul(g_inv, x))
 
     @_settings
     @given(bounded_values(1))
@@ -332,7 +332,7 @@ class TestPairEval:
     def test_against_finsuppfn_values(self, f2, rng):
         f = random_finsupp(rng, f2)
         g = random_finsupp(rng, f2)
-        expected = sum((c * g(x) for x, c in f.items()), Fraction(0))
+        expected = sum((c * g.evaluate(x) for x, c in f.items()), Fraction(0))
         assert pair_eval(f, g) == expected
 
 
