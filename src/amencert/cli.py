@@ -104,7 +104,8 @@ def _load_pair_input(path: str, what: str, builtins: dict, from_json):
 
 
 def cmd_verify_f2(args) -> int:
-    fs = _flow_spec(FreeGroup(args.rank), args.ray)
+    group = FreeGroup(args.rank)
+    fs = _flow_spec(group, group.gen_labels[0] if args.ray is None else args.ray)
     report = verify_flow_cycle(fs, args.radius)
     cert = flow_pairing_certificate(fs)
     payload = report.to_json()
@@ -274,7 +275,7 @@ def _parser() -> argparse.ArgumentParser:  # built on the first call, reused aft
 
     p = sub.add_parser("verify-f2", help="verify the free-group flow-cycle witness")
     p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--ray", default="a", help="generator label whose ray fixes the boundary point")
+    p.add_argument("--ray", help="generator label whose ray fixes the boundary point (default: the first)")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_f2)

@@ -50,6 +50,21 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\Z")
 def parse_frac(s: str) -> Fraction:
     """Exact rational from "p/q", an integer, a decimal or an exponent form.
 
+    The short form is ASCII "p/q" with an optional "-" before p, p and q
+    nonempty runs of the digits 0-9, q not zero, and at most
+    MAX_RATIONAL_DIGITS characters on either side of the "/". It is read by
+    one partition and two int calls. Every such string is one that
+    Fraction's pattern reads as p/q -- sign "-" or none, numerator and
+    denominator plain digit runs, no whitespace -- and Fraction then takes
+    int of each side, negates p on "-", and divides both by their gcd,
+    which is what Fraction(int(p), int(q)) does. At most 4300 characters
+    hold at most 4300 digits, which int reads under the default limit (a
+    lowered limit raises inside the same try, with the same error). So the
+    short form gives Fraction's value on every string it takes, and every
+    other string -- a "+" sign, whitespace, "_", a non-ASCII digit, a
+    decimal, an exponent, a zero denominator, a longer side -- takes
+    Fraction's route as before.
+
     Fraction builds 10^|e| for an exponent e before it reduces, so
     "1e-10000000" would cost seconds before frac_str refused it. The
     mantissa has fewer than len(text) digits, so when it is nonzero and
@@ -61,9 +76,15 @@ def parse_frac(s: str) -> Fraction:
     """
     if type(s) is not str:
         raise ValueError(f'a rational must be a "p/q" string, got {s!r}')
-    text = s.strip()
-    exp = _EXPONENT.search(text)
+    num, slash, den = s.partition("/")
     try:
+        if (slash and s.isascii() and len(num) <= MAX_RATIONAL_DIGITS and len(den) <= MAX_RATIONAL_DIGITS
+                and (num[1:] if num[:1] == "-" else num).isdigit() and den.isdigit()):
+            d = int(den)
+            if d:
+                return Fraction(int(num), d)
+        text = s.strip()
+        exp = _EXPONENT.search(text)
         too_long = exp is not None and abs(int(exp.group(1))) > MAX_RATIONAL_DIGITS + len(text)
         q = None if too_long else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

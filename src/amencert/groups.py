@@ -47,8 +47,9 @@ MAX_TABLE_ORDER = 256
 MAX_WORD_LETTERS = 10**6
 
 _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-_TOKEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+# a label is the whole string: fullmatch, as `$` would also match before a final newline
+_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_DEFAULT_LETTERS = "abcdfghijklmnopqrstuvwxyz"
 
 
 def _check_labels(labels: Sequence[str], count: int) -> tuple[str, ...]:
@@ -56,7 +57,7 @@ def _check_labels(labels: Sequence[str], count: int) -> tuple[str, ...]:
     if len(labels) != count:
         raise ValueError(f"expected {count} generator labels, got {len(labels)}")
     for lab in labels:
-        if type(lab) is not str or not _LABEL_RE.match(lab):
+        if type(lab) is not str or not _LABEL_RE.fullmatch(lab):
             raise ValueError(f"invalid generator label {lab!r}")
         if lab == "e":
             raise ValueError("label 'e' is reserved for the identity")
@@ -84,8 +85,9 @@ def _check_radius(radius: int) -> None:
 
 
 def _default_labels(rank: int) -> tuple[str, ...]:
-    if rank <= 26:
-        return tuple(chr(ord("a") + i) for i in range(rank))
+    """a, b, c, d, f, ... up to rank 25, then x0, x1, ...: never "e", the identity's word."""
+    if rank <= len(_DEFAULT_LETTERS):
+        return tuple(_DEFAULT_LETTERS[:rank])
     return tuple(f"x{i}" for i in range(rank))
 
 
@@ -224,17 +226,6 @@ class GroupSpec:
         return f"<{type(self).__name__} {self.to_dict()}>"
 
 
-def _free_reduce(letters) -> tuple[int, ...]:
-    """The free reduction of any sequence of signed letters, by one stack walk."""
-    word: list[int] = []
-    for letter in letters:
-        if word and word[-1] == -letter:
-            word.pop()
-        else:
-            word.append(letter)
-    return tuple(word)
-
-
 class _RankedGroup(GroupSpec):
     """A group on `rank` free generators: the free and free-abelian families.
 
@@ -284,7 +275,7 @@ class FreeGroup(_RankedGroup):
 
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
         super().__init__(rank, labels, "free group")
-        self._label_index = {lab: i for i, lab in enumerate(self.gen_labels)}
+        self._label_letter = {lab: i + 1 for i, lab in enumerate(self.gen_labels)}
 
     def _basis(self, i):
         return (i + 1,)
@@ -353,28 +344,46 @@ class FreeGroup(_RankedGroup):
     def elem_from_str(self, s: str):
         """The reduced word written as `a^2*b^-1` (or `e`).
 
-        Tokens are expanded before the word is reduced, so the running sum
-        of the |exponents| is checked against MAX_WORD_LETTERS before each
-        expansion: nothing is allocated for a word past the cap, even one
-        that would reduce to a short word.
+        Each token is `label` or `label^n`, n an optional "-" and decimal
+        digits: the strings `str.isdecimal` accepts are those `\\d+` matches,
+        and `int` reads each of them. A token that is not of this form cannot
+        be parsed; a well-formed one whose label is not a generator names an
+        unknown generator. The labels all match `_LABEL_RE` whole, so a label
+        that names a letter needs no pattern, and the pattern only words the
+        error on a token that fails.
+
+        The running sum of the |exponents| is checked against
+        MAX_WORD_LETTERS before each token is expanded, so nothing is
+        allocated for a word past the cap, even one that would reduce to a
+        short word. Expansion reduces on a stack: a run of one letter first
+        cancels the inverse letters on top, and the rest of it is pushed, so
+        the result is the free reduction of the whole expanded word.
         """
         s = s.strip()
         if s in ("e", ""):
             return ()
-        letters: list[int] = []
+        letters = self._label_letter
+        word: list[int] = []
+        count = 0
         for token in s.split("*"):
-            m = _TOKEN_RE.match(token.strip())
-            if not m:
+            lab, caret, exp_s = token.strip().partition("^")
+            letter = letters.get(lab)
+            digits = exp_s[1:] if exp_s[:1] == "-" else exp_s
+            if caret and not digits.isdecimal() or letter is None and not _LABEL_RE.fullmatch(lab):
                 raise ValueError(f"cannot parse word token {token!r}")
-            lab, exp_s = m.group(1), m.group(2)
-            if lab not in self._label_index:
+            if letter is None:
                 raise ValueError(f"unknown generator {lab!r}")
-            exp = int(exp_s) if exp_s is not None else 1
-            if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            n = int(exp_s) if caret else 1
+            count += abs(n)
+            if count > MAX_WORD_LETTERS:
                 raise ValueError(f"word token {token.strip()!r} passes the cap of {MAX_WORD_LETTERS} letters")
-            letter = self._label_index[lab] + 1
-            letters.extend([letter if exp > 0 else -letter] * abs(exp))
-        return _free_reduce(letters)
+            if n < 0:
+                letter, n = -letter, -n
+            while n and word and word[-1] == -letter:
+                word.pop()
+                n -= 1
+            word.extend([letter] * n)
+        return tuple(word)
 
     def elem_to_json(self, a):
         return self.elem_to_str(a)

@@ -77,6 +77,12 @@ class TestVerifyF2:
         assert payload["incoming-constant"] == 5
         assert payload["pairing"]["value"] == "4/1"
 
+    def test_every_rank_passes_with_the_default_ray(self, capsys):
+        for rank in range(1, groups.MAX_RANK + 1):
+            code, out = run_cli(capsys, "verify-f2", "--rank", str(rank), "--radius", "0")
+            assert code == 0, rank
+            assert json.loads(out)["ray"] == groups.FreeGroup(rank).gen_labels[0]
+
     def test_bad_ray_is_input_error(self, capsys):
         code, _ = run_cli(capsys, "verify-f2", "--ray", "c")
         assert code == 1
@@ -444,6 +450,13 @@ def test_malformed_group_spec_is_one_line_error(tmp_path, name):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_label_with_a_final_newline_is_refused(capsys, tmp_path):
+    group = write_json(tmp_path / "g.json", {"family": "free", "rank": 2, "generators": ["a\n", "b"]})
+    assert main(["iso-min", "--radius", "0", "--group", group]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: invalid generator label 'a\\n'\n"
 
 
 @pytest.mark.parametrize("point", [[1.7, True], [1, True], [1.0, 2], ["1", 2]])

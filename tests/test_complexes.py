@@ -20,7 +20,7 @@ from amencert.complexes import (
     one_lift_cochain,
 )
 from amencert.functions import ConstPlusFinite, FinSuppFn, TreeFlow, delta
-from amencert.groups import FreeAbelianGroup
+from amencert.groups import FreeAbelianGroup, FreeGroup
 from amencert.sampling import (
     random_cochain,
     random_element,
@@ -297,6 +297,64 @@ class TestSerialization:
         }
         with pytest.raises(ValueError):
             EquivariantChain.from_json(data)
+
+
+F2 = {"family": "free", "rank": 2, "generators": ["a", "b"]}
+ONE = {"l1": [["e", "1/1"]]}
+
+
+def chain_file(entries, degree=1, kind="l1"):
+    return {"group": F2, "degree": degree, "kind": kind, "entries": entries}
+
+
+def cochain_file(entries, degree=1, dual="full-dual"):
+    return {"group": F2, "degree": degree, "dual": dual, "entries": entries}
+
+
+def uf_file(entries, degree=1):
+    return {"group": F2, "degree": degree, "entries": entries}
+
+
+class TestFileEntries:
+    """from_json reads each element and value once, then checks the rest in the constructors' order."""
+
+    @pytest.mark.parametrize("read, data, error", [
+        (EquivariantChain.from_json, chain_file([[["a", "b"], ONE]]), "expected a 1-tuple slice key, got ((1,), (2,))"),
+        (EquivariantChain.from_json, chain_file([[["a"], ONE], [["a"], ONE]]), "duplicate slice key ((1,),)"),
+        (EquivariantChain.from_json, chain_file([[["a", "b"], ONE], [["a"], {"l1": [["c", "1/1"]]}]]),
+         "unknown generator 'c'"),
+        (EquivariantChain.from_json, chain_file([[["a", "b"], ONE]], degree=-1), "chain degree must be >= 0"),
+        (EquivariantChain.from_json, chain_file([[["a", "b"], {"constant": "1/1"}]], kind="x"),
+         "unknown chain kind 'x'"),
+        (BoundedCochain.from_json, cochain_file([[["a"], [["e", "1/1"]]], [["a"], [["b", "1/1"]]]]),
+         "duplicate cochain key ((1,),)"),
+        (BoundedCochain.from_json, cochain_file([[["a"], [["e", "1/1"]]]], dual="quotient-dual"),
+         "quotient-dual cochain produced a value with nonzero coefficient sum"),
+        (BoundedCochain.from_json, cochain_file([[["a", "b"], []]], dual="x"), "unknown dual flag 'x'"),
+        (UfChain.from_json, uf_file([[["a"], "1/1"]]), "expected a 2-tuple slice key, got ((1,),)"),
+        (UfChain.from_json, {**uf_file([[["e", "a^2"], "1/1"]]), "diameter-bound": 1},
+         "support diameter 2 exceeds the declared bound 1"),
+    ])
+    def test_error_texts(self, read, data, error):
+        with pytest.raises(ValueError) as exc:
+            read(data)
+        assert str(exc.value) == error
+
+    def test_zero_values_dropped_and_uf_keys_summed(self, f2):
+        a = f2.gen(0)
+        chain = EquivariantChain.from_json(chain_file([[["a"], {"l1": []}], [["a"], ONE]]))
+        assert chain == EquivariantChain(f2, 1, KIND_L1, {(a,): delta(f2, f2.identity)})
+        uf = UfChain.from_json(uf_file([[["e", "a"], "1/2"], [["e", "a"], "1/2"], [["e", "b"], "0/1"]]))
+        assert uf == UfChain(f2, 1, {(f2.identity, a): 1}) and uf.diameter_bound == 1
+
+    def test_free_group_files_run_no_element_check(self, monkeypatch):
+        def no_check(self, a):
+            raise AssertionError("group.check ran on a value the reader had checked")
+
+        monkeypatch.setattr(FreeGroup, "check", no_check)
+        EquivariantChain.from_json(chain_file([[["a"], ONE], [["b^-1"], {"l1": [["a*b", "-1/2"]]}]]))
+        BoundedCochain.from_json(cochain_file([[["a"], [["e", "1/1"]]]]))
+        UfChain.from_json(uf_file([[["e", "a"], "1/2"]]))
 
 
 class TestChainValidation:

@@ -367,6 +367,34 @@ def test_rational_strings():
         parse_frac("x")
 
 
+# one row per way a rational is read: the short "p/q" form, and each form that takes Fraction's route
+@pytest.mark.parametrize("text, want", [
+    ("72/17", Fraction(72, 17)),
+    ("-0/5", Fraction(0)),
+    ("0006/0004", Fraction(3, 2)),
+    ("+3/4", Fraction(3, 4)),
+    (" 3/4", Fraction(3, 4)),
+    ("1_0/3", Fraction(10, 3)),
+    ("\u0663/4", Fraction(3, 4)),
+    ("9" * 4300 + "/7", Fraction(10**4300 - 1, 7)),
+    ("-" + "9" * 4300 + "/7", Fraction(1 - 10**4300, 7)),
+    ("3/-4", "cannot parse rational '3/-4'"),
+    ("3/0", "cannot parse rational '3/0'"),
+    ("-0/0", "cannot parse rational '-0/0'"),
+    ("\u00b2/4", "cannot parse rational '\u00b2/4'"),
+    ("3/4/5", "cannot parse rational '3/4/5'"),
+    ("9" * 4301 + "/7", None),
+    ("7/" + "9" * 4301, None),
+])
+def test_rational_edge_cases(text, want):
+    if isinstance(want, Fraction):
+        assert parse_frac(text) == want
+    else:
+        with pytest.raises(ValueError) as exc:
+            parse_frac(text)
+        assert str(exc.value) == (want or f"cannot parse rational {text!r}")
+
+
 def test_rational_digit_limit():
     # the reduced value may have up to MAX_RATIONAL_DIGITS digits
     assert functions.MAX_RATIONAL_DIGITS == 4300

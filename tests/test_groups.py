@@ -18,6 +18,7 @@ from amencert.groups import (
     cyclic_table,
     group_from_dict,
 )
+from amencert.sampling import random_element
 from conftest import dihedral_table, s3_group, symmetric_table
 
 S4_TABLE, _, S4_INDEX = symmetric_table(4)
@@ -515,6 +516,52 @@ class TestSerialization:
             FreeGroup(1, labels=("e",))
         with pytest.raises(ValueError):
             FreeAbelianGroup(2, labels=("x", "y z"))
+        # a label is the whole pattern: a final newline is not read as the end of it
+        for bad in ("a\n", "\na", "a\nb"):
+            with pytest.raises(ValueError, match="invalid generator label"):
+                FreeGroup(2, labels=(bad, "b"))
+
+    # one row per way a token is read: Unicode decimal digits as today, every other odd form refused
+    @pytest.mark.parametrize("word, want", [
+        ("a^\u0663", (1, 1, 1)),
+        ("a^-0", ()),
+        ("a^+2", "cannot parse word token 'a^+2'"),
+        ("a ^2", "cannot parse word token 'a ^2'"),
+        ("a^\u00b2", "cannot parse word token 'a^\u00b2'"),
+        ("a^", "cannot parse word token 'a^'"),
+        ("a^--1", "cannot parse word token 'a^--1'"),
+        ("c^2", "unknown generator 'c'"),
+        ("a*e", "unknown generator 'e'"),
+        (f"a^{MAX_WORD_LETTERS}*b", f"word token 'b' passes the cap of {MAX_WORD_LETTERS} letters"),
+    ])
+    def test_word_token_edge_cases(self, f2, word, want):
+        if isinstance(want, tuple):
+            assert f2.elem_from_str(word) == want
+        else:
+            with pytest.raises(ValueError) as exc:
+                f2.elem_from_str(word)
+            assert str(exc.value) == want
+
+
+class TestDefaultLabels:
+    """Default labels skip "e", the identity's word, up to rank 25, then are x0, x1, ..."""
+
+    def test_small_ranks_keep_their_labels(self):
+        assert FreeGroup(4).gen_labels == ("a", "b", "c", "d")
+        assert FreeGroup(5).gen_labels == ("a", "b", "c", "d", "f")
+        assert FreeGroup(25).gen_labels[-1] == "z"
+        assert FreeGroup(26).gen_labels == tuple(f"x{i}" for i in range(26))
+
+    def test_every_rank_builds_and_round_trips(self):
+        rng = random.Random(21)
+        for rank in range(1, MAX_RANK + 1):
+            free, abelian = FreeGroup(rank), FreeAbelianGroup(rank)
+            assert free.gen_labels == abelian.gen_labels and "e" not in free.gen_labels
+            words = [tuple(range(1, rank + 1)), tuple(range(-rank, 0))]
+            words += [random_element(rng, free, max_len=6) for _ in range(5)]
+            for word in words:
+                assert free.elem_from_str(free.elem_to_str(word)) == word
+            assert group_from_dict({"family": "free", "rank": rank}) == free
 
 
 class TestLetters:
