@@ -210,17 +210,20 @@ class EquivariantChain:
         supported equivariant chain reduces to one face per stored key:
         insertion at the front contributes through the orbit representative
         (translate by the inverse of the first key entry), insertions
-        elsewhere delete one key coordinate with an alternating sign.
+        elsewhere delete one key coordinate with an alternating sign. Each
+        output value is one `combine` of the (sign, shift, value) faces on its key.
         """
         if self.degree == 0:
             raise ValueError("boundary of a degree-0 chain is undefined")
         group = self.group
-        out: dict[tuple, object] = {}
+        faces: dict[tuple, list] = {}
         for key, value in self.slice.items():
             g1i = group.inv(key[0])
-            _add_terms(out, [(tuple(group.mul(g1i, g) for g in key[1:]), value.translate(g1i))])
-            neg = -value
-            _add_terms(out, ((key[:i] + key[i + 1 :], value if i % 2 else neg) for i in range(self.degree)))
+            faces.setdefault(tuple(group.mul(g1i, g) for g in key[1:]), []).append((1, g1i, value))
+            for i in range(self.degree):
+                faces.setdefault(key[:i] + key[i + 1 :], []).append((1 if i % 2 else -1, None, value))
+        combine = (FinSuppFn if self.kind == KIND_L1 else BoundedFn).combine
+        out = {key: value for key, terms in faces.items() if (value := combine(group, terms))}
         return EquivariantChain._raw(group, self.degree - 1, self.kind, out)
 
     def __add__(self, other: "EquivariantChain") -> "EquivariantChain":
@@ -233,11 +236,8 @@ class EquivariantChain:
 
     def __mul__(self, scalar: Rational):
         c = frac(scalar)
-        if not c:
-            return EquivariantChain._raw(self.group, self.degree, self.kind, {})
-        return EquivariantChain._raw(
-            self.group, self.degree, self.kind, {k: v * c for k, v in self.slice.items()}
-        )
+        scaled = {k: v * c for k, v in self.slice.items()} if c else {}
+        return EquivariantChain._raw(self.group, self.degree, self.kind, scaled)
 
     __rmul__ = __mul__
 
@@ -313,20 +313,15 @@ class BoundedCochain:
         return value
 
     def coboundary(self) -> "BoundedCochain":
-        """Face-deletion coboundary; the result is rule-backed."""
+        """Face-deletion coboundary, rule-backed: each value is one `combine` of its m + 2 faces."""
         group = self.group
         m = self.degree
 
         def rule(key: tuple) -> FinSuppFn:
             h1i = group.inv(key[0])
-            rest = tuple(group.mul(h1i, g) for g in key[1:])
-            acc = self.value_at(rest).translate(key[0])
-            sign = -1
-            for i in range(m + 1):
-                term = self.value_at(key[:i] + key[i + 1 :])
-                acc = acc + (-term if sign < 0 else term)
-                sign = -sign
-            return acc
+            front = (1, key[0], self.value_at(tuple(group.mul(h1i, g) for g in key[1:])))
+            faces = [(1 if i % 2 else -1, None, self.value_at(key[:i] + key[i + 1 :])) for i in range(m + 1)]
+            return FinSuppFn.combine(group, [front, *faces])
 
         label = f"coboundary({self.label})" if self.label else None
         return BoundedCochain(group, m + 1, self.dual, rule=rule, label=label)

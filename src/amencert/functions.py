@@ -11,6 +11,9 @@ zero. Bounded functions are never truncated to vectors; pairings only
 ever evaluate them at the finitely many points of a summable support, so
 every number in the pipeline stays an exact rational.
 
+Each family has one n-ary sum, `combine`. Every operator on its values is
+one call of it, and so are the boundaries and coboundaries of `complexes`.
+
 Translation is the left action (g.f)(h) = f(g^-1 h) throughout.
 """
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .groups import Element, FiniteGroup, FreeGroup, GroupSpec, json_field, json_pairs
 
@@ -60,10 +63,11 @@ def parse_frac(s: str) -> Fraction:
     which is what Fraction(int(p), int(q)) does. At most 4300 characters
     hold at most 4300 digits, which int reads under the default limit (a
     lowered limit raises inside the same try, with the same error). So the
-    short form gives Fraction's value on every string it takes, and every
-    other string -- a "+" sign, whitespace, "_", a non-ASCII digit, a
-    decimal, an exponent, a zero denominator, a longer side -- takes
-    Fraction's route as before.
+    short form gives Fraction's value on every string it takes. Every other
+    string -- a "+" sign, "_", a non-ASCII digit, a decimal, an exponent,
+    a zero denominator, a longer side -- is stripped and takes Fraction's
+    route, unless whitespace is left inside: Fraction reads "3 / 4" from
+    Python 3.12 on but not on 3.11, so it is refused on every version.
 
     Fraction builds 10^|e| for an exponent e before it reduces, so
     "1e-10000000" would cost seconds before frac_str refused it. The
@@ -84,6 +88,8 @@ def parse_frac(s: str) -> Fraction:
             if d:
                 return Fraction(int(num), d)
         text = s.strip()
+        if any(map(str.isspace, text)):
+            raise ValueError("whitespace inside a rational")
         exp = _EXPONENT.search(text)
         too_long = exp is not None and abs(int(exp.group(1))) > MAX_RATIONAL_DIGITS + len(text)
         q = None if too_long else Fraction(text)
@@ -114,7 +120,45 @@ def _add_terms(out: dict, terms: Iterable) -> dict:
     return out
 
 
-class FinSuppFn:
+class _Linear:
+    """translate, +, -, negation and scaling, each one call of the family's n-ary `combine`.
+
+    A family is the classes that share one static combine: `FinSuppFn`, or
+    `BoundedFn` and its subclasses. Any other operand gives NotImplemented.
+    """
+
+    __slots__ = ()
+
+    def translate(self, g: Element):
+        """(g.f)(h) = f(g^-1 h): the left action."""
+        return self.combine(self.group, ((1, g, self),))
+
+    def _sum(self, other, sign: int):
+        if getattr(type(other), "combine", None) is not self.combine:
+            return NotImplemented
+        if self.group != other.group:
+            raise ValueError("cannot add functions over different groups")
+        return self.combine(self.group, ((1, None, self), (sign, None, other)))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        return self.combine(self.group, ((-1, None, self),))
+
+    def __mul__(self, scalar: Rational):
+        return self.combine(self.group, ((frac(scalar), None, self),))
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
+
+class FinSuppFn(_Linear):
     """Finitely supported exact-rational function on a group.
 
     Stored as a dict with no zero coefficients and canonical element keys;
@@ -139,6 +183,18 @@ class FinSuppFn:
     def zero(cls, group: GroupSpec) -> "FinSuppFn":
         return cls._raw(group, {})
 
+    @staticmethod
+    def combine(group: GroupSpec, terms: Sequence) -> "FinSuppFn":
+        """sum c * (g . v) over the terms (c, g, v), g None for no shift, in one `_add_terms` pass:
+        g . v moves the coefficient of v at k to g k. A lone term (1, None, v) is v itself."""
+        if len(terms) == 1 and terms[0][:2] == (1, None):
+            return terms[0][2]
+        mul = group.mul
+        return FinSuppFn._raw(group, _add_terms({}, (
+            (k if g is None else mul(g, k), x if c == 1 else c * x)
+            for c, g, v in terms if c for k, x in v._coeffs.items()
+        )))
+
     def evaluate(self, g: Element) -> Fraction:
         return self._coeffs.get(g, Fraction(0))
 
@@ -151,9 +207,6 @@ class FinSuppFn:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
 
     def scaled(self) -> tuple[int, dict[Element, int]]:
         """(D, n): D the lcm of the coefficient denominators, n[h] = f(h) * D.
@@ -171,10 +224,6 @@ class FinSuppFn:
 
     def coeff_sum(self) -> Fraction:
         return sum(self._coeffs.values(), Fraction(0))
-
-    def translate(self, g: Element) -> "FinSuppFn":
-        mul = self.group.mul
-        return FinSuppFn._raw(self.group, {mul(g, k): c for k, c in self._coeffs.items()})
 
     def translate_distances(self, shifts: Iterable[Element]) -> tuple[int, int, list[int]]:
         """D, D ||f||_1 and every D ||g.f - f||_1: integers over one denominator.
@@ -202,27 +251,6 @@ class FinSuppFn:
                 total += abs(c) if m is None else abs(c - m) - abs(m)
             out.append(total)
         return d, mass, out
-
-    def __add__(self, other: "FinSuppFn") -> "FinSuppFn":
-        if not isinstance(other, FinSuppFn):
-            return NotImplemented
-        if self.group != other.group:
-            raise ValueError("cannot add functions over different groups")
-        return FinSuppFn._raw(self.group, _add_terms(dict(self._coeffs), other._coeffs.items()))
-
-    def __neg__(self) -> "FinSuppFn":
-        return FinSuppFn._raw(self.group, {k: -c for k, c in self._coeffs.items()})
-
-    def __sub__(self, other: "FinSuppFn") -> "FinSuppFn":
-        return self + (-other)
-
-    def __mul__(self, scalar: Rational) -> "FinSuppFn":
-        c = frac(scalar)
-        if not c:
-            return FinSuppFn.zero(self.group)
-        return FinSuppFn._raw(self.group, {k: c * v for k, v in self._coeffs.items()})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (
@@ -256,16 +284,17 @@ def delta(group: GroupSpec, g: Element) -> FinSuppFn:
 # -- bounded functions ------------------------------------------------------
 
 
-class BoundedFn:
+class BoundedFn(_Linear):
     """Bounded function on a group, in one normal form.
 
     Every value is base + sum c * (shift . leaf), and `parts()` returns
     (base, terms): base a `ConstPlusFinite`, terms a dict {(shift, leaf): c}
     with no zero c. A leaf is a variant that only evaluates (`TreeFlow`);
     it is its own one term (e, leaf) with coefficient 1, so it must be
-    hashable. `translate`, `+` and `*` are written once, over parts():
-    equal terms merge, so a sum that cancels term by term is structurally
-    zero, and equality does not depend on the order of the terms.
+    hashable. `combine` is the one sum over parts(), and every operator
+    goes through it: equal terms merge, so a sum that cancels term by term
+    is structurally zero, and equality does not depend on the order of the
+    terms.
     """
 
     group: GroupSpec
@@ -277,49 +306,27 @@ class BoundedFn:
         """(base, terms) of the normal form; a leaf is a zero base and itself as its one term."""
         return ConstPlusFinite(self.group, 0), {(self.group.identity, self): Fraction(1)}
 
-    def translate(self, g: Element) -> "BoundedFn":
-        """(g.f)(h) = f(g^-1 h): base and shifts move by g; s -> g s is injective, so no terms merge."""
-        base, terms = self.parts()
-        if base.fn:
-            base = ConstPlusFinite(self.group, base.const, base.fn.translate(g))
-        mul = self.group.mul
-        return Combination.of(base, {(mul(g, s), leaf): c for (s, leaf), c in terms.items()})
+    @staticmethod
+    def combine(group: GroupSpec, terms: Sequence) -> "BoundedFn":
+        """sum c * (g . v) over the terms (c, g, v), g None for no shift: the constants, the finite
+        parts (by `FinSuppFn.combine`) and the (shift, leaf) terms are each summed once, a shift g
+        moves a term's shift s to g s and fixes a constant, and `Combination.of` comes last. A lone
+        term (1, None, v) is v itself."""
+        if len(terms) == 1 and terms[0][:2] == (1, None):
+            return terms[0][2]
+        parts = [(c, g, v.parts()) for c, g, v in terms if c]
+        const = sum((c * base.const for c, _, (base, _) in parts if base.const), Fraction(0))
+        fn = FinSuppFn.combine(group, [(c, g, base.fn) for c, g, (base, _) in parts])
+        leaves = _add_terms({}, (
+            ((s if g is None else group.mul(g, s), leaf), c * ci)
+            for c, g, (_, ts) in parts for (s, leaf), ci in ts.items()
+        ))
+        return Combination.of(ConstPlusFinite(group, const, fn), leaves)
 
     @property
     def is_zero(self) -> bool:
         """Structural zero test; False does not prove the function nonzero."""
         return False
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __add__(self, other: "BoundedFn") -> "BoundedFn":
-        if not isinstance(other, BoundedFn):
-            return NotImplemented
-        if self.group != other.group:
-            raise ValueError("cannot add bounded functions over different groups")
-        if not other:
-            return self
-        if not self:
-            return other
-        base, terms = self.parts()
-        other_base, other_terms = other.parts()
-        return Combination.of(base + other_base, _add_terms(dict(terms), other_terms.items()))
-
-    def __sub__(self, other: "BoundedFn") -> "BoundedFn":
-        return self + (-other)
-
-    def __neg__(self) -> "BoundedFn":
-        return self * -1
-
-    def __mul__(self, scalar: Rational) -> "BoundedFn":
-        c = frac(scalar)
-        base, terms = self.parts()
-        if base:
-            base = ConstPlusFinite(self.group, c * base.const, base.fn * c)
-        return Combination.of(base, {key: c * ci for key, ci in terms.items()} if c else {})
-
-    __rmul__ = __mul__
 
     def to_json(self) -> dict:
         raise ValueError(f"{type(self).__name__} has no serialized form")
@@ -330,8 +337,8 @@ class ConstPlusFinite(BoundedFn):
 
     The base of every normal form, and every bounded value the file formats
     hold except a tree flow: the fundamental class is the constant 1, and
-    inflated uniformly finite chains are finitely supported. Sums of two
-    such values fold exactly.
+    inflated uniformly finite chains are finitely supported. A sum of such
+    values has no terms, so `combine` returns its base: it stays one.
     """
 
     __slots__ = ("group", "const", "fn")
@@ -351,10 +358,8 @@ class ConstPlusFinite(BoundedFn):
     def is_zero(self):
         return not self.const and self.fn.is_zero
 
-    def __add__(self, other):
-        if isinstance(other, ConstPlusFinite) and self.group == other.group and self and other:
-            return ConstPlusFinite(self.group, self.const + other.const, self.fn + other.fn)
-        return super().__add__(other)
+    def translate(self, g):
+        return super().translate(g) if self.fn else self  # a constant is fixed by every shift
 
     def __eq__(self, other):
         return (

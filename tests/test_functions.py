@@ -1,5 +1,6 @@
 """Summable functions, bounded-function oracles and the evaluation pairing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from amencert import functions
 from amencert.functions import (
+    BoundedFn,
     Combination,
     ConstPlusFinite,
     FinSuppFn,
@@ -20,7 +22,7 @@ from amencert.functions import (
     ray_first_letter,
 )
 from amencert.complexes import KIND_L1, EquivariantChain, UfChain
-from amencert.groups import FreeGroup
+from amencert.groups import FreeAbelianGroup, FreeGroup, cyclic_group
 from amencert.sampling import random_boundedfn, random_element, random_finsupp
 
 
@@ -73,6 +75,18 @@ class TestFinSuppFn:
         for group in all_groups:
             f = random_finsupp(rng, group)
             assert FinSuppFn.from_pairs(group, f.to_pairs()) == f
+
+    def test_families_and_groups_do_not_mix(self, f2):
+        # both families share their operators but not their sum, so a mixed + or - is refused
+        f, v = delta(f2, f2.identity), ConstPlusFinite(f2, 1)
+        for a, b in ((f, v), (v, f), (f, 1), (v, 1)):
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+        for a, b in ((f, delta(FreeGroup(3), ())), (v, ConstPlusFinite(FreeGroup(3), 1))):
+            with pytest.raises(ValueError, match="^cannot add functions over different groups$"):
+                a + b
 
     def test_invalid_key_rejected(self, f2):
         with pytest.raises(ValueError):
@@ -300,6 +314,56 @@ class TestNormalForm:
         assert (a + b) + c == a + (b + c)
 
 
+COMBINE_GROUPS = {"F2": FreeGroup(2), "Z2": FreeAbelianGroup(2), "Z3": cyclic_group(3)}
+
+
+@st.composite
+def combine_terms(draw, group, family):
+    """Terms (c, g, v) over group, v of the family drawn through `amencert.sampling` (bounded
+    values over F_2 may hold tree flows); c = 0, g = None and repeated terms are all drawn often."""
+    rng = random.Random(draw(st.integers(0, 2**32)))  # a seeded generator spreads sampling's choices
+    value = random_finsupp if family is FinSuppFn else random_boundedfn
+    terms = [
+        (draw(st.sampled_from([0, 1, -1]) | small_rationals),
+         None if draw(st.booleans()) else random_element(rng, group, 2),
+         value(rng, group, max_len=2))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return terms + (draw(st.lists(st.sampled_from(terms), max_size=2)) if terms else [])
+
+
+def finite_part(v):
+    return v if isinstance(v, FinSuppFn) else v.parts()[0].fn
+
+
+@pytest.mark.parametrize("family", [FinSuppFn, BoundedFn], ids=["l1", "bounded"])
+@pytest.mark.parametrize("group", COMBINE_GROUPS.values(), ids=COMBINE_GROUPS.keys())
+class TestCombine:
+    """Each family's n-ary sum against pointwise evaluation, the independent oracle."""
+
+    _settings = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+    @_settings
+    @given(data=st.data())
+    def test_combine_evaluates_as_the_sum_of_its_terms(self, group, family, data):
+        terms = data.draw(combine_terms(group, family))
+        total = family.combine(group, terms)
+        moved = [(c, group.identity if g is None else g, v) for c, g, v in terms]
+        points = set(group.ball(2)) | set(finite_part(total).support())
+        points |= {group.mul(g, k) for _, g, v in moved for k in finite_part(v).support()}
+        for h in points:
+            want = sum((c * v.evaluate(group.mul(group.inv(g), h)) for c, g, v in moved), Fraction(0))
+            assert total.evaluate(h) == want
+
+    @_settings
+    @given(data=st.data())
+    def test_terms_joined_with_their_negation_are_structurally_zero(self, group, family, data):
+        terms = data.draw(combine_terms(group, family))
+        total = family.combine(group, terms + [(-c, g, v) for c, g, v in terms])
+        assert total.is_zero
+        assert total == (FinSuppFn.zero(group) if family is FinSuppFn else ConstPlusFinite(group, 0))
+
+
 class TestPairEval:
     def test_zero_sum_kills_constants(self, f2):
         phi = delta(f2, f2.gen(0)) - delta(f2, f2.identity)
@@ -385,6 +449,20 @@ def test_rational_strings():
     ("3/4/5", "cannot parse rational '3/4/5'"),
     ("9" * 4301 + "/7", None),
     ("7/" + "9" * 4301, None),
+    # whitespace around the text is stripped; whitespace left inside is refused on every
+    # Python version, although Fraction's own pattern reads "3 / 4" from 3.12 on
+    ("3/4\n", Fraction(3, 4)),
+    ("\t-3/4 ", Fraction(-3, 4)),
+    ("\u00a03/4\u00a0", Fraction(3, 4)),
+    (" 1.5e1 ", Fraction(15)),
+    ("3 / 4", None),
+    ("3/ 4", None),
+    ("3 /4", None),
+    ("3\u00a0/4", None),
+    ("3\t/4", None),
+    (" - 3/4", None),
+    ("1 2", None),
+    ("1. 5", None),
 ])
 def test_rational_edge_cases(text, want):
     if isinstance(want, Fraction):

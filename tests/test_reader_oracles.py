@@ -23,12 +23,15 @@ _TOKEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
 def oracle_frac(s):
-    """parse_frac as it read every string through Fraction's pattern."""
+    """parse_frac as it read every string through Fraction's pattern, whitespace inside refused
+    as Python 3.11's pattern refuses it."""
     if type(s) is not str:
         raise ValueError(f'a rational must be a "p/q" string, got {s!r}')
     text = s.strip()
     exp = _EXPONENT.search(text)
     try:
+        if any(map(str.isspace, text)):
+            raise ValueError("whitespace inside a rational")
         too_long = exp is not None and abs(int(exp.group(1))) > MAX_RATIONAL_DIGITS + len(text)
         q = None if too_long else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
