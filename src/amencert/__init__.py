@@ -22,7 +22,6 @@ from .groups import (
 )
 from .functions import (
     BoundedFn,
-    ConstPlusFinite,
     FinSuppFn,
     TreeFlow,
     delta,

@@ -17,8 +17,7 @@ Four complexes share this module:
 
 Values are checked where they enter: the public constructors and
 `from_json` check every degree, key, value and diameter bound. Internal
-operations (boundaries, sums and scalar multiples of equivariant chains,
-inflation) build their results through the private `_raw` constructors,
+operations (boundaries and inflation) build their results through the private `_raw` constructors,
 each with the reason no check can fail there. `_read` and `_write` own the
 chain and cochain file format. `from_json` checks each key element and
 value once, as `_read` reads it; the constructor, called on no entries,
@@ -38,9 +37,7 @@ from typing import Iterable, Mapping
 from .groups import GroupSpec, group_from_dict, json_check, json_field, json_pairs
 from .functions import (
     BoundedFn,
-    ConstPlusFinite,
     FinSuppFn,
-    Rational,
     _add_terms,
     bounded_from_json,
     delta,
@@ -176,7 +173,7 @@ class EquivariantChain:
     def zero_value(self):
         if self.kind == KIND_L1:
             return FinSuppFn.zero(self.group)
-        return ConstPlusFinite(self.group, 0)
+        return BoundedFn(self.group)
 
     def slice_value(self, key):
         key = _tuple_key(self.group, key, self.degree)
@@ -225,21 +222,6 @@ class EquivariantChain:
         combine = (FinSuppFn if self.kind == KIND_L1 else BoundedFn).combine
         out = {key: value for key, terms in faces.items() if (value := combine(group, terms))}
         return EquivariantChain._raw(group, self.degree - 1, self.kind, out)
-
-    def __add__(self, other: "EquivariantChain") -> "EquivariantChain":
-        if not isinstance(other, EquivariantChain):
-            return NotImplemented
-        if (self.group, self.degree, self.kind) != (other.group, other.degree, other.kind):
-            raise ValueError("cannot add chains of different shape")
-        merged = _add_terms(dict(self.slice), other.slice.items())
-        return EquivariantChain._raw(self.group, self.degree, self.kind, merged)
-
-    def __mul__(self, scalar: Rational):
-        c = frac(scalar)
-        scaled = {k: v * c for k, v in self.slice.items()} if c else {}
-        return EquivariantChain._raw(self.group, self.degree, self.kind, scaled)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
@@ -462,7 +444,7 @@ def inflate(phi: UfChain) -> EquivariantChain:
         orbit_key = tuple(group.mul(t0i, g) for g in key[1:])
         builders.setdefault(orbit_key, {})[t0i] = c
     entries = {
-        key: ConstPlusFinite(group, 0, FinSuppFn._raw(group, coeffs)) for key, coeffs in builders.items()
+        key: BoundedFn(group, 0, FinSuppFn._raw(group, coeffs)) for key, coeffs in builders.items()
     }
     return EquivariantChain._raw(group, phi.degree, KIND_LINF, entries)
 
@@ -478,7 +460,7 @@ def deflate(chain: EquivariantChain) -> UfChain:
     group = chain.group
     coeffs: dict[tuple, Fraction] = {}
     for key, value in chain.slice.items():
-        if not isinstance(value, ConstPlusFinite) or value.const:
+        if value.terms or value.const:
             raise ValueError(f"cannot deflate a chain with value {value!r} (not of finite type)")
         for h, c in value.fn.items():
             hi = group.inv(h)
@@ -499,7 +481,7 @@ def johnson_cocycle(group: GroupSpec) -> BoundedCochain:
 
 def fundamental_cycle(group: GroupSpec) -> EquivariantChain:
     """Degree-0 bounded chain with slice value the constant function 1."""
-    return EquivariantChain(group, 0, KIND_LINF, {(): ConstPlusFinite(group, 1)})
+    return EquivariantChain(group, 0, KIND_LINF, {(): BoundedFn(group, 1)})
 
 
 def one_lift_cochain(group: GroupSpec) -> BoundedCochain:
@@ -522,9 +504,9 @@ def one_l1_cycle(group: GroupSpec) -> EquivariantChain:
     return EquivariantChain(group, 0, KIND_L1, {(): delta(group, group.identity)})
 
 
-def connecting_lift_check(group: GroupSpec, radius: int = 3) -> bool:
-    """Coboundary of the delta lift equals the quotient-dual cocycle on ball slices."""
+def connecting_lift_check(group: GroupSpec) -> bool:
+    """Coboundary of the delta lift equals the quotient-dual cocycle on the slices of the radius-3 ball."""
     lifted = one_lift_cochain(group).coboundary()
     target = johnson_cocycle(group)
-    keys = [(g,) for g in group.ball(radius)]
+    keys = [(g,) for g in group.ball(3)]
     return lifted.equal_on(target, keys)

@@ -2,12 +2,12 @@
 
 The summable side is `FinSuppFn`: an exact finitely supported map from
 group elements to rationals (Dirac deltas, slices of summable chains,
-values of bounded cochains). The bounded side is `BoundedFn`, in one
-normal form: a `ConstPlusFinite` base (a constant plus a finitely
-supported part, either may be zero) plus rational multiples of translated
-leaves, such as the tree-flow indicator of the free-group witness. Terms
-with the same shift and leaf merge, so sums that cancel are structurally
-zero. Bounded functions are never truncated to vectors; pairings only
+values of bounded cochains). The bounded side is `BoundedFn`, one class
+holding one normal form: a constant plus a finitely supported part (either
+may be zero) plus rational multiples of translated leaves, such as the
+tree-flow indicator `TreeFlow` of the free-group witness, its one
+subclass. Terms with the same shift and leaf merge, so sums that cancel
+are structurally zero. Bounded functions are never truncated to vectors; pairings only
 ever evaluate them at the finitely many points of a summable support, so
 every number in the pipeline stays an exact rational.
 
@@ -285,95 +285,85 @@ def delta(group: GroupSpec, g: Element) -> FinSuppFn:
 
 
 class BoundedFn(_Linear):
-    """Bounded function on a group, in one normal form.
+    """Bounded function on a group, in one normal form: const + fn + sum c * (shift . leaf).
 
-    Every value is base + sum c * (shift . leaf), and `parts()` returns
-    (base, terms): base a `ConstPlusFinite`, terms a dict {(shift, leaf): c}
-    with no zero c. A leaf is a variant that only evaluates (`TreeFlow`);
-    it is its own one term (e, leaf) with coefficient 1, so it must be
-    hashable. `combine` is the one sum over parts(), and every operator
-    goes through it: equal terms merge, so a sum that cancels term by term
-    is structurally zero, and equality does not depend on the order of the
-    terms.
+    `const` is a Fraction, `fn` a `FinSuppFn` and `terms` a dict
+    {(shift, leaf): c} with no zero c; the constructor builds a value with
+    no terms, and only `combine` and a leaf's own `__init__` set them. A
+    leaf is a subclass that evaluates itself (`TreeFlow`); it is its own one
+    term (e, leaf) with coefficient 1, so it must be hashable. `combine` is
+    the one sum, and every operator goes through it: equal terms merge, so
+    a sum that cancels term by term is structurally zero, and equality does
+    not depend on the order of the terms. The file formats hold every value
+    with no terms: the fundamental class is the constant 1, and inflated
+    uniformly finite chains are finitely supported.
     """
 
-    group: GroupSpec
+    __slots__ = ("group", "const", "fn", "terms")
 
-    def evaluate(self, g: Element) -> Fraction:
-        raise NotImplementedError
-
-    def parts(self) -> tuple["ConstPlusFinite", dict]:
-        """(base, terms) of the normal form; a leaf is a zero base and itself as its one term."""
-        return ConstPlusFinite(self.group, 0), {(self.group.identity, self): Fraction(1)}
+    def __init__(self, group: GroupSpec, const: Rational = 0, fn: FinSuppFn | None = None):
+        self.group = group
+        self.const = frac(const)
+        self.fn = FinSuppFn.zero(group) if fn is None else fn
+        self.terms = {}
 
     @staticmethod
     def combine(group: GroupSpec, terms: Sequence) -> "BoundedFn":
         """sum c * (g . v) over the terms (c, g, v), g None for no shift: the constants, the finite
-        parts (by `FinSuppFn.combine`) and the (shift, leaf) terms are each summed once, a shift g
-        moves a term's shift s to g s and fixes a constant, and `Combination.of` comes last. A lone
-        term (1, None, v) is v itself."""
+        parts (by `FinSuppFn.combine`) and the (shift, leaf) terms are each summed once; a shift g
+        moves a term's shift s to g s and fixes a constant. A lone term (1, None, v) is v itself,
+        and a sum whose only part is (e, leaf) with coefficient 1 is that leaf."""
         if len(terms) == 1 and terms[0][:2] == (1, None):
             return terms[0][2]
-        parts = [(c, g, v.parts()) for c, g, v in terms if c]
-        const = sum((c * base.const for c, _, (base, _) in parts if base.const), Fraction(0))
-        fn = FinSuppFn.combine(group, [(c, g, base.fn) for c, g, (base, _) in parts])
+        terms = [term for term in terms if term[0]]
+        const = sum((c * v.const for c, _, v in terms if v.const), Fraction(0))
+        fn = FinSuppFn.combine(group, [(c, g, v.fn) for c, g, v in terms])
         leaves = _add_terms({}, (
             ((s if g is None else group.mul(g, s), leaf), c * ci)
-            for c, g, (_, ts) in parts for (s, leaf), ci in ts.items()
+            for c, g, v in terms for (s, leaf), ci in v.terms.items()
         ))
-        return Combination.of(ConstPlusFinite(group, const, fn), leaves)
+        if len(leaves) == 1 and not const and not fn:
+            ((shift, leaf), c), = leaves.items()
+            if c == 1 and shift == group.identity:
+                return leaf
+        value = BoundedFn(group, const, fn)
+        value.terms = leaves
+        return value
+
+    def evaluate(self, g: Element) -> Fraction:
+        value = self.const + self.fn.evaluate(g)
+        if self.terms:
+            group = self.group
+            value += sum((c * leaf.evaluate(group.mul(group.inv(s), g)) for (s, leaf), c in self.terms.items()),
+                         Fraction(0))
+        return value
 
     @property
     def is_zero(self) -> bool:
-        """Structural zero test; False does not prove the function nonzero."""
-        return False
-
-    def to_json(self) -> dict:
-        raise ValueError(f"{type(self).__name__} has no serialized form")
-
-
-class ConstPlusFinite(BoundedFn):
-    """A constant plus a finitely supported part; either part may be zero.
-
-    The base of every normal form, and every bounded value the file formats
-    hold except a tree flow: the fundamental class is the constant 1, and
-    inflated uniformly finite chains are finitely supported. A sum of such
-    values has no terms, so `combine` returns its base: it stays one.
-    """
-
-    __slots__ = ("group", "const", "fn")
-
-    def __init__(self, group: GroupSpec, const: Rational, fn: FinSuppFn | None = None):
-        self.group = group
-        self.const = frac(const)
-        self.fn = FinSuppFn.zero(group) if fn is None else fn
-
-    def evaluate(self, g):
-        return self.const + self.fn.evaluate(g)
-
-    def parts(self):
-        return self, {}
-
-    @property
-    def is_zero(self):
-        return not self.const and self.fn.is_zero
+        """Structural zero test; False does not prove a value with terms nonzero."""
+        return not self.const and not self.fn and not self.terms
 
     def translate(self, g):
-        return super().translate(g) if self.fn else self  # a constant is fixed by every shift
+        return super().translate(g) if self.fn or self.terms else self  # a constant is fixed by every shift
 
     def __eq__(self, other):
         return (
-            isinstance(other, ConstPlusFinite)
+            isinstance(other, BoundedFn)
             and self.group == other.group
             and self.const == other.const
             and self.fn == other.fn
+            and self.terms == other.terms
         )
 
     def __repr__(self):
-        return f"ConstPlusFinite({self.const}, {self.fn!r})"
+        word = self.group.elem_to_str
+        terms = "".join(f", {c} * {word(s)}.{leaf!r}" for (s, leaf), c in self.terms.items())
+        return f"BoundedFn({self.const}, {self.fn!r}{terms})"
 
-    def to_json(self):
-        """The shortest of the three serialized forms that holds the value."""
+    def to_json(self) -> dict:
+        """The shortest of the three serialized forms that holds a value with no terms."""
+        if self.terms:
+            raise ValueError("a bounded value with tree-flow terms has no serialized form")
         if self.fn.is_zero:
             return {"constant": frac_str(self.const)}
         if not self.const:
@@ -387,10 +377,11 @@ class TreeFlow(BoundedFn):
     Defined over a free group with a boundary point p given by an
     eventually-constant generator ray. evaluate(g) is 1 exactly when the
     first letter of the reduced infinite word g * ray^infinity equals the
-    edge letter, else 0. A leaf of the normal form.
+    edge letter, else 0. A leaf of the normal form: a zero constant and
+    finite part, and itself as its one term.
     """
 
-    __slots__ = ("group", "edge", "ray")
+    __slots__ = ("edge", "ray")
 
     def __init__(self, group: FreeGroup, edge: int, ray: int):
         if not isinstance(group, FreeGroup):
@@ -403,9 +394,10 @@ class TreeFlow(BoundedFn):
             raise ValueError(f"edge letter {edge} out of range")
         if not 1 <= ray <= group.rank:
             raise ValueError(f"ray letter {ray} must be a positive generator index")
-        self.group = group
+        super().__init__(group)
         self.edge = edge
         self.ray = ray
+        self.terms = {(group.identity, self): Fraction(1)}
 
     def evaluate(self, g):
         return Fraction(1) if ray_first_letter(g, self.ray) == self.edge else Fraction(0)
@@ -447,57 +439,18 @@ def ray_first_letter(word: tuple[int, ...], ray: int) -> int:
     return word[0] if i else ray
 
 
-class Combination(BoundedFn):
-    """A normal form with at least one term: base + sum c * (shift . leaf)."""
-
-    __slots__ = ("group", "base", "terms")
-
-    def __init__(self, base: ConstPlusFinite, terms: dict):
-        self.group = base.group
-        self.base = base
-        self.terms = terms
-
-    @classmethod
-    def of(cls, base: ConstPlusFinite, terms: dict) -> BoundedFn:
-        """The simplest value with these parts: base alone, a lone leaf, or a Combination."""
-        if not terms:
-            return base
-        if len(terms) == 1 and not base:
-            ((shift, leaf), c), = terms.items()
-            if c == 1 and shift == base.group.identity:
-                return leaf
-        return cls(base, terms)
-
-    def parts(self):
-        return self.base, self.terms
-
-    def evaluate(self, g):
-        group = self.group
-        return self.base.evaluate(g) + sum(
-            (c * leaf.evaluate(group.mul(group.inv(s), g)) for (s, leaf), c in self.terms.items()), Fraction(0)
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Combination) and self.base == other.base and self.terms == other.terms
-
-    def __repr__(self):
-        word = self.group.elem_to_str
-        terms = ", ".join(f"{c} * {word(s)}.{leaf!r}" for (s, leaf), c in self.terms.items())
-        return f"Combination({self.base!r}, {terms})"
-
-
 def bounded_from_json(group: GroupSpec, data: dict) -> BoundedFn:
     if type(data) is not dict or len(data) != 1:
         raise ValueError("a bounded value must be an object with exactly one field")
     (kind, payload), = data.items()
     if kind == "constant":
-        return ConstPlusFinite(group, parse_frac(payload))
+        return BoundedFn(group, parse_frac(payload))
     if kind == "finite":
-        return ConstPlusFinite(group, 0, FinSuppFn.from_pairs(group, payload))
+        return BoundedFn(group, 0, FinSuppFn.from_pairs(group, payload))
     if kind == "constant-plus-finite":
         const = parse_frac(json_field(payload, "constant", str, kind))
         finite = FinSuppFn.from_pairs(group, json_field(payload, "finite", list, kind))
-        return ConstPlusFinite(group, const, finite)
+        return BoundedFn(group, const, finite)
     if kind == "tree-flow":
         if not isinstance(group, FreeGroup):
             raise ValueError("tree-flow values require a free group")
@@ -512,17 +465,17 @@ def bounded_from_json(group: GroupSpec, data: dict) -> BoundedFn:
 def is_constant_fn(v: BoundedFn) -> bool:
     """Whether v is a constant function on its group.
 
-    Structured variants are decided symbolically; over a finite group any
-    variant is decided by exhaustive evaluation. Raises for oracle-backed
-    variants over infinite groups.
+    A value with no terms is decided symbolically; over a finite group any
+    value is decided by exhaustive evaluation. Raises for a value with
+    terms over an infinite group.
     """
     group = v.group
-    if v.is_zero or isinstance(v, ConstPlusFinite) and v.fn.is_zero:
+    if not v.terms and v.fn.is_zero:
         return True
     if isinstance(group, FiniteGroup):
         vals = {v.evaluate(g) for g in range(group.order)}
         return len(vals) == 1
-    if isinstance(v, ConstPlusFinite):
+    if not v.terms:
         return False  # a nonzero finitely supported part on an infinite group
     raise ValueError("constant test is undecidable for oracle-backed variants over infinite groups")
 

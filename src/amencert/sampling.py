@@ -10,8 +10,10 @@ import random
 from fractions import Fraction
 
 from .complexes import DUAL_FULL, KIND_L1, KIND_LINF, BoundedCochain, EquivariantChain, UfChain
-from .functions import BoundedFn, ConstPlusFinite, FinSuppFn, TreeFlow
+from .functions import BoundedFn, FinSuppFn, TreeFlow
 from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec
+
+MAX_DRAWS = 3  # each builder draws 1 to MAX_DRAWS terms or entries
 
 
 def random_element(rng: random.Random, group: GroupSpec, max_len: int = 3) -> Element:
@@ -34,10 +36,9 @@ def random_fraction(rng: random.Random, allow_zero: bool = False) -> Fraction:
     return Fraction(num, rng.randint(1, 3))
 
 
-def random_finsupp(
-    rng: random.Random, group: GroupSpec, max_terms: int = 3, max_len: int = 3, zero_sum: bool = False
-) -> FinSuppFn:
-    terms = [(random_element(rng, group, max_len), random_fraction(rng)) for _ in range(rng.randint(1, max_terms))]
+def random_finsupp(rng: random.Random, group: GroupSpec, max_len: int = 3, zero_sum: bool = False) -> FinSuppFn:
+    """1 to MAX_DRAWS drawn (element, rational) terms; repeated elements sum."""
+    terms = [(random_element(rng, group, max_len), random_fraction(rng)) for _ in range(rng.randint(1, MAX_DRAWS))]
     f = FinSuppFn(group, terms)
     if zero_sum:
         f = f - f.coeff_sum() * FinSuppFn(group, {group.identity: 1})
@@ -50,7 +51,7 @@ def random_boundedfn(rng: random.Random, group: GroupSpec, max_len: int = 3) -> 
     shape = rng.randrange(3)
     const = 0 if shape == 1 else random_fraction(rng, allow_zero=shape == 0)
     fn = FinSuppFn.zero(group) if shape == 0 else random_finsupp(rng, group, max_len=max_len)
-    value = ConstPlusFinite(group, const, fn)
+    value = BoundedFn(group, const, fn)
     if isinstance(group, FreeGroup) and rng.randrange(2):
         edge = rng.choice([s for s in range(-group.rank, group.rank + 1) if s])
         flow = TreeFlow(group, edge, rng.randint(1, group.rank)).translate(random_element(rng, group, max_len))
@@ -62,37 +63,29 @@ def random_tuple(rng: random.Random, group: GroupSpec, length: int, max_len: int
     return tuple(random_element(rng, group, max_len) for _ in range(length))
 
 
-def random_l1_chain(
-    rng: random.Random, group: GroupSpec, degree: int, max_entries: int = 3, max_len: int = 2
-) -> EquivariantChain:
+def random_l1_chain(rng: random.Random, group: GroupSpec, degree: int, max_len: int = 2) -> EquivariantChain:
     entries = {}
-    for _ in range(rng.randint(1, max_entries)):
+    for _ in range(rng.randint(1, MAX_DRAWS)):
         entries[random_tuple(rng, group, degree, max_len)] = random_finsupp(rng, group, max_len=max_len)
     return EquivariantChain(group, degree, KIND_L1, entries)
 
 
-def random_linf_chain(
-    rng: random.Random, group: GroupSpec, degree: int, max_entries: int = 3, max_len: int = 2
-) -> EquivariantChain:
+def random_linf_chain(rng: random.Random, group: GroupSpec, degree: int, max_len: int = 2) -> EquivariantChain:
     entries = {}
-    for _ in range(rng.randint(1, max_entries)):
+    for _ in range(rng.randint(1, MAX_DRAWS)):
         entries[random_tuple(rng, group, degree, max_len)] = random_boundedfn(rng, group, max_len)
     return EquivariantChain(group, degree, KIND_LINF, entries)
 
 
-def random_cochain(
-    rng: random.Random, group: GroupSpec, degree: int, max_entries: int = 3, max_len: int = 2
-) -> BoundedCochain:
+def random_cochain(rng: random.Random, group: GroupSpec, degree: int, max_len: int = 2) -> BoundedCochain:
     entries = {}
-    for _ in range(rng.randint(1, max_entries)):
+    for _ in range(rng.randint(1, MAX_DRAWS)):
         entries[random_tuple(rng, group, degree, max_len)] = random_finsupp(rng, group, max_len=max_len)
     return BoundedCochain(group, degree, DUAL_FULL, entries=entries)
 
 
-def random_uf_chain(
-    rng: random.Random, group: GroupSpec, degree: int, max_entries: int = 3, max_len: int = 2
-) -> UfChain:
+def random_uf_chain(rng: random.Random, group: GroupSpec, degree: int, max_len: int = 2) -> UfChain:
     coeffs = {}
-    for _ in range(rng.randint(1, max_entries)):
+    for _ in range(rng.randint(1, MAX_DRAWS)):
         coeffs[random_tuple(rng, group, degree + 1, max_len)] = random_fraction(rng)
     return UfChain(group, degree, coeffs)

@@ -65,9 +65,9 @@ def test_criterion_1_f2_witness(capsys):
 
 def test_criterion_2_connecting_map():
     results = {
-        "free(2)": connecting_lift_check(FreeGroup(2), radius=3),
-        "free-abelian(2)": connecting_lift_check(FreeAbelianGroup(2), radius=3),
-        "Z/3": connecting_lift_check(cyclic_group(3), radius=3),
+        "free(2)": connecting_lift_check(FreeGroup(2)),
+        "free-abelian(2)": connecting_lift_check(FreeAbelianGroup(2)),
+        "Z/3": connecting_lift_check(cyclic_group(3)),
     }
     report(2, f"coboundary of the delta lift equals the degree-1 cocycle on ball(3) slices {results}", all(results.values()))
 

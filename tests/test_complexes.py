@@ -19,7 +19,7 @@ from amencert.complexes import (
     johnson_cocycle,
     one_lift_cochain,
 )
-from amencert.functions import ConstPlusFinite, FinSuppFn, TreeFlow, delta
+from amencert.functions import BoundedFn, FinSuppFn, TreeFlow, delta
 from amencert.groups import FreeAbelianGroup, FreeGroup
 from amencert.sampling import (
     random_cochain,
@@ -105,7 +105,7 @@ class TestL1Boundary:
         a, b = f2.gen(0), f2.gen(1)
         chain = EquivariantChain(f2, 2, KIND_LINF, {
             (a, b): TreeFlow(f2, 1, 1),
-            (f2.inv(b), f2.mul(a, a)): TreeFlow(f2, -2, 1).translate(a) + ConstPlusFinite(f2, 3),
+            (f2.inv(b), f2.mul(a, a)): TreeFlow(f2, -2, 1).translate(a) + BoundedFn(f2, 3),
         })
         assert chain.boundary().boundary().is_zero
 
@@ -360,7 +360,7 @@ class TestFileEntries:
 class TestChainValidation:
     def test_kind_checked(self, f2):
         with pytest.raises(ValueError):
-            EquivariantChain(f2, 1, KIND_L1, {(f2.gen(0),): ConstPlusFinite(f2, 1)})
+            EquivariantChain(f2, 1, KIND_L1, {(f2.gen(0),): BoundedFn(f2, 1)})
         with pytest.raises(ValueError):
             EquivariantChain(f2, 1, KIND_LINF, {(f2.gen(0),): delta(f2, f2.identity)})
 

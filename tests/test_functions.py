@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from amencert import functions
 from amencert.functions import (
     BoundedFn,
-    Combination,
-    ConstPlusFinite,
     FinSuppFn,
     TreeFlow,
     bounded_from_json,
@@ -21,7 +19,7 @@ from amencert.functions import (
     parse_frac,
     ray_first_letter,
 )
-from amencert.complexes import KIND_L1, EquivariantChain, UfChain
+from amencert.complexes import UfChain
 from amencert.groups import FreeAbelianGroup, FreeGroup, cyclic_group
 from amencert.sampling import random_boundedfn, random_element, random_finsupp
 
@@ -78,13 +76,13 @@ class TestFinSuppFn:
 
     def test_families_and_groups_do_not_mix(self, f2):
         # both families share their operators but not their sum, so a mixed + or - is refused
-        f, v = delta(f2, f2.identity), ConstPlusFinite(f2, 1)
+        f, v = delta(f2, f2.identity), BoundedFn(f2, 1)
         for a, b in ((f, v), (v, f), (f, 1), (v, 1)):
             with pytest.raises(TypeError):
                 a + b
             with pytest.raises(TypeError):
                 a - b
-        for a, b in ((f, delta(FreeGroup(3), ())), (v, ConstPlusFinite(FreeGroup(3), 1))):
+        for a, b in ((f, delta(FreeGroup(3), ())), (v, BoundedFn(FreeGroup(3), 1))):
             with pytest.raises(ValueError, match="^cannot add functions over different groups$"):
                 a + b
 
@@ -122,11 +120,10 @@ class TestConstruction:
         [
             lambda g, c: FinSuppFn(g, {(): c}),
             lambda g, c: UfChain(g, 0, {((),): c}),
-            lambda g, c: ConstPlusFinite(g, c),
-            lambda g, c: EquivariantChain(g, 0, KIND_L1, {(): delta(g, ())}) * c,
+            lambda g, c: BoundedFn(g, c),
             lambda g, c: TreeFlow(g, 1, 1) * c,
         ],
-        ids=["FinSuppFn", "UfChain", "ConstPlusFinite", "EquivariantChain.__mul__", "BoundedFn.__mul__"],
+        ids=["FinSuppFn", "UfChain", "BoundedFn", "BoundedFn.__mul__"],
     )
     def test_coefficient_must_be_int_or_fraction(self, f2, build, value):
         # 0.1 would enter as 3602879701896397/36028797018963968 and True as 1
@@ -143,7 +140,7 @@ class TestConstruction:
 
 class TestBoundedFn:
     def test_constant_translate(self, f2, rng):
-        c = ConstPlusFinite(f2, 5)
+        c = BoundedFn(f2, 5)
         g = random_element(rng, f2)
         assert c.translate(g) is c
 
@@ -181,10 +178,10 @@ class TestBoundedFn:
         assert ray_first_letter((-2,), 1) == -2
 
     def test_structured_sums_fold(self, f2):
-        f = ConstPlusFinite(f2, 0, delta(f2, f2.gen(0)))
-        c = ConstPlusFinite(f2, 2)
+        f = BoundedFn(f2, 0, delta(f2, f2.gen(0)))
+        c = BoundedFn(f2, 2)
         s = f + c
-        assert isinstance(s, ConstPlusFinite)
+        assert type(s) is BoundedFn and not s.terms
         assert s.evaluate(f2.gen(0)) == 3
         assert s.evaluate(f2.identity) == 2
         assert (s - s).is_zero
@@ -192,21 +189,21 @@ class TestBoundedFn:
     def test_combination_and_translate_evaluate(self, f2, rng):
         flow = TreeFlow(f2, 2, 1)
         g = random_element(rng, f2)
-        v = flow + ConstPlusFinite(f2, 1)
+        v = flow + BoundedFn(f2, 1)
         w = v.translate(g)
         for _ in range(10):
             x = random_element(rng, f2)
             assert w.evaluate(x) == v.evaluate(f2.mul(f2.inv(g), x))
 
     def test_normalized_constructor(self, f2):
-        assert ConstPlusFinite(f2, 3, FinSuppFn.zero(f2)).to_json() == {"constant": "3/1"}
-        assert ConstPlusFinite(f2, 0, delta(f2, f2.identity)).to_json() == {"finite": [["e", "1/1"]]}
+        assert BoundedFn(f2, 3, FinSuppFn.zero(f2)).to_json() == {"constant": "3/1"}
+        assert BoundedFn(f2, 0, delta(f2, f2.identity)).to_json() == {"finite": [["e", "1/1"]]}
 
     def test_json_roundtrip(self, f2):
         values = [
-            ConstPlusFinite(f2, Fraction(-2, 3)),
-            ConstPlusFinite(f2, 0, delta(f2, f2.gen(1))),
-            ConstPlusFinite(f2, 1, delta(f2, f2.identity)),
+            BoundedFn(f2, Fraction(-2, 3)),
+            BoundedFn(f2, 0, delta(f2, f2.gen(1))),
+            BoundedFn(f2, 1, delta(f2, f2.identity)),
             TreeFlow(f2, -2, 1),
         ]
         for v in values:
@@ -215,21 +212,21 @@ class TestBoundedFn:
 
     def test_parts(self, f2):
         flow = TreeFlow(f2, 1, 1)
-        assert flow.parts() == (ConstPlusFinite(f2, 0), {(f2.identity, flow): 1})
-        c = ConstPlusFinite(f2, 2, delta(f2, f2.gen(0)))
-        assert c.parts() == (c, {})
+        assert (flow.const, flow.fn, flow.terms) == (0, FinSuppFn.zero(f2), {(f2.identity, flow): 1})
+        c = BoundedFn(f2, 2, delta(f2, f2.gen(0)))
+        assert (c.const, c.fn, c.terms) == (2, delta(f2, f2.gen(0)), {})
 
     def test_lone_leaf_is_itself(self, f2):
         flow = TreeFlow(f2, 1, 1)
         assert flow.translate(f2.identity) is flow
-        assert flow - ConstPlusFinite(f2, 0) is flow
+        assert flow - BoundedFn(f2, 0) is flow
         assert flow.translate(f2.gen(0)).translate(f2.inv(f2.gen(0))) is flow
 
     def test_cancelled_sum_is_structurally_zero(self, f2):
         t = TreeFlow(f2, 1, 1)
         assert not t - t
-        assert t - t == ConstPlusFinite(f2, 0)
-        v = 2 * t.translate(f2.gen(1)) + ConstPlusFinite(f2, 1, delta(f2, f2.gen(0)))
+        assert t - t == BoundedFn(f2, 0)
+        v = 2 * t.translate(f2.gen(1)) + BoundedFn(f2, 1, delta(f2, f2.gen(0)))
         assert (v - v).is_zero
 
     def test_sum_does_not_depend_on_term_order(self, f2):
@@ -239,7 +236,7 @@ class TestBoundedFn:
 
     def test_combination_translate_is_action(self, f2, rng):
         a = f2.gen(0)
-        v = TreeFlow(f2, -2, 1).translate(a) - 3 * TreeFlow(f2, 1, 2) + ConstPlusFinite(f2, 1, delta(f2, a))
+        v = TreeFlow(f2, -2, 1).translate(a) - 3 * TreeFlow(f2, 1, 2) + BoundedFn(f2, 1, delta(f2, a))
         for _ in range(20):
             g, h = random_element(rng, f2), random_element(rng, f2)
             assert v.translate(g).translate(h) == v.translate(f2.mul(h, g))
@@ -247,8 +244,8 @@ class TestBoundedFn:
     def test_combination_evaluate_sums_its_terms(self, f2):
         a, b = f2.gen(0), f2.gen(1)
         t, u = TreeFlow(f2, -2, 1), TreeFlow(f2, 1, 2)
-        v = Fraction(2, 3) * t.translate(a) + u - ConstPlusFinite(f2, 4, delta(f2, b))
-        assert type(v) is Combination
+        v = Fraction(2, 3) * t.translate(a) + u - BoundedFn(f2, 4, delta(f2, b))
+        assert type(v) is BoundedFn and len(v.terms) == 2
         for x in f2.ball(3):
             expected = Fraction(2, 3) * t.evaluate(f2.mul(f2.inv(a), x)) + u.evaluate(x) - 4 - delta(f2, b).evaluate(x)
             assert v.evaluate(x) == expected
@@ -275,7 +272,7 @@ def bounded_values(draw, count):
     values = []
     for _ in range(count):
         finite = FinSuppFn(group, draw(st.lists(st.tuples(near, small_rationals), max_size=2)))
-        v = ConstPlusFinite(group, draw(small_rationals), finite)
+        v = BoundedFn(group, draw(small_rationals), finite)
         for _ in range(draw(st.integers(0, 3))):
             flow = TreeFlow(group, draw(st.sampled_from(letters)), draw(st.integers(1, group.rank)))
             v = v + draw(small_rationals) * flow.translate(draw(near))
@@ -304,7 +301,7 @@ class TestNormalForm:
     def test_difference_with_itself_is_structurally_zero(self, drawn):
         group, _, _, (x,) = drawn
         assert (x - x).is_zero
-        assert x - x == ConstPlusFinite(group, 0)
+        assert x - x == BoundedFn(group, 0)
 
     @_settings
     @given(bounded_values(3))
@@ -312,6 +309,44 @@ class TestNormalForm:
         _, _, _, (a, b, c) = drawn
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
+
+    @staticmethod
+    def results(drawn):
+        """The values each operation returns on the drawn pair, with a leaf added and taken away again."""
+        group, g, c, (u, v) = drawn
+        leaf = TreeFlow(group, 1, 1)
+        return [
+            u, u + v, u - v, c * u, -v, u.translate(g), u - u, (u + leaf) - u,
+            leaf.translate(g).translate(group.inv(g)),
+            BoundedFn.combine(group, [(c, g, u), (1, None, v), (-c, g, u)]),
+        ]
+
+    @_settings
+    @given(bounded_values(2))
+    def test_no_zero_coefficient_is_stored(self, drawn):
+        for w in self.results(drawn):
+            assert all(w.terms.values())
+
+    @_settings
+    @given(bounded_values(2))
+    def test_a_lone_unshifted_leaf_is_the_leaf(self, drawn):
+        group = drawn[0]
+        for w in self.results(drawn):
+            if not w.const and not w.fn and len(w.terms) == 1:
+                ((shift, leaf), coeff), = w.terms.items()
+                if shift == group.identity and coeff == 1:
+                    assert w is leaf
+
+    @_settings
+    @given(bounded_values(2))
+    def test_only_term_free_values_and_leaves_serialize(self, drawn):
+        group = drawn[0]
+        for w in self.results(drawn):
+            if not w.terms:
+                assert bounded_from_json(group, w.to_json()) == w
+            elif type(w) is not TreeFlow:
+                with pytest.raises(ValueError, match="no serialized form"):
+                    w.to_json()
 
 
 COMBINE_GROUPS = {"F2": FreeGroup(2), "Z2": FreeAbelianGroup(2), "Z3": cyclic_group(3)}
@@ -333,7 +368,7 @@ def combine_terms(draw, group, family):
 
 
 def finite_part(v):
-    return v if isinstance(v, FinSuppFn) else v.parts()[0].fn
+    return v if isinstance(v, FinSuppFn) else v.fn
 
 
 @pytest.mark.parametrize("family", [FinSuppFn, BoundedFn], ids=["l1", "bounded"])
@@ -361,16 +396,16 @@ class TestCombine:
         terms = data.draw(combine_terms(group, family))
         total = family.combine(group, terms + [(-c, g, v) for c, g, v in terms])
         assert total.is_zero
-        assert total == (FinSuppFn.zero(group) if family is FinSuppFn else ConstPlusFinite(group, 0))
+        assert total == (FinSuppFn.zero(group) if family is FinSuppFn else BoundedFn(group, 0))
 
 
 class TestPairEval:
     def test_zero_sum_kills_constants(self, f2):
         phi = delta(f2, f2.gen(0)) - delta(f2, f2.identity)
-        assert pair_eval(phi, ConstPlusFinite(f2, 5)) == 0
+        assert pair_eval(phi, BoundedFn(f2, 5)) == 0
 
     def test_delta_against_one(self, f2):
-        assert pair_eval(delta(f2, f2.identity), ConstPlusFinite(f2, 1)) == 1
+        assert pair_eval(delta(f2, f2.identity), BoundedFn(f2, 1)) == 1
 
     def test_flow_term(self, f2):
         phi = delta(f2, f2.gen(1)) - delta(f2, f2.identity)
@@ -391,7 +426,7 @@ class TestPairEval:
                 f = random_finsupp(rng, group, zero_sum=True)
                 v = random_boundedfn(rng, group)
                 for c in (1, Fraction(-7, 2)):
-                    assert pair_eval(f, v + ConstPlusFinite(group, c)) == pair_eval(f, v)
+                    assert pair_eval(f, v + BoundedFn(group, c)) == pair_eval(f, v)
 
     def test_against_finsuppfn_values(self, f2, rng):
         f = random_finsupp(rng, f2)
@@ -405,20 +440,20 @@ class TestQuotientRep:
 
     def test_structured_equality(self, f2):
         f = delta(f2, f2.gen(0))
-        u = ConstPlusFinite(f2, 2, f)
-        v = ConstPlusFinite(f2, -1, f)
-        w = ConstPlusFinite(f2, 0, f + delta(f2, f2.identity))
+        u = BoundedFn(f2, 2, f)
+        v = BoundedFn(f2, -1, f)
+        w = BoundedFn(f2, 0, f + delta(f2, f2.identity))
         assert is_constant_fn(u - v)
         assert not is_constant_fn(u - w)
 
     def test_finite_group_full_support_constant(self, z3):
         f = FinSuppFn(z3, {0: 1, 1: 1, 2: 1})
-        assert is_constant_fn(ConstPlusFinite(z3, 0, f))
-        assert is_constant_fn(ConstPlusFinite(z3, 0, f) - ConstPlusFinite(z3, 0))
+        assert is_constant_fn(BoundedFn(z3, 0, f))
+        assert is_constant_fn(BoundedFn(z3, 0, f) - BoundedFn(z3, 0))
 
     def test_oracle_backed_undecidable(self, f2):
         with pytest.raises(ValueError):
-            is_constant_fn(TreeFlow(f2, 1, 1) - ConstPlusFinite(f2, 0))
+            is_constant_fn(TreeFlow(f2, 1, 1) - BoundedFn(f2, 0))
 
 
 def test_rational_strings():
