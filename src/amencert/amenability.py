@@ -53,7 +53,7 @@ def reiter_counts(group: GroupSpec, f: FinSuppFn) -> tuple[int, dict[str, int], 
         raise ValueError("function is defined over a different group")
     if f.is_zero:
         raise ValueError("the Reiter ratio of the zero function is undefined")
-    if any(c < 0 for _, c in f.items()):
+    if any(c.numerator < 0 for _, c in f.items()):  # a Fraction's denominator is positive
         raise ValueError("the Reiter ratio requires a nonnegative function")
     letters = group.letters()
     d, mass, dists = f.translate_distances(s for _, s in letters)
@@ -124,16 +124,16 @@ def folner_certificate_from_set(
 ) -> FolnerCertificate:
     """Build (or revalidate) a certificate directly from a candidate set.
 
-    Counted in integers: |sF| = |F|, so |sF symmetric-difference F| is twice
-    the number of members g with s.g outside F.
+    Counted in integers, one `GroupSpec.left_translates` pass per letter s:
+    |sF| = |F|, so |sF symmetric-difference F| = 2(|F| - |sF n F|). Left
+    translation by s is injective, so the translates s.g that land in F
+    are distinct and |sF n F| is the size of the set F n {s.g : g in F}.
     """
     inside = dict.fromkeys(group.check(g) for g in members)
     if not inside:
         raise ValueError("a Folner certificate needs a nonempty set")
-    mul = group.mul
-    differences = {
-        label: 2 * sum(mul(s, g) not in inside for g in inside) for label, s in group.letters()
-    }
+    size, keys, translates = len(inside), inside.keys(), group.left_translates
+    differences = {label: 2 * (size - len(keys & translates(s, inside))) for label, s in group.letters()}
     return FolnerCertificate(
         group=group,
         strategy=strategy,

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .amenability import (
@@ -57,8 +57,46 @@ from .witnesses import (
 )
 
 
+# the writer for each scalar type, looked up by exact type: a float (never exact) has none
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for str, int, bool, None, list, tuple and dict.
+
+    Python 3.11 and 3.12 send any `indent` through json's pure-Python
+    encoder; this writer joins each list or dict level once. A tuple is
+    written as a list, as json does. A float, a non-str key or any other
+    type raises TypeError. `newline` is the line break and indent of the
+    current level.
+    """
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    inner = newline + "  "
+    if type(value) in (list, tuple):
+        if not value:
+            return "[]"
+        items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        for key in value:
+            if type(key) is not str:
+                raise TypeError(f"certificate keys must be str, not {type(key).__name__}")
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"{type(value).__name__} has no certificate form")
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _dumps(payload) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

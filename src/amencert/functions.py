@@ -236,18 +236,18 @@ class FinSuppFn(_Linear):
         - k in supp f outside g.supp f adds |n(k)|, and these sum to
           ||n||_1 minus |n(g.h)| over the h in supp f with g.h in supp f.
 
-        So one product g.h per support point and shift gives the whole
-        sum, and neither the numerators nor ||n||_1 depend on g: both are
-        built once for all shifts. Signs are not assumed.
+        So the translates g.h of the whole support, one
+        `GroupSpec.left_translates` pass per shift, give the whole sum, and
+        neither the numerators nor ||n||_1 depend on g: both are built once
+        for all shifts. Signs are not assumed.
         """
         d, n = self.scaled()
         mass = sum(map(abs, n.values()))
-        mul = self.group.mul
+        translates = self.group.left_translates
         out = []
         for g in shifts:
             total = mass
-            for h, c in n.items():
-                m = n.get(mul(g, h))
+            for c, m in zip(n.values(), map(n.get, translates(g, n))):
                 total += abs(c) if m is None else abs(c - m) - abs(m)
             out.append(total)
         return d, mass, out

@@ -32,9 +32,9 @@ import json
 import operator
 import re
 import threading
-from itertools import chain
+from itertools import chain, repeat
 from math import comb
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Element = Union[tuple, int]  # reduced word / exponent vector / table index
 
@@ -142,6 +142,10 @@ class GroupSpec:
 
     def inv(self, a: Element) -> Element:
         raise NotImplementedError
+
+    def left_translates(self, s: Element, elems: Iterable[Element]) -> Iterator[Element]:
+        """s.h for each h in elems, in order: one `mul` call each here, one bulk pass in a family."""
+        return map(self.mul, repeat(s), elems)
 
     def check(self, a: Element) -> Element:
         """Validate that `a` is a canonical element of this group.
@@ -299,6 +303,24 @@ class FreeGroup(_RankedGroup):
             i += 1
         return a[: n - i] + b[i:]
 
+    def left_translates(self, s, elems):
+        """s.h for each h in elems; a one-letter s = (k,) needs no junction walk.
+
+        This is mul(s, h) when s has one letter. In mul's junction rule the
+        run of cancelling pairs has length i <= min(len(s), len(h)) <= 1, and
+        it is 1 exactly when h is nonempty and h[0] = -k, that is
+        h[:1] == (-k,). Then mul returns s[:0] + h[1:] = h[1:], else s + h.
+        Once k has cancelled h[0] no letter of s is left, and h is reduced,
+        so only h[0] can cancel; both results are reduced: h[1:] is a suffix
+        of h, and s + h has one new adjacent pair, (k, h[0]), which does not
+        cancel. Any other s (the identity, or two letters or more) takes the
+        base method.
+        """
+        if len(s) != 1:
+            return super().left_translates(s, elems)
+        cancel = (-s[0],)
+        return (h[1:] if h[:1] == cancel else s + h for h in elems)
+
     def inv(self, a):
         return tuple(-letter for letter in reversed(a))
 
@@ -411,6 +433,16 @@ class FreeAbelianGroup(_RankedGroup):
 
     def mul(self, a, b):
         return tuple(map(operator.add, a, b))
+
+    def left_translates(self, s, elems):
+        """s + h for each h in elems, built column by column in C.
+
+        zip(*elems) splits the vectors into coordinate columns, each column i
+        with s[i] != 0 is shifted by s[i], and zip(*cols) rebuilds the
+        tuples. An empty elems gives no column and so no output.
+        """
+        cols = [col if x == 0 else map(operator.add, col, repeat(x)) for col, x in zip(zip(*elems), s)]
+        return zip(*cols)
 
     def inv(self, a):
         return tuple(-x for x in a)
@@ -585,6 +617,9 @@ class FiniteGroup(GroupSpec):
 
     def mul(self, a, b):
         return self.table[a][b]
+
+    def left_translates(self, s, elems):
+        return map(self.table[s].__getitem__, elems)
 
     def inv(self, a):
         return self._inverses[a]

@@ -36,13 +36,10 @@ def random_fraction(rng: random.Random, allow_zero: bool = False) -> Fraction:
     return Fraction(num, rng.randint(1, 3))
 
 
-def random_finsupp(rng: random.Random, group: GroupSpec, max_len: int = 3, zero_sum: bool = False) -> FinSuppFn:
+def random_finsupp(rng: random.Random, group: GroupSpec, max_len: int = 3) -> FinSuppFn:
     """1 to MAX_DRAWS drawn (element, rational) terms; repeated elements sum."""
     terms = [(random_element(rng, group, max_len), random_fraction(rng)) for _ in range(rng.randint(1, MAX_DRAWS))]
-    f = FinSuppFn(group, terms)
-    if zero_sum:
-        f = f - f.coeff_sum() * FinSuppFn(group, {group.identity: 1})
-    return f
+    return FinSuppFn(group, terms)
 
 
 def random_boundedfn(rng: random.Random, group: GroupSpec, max_len: int = 3) -> BoundedFn:

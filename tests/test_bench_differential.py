@@ -7,11 +7,13 @@ sweep and its pairing certificate, Folner boxes and balls, weighted Reiter
 ratios with their per-letter differences, finite-group H_0 and the
 isoperimetric minimum. `perfbench/validate.py` recomputes each answer with
 plain arithmetic that does not import amencert, so this is a differential
-test of those layers. The perfbench modules are imported from their
-directory and nothing there is edited.
+test of those layers. Every CLI job's output must also be what
+`json.dumps(indent=2)` writes for it. The perfbench modules are imported
+from their directory and nothing there is edited.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,8 @@ def validate_workload(workload, seed, tmp_path, monkeypatch):
     for job in manifest["jobs"]:
         rc, text, _ = runner.run_job(job)
         assert validate.check(job, rc, text) is None, job["name"]
+        if job["kind"] == "cli" and rc != 1:
+            assert json.dumps(json.loads(text), indent=2) + "\n" == text, job["name"]
 
 
 @pytest.mark.parametrize("seed", range(1, 9))

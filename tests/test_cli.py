@@ -6,9 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amencert import groups
-from amencert.cli import main
+from amencert.cli import _dumps, main
 from amencert.groups import cyclic_table
 from conftest import dihedral_table, s3_group
 
@@ -564,3 +566,27 @@ class TestOutputContract:
         rebuilt = report.to_json()
         rebuilt["pairing"] = cert.to_json()
         assert json.dumps(rebuilt, indent=2) + "\n" == first
+
+
+# JSON-shaped values as certificates hold them: str (non-ASCII and control
+# characters included), int, bool and None, nested in lists, tuples and dicts
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+class TestWriter:
+    """cli._dumps against its oracle, json.dumps(indent=2)."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps_indent_2(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [0.5, [1, {"x": 1.0}], {1: "int key"}, {"x": {2, 3}}])
+    def test_refuses_what_a_certificate_never_holds(self, value):
+        # a float is never exact; json would write an int key as a string
+        with pytest.raises(TypeError):
+            _dumps(value)
