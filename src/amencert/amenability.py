@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .functions import FinSuppFn, frac, frac_str
@@ -149,10 +150,7 @@ MAX_FOLNER_ELEMS = 10**6
 
 
 def _box(group: FreeAbelianGroup, side: int) -> list[tuple[int, ...]]:
-    coords = [()]
-    for _ in range(group.rank):
-        coords = [c + (x,) for c in coords for x in range(side)]
-    return coords
+    return list(product(range(side), repeat=group.rank))
 
 
 def _free_ball_ratio(rank: int, size: int) -> Fraction:

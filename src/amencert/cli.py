@@ -149,9 +149,7 @@ def cmd_verify_f2(args) -> int:
     payload = report.to_json()
     payload["pairing"] = cert.to_json()
     _emit(payload, args.out)
-    adj = cert.adjointness or {}
-    ok = report.passed and adj.get("equal", False)
-    return 0 if ok else 2
+    return 0 if report.passed and cert.adjointness["equal"] else 2
 
 
 def cmd_pair(args) -> int:

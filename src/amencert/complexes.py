@@ -15,15 +15,13 @@ Four complexes share this module:
 * the inflation isomorphism between uniformly finite chains and bounded
   equivariant chains, in both directions.
 
-Values are checked where they enter: the public constructors and
-`from_json` check every degree, key, value and diameter bound. Internal
-operations (boundaries and inflation) build their results through the private `_raw` constructors,
+Values are checked where they enter: the public constructors check every
+degree, key, value and diameter bound. Internal operations (boundaries and
+inflation) build their results through the private `_raw` constructors,
 each with the reason no check can fail there. `_read` and `_write` own the
-chain and cochain file format. `from_json` checks each key element and
-value once, as `_read` reads it; the constructor, called on no entries,
-checks the degree and the other header fields, and then the key lengths,
-zero values and repeated keys are checked in the constructors' order, so
-every error text is the constructor's.
+chain and cochain file format; `from_json` hands what `_read` reads to the
+constructor, so every error text past the file's own fields is the
+constructor's.
 
 An equivariant degree-m chain is recovered from its slice by
 c(g0,...,gm) = g0 . slice(g0^-1 g1, ..., g0^-1 gm).
@@ -54,14 +52,11 @@ DUAL_FULL = "full-dual"          # functionals on all bounded functions
 DUAL_SCALAR = "scalar"           # scalar coefficients, embedded via delta at e
 
 
-def _check_length(key: tuple, length: int) -> tuple:
+def _tuple_key(group: GroupSpec, key, length: int) -> tuple:
+    key = tuple(key)
     if len(key) != length:
         raise ValueError(f"expected a {length}-tuple slice key, got {key!r}")
-    return key
-
-
-def _tuple_key(group: GroupSpec, key, length: int) -> tuple:
-    return tuple(map(group.check, _check_length(tuple(key), length)))
+    return tuple(map(group.check, key))
 
 
 def _key_sort(group: GroupSpec, key: tuple):
@@ -77,24 +72,13 @@ def _check_degree(degree, what: str) -> None:
 def _slice_map(group: GroupSpec, degree: int, entries, value_type: type, bad_type: str, bad_group: str, what: str):
     """The checked dict of entries: `degree`-tuple keys of group elements,
     value_type values over group, zero values dropped, duplicate keys refused."""
-    items = entries.items() if isinstance(entries, Mapping) else entries
-
-    def checked():
-        for key, value in items:
-            key = _tuple_key(group, key, degree)
-            if not isinstance(value, value_type):
-                raise ValueError(bad_type)
-            if value.group != group:
-                raise ValueError(bad_group)
-            yield key, value
-
-    return _unique(checked(), what)
-
-
-def _unique(entries, what: str) -> dict:
-    """The dict of entries, zero values dropped, a repeated key with a nonzero value refused."""
     out: dict[tuple, object] = {}
-    for key, value in entries:
+    for key, value in entries.items() if isinstance(entries, Mapping) else entries:
+        key = _tuple_key(group, key, degree)
+        if not isinstance(value, value_type):
+            raise ValueError(bad_type)
+        if value.group != group:
+            raise ValueError(bad_group)
         if value:
             if key in out:
                 raise ValueError(f"duplicate {what} key {key!r}")
@@ -106,9 +90,8 @@ def _read(data, what: str, read_value) -> tuple[GroupSpec, int, list]:
     """(group, degree, entries) of a chain or cochain file; read_value(group, value) reads each value.
 
     Each key element is read by the group and each value by read_value over
-    the same group, so every element and value of the result is checked;
-    the key lengths are left to the caller, which checks them, as the
-    constructors do, after the degree. `_file_map` finishes a slice map.
+    the same group. The degree, key lengths, zero values and repeated keys
+    are left to the constructor that `from_json` hands the entries to.
     """
     group = group_from_dict(json_field(data, "group", dict, what))
     degree = json_field(data, "degree", int, what)
@@ -117,11 +100,6 @@ def _read(data, what: str, read_value) -> tuple[GroupSpec, int, list]:
         key = tuple(map(group.elem_from_json, json_check(key, list, f"{what} key")))
         entries.append((key, read_value(group, value)))
     return group, degree, entries
-
-
-def _file_map(entries: list, degree: int, what: str) -> dict:
-    """The slice map of `_read`'s entries: `degree` elements per key, zeros dropped, no key twice."""
-    return _unique(((_check_length(key, degree), value) for key, value in entries), what)
 
 
 def _write(group: GroupSpec, degree: int, fields: dict, entries: Mapping, write_value) -> dict:
@@ -243,9 +221,7 @@ class EquivariantChain:
     def from_json(cls, data: dict) -> "EquivariantChain":
         kind = json_field(data, "kind", str, "chain")
         group, degree, entries = _read(data, "chain", _read_l1 if kind == KIND_L1 else bounded_from_json)
-        chain = cls(group, degree, kind)  # the constructor's checks of degree and kind, on no entries
-        chain.slice = _file_map(entries, degree, "slice")
-        return chain
+        return cls(group, degree, kind, entries)
 
 
 class BoundedCochain:
@@ -274,13 +250,9 @@ class BoundedCochain:
         self._entries = None
         if entries is not None:
             bad = "cochain values must be FinSuppFn over the same group"
-            self._set_entries(_slice_map(group, degree, entries, FinSuppFn, bad, bad, "cochain"))
-
-    def _set_entries(self, entries: dict) -> None:
-        """Back the cochain by a checked slice map, once every value passes `_check_value`."""
-        self._entries = entries
-        for value in entries.values():
-            self._check_value(value)
+            self._entries = _slice_map(group, degree, entries, FinSuppFn, bad, bad, "cochain")
+            for value in self._entries.values():
+                self._check_value(value)
 
     def _check_value(self, value: FinSuppFn) -> None:
         if self.dual == DUAL_QUOTIENT and value.coeff_sum():
@@ -331,9 +303,7 @@ class BoundedCochain:
         group, degree, entries = _read(data, "cochain", FinSuppFn.from_pairs)
         dual = json_field(data, "dual", str, "cochain", DUAL_FULL)
         label = json_field(data, "label", str, "cochain", None)
-        cochain = cls(group, degree, dual, entries={}, label=label)  # checks degree and dual, on no entries
-        cochain._set_entries(_file_map(entries, degree, "cochain"))
-        return cochain
+        return cls(group, degree, dual, entries=entries, label=label)
 
 
 class UfChain:
@@ -347,15 +317,8 @@ class UfChain:
         if diameter_bound is not None and (type(diameter_bound) is not int or diameter_bound < 0):
             raise ValueError(f"diameter bound must be an integer >= 0, got {diameter_bound!r}")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self.group = group
-        self.degree = degree
-        self._set_coeffs(_add_terms({}, ((_tuple_key(group, key, degree + 1), frac(c)) for key, c in items)),
-                         diameter_bound)
-
-    def _set_coeffs(self, coeffs: dict, diameter_bound: int | None) -> None:
-        """Checked coefficients and their bound: the realised support diameter
-        when diameter_bound is None, and it must not pass diameter_bound."""
-        group = self.group
+        coeffs = _add_terms({}, ((_tuple_key(group, key, degree + 1), frac(c)) for key, c in items))
+        # the bound is the realised support diameter when none is declared, and may not be passed
         realized = max(
             (group.dist(a, b) for key in coeffs for i, a in enumerate(key) for b in key[i + 1 :]), default=0
         )
@@ -365,6 +328,8 @@ class UfChain:
             raise ValueError(
                 f"support diameter {realized} exceeds the declared bound {diameter_bound}"
             )
+        self.group = group
+        self.degree = degree
         self.coeffs = coeffs
         self.diameter_bound = diameter_bound
 
@@ -418,10 +383,7 @@ class UfChain:
     def from_json(cls, data: dict) -> "UfChain":
         group, degree, coeffs = _read(data, "uniformly finite chain", lambda group, c: parse_frac(c))
         bound = json_field(data, "diameter-bound", int, "uniformly finite chain", None)
-        chain = cls(group, degree, diameter_bound=bound)  # checks degree and bound, on no entries
-        # repeated keys sum, as in the constructor
-        chain._set_coeffs(_add_terms({}, ((_check_length(key, degree + 1), c) for key, c in coeffs)), bound)
-        return chain
+        return cls(group, degree, coeffs, bound)
 
 
 # -- complex-level operations -------------------------------------------------

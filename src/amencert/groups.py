@@ -280,6 +280,8 @@ class FreeGroup(_RankedGroup):
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
         super().__init__(rank, labels, "free group")
         self._label_letter = {lab: i + 1 for i, lab in enumerate(self.gen_labels)}
+        # each letter's place in letters(): a < a^-1 < b < b^-1 < ..., the word order of sort_key
+        self._letter_rank = {x[0]: i for i, (_, x) in enumerate(self.letters())}
 
     def _basis(self, i):
         return (i + 1,)
@@ -334,13 +336,8 @@ class FreeGroup(_RankedGroup):
                 raise ValueError(f"word {a!r} is not reduced")
         return a
 
-    @staticmethod
-    def _letter_rank(letter: int) -> int:
-        # a < a^-1 < b < b^-1 < ...
-        return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-
     def sort_key(self, a):
-        return (len(a), tuple(map(self._letter_rank, a)))
+        return (len(a), tuple(map(self._letter_rank.__getitem__, a)))
 
     def dist(self, a, b):
         return len(self.mul(self.inv(a), b))

@@ -60,29 +60,25 @@ def random_tuple(rng: random.Random, group: GroupSpec, length: int, max_len: int
     return tuple(random_element(rng, group, max_len) for _ in range(length))
 
 
+def _entries(rng: random.Random, group: GroupSpec, length: int, max_len: int, value) -> dict:
+    """1 to MAX_DRAWS drawn (length-tuple key, value(rng)) entries; each key is drawn before its value."""
+    return {random_tuple(rng, group, length, max_len): value(rng) for _ in range(rng.randint(1, MAX_DRAWS))}
+
+
 def random_l1_chain(rng: random.Random, group: GroupSpec, degree: int, max_len: int = 2) -> EquivariantChain:
-    entries = {}
-    for _ in range(rng.randint(1, MAX_DRAWS)):
-        entries[random_tuple(rng, group, degree, max_len)] = random_finsupp(rng, group, max_len=max_len)
+    entries = _entries(rng, group, degree, max_len, lambda rng: random_finsupp(rng, group, max_len=max_len))
     return EquivariantChain(group, degree, KIND_L1, entries)
 
 
 def random_linf_chain(rng: random.Random, group: GroupSpec, degree: int, max_len: int = 2) -> EquivariantChain:
-    entries = {}
-    for _ in range(rng.randint(1, MAX_DRAWS)):
-        entries[random_tuple(rng, group, degree, max_len)] = random_boundedfn(rng, group, max_len)
+    entries = _entries(rng, group, degree, max_len, lambda rng: random_boundedfn(rng, group, max_len))
     return EquivariantChain(group, degree, KIND_LINF, entries)
 
 
 def random_cochain(rng: random.Random, group: GroupSpec, degree: int, max_len: int = 2) -> BoundedCochain:
-    entries = {}
-    for _ in range(rng.randint(1, MAX_DRAWS)):
-        entries[random_tuple(rng, group, degree, max_len)] = random_finsupp(rng, group, max_len=max_len)
+    entries = _entries(rng, group, degree, max_len, lambda rng: random_finsupp(rng, group, max_len=max_len))
     return BoundedCochain(group, degree, DUAL_FULL, entries=entries)
 
 
 def random_uf_chain(rng: random.Random, group: GroupSpec, degree: int, max_len: int = 2) -> UfChain:
-    coeffs = {}
-    for _ in range(rng.randint(1, MAX_DRAWS)):
-        coeffs[random_tuple(rng, group, degree + 1, max_len)] = random_fraction(rng)
-    return UfChain(group, degree, coeffs)
+    return UfChain(group, degree, _entries(rng, group, degree + 1, max_len, random_fraction))

@@ -164,6 +164,16 @@ class TestBall:
             ball = group.ball(5)
             assert all(group.sort_key(ball[i]) < group.sort_key(ball[i + 1]) for i in range(len(ball) - 1))
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_sort_key_matches_letter_formula(self, rank):
+        # oracle: a < a^-1 < b < b^-1 < ... as a formula on the signed letter
+        def formula_key(word):
+            return (len(word), tuple(2 * (abs(x) - 1) + (x < 0) for x in word))
+
+        group = FreeGroup(rank)
+        ball = group.ball(4)
+        assert [group.sort_key(w) for w in ball] == [formula_key(w) for w in ball]
+
     @pytest.mark.parametrize(
         "table, gens",
         [
