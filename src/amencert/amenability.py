@@ -40,7 +40,7 @@ from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec
 def indicator(group: GroupSpec, members: Iterable[Element]) -> FinSuppFn:
     """1 on each member, 0 elsewhere; a repeated member counts once. The members are checked
     first, as dict.fromkeys would fold False onto 0, or (True,) onto (1,), unchecked."""
-    return FinSuppFn._raw(group, dict.fromkeys([group.check(g) for g in members], Fraction(1)))
+    return FinSuppFn._raw(group, 1, dict.fromkeys([group.check(g) for g in members], 1))
 
 
 def reiter_counts(group: GroupSpec, f: FinSuppFn) -> tuple[int, dict[str, int], int]:
@@ -54,7 +54,7 @@ def reiter_counts(group: GroupSpec, f: FinSuppFn) -> tuple[int, dict[str, int], 
         raise ValueError("function is defined over a different group")
     if f.is_zero:
         raise ValueError("the Reiter ratio of the zero function is undefined")
-    if any(c.numerator < 0 for _, c in f.items()):  # a Fraction's denominator is positive
+    if any(n < 0 for n in f.nums.values()):  # f = nums / den with den > 0
         raise ValueError("the Reiter ratio requires a nonnegative function")
     letters = group.letters()
     d, mass, dists = f.translate_distances(s for _, s in letters)
@@ -121,16 +121,20 @@ class FolnerFailure(NamedTuple):
 
 
 def folner_certificate_from_set(
-    group: GroupSpec, members: Sequence[Element], strategy: str = "explicit", parameter: int = 0
+    group: GroupSpec, members: Sequence[Element], strategy: str = "explicit", parameter: int = 0, *, _raw=False
 ) -> FolnerCertificate:
     """Build (or revalidate) a certificate directly from a candidate set.
+
+    Every member is checked, except on the `_raw` route: `folner_search`
+    takes it for the sets it builds itself by group operations, as
+    `FinSuppFn._raw` is taken for values built from checked parts.
 
     Counted in integers, one `GroupSpec.left_translates` pass per letter s:
     |sF| = |F|, so |sF symmetric-difference F| = 2(|F| - |sF n F|). Left
     translation by s is injective, so the translates s.g that land in F
     are distinct and |sF n F| is the size of the set F n {s.g : g in F}.
     """
-    inside = dict.fromkeys(group.check(g) for g in members)
+    inside = dict.fromkeys(members if _raw else map(group.check, members))
     if not inside:
         raise ValueError("a Folner certificate needs a nonempty set")
     size, keys, translates = len(inside), inside.keys(), group.left_translates
@@ -206,8 +210,9 @@ def folner_search(
       r = 2 gives 72/17.
 
     Only the accepted set is built, and folner_certificate_from_set counts
-    it; a count that disagrees with the closed form raises. So the
-    returned certificate is counted, not assumed, and a search that fails
+    it on the `_raw` route, as every member is made by group operations; a
+    count that disagrees with the closed form raises. So the returned
+    certificate is counted, not assumed, and a search that fails
     builds nothing (every F_k with k >= 2 and eps <= 4(k - 1)). Balls of
     Z^d and of finite groups have no closed form here and are built and
     counted one radius at a time.
@@ -240,7 +245,7 @@ def folner_search(
             if ratio > eps:
                 attempts.append({"parameter": parameter, "set-size": size, "_ratio": ratio})
                 continue
-        cert = folner_certificate_from_set(group, build(parameter), strategy=strategy, parameter=parameter)
+        cert = folner_certificate_from_set(group, build(parameter), strategy, parameter, _raw=True)
         if closed_form is not None and (len(cert.members), cert.ratio) != (size, ratio):
             raise RuntimeError(
                 f"{strategy} parameter {parameter}: counted {len(cert.members)} elements of ratio "

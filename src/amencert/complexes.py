@@ -29,7 +29,7 @@ c(g0,...,gm) = g0 . slice(g0^-1 g1, ..., g0^-1 gm).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .groups import GroupSpec, group_from_dict, json_check, json_field, json_pairs
@@ -37,10 +37,12 @@ from .functions import (
     BoundedFn,
     FinSuppFn,
     _add_terms,
+    _check_den,
+    _rational_form,
+    _ratio_str,
+    _reduced,
     bounded_from_json,
     delta,
-    frac,
-    frac_str,
     parse_frac,
 )
 
@@ -255,7 +257,7 @@ class BoundedCochain:
                 self._check_value(value)
 
     def _check_value(self, value: FinSuppFn) -> None:
-        if self.dual == DUAL_QUOTIENT and value.coeff_sum():
+        if self.dual == DUAL_QUOTIENT and sum(value.nums.values()):
             raise ValueError("quotient-dual cochain produced a value with nonzero coefficient sum")
 
     def value_at(self, key) -> FinSuppFn:
@@ -306,22 +308,28 @@ class BoundedCochain:
         return cls(group, degree, dual, entries=entries, label=label)
 
 
+def _diameter(group: GroupSpec, keys: Iterable[tuple]) -> int:
+    """The largest word distance between two coordinates of one key (0 with no key)."""
+    return max((group.dist(a, b) for key in keys for i, a in enumerate(key) for b in key[i + 1 :]), default=0)
+
+
 class UfChain:
     """Bounded chain with controlled support: finitely supported tuples
-    of diameter at most `diameter_bound` in the word metric."""
+    of diameter at most `diameter_bound` in the word metric.
 
-    __slots__ = ("group", "degree", "coeffs", "diameter_bound")
+    Held as `FinSuppFn` holds a function: integer numerators `nums` over
+    one denominator `den`, in the same canonical form, keyed by tuples."""
+
+    __slots__ = ("group", "degree", "den", "nums", "diameter_bound")
 
     def __init__(self, group, degree, coeffs: Mapping | Iterable = (), diameter_bound: int | None = None):
         _check_degree(degree, "chain")
         if diameter_bound is not None and (type(diameter_bound) is not int or diameter_bound < 0):
             raise ValueError(f"diameter bound must be an integer >= 0, got {diameter_bound!r}")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        coeffs = _add_terms({}, ((_tuple_key(group, key, degree + 1), frac(c)) for key, c in items))
+        den, nums = _rational_form((_tuple_key(group, key, degree + 1), c) for key, c in items)
         # the bound is the realised support diameter when none is declared, and may not be passed
-        realized = max(
-            (group.dist(a, b) for key in coeffs for i, a in enumerate(key) for b in key[i + 1 :]), default=0
-        )
+        realized = _diameter(group, nums)
         if diameter_bound is None:
             diameter_bound = realized
         elif realized > diameter_bound:
@@ -330,39 +338,43 @@ class UfChain:
             )
         self.group = group
         self.degree = degree
-        self.coeffs = coeffs
+        self.den = den
+        self.nums = nums
         self.diameter_bound = diameter_bound
 
     @classmethod
-    def _raw(cls, group, degree, coeffs, diameter_bound):
+    def _raw(cls, group, degree, den, nums, diameter_bound):
         """A chain from parts that are already valid: `degree + 1`-tuple keys of
-        group elements, nonzero Fraction coefficients, support diameter at
+        group elements, a canonical (den, nums) form, support diameter at
         most diameter_bound."""
         obj = object.__new__(cls)
         obj.group = group
         obj.degree = degree
-        obj.coeffs = coeffs
+        obj.den = den
+        obj.nums = nums
         obj.diameter_bound = diameter_bound
         return obj
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def boundary(self) -> "UfChain":
-        """Face-deletion boundary, built unchecked under the same bound.
+        """Face-deletion boundary, built unchecked under the same bound and denominator.
 
         A face drops one coordinate of a tuple, so its pairwise distances
         are some of the tuple's: a face of a tuple of diameter <= K has
-        diameter <= K. Its coordinates are already group elements, and
-        `_add_terms` keeps only nonzero sums.
+        diameter <= K. Its coordinates are already group elements, the
+        faces' numerators are +-1 times the chain's over the same den, and
+        `_add_terms` keeps only nonzero sums; `_reduced` divides out a
+        factor that cancellation leaves.
         """
         if self.degree == 0:
             raise ValueError("boundary of a degree-0 chain is undefined")
-        out: dict[tuple, Fraction] = {}
-        for key, c in self.coeffs.items():
-            _add_terms(out, ((key[:i] + key[i + 1 :], -c if i % 2 else c) for i in range(self.degree + 1)))
-        return UfChain._raw(self.group, self.degree - 1, out, self.diameter_bound)
+        out: dict[tuple, int] = {}
+        for key, n in self.nums.items():
+            _add_terms(out, ((key[:i] + key[i + 1 :], -n if i % 2 else n) for i in range(self.degree + 1)))
+        return UfChain._raw(self.group, self.degree - 1, *_reduced(self.den, out), self.diameter_bound)
 
     def __eq__(self, other):
         # The diameter bound is metadata, not part of the chain's identity.
@@ -370,14 +382,17 @@ class UfChain:
             isinstance(other, UfChain)
             and self.group == other.group
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __repr__(self):
-        return f"UfChain(degree={self.degree}, entries={len(self.coeffs)}, K={self.diameter_bound})"
+        return f"UfChain(degree={self.degree}, entries={len(self.nums)}, K={self.diameter_bound})"
 
     def to_json(self) -> dict:
-        return _write(self.group, self.degree, {"diameter-bound": self.diameter_bound}, self.coeffs, frac_str)
+        den = self.den
+        return _write(self.group, self.degree, {"diameter-bound": self.diameter_bound}, self.nums,
+                      lambda n: _ratio_str(n, den))
 
     @classmethod
     def from_json(cls, data: dict) -> "UfChain":
@@ -393,20 +408,23 @@ def inflate(phi: UfChain) -> EquivariantChain:
     """Equivariant bounded chain with slice values g -> phi(g^-1 . tuple).
 
     Each supported tuple t lands in the orbit of (e, t0^-1 t1, ...); its
-    coefficient appears in that slice value as a delta at t0^-1. The result
-    is built unchecked: every key and point is made by group operations
-    from phi's checked keys, and t = t0 . (e, orbit key) is fixed by t0 and
-    its orbit key, so each delta point is written once with its nonzero
-    coefficient and no slice value is zero.
+    numerator appears in that slice value as a delta at t0^-1, over phi's
+    denominator. The result is built unchecked: every key and point is
+    made by group operations from phi's checked keys, and t = t0 . (e,
+    orbit key) is fixed by t0 and its orbit key, so each delta point is
+    written once with its nonzero numerator and no slice value is zero.
+    Each slice value holds some of phi's numerators, so `_reduced` brings
+    it to canonical form.
     """
     group = phi.group
     builders: dict[tuple, dict] = {}
-    for key, c in phi.coeffs.items():
+    for key, n in phi.nums.items():
         t0i = group.inv(key[0])
         orbit_key = tuple(group.mul(t0i, g) for g in key[1:])
-        builders.setdefault(orbit_key, {})[t0i] = c
+        builders.setdefault(orbit_key, {})[t0i] = n
+    den = phi.den
     entries = {
-        key: BoundedFn(group, 0, FinSuppFn._raw(group, coeffs)) for key, coeffs in builders.items()
+        key: BoundedFn(group, 0, FinSuppFn._raw(group, *_reduced(den, nums))) for key, nums in builders.items()
     }
     return EquivariantChain._raw(group, phi.degree, KIND_LINF, entries)
 
@@ -414,21 +432,32 @@ def inflate(phi: UfChain) -> EquivariantChain:
 def deflate(chain: EquivariantChain) -> UfChain:
     """Inverse of `inflate`; requires slice values with a zero constant part.
 
-    Built through the constructor, which computes the realised support
-    diameter that becomes the chain's bound.
+    The slice values' numerators merge over the lcm D of their
+    denominators (checked by `_check_den`). Each value is canonical, so for
+    every prime power p^a exactly dividing D some value's denominator holds
+    p^a and some numerator of it is prime to p, and stays so when scaled:
+    the merged form is canonical. Each tuple (h^-1, h^-1 k) fixes its slice
+    key k and point h, so none is written twice; the chain's bound is the
+    realised support diameter.
     """
     if chain.kind != KIND_LINF:
         raise ValueError("deflate expects a bounded-coefficient chain")
     group = chain.group
-    coeffs: dict[tuple, Fraction] = {}
-    for key, value in chain.slice.items():
+    values = chain.slice.items()
+    for _, value in values:
         if value.terms or value.const:
             raise ValueError(f"cannot deflate a chain with value {value!r} (not of finite type)")
-        for h, c in value.fn.items():
+    den = 1
+    for _, value in values:
+        if den % value.fn.den:
+            den = _check_den(lcm(den, value.fn.den))
+    nums: dict[tuple, int] = {}
+    for key, value in values:
+        f = den // value.fn.den
+        for h, n in value.fn.nums.items():
             hi = group.inv(h)
-            tup = (hi,) + tuple(group.mul(hi, g) for g in key)
-            coeffs[tup] = c
-    return UfChain(group, chain.degree, coeffs)
+            nums[(hi,) + tuple(group.mul(hi, g) for g in key)] = n * f
+    return UfChain._raw(group, chain.degree, den, nums, _diameter(group, nums))
 
 
 def johnson_cocycle(group: GroupSpec) -> BoundedCochain:

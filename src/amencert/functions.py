@@ -2,14 +2,19 @@
 
 The summable side is `FinSuppFn`: an exact finitely supported map from
 group elements to rationals (Dirac deltas, slices of summable chains,
-values of bounded cochains). The bounded side is `BoundedFn`, one class
-holding one normal form: a constant plus a finitely supported part (either
-may be zero) plus rational multiples of translated leaves, such as the
-tree-flow indicator `TreeFlow` of the free-group witness, its one
-subclass. Terms with the same shift and leaf merge, so sums that cancel
-are structurally zero. Bounded functions are never truncated to vectors; pairings only
-ever evaluate them at the finitely many points of a summable support, so
-every number in the pipeline stays an exact rational.
+values of bounded cochains), held in one canonical form: integer
+numerators over one common denominator, which is the lcm of the reduced
+denominators of its values. Sums, shifts, file reading and pairings of
+these values run on integers; a `Fraction` is formed only for a single
+number, such as `evaluate`'s value or a pairing. The bounded side is
+`BoundedFn`, one class holding one normal form: a constant plus a
+finitely supported part (either may be zero) plus rational multiples of
+translated leaves, such as the tree-flow indicator `TreeFlow` of the
+free-group witness, its one subclass. Terms with the same shift and leaf
+merge, so sums that cancel are structurally zero. Bounded functions are
+never truncated to vectors; pairings only ever evaluate them at the
+finitely many points of a summable support, so every number in the
+pipeline stays an exact rational.
 
 Each family has one n-ary sum, `combine`. Every operator on its values is
 one call of it, and so are the boundaries and coboundaries of `complexes`.
@@ -21,12 +26,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .groups import Element, FiniteGroup, FreeGroup, GroupSpec, json_field, json_pairs
 
 Rational = Union[Fraction, int]
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def frac(x: Rational) -> Fraction:
@@ -43,31 +50,43 @@ def frac_str(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """frac_str(Fraction(n, d)) for d > 0, reduced by one gcd and no Fraction."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    return f"{n}/{d}"
+
+
 # CPython converts no integer of more than 4300 digits to or from a string,
-# so frac_str can print no rational with a longer numerator or denominator
+# so frac_str can print no rational with a longer numerator or denominator;
+# and no value's common denominator may have more digits either (_check_den)
 MAX_RATIONAL_DIGITS = 4300
 _DIGIT_BOUND = 10**MAX_RATIONAL_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\Z")
 
 
-def parse_frac(s: str) -> Fraction:
-    """Exact rational from "p/q", an integer, a decimal or an exponent form.
+def parse_ratio(s: str) -> tuple[int, int]:
+    """(p, q) with q > 0 and p/q the exact rational s names: "p/q", an integer, a decimal or an exponent form.
 
     The short form is ASCII "p/q" with an optional "-" before p, p and q
     nonempty runs of the digits 0-9, q not zero, and at most
     MAX_RATIONAL_DIGITS characters on either side of the "/". It is read by
-    one partition and two int calls. Every such string is one that
-    Fraction's pattern reads as p/q -- sign "-" or none, numerator and
-    denominator plain digit runs, no whitespace -- and Fraction then takes
-    int of each side, negates p on "-", and divides both by their gcd,
-    which is what Fraction(int(p), int(q)) does. At most 4300 characters
-    hold at most 4300 digits, which int reads under the default limit (a
-    lowered limit raises inside the same try, with the same error). So the
-    short form gives Fraction's value on every string it takes. Every other
-    string -- a "+" sign, "_", a non-ASCII digit, a decimal, an exponent,
-    a zero denominator, a longer side -- is stripped and takes Fraction's
-    route, unless whitespace is left inside: Fraction reads "3 / 4" from
-    Python 3.12 on but not on 3.11, so it is refused on every version.
+    one partition and two int calls, and (p, q) is returned unreduced. Every
+    such string is one that Fraction's pattern reads as p/q -- sign "-" or
+    none, numerator and denominator plain digit runs, no whitespace -- and
+    Fraction then takes int of each side, negates p on "-", and divides both
+    by their gcd, which is what Fraction(int(p), int(q)) does. At most 4300
+    characters hold at most 4300 digits, which int reads under the default
+    limit (a lowered limit raises inside the same try, with the same error).
+    So the short form names Fraction's value on every string it takes. Every
+    other string -- a "+" sign, "_", a non-ASCII digit, a decimal, an
+    exponent, a zero denominator, a longer side -- is stripped and takes
+    Fraction's route, unless whitespace is left inside: Fraction reads
+    "3 / 4" from Python 3.12 on but not on 3.11, so it is refused on every
+    version. That route returns the reduced numerator and denominator.
 
     Fraction builds 10^|e| for an exponent e before it reduces, so
     "1e-10000000" would cost seconds before frac_str refused it. The
@@ -86,7 +105,7 @@ def parse_frac(s: str) -> Fraction:
                 and (num[1:] if num[:1] == "-" else num).isdigit() and den.isdigit()):
             d = int(den)
             if d:
-                return Fraction(int(num), d)
+                return int(num), d
         text = s.strip()
         if any(map(str.isspace, text)):
             raise ValueError("whitespace inside a rational")
@@ -97,7 +116,98 @@ def parse_frac(s: str) -> Fraction:
         raise ValueError(f"cannot parse rational {s!r}") from exc
     if too_long or exp and max(abs(q.numerator), q.denominator) >= _DIGIT_BOUND:
         raise ValueError(f"rational {s!r} passes the {MAX_RATIONAL_DIGITS}-digit limit")
-    return q
+    return q.numerator, q.denominator
+
+
+def parse_frac(s: str) -> Fraction:
+    """The rational `parse_ratio` reads, as one Fraction."""
+    return Fraction(*parse_ratio(s))
+
+
+def _check_den(den: int) -> int:
+    """den, refused with one ValueError line past MAX_RATIONAL_DIGITS digits.
+
+    A value's common denominator can grow to the product of its distinct
+    denominators, and every numerator grows with it; about 1,230 distinct
+    primes reach the limit. Callers check each lcm as it grows, before any
+    numerator is scaled by it.
+    """
+    if den >= _DIGIT_BOUND:
+        raise ValueError(f"a common denominator passes the {MAX_RATIONAL_DIGITS}-digit limit")
+    return den
+
+
+def _reduced(den: int, nums: dict) -> tuple[int, dict]:
+    """(den, nums) divided by gcd(den, *nums): the canonical form of nums / den, nums holding no zero."""
+    if den != 1:
+        if not nums:
+            return 1, nums
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: n // g for k, n in nums.items()}
+    return den, nums
+
+
+# a running sum of fewer keys is rescaled in place when its denominator grows
+_PART_KEYS = 16
+
+
+def _integer_form(terms: Iterable) -> tuple[int, dict]:
+    """The canonical (D, nums) of the sum of the terms (key, p, q), q > 0, in one pass.
+
+    D is the lcm of the reduced denominators read so far, and nums[key] the
+    sum so far times D; a key whose sum reaches zero is removed. A p/q whose
+    q divides D adds p * (D / q) and needs no gcd; any other is reduced
+    first, and if q still does not divide D, D grows by the factor m that
+    makes it lcm(D, q), checked by `_check_den` before any numerator is
+    scaled. A running sum of fewer than _PART_KEYS keys is then multiplied
+    by m in place. A larger one is set aside as a part over its own D and
+    merged once, times the final D over its own, at the end; so no growth
+    rescales more than _PART_KEYS numerators, and a value with many
+    distinct denominators scales each numerator once or a few times, not
+    once per growth. Cancelled sums can leave a common factor, which
+    `_reduced` divides out.
+    """
+    den, nums = 1, {}
+    get = nums.get
+    parts = []
+    for key, p, q in terms:
+        if q != den:
+            if den % q:
+                g = gcd(p, q)
+                p, q = p // g, q // g
+                if den % q:
+                    m = q // gcd(den, q)
+                    grown = _check_den(den * m)
+                    if len(nums) < _PART_KEYS:
+                        for k in nums:
+                            nums[k] *= m
+                    else:
+                        parts.append((den, nums))
+                        nums = {}
+                        get = nums.get
+                    den = grown
+            p *= den // q
+        old = get(key)
+        if old is None:
+            if p:
+                nums[key] = p
+        else:
+            p += old
+            if p:
+                nums[key] = p
+            else:
+                del nums[key]
+    for part_den, part in parts:
+        m = den // part_den
+        _add_terms(nums, ((key, p * m) for key, p in part.items()))
+    return _reduced(den, nums)
+
+
+def _rational_form(terms: Iterable) -> tuple[int, dict]:
+    """`_integer_form` of (key, c) terms, each c an int or a Fraction (`frac` refuses the rest)."""
+    return _integer_form((key, q.numerator, q.denominator) for key, q in ((k, frac(c)) for k, c in terms))
 
 
 def _add_terms(out: dict, terms: Iterable) -> dict:
@@ -159,78 +269,95 @@ class _Linear:
 
 
 class FinSuppFn(_Linear):
-    """Finitely supported exact-rational function on a group.
+    """Finitely supported exact-rational function on a group: integer numerators over one denominator.
 
-    Stored as a dict with no zero coefficients and canonical element keys;
-    instances are treated as immutable values.
+    f = nums / den: `den` > 0, and `nums` a dict from canonical element keys
+    to nonzero ints, with gcd(den, *nums) = 1 (den = 1 for the zero
+    function). So den is the lcm of the reduced denominators of f's values,
+    and the form is canonical: equal functions have equal fields.
+    Instances are treated as immutable values.
     """
 
-    __slots__ = ("group", "_coeffs")
+    __slots__ = ("group", "den", "nums")
 
     def __init__(self, group: GroupSpec, coeffs: Mapping[Element, Rational] | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         self.group = group
-        self._coeffs = _add_terms({}, ((group.check(g), frac(c)) for g, c in items))
+        self.den, self.nums = _rational_form((group.check(g), c) for g, c in items)
 
     @classmethod
-    def _raw(cls, group: GroupSpec, coeffs: dict) -> "FinSuppFn":
+    def _raw(cls, group: GroupSpec, den: int, nums: dict) -> "FinSuppFn":
+        """A function from a form that is already canonical, over checked keys."""
         obj = object.__new__(cls)
         obj.group = group
-        obj._coeffs = coeffs
+        obj.den = den
+        obj.nums = nums
         return obj
 
     @classmethod
     def zero(cls, group: GroupSpec) -> "FinSuppFn":
-        return cls._raw(group, {})
+        return cls._raw(group, 1, {})
 
     @staticmethod
     def combine(group: GroupSpec, terms: Sequence) -> "FinSuppFn":
-        """sum c * (g . v) over the terms (c, g, v), g None for no shift, in one `_add_terms` pass:
-        g . v moves the coefficient of v at k to g k. A lone term (1, None, v) is v itself."""
+        """sum c * (g . v) over the terms (c, g, v), g None for no shift, as integers over one lcm:
+        g . v moves the numerator of v at k to g k. A lone term (1, None, v) is v itself.
+
+        The term c * v is (c.numerator * v.nums) / (c.denominator * v.den). D,
+        the lcm of those denominators, is built and checked (`_check_den`)
+        first; then each term adds its numerators times D / (c.denominator *
+        v.den), one `left_translates` pass for a shifted term. The first
+        term's keys are distinct, so it fills the sum without a lookup."""
         if len(terms) == 1 and terms[0][:2] == (1, None):
             return terms[0][2]
-        mul = group.mul
-        return FinSuppFn._raw(group, _add_terms({}, (
-            (k if g is None else mul(g, k), x if c == 1 else c * x)
-            for c, g, v in terms if c for k, x in v._coeffs.items()
-        )))
+        den = 1
+        for c, _, v in terms:
+            if c and v.nums:
+                q = c.denominator * v.den
+                if den % q:
+                    den = _check_den(lcm(den, q))
+        nums = None
+        for c, g, v in terms:
+            vn = v.nums
+            if not c or not vn:
+                continue
+            f = c.numerator * (den // (c.denominator * v.den))
+            keys = vn if g is None else group.left_translates(g, vn)
+            values = vn.values() if f == 1 else (n * f for n in vn.values())
+            if nums is None:
+                nums = dict(zip(keys, values))
+            else:
+                _add_terms(nums, zip(keys, values))
+        return FinSuppFn._raw(group, *_reduced(den, nums or {}))
 
     def evaluate(self, g: Element) -> Fraction:
-        return self._coeffs.get(g, Fraction(0))
+        n = self.nums.get(g)
+        return _ZERO if n is None else Fraction(n, self.den)
 
     def items(self):
-        return self._coeffs.items()
+        """(element, coefficient) pairs, each coefficient a Fraction."""
+        den = self.den
+        return {g: Fraction(n, den) for g, n in self.nums.items()}.items()
 
     def support(self) -> tuple[Element, ...]:
-        return tuple(sorted(self._coeffs, key=self.group.sort_key))
+        return tuple(sorted(self.nums, key=self.group.sort_key))
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def scaled(self) -> tuple[int, dict[Element, int]]:
-        """(D, n): D the lcm of the coefficient denominators, n[h] = f(h) * D.
-
-        D is a multiple of every denominator, so each n[h] is an integer,
-        and f = n / D exactly.
-        """
-        coeffs = self._coeffs
-        d = lcm(*(c.denominator for c in coeffs.values()))
-        return d, {h: c.numerator * (d // c.denominator) for h, c in coeffs.items()}
+        return not self.nums
 
     def l1_norm(self) -> Fraction:
-        d, n = self.scaled()
-        return Fraction(sum(map(abs, n.values())), d)
+        return Fraction(sum(map(abs, self.nums.values())), self.den)
 
     def coeff_sum(self) -> Fraction:
-        return sum(self._coeffs.values(), Fraction(0))
+        return Fraction(sum(self.nums.values()), self.den)
 
     def translate_distances(self, shifts: Iterable[Element]) -> tuple[int, int, list[int]]:
         """D, D ||f||_1 and every D ||g.f - f||_1: integers over one denominator.
 
-        With (D, n) = self.scaled(), f = n / D, and |x / D| = |x| / D as
-        D > 0, so D ||g.f - f||_1 = sum_k |n(g^-1 k) - n(k)| exactly. Only
-        points k in supp f or in g.supp f contribute. Split them:
+        With f = n / D, |x / D| = |x| / D as D > 0, so D ||g.f - f||_1 =
+        sum_k |n(g^-1 k) - n(k)| exactly. Only points k in supp f or in
+        g.supp f contribute. Split them:
 
         - k = g.h for h in supp f adds |n(h) - n(g.h)|;
         - k in supp f outside g.supp f adds |n(k)|, and these sum to
@@ -238,10 +365,10 @@ class FinSuppFn(_Linear):
 
         So the translates g.h of the whole support, one
         `GroupSpec.left_translates` pass per shift, give the whole sum, and
-        neither the numerators nor ||n||_1 depend on g: both are built once
+        neither the numerators nor ||n||_1 depend on g: both are read once
         for all shifts. Signs are not assumed.
         """
-        d, n = self.scaled()
+        n = self.nums
         mass = sum(map(abs, n.values()))
         translates = self.group.left_translates
         out = []
@@ -250,35 +377,37 @@ class FinSuppFn(_Linear):
             for c, m in zip(n.values(), map(n.get, translates(g, n))):
                 total += abs(c) if m is None else abs(c - m) - abs(m)
             out.append(total)
-        return d, mass, out
+        return self.den, mass, out
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinSuppFn)
             and self.group == other.group
-            and self._coeffs == other._coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __repr__(self) -> str:
-        coeffs = self._coeffs
-        terms = ", ".join(f"{self.group.elem_to_str(g)}: {coeffs[g]}" for g in self.support())
+        nums, den = self.nums, self.den
+        terms = ", ".join(f"{self.group.elem_to_str(g)}: {Fraction(nums[g], den)}" for g in self.support())
         return f"FinSuppFn({{{terms}}})"
 
     def to_pairs(self) -> list:
-        coeffs = self._coeffs
-        return [[self.group.elem_to_json(g), frac_str(coeffs[g])] for g in self.support()]
+        nums, den, write = self.nums, self.den, self.group.elem_to_json
+        return [[write(g), _ratio_str(nums[g], den)] for g in self.support()]
 
     @classmethod
     def from_pairs(cls, group: GroupSpec, pairs: list) -> "FinSuppFn":
-        """The function a file's [element, "p/q"] pairs name; repeated elements sum. The
-        readers return checked elements and Fractions, so nothing is checked twice."""
-        terms = ((group.elem_from_json(e), parse_frac(c)) for e, c in json_pairs(pairs, "function"))
-        return cls._raw(group, _add_terms({}, terms))
+        """The function a file's [element, "p/q"] pairs name; repeated elements sum. Each pair is
+        read straight into integers and summed as it is read (`_integer_form`); the readers return
+        checked elements, so nothing is checked twice."""
+        terms = ((group.elem_from_json(e), *parse_ratio(c)) for e, c in json_pairs(pairs, "function"))
+        return cls._raw(group, *_integer_form(terms))
 
 
 def delta(group: GroupSpec, g: Element) -> FinSuppFn:
     """Dirac delta at g: coefficient 1 at g, zero elsewhere."""
-    return FinSuppFn(group, {g: 1})
+    return FinSuppFn._raw(group, 1, {group.check(g): 1})
 
 
 # -- bounded functions ------------------------------------------------------
@@ -289,9 +418,10 @@ class BoundedFn(_Linear):
 
     `const` is a Fraction, `fn` a `FinSuppFn` and `terms` a dict
     {(shift, leaf): c} with no zero c; the constructor builds a value with
-    no terms, and only `combine` and a leaf's own `__init__` set them. A
-    leaf is a subclass that evaluates itself (`TreeFlow`); it is its own one
-    term (e, leaf) with coefficient 1, so it must be hashable. `combine` is
+    no terms, and only `combine` sets them. A leaf is a subclass that
+    evaluates itself (`TreeFlow`) to 0 or 1, an indicator, so `pair_eval`
+    sums integers against it. A leaf is its own one term (e, leaf) with
+    coefficient 1, so it must be hashable. `combine` is
     the one sum, and every operator goes through it: equal terms merge, so
     a sum that cancels term by term is structurally zero, and equality does
     not depend on the order of the terms. The file formats hold every value
@@ -316,7 +446,7 @@ class BoundedFn(_Linear):
         if len(terms) == 1 and terms[0][:2] == (1, None):
             return terms[0][2]
         terms = [term for term in terms if term[0]]
-        const = sum((c * v.const for c, _, v in terms if v.const), Fraction(0))
+        const = sum((c * v.const for c, _, v in terms if v.const), _ZERO)
         fn = FinSuppFn.combine(group, [(c, g, v.fn) for c, g, v in terms])
         leaves = _add_terms({}, (
             ((s if g is None else group.mul(g, s), leaf), c * ci)
@@ -378,7 +508,7 @@ class TreeFlow(BoundedFn):
     eventually-constant generator ray. evaluate(g) is 1 exactly when the
     first letter of the reduced infinite word g * ray^infinity equals the
     edge letter, else 0. A leaf of the normal form: a zero constant and
-    finite part, and itself as its one term.
+    finite part, and itself as its one term (`terms`).
     """
 
     __slots__ = ("edge", "ray")
@@ -394,13 +524,20 @@ class TreeFlow(BoundedFn):
             raise ValueError(f"edge letter {edge} out of range")
         if not 1 <= ray <= group.rank:
             raise ValueError(f"ray letter {ray} must be a positive generator index")
-        super().__init__(group)
+        self.group = group
+        self.const = _ZERO
+        self.fn = FinSuppFn.zero(group)
         self.edge = edge
         self.ray = ray
-        self.terms = {(group.identity, self): Fraction(1)}
+
+    @property
+    def terms(self) -> dict:
+        """The leaf's one term, built on each read: a stored dict holding the leaf itself would make
+        every leaf a reference cycle, alive with its group until the cyclic collector runs."""
+        return {(self.group.identity, self): _ONE}
 
     def evaluate(self, g):
-        return Fraction(1) if ray_first_letter(g, self.ray) == self.edge else Fraction(0)
+        return _ONE if ray_first_letter(g, self.ray) == self.edge else _ZERO
 
     def __eq__(self, other):
         return (
@@ -484,7 +621,30 @@ def is_constant_fn(v: BoundedFn) -> bool:
 
 
 def pair_eval(phi: FinSuppFn, v: FinSuppFn | BoundedFn) -> Fraction:
-    """Evaluation pairing <phi, v> = sum_g phi(g) v(g) over supp(phi)."""
+    """Evaluation pairing <phi, v> = sum_g phi(g) v(g) over supp(phi), summed on integers.
+
+    With phi = n / D and a finite part m / E, the finite part gives the
+    integer dot product of n and m over D E; a constant c gives c sum(n) / D;
+    a term c (s . leaf) gives c / D times the sum of n(g) over the g in
+    supp(phi) where the leaf, an indicator, is 1 at s^-1 g. So each nonzero
+    part forms one Fraction.
+    """
     if phi.group != v.group:
         raise ValueError("pairing requires functions over the same group")
-    return sum((c * v.evaluate(g) for g, c in phi.items()), Fraction(0))
+    fn = v if isinstance(v, FinSuppFn) else v.fn
+    small, large = (phi.nums, fn.nums) if len(phi.nums) <= len(fn.nums) else (fn.nums, phi.nums)
+    dot = sum(n * m for g, n in small.items() if (m := large.get(g)) is not None)
+    total = Fraction(dot, phi.den * fn.den) if dot else _ZERO
+    if fn is v:
+        return total
+    nums, den = phi.nums, phi.den
+    parts = [(v.const, sum(nums.values()))] if v.const else []
+    if v.terms:
+        group = v.group
+        for (s, leaf), c in v.terms.items():
+            hits = map(leaf.evaluate, group.left_translates(group.inv(s), nums))
+            parts.append((c, sum(n for n, hit in zip(nums.values(), hits) if hit)))
+    for c, acc in parts:
+        if acc:
+            total += Fraction(c.numerator * acc, c.denominator * den)
+    return total

@@ -32,7 +32,7 @@ import json
 import operator
 import re
 import threading
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from math import comb
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -348,16 +348,12 @@ class FreeGroup(_RankedGroup):
     def elem_to_str(self, a) -> str:
         if not a:
             return "e"
+        labels = self.gen_labels
         parts = []
-        i = 0
-        while i < len(a):
-            j = i
-            while j < len(a) and a[j] == a[i]:
-                j += 1
-            lab = self.gen_labels[abs(a[i]) - 1]
-            exp = (j - i) if a[i] > 0 else -(j - i)
+        for letter, run in groupby(a):
+            lab = labels[abs(letter) - 1]
+            exp = len(list(run)) if letter > 0 else -len(list(run))
             parts.append(lab if exp == 1 else f"{lab}^{exp}")
-            i = j
         return "*".join(parts)
 
     def elem_from_str(self, s: str):

@@ -678,10 +678,10 @@ class TestIntegerRoute:
 
     def test_one_denominator_is_the_lcm(self, f2):
         f = FinSuppFn(f2, {(): Fraction(1, 4), (1,): Fraction(5, 6), (2,): Fraction(-7, 10**40)})
-        d, n = f.scaled()
+        d, n = f.den, f.nums
         assert d == 3 * 10**40
         assert n == {(): 3 * 10**40 // 4, (1,): 25 * 10**39, (2,): -21}
-        assert FinSuppFn.zero(f2).scaled() == (1, {})
+        assert (FinSuppFn.zero(f2).den, FinSuppFn.zero(f2).nums) == (1, {})
 
     def test_counts_cancel_the_denominator(self, z2):
         f = FinSuppFn(z2, {(0, 0): Fraction(1, 3), (1, 0): Fraction(1, 6)})

@@ -193,7 +193,7 @@ class TestUfChains:
         a = f2.gen(0)
         edge = UfChain(f2, 1, {(f2.identity, a): 1})
         out = edge.boundary()
-        assert out.coeffs == {(a,): Fraction(1), (f2.identity,): Fraction(-1)}
+        assert (out.den, out.nums) == (1, {(a,): 1, (f2.identity,): -1})
 
     def test_boundary_squared_zero(self, all_groups, rng):
         for group in all_groups:
@@ -207,7 +207,7 @@ class TestUfChains:
                 uf = random_uf_chain(rng, group, rng.randint(1, 3))
                 out = uf.boundary()
                 assert out.diameter_bound <= uf.diameter_bound
-                for key in out.coeffs:
+                for key in out.nums:
                     for i, x in enumerate(key):
                         for y in key[i + 1 :]:
                             assert group.dist(x, y) <= out.diameter_bound

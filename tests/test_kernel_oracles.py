@@ -59,7 +59,7 @@ def group_functions(draw, min_size=0):
 
 def oracle_translate_distances(f, shifts):
     """FinSuppFn.translate_distances as it made one mul call per support point and shift."""
-    d, n = f.scaled()
+    d, n = f.den, f.nums
     mass = sum(map(abs, n.values()))
     mul = f.group.mul
     out = []
