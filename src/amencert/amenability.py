@@ -259,18 +259,21 @@ def folner_search(
 
 # the largest ball isoperimetric_argmin enumerates: 2^18 - 1 subsets
 MAX_ISO_BALL = 18
+# the largest ball isoperimetric_argmin answers at all: the certificate prints
+# the ball and 2^|B| - 1, which has at most 4300 digits, all that str(int) writes
+MAX_ISO_OUTPUT = 14284
 
 
 def isoperimetric_argmin(group: GroupSpec, radius: int) -> tuple[Fraction, tuple[Element, ...]]:
     """Minimum Reiter ratio over every nonempty subset of ball(radius), and a minimizer.
 
-    The ball is grown one radius at a time, and the guard refuses a ball of
-    more than MAX_ISO_BALL elements as soon as one level passes it, before
-    any larger ball is built. Two cases then have a proved, unique
-    minimizer, the whole ball B, and return it without enumeration; every
-    other ball goes to _iso_enumerate. Write k for the number of letters
-    and internal[F] for the number of pairs (s, g) with g and s.g in F, so
-    that sum_s |sF symmetric-difference F| = 2(k|F| - internal[F]).
+    The ball is counted by `group.ball_size` before anything is built, and
+    one of more than MAX_ISO_OUTPUT elements is refused. Two cases then
+    have a proved, unique minimizer, the whole ball B, and return it
+    without enumeration; any other ball of more than MAX_ISO_BALL elements
+    is refused, and the rest go to _iso_enumerate. Write k for the number
+    of letters and internal[F] for the number of pairs (s, g) with g and
+    s.g in F, so that sum_s |sF symmetric-difference F| = 2(k|F| - internal[F]).
 
     - Free group of rank n (the forest count; Lyons-Peres, Probability on
       Trees and Networks, ch. 6). The pairs {g, s.g} with both ends in F
@@ -289,24 +292,18 @@ def isoperimetric_argmin(group: GroupSpec, radius: int) -> tuple[Fraction, tuple
     enumeration never changes these answers.
     """
     _check_radius(radius)
-    # one level at a time; a level that adds nothing means the ball has
-    # saturated, so a huge radius on a finite group stops at its diameter
-    ball = group.ball(0)
-    for r in range(1, radius + 1):
-        grown = group.ball(r)
-        if len(grown) > MAX_ISO_BALL:
-            raise ValueError(
-                f"the ball of radius {r} has {len(grown)} elements; "
-                f"subset enumeration is capped at {MAX_ISO_BALL}"
-            )
-        if len(grown) == len(ball):
-            break
-        ball = grown
+    size = group.ball_size(radius, MAX_ISO_OUTPUT)
+    if size > MAX_ISO_OUTPUT:
+        raise ValueError(f"the ball of radius {radius} has more than {MAX_ISO_OUTPUT} elements, the iso-min cap")
     if isinstance(group, FreeGroup):
-        return _free_ball_ratio(group.rank, len(ball)), ball
-    if isinstance(group, FiniteGroup) and len(ball) == group.order:
-        return Fraction(0), ball
-    return _iso_enumerate(group, ball)
+        return _free_ball_ratio(group.rank, size), group.ball(radius)
+    if isinstance(group, FiniteGroup) and size == group.order:
+        return Fraction(0), group.ball(radius)
+    if size > MAX_ISO_BALL:
+        raise ValueError(
+            f"the ball of radius {radius} has {size} elements; subset enumeration is capped at {MAX_ISO_BALL}"
+        )
+    return _iso_enumerate(group, group.ball(radius))
 
 
 def _iso_enumerate(group: GroupSpec, ball: tuple[Element, ...]) -> tuple[Fraction, tuple[Element, ...]]:

@@ -9,10 +9,10 @@ operation lives on the group object, so values can be used directly as
 dictionary keys in the function and chain modules.
 
 Balls come from one breadth-first walk of the Cayley graph per group,
-whose levels, in the canonical order, are the only ball cache; a finite
-group runs it to saturation to read off its word metric. The order is
-part of the contract because certificates serialize support sets and
-must be byte-for-byte reproducible.
+whose levels, in the canonical order, are the only ball cache; a free
+group's walk appends letters, and a finite group runs it to saturation
+to read off its word metric. The order is part of the contract because
+certificates serialize support sets and must be byte-for-byte reproducible.
 
 Each group declares its generators once, as `gens` with `gen_labels`;
 `GroupSpec.__init__` builds the letter set from them, each generator and
@@ -97,17 +97,16 @@ class GroupSpec:
     A family sets `gens` (the declared generators) and `gen_labels` (one
     label each), and whatever `inv` needs, before calling this __init__.
 
-    `_grow_levels` walks the Cayley graph breadth first, as far as asked:
-    `_levels[r]` holds the elements at word distance r in canonical order:
-    if `_sort_levels`, sorted by their own order, the rest of sort_key;
-    a free group's walk yields them in order (see FreeGroup). `ball(r)`
-    joins `_levels[:r + 1]`.
+    `_grow_levels` walks the Cayley graph breadth first, as far as asked,
+    under one lock: `_levels[r]` holds the elements at word distance r in
+    canonical order, and `ball(r)` joins `_levels[:r + 1]`. Each level
+    comes from the last through `_next_level`: here by multiplying and
+    sorting, in FreeGroup by appending letters.
     """
 
     family = "?"
     gens: tuple[Element, ...]
     gen_labels: tuple[str, ...]
-    _sort_levels = True
 
     def __init__(self) -> None:
         # Each declared generator, then its inverse labelled "^-1", skipping
@@ -127,7 +126,7 @@ class GroupSpec:
         # The walk's state. The lock keeps concurrent ball() calls from
         # appending a level twice; everything else is immutable.
         self._levels: list[tuple[Element, ...]] = [(self.identity,)]
-        self._seen: set[Element] = {self.identity}
+        self._seen: set[Element] = {self.identity}  # every element reached by the generic walk
         self._saturated = False
         self._lock = threading.Lock()
 
@@ -190,22 +189,26 @@ class GroupSpec:
     def _grow_levels(self, radius: int) -> None:
         """Extend the walk to levels 0..radius, or until a level comes out empty."""
         with self._lock:
-            levels, seen, mul = self._levels, self._seen, self.mul
-            gens = [el for _, el in self.letters()]
+            levels = self._levels
             while len(levels) <= radius and not self._saturated:
-                nxt = []
-                for x in levels[-1]:
-                    for s in gens:
-                        y = mul(x, s)
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                if not nxt:
+                nxt = self._next_level()
+                if nxt:
+                    levels.append(nxt)
+                else:
                     self._saturated = True
-                    break
-                if self._sort_levels:
-                    nxt.sort()
-                levels.append(tuple(nxt))
+
+    def _next_level(self) -> tuple[Element, ...]:
+        """The products x.s, x in the last level and s a letter, not seen before, sorted by value."""
+        seen, mul = self._seen, self.mul
+        nxt = []
+        for x in self._levels[-1]:
+            for _, s in self._letters:
+                y = mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        nxt.sort()
+        return tuple(nxt)
 
     def ball(self, radius: int) -> tuple[Element, ...]:
         """All elements at word distance <= radius from e, canonically ordered."""
@@ -265,26 +268,35 @@ class FreeGroup(_RankedGroup):
     never contain an adjacent cancelling pair, so equality of elements is
     equality of tuples.
 
-    The walk's levels need no sort. Let level r be in canonical order (the
-    letter ranks, left to right), as level 0 = (e) is. The walk extends
-    each x of it in turn by the letters s in rank order a, a^-1, b, ...;
-    x.s is x + (s,), or shorter and already seen when s cancels x's last
-    letter. A word of length r + 1 has one parent, its prefix, so it is
-    appended once, and level r + 1 comes out ordered by prefix, then by
-    last letter: in canonical order.
+    The walk grows its own levels, with no product, no membership test
+    and no sort: level r + 1 is each word x of level r, in order, followed
+    by each letter s in rank order a, a^-1, b, ..., except the inverse of
+    x's last letter. Every such x + (s,) is reduced and of length r + 1,
+    and every reduced word of length r + 1 is made once, from its prefix.
+    Let level r be in canonical order (the letter ranks, left to right),
+    as level 0 = (e) is; then level r + 1 comes out ordered by prefix,
+    then by last letter: in canonical order.
     """
 
     family = "free"
-    _sort_levels = False
 
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
         super().__init__(rank, labels, "free group")
         self._label_letter = {lab: i + 1 for i, lab in enumerate(self.gen_labels)}
+        letters = tuple(x for _, x in self.letters())
         # each letter's place in letters(): a < a^-1 < b < b^-1 < ..., the word order of sort_key
-        self._letter_rank = {x[0]: i for i, (_, x) in enumerate(self.letters())}
+        self._letter_rank = {x[0]: i for i, x in enumerate(letters)}
+        # a word's last letter, () for e -> the letters that may follow it, in order: all
+        # but its inverse, which is letters[i ^ 1] for letters[i] in that order
+        self._followers = {(): letters}
+        self._followers.update((x, letters[: i ^ 1] + letters[(i ^ 1) + 1 :]) for i, x in enumerate(letters))
 
     def _basis(self, i):
         return (i + 1,)
+
+    def _next_level(self):
+        followers = self._followers
+        return tuple(x + s for x in self._levels[-1] for s in followers[x[-1:]])
 
     @property
     def identity(self) -> tuple[int, ...]:
@@ -310,8 +322,8 @@ class FreeGroup(_RankedGroup):
 
         This is mul(s, h) when s has one letter. In mul's junction rule the
         run of cancelling pairs has length i <= min(len(s), len(h)) <= 1, and
-        it is 1 exactly when h is nonempty and h[0] = -k, that is
-        h[:1] == (-k,). Then mul returns s[:0] + h[1:] = h[1:], else s + h.
+        it is 1 exactly when h is nonempty and h[0] = -k. Then mul returns
+        s[:0] + h[1:] = h[1:], else s + h.
         Once k has cancelled h[0] no letter of s is left, and h is reduced,
         so only h[0] can cancel; both results are reduced: h[1:] is a suffix
         of h, and s + h has one new adjacent pair, (k, h[0]), which does not
@@ -320,8 +332,8 @@ class FreeGroup(_RankedGroup):
         """
         if len(s) != 1:
             return super().left_translates(s, elems)
-        cancel = (-s[0],)
-        return (h[1:] if h[:1] == cancel else s + h for h in elems)
+        back = -s[0]
+        return (h[1:] if h and h[0] == back else s + h for h in elems)
 
     def inv(self, a):
         return tuple(-letter for letter in reversed(a))

@@ -17,12 +17,13 @@ identity.
 ball B_r. The sums at k^-1 g depend only on a finite type of that word,
 so by default it evaluates them on the words of length <= 3, which show
 every type, and sweeps all of B_2r only to list failures or to run an
-oracle passed as `flow=`.
+oracle passed as `flow=`. The words are the group's own ball.
 """
 
 from __future__ import annotations
 
-from operator import eq
+from itertools import repeat
+from operator import add, eq
 from typing import Callable, NamedTuple
 
 from .complexes import KIND_LINF, EquivariantChain, johnson_cocycle, one_lift_cochain
@@ -106,7 +107,8 @@ class FlowVerification(NamedTuple):
 # groups._check_rank applies: the word count |B_2r| is the number of
 # distinct h that the full sweep evaluates. The default route sweeps only
 # B_min(2r, 3) and runs the full sweep just when that finds a failure; the
-# `flow=` route always runs it, so the caps bound those two.
+# `flow=` route always runs it, so the caps bound those two, and with them
+# the group's ball cache, which keeps the B_2r a full sweep reads.
 # Past rank 1 the word cap already keeps 2r <= 10; the radius cap keeps
 # rank-1 words (and the r^2 letters of their ball) short as well.
 MAX_FLOW_WORDS = 10**6
@@ -136,22 +138,6 @@ def check_flow_sweep(rank: int, radius: int) -> int:
     return total
 
 
-def reduced_words(rank: int, length: int):
-    """Yield every reduced word of length <= `length` once, depth first.
-
-    A word is extended by every letter except the inverse of its last
-    letter; only the current path's siblings are ever held.
-    """
-    letters = [s for letter in range(1, rank + 1) for s in (letter, -letter)]
-    stack = [()]
-    while stack:
-        word = stack.pop()
-        yield word
-        if len(word) < length:
-            back = -word[-1] if word else 0
-            stack.extend(word + (s,) for s in letters if s != back)
-
-
 def verify_flow_cycle(
     fs: FlowCycleSpec, radius: int, flow: Callable[[int, Element], int] | None = None
 ) -> FlowVerification:
@@ -166,11 +152,11 @@ def verify_flow_cycle(
     test).
 
     The check at (k, g) sees only h = k^-1 g, and {k^-1 g : k, g in
-    ball(radius)} is exactly the set of reduced words of length <= 2 radius.
-    So the sums are evaluated once per such h, |B_2r| rounds instead of
-    |B_r|^2; for any pure oracle the report is the one the pair loop gives.
-    `points_checked` is |B_r|^2 by free_ball_size's closed form, and the
-    ball is built only to expand failing h back into (k, g) rows.
+    ball(radius)} is exactly the set of reduced words of length <= 2 radius,
+    the ball B_2r. So the sums are evaluated once per such h, |B_2r| rounds
+    instead of |B_r|^2; for any pure oracle the report is the one the pair
+    loop gives. `points_checked` is |B_r|^2 by free_ball_size's closed
+    form, and B_r is joined only to expand failing h back into (k, g) rows.
 
     Without `flow`, the sums are read from `ray_first_letter`, the tree
     flow's defining function, with no per-letter oracle: flow_value(s, h)
@@ -203,42 +189,39 @@ def verify_flow_cycle(
     pairs that the type argument covers. The `flow=` route cannot assume
     that an oracle depends on T alone and always sweeps B_2r.
 
-    Only the entry is validated (`check_flow_sweep`, `FlowCycleSpec`): every
-    word evaluated is reduced by construction, so no word is checked again.
-    `reduced_words` extends a word only by letters other than the inverse
-    of its last letter, so no cancelling pair ever forms. The incoming
-    point (-s).h is formed by the one-letter rule: h[1:] when h starts with
-    s, a suffix of a reduced word; else (-s,) + h, whose only new adjacent
-    pair (-s, h[0]) cancels just when h[0] = s, the case excluded. Both are
-    the free reduction of -s followed by h, which is `group.mul((-s,), h)`.
+    Only the entry is validated (`check_flow_sweep`, `FlowCycleSpec`): the
+    words swept are `group.ball(depth)`, and the incoming points e.h are
+    `group.left_translates((e,), words)`, one pass per edge letter
+    e = s^-1; both are reduced words of the group, so no word is checked
+    again.
     The edge letters are the 2 rank signed letters of group.letters(), in
     its order a, a^-1, b, b^-1, ..., so `flow_value`'s edge-letter check
-    could never fire on them either.
+    could never fire on them either. Both depths read the group's ball
+    cache, which keeps B_2r once the full sweep has run.
     """
     group = fs.group
     rank = group.rank
     check_flow_sweep(rank, radius)
     letters = [s for _, (s,) in group.letters()]
-    edges = [-s for s in letters]
-    ray = fs.ray
-    rays = [ray] * len(letters)
-    out_expect = 1
-    in_expect = 2 * rank - 1
+    rays = repeat(fs.ray)
+    expect = [1, 2 * rank - 1]  # the outgoing and incoming sums at every h
     full = 2 * radius
     depths = (full,) if flow is not None or full <= _TYPE_DEPTH else (_TYPE_DEPTH, full)
     for depth in depths:
-        bad: dict[Element, tuple[int, int]] = {}
-        for h in reduced_words(rank, depth):
-            first = h[0] if h else 0
-            points = [h[1:] if s == first else (-s,) + h for s in letters]
+        words = group.ball(depth)
+        if flow is None:
+            out_sums = [letters.count(x) for x in map(ray_first_letter, words, rays)]
+        else:
+            out_sums = [sum(flow(s, h) for s in letters) for h in words]
+        in_sums = [0] * len(words)
+        for e in letters:  # e = s^-1 for the incoming letter s: flow(e, e.h)
+            points = group.left_translates((e,), words)
             if flow is None:
-                outgoing = letters.count(ray_first_letter(h, ray))
-                incoming = sum(map(eq, map(ray_first_letter, points, rays), edges))
+                hits = map(eq, map(ray_first_letter, points, rays), repeat(e))
             else:
-                outgoing = sum(flow(s, h) for s in letters)
-                incoming = sum(map(flow, edges, points))
-            if outgoing != out_expect or incoming != in_expect:
-                bad[h] = (outgoing, incoming)
+                hits = map(flow, repeat(e), points)
+            in_sums = list(map(add, in_sums, hits))
+        bad = {h: sums for h, *sums in zip(words, out_sums, in_sums) if sums != expect}
         if not bad:
             break
     failures = []
@@ -263,9 +246,9 @@ def verify_flow_cycle(
         fs=fs,
         radius=radius,
         points_checked=free_ball_size(rank, radius, MAX_FLOW_WORDS) ** 2,
-        outgoing_constant=out_expect,
-        incoming_constant=in_expect,
-        boundary_constant=in_expect - out_expect,
+        outgoing_constant=expect[0],
+        incoming_constant=expect[1],
+        boundary_constant=expect[1] - expect[0],
         failures=failures,
     )
 

@@ -321,15 +321,34 @@ class TestIsoperimetricMin:
         assert best == isoperimetric_argmin(f2, 1)[0]
 
     def test_guard_rejects_large_balls(self, f2):
-        with pytest.raises(ValueError):
-            isoperimetric_argmin(f2, 3)
+        # |B_9| = 39365 passes the output cap; |B_3| = 25 of Z^2 passes the enumeration cap
+        with pytest.raises(ValueError, match="radius 9 has more than 14284 elements"):
+            isoperimetric_argmin(f2, 9)
+        with pytest.raises(ValueError, match="radius 7142 has more than 14284 elements"):
+            isoperimetric_argmin(FreeGroup(1), 7142)  # 2r + 1 = 14285
+        with pytest.raises(ValueError, match="radius 3 has 25 elements; subset enumeration is capped at 18"):
+            isoperimetric_argmin(FreeAbelianGroup(2), 3)
 
     def test_guard_fires_before_the_ball_is_built(self, f2):
-        # |B_3| = 53 passes the cap, so B_40 (about 3^40 words) is never grown
-        with pytest.raises(ValueError, match="radius 3 has 53 elements"):
-            isoperimetric_argmin(f2, 40)
-        assert [len(level) for level in f2._levels] == [1, 4, 12, 36]
-        assert len(f2._levels) <= 4
+        # each ball is counted in closed form: B_40 of F_2 (about 3^40 words) is never grown
+        z2 = FreeAbelianGroup(2)
+        for group, radius in ((f2, 9), (f2, 40), (z2, 3), (z2, 10**9)):
+            with pytest.raises(ValueError):
+                isoperimetric_argmin(group, radius)
+            assert group._levels == [(group.identity,)]
+
+    def test_output_cap_is_the_largest_printable_subset_count(self):
+        # 2^|B| - 1 has at most 4300 digits, the most str(int) writes by default
+        cap = amenability.MAX_ISO_OUTPUT
+        assert 10**4299 <= 2**cap - 1 < 10**4300 <= 2 ** (cap + 1) - 1
+
+    def test_free_balls_answer_past_the_enumeration_cap(self):
+        f2, f3 = FreeGroup(2), FreeGroup(3)
+        assert isoperimetric_argmin(f2, 3) == (Fraction(216, 53), f2.ball(3))
+        for group, radius, size in ((f2, 8, 13121), (f3, 5, 4687), (FreeGroup(1), 40, 81)):
+            ratio, members = isoperimetric_argmin(group, radius)
+            assert len(members) == size <= amenability.MAX_ISO_OUTPUT
+            assert ratio == 4 * (group.rank - 1) + Fraction(4, size) and members == group.ball(radius)
 
     def test_saturated_ball_stops_growing(self):
         d8 = FiniteGroup(dihedral_table(8), generators=(1, 8))

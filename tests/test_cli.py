@@ -346,8 +346,26 @@ class TestIsoMin:
         assert payload["subsets-enumerated"] == 31
 
     def test_radius_guard(self, capsys):
-        code, _ = run_cli(capsys, "iso-min", "--radius", "3")
-        assert code == 1
+        # |B_9| = 39365 passes the output cap of 14284 elements
+        code, out = run_cli(capsys, "iso-min", "--radius", "9")
+        assert code == 1 and out == ""
+
+    def test_radius_three_prints_the_ball(self, capsys):
+        code, out = run_cli(capsys, "iso-min", "--radius", "3")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["min-ratio"] == "216/53"
+        assert payload["ball-size"] == 53 and payload["subsets-enumerated"] == 2**53 - 1
+        assert payload["minimizer"][:5] == ["e", "a", "a^-1", "b", "b^-1"] and len(payload["minimizer"]) == 53
+
+    def test_largest_admitted_ball_prints(self, capsys):
+        # |B_8| = 13121 is the largest F_2 ball under the cap; 2^13121 - 1 has 3950 digits
+        code, out = run_cli(capsys, "iso-min", "--radius", "8")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["ball-size"] == len(payload["minimizer"]) == 13121
+        assert payload["subsets-enumerated"] == 2**13121 - 1
+        assert payload["min-ratio"] == "52488/13121"  # 4 + 4/13121
 
     def test_radius_two_stdout_is_pinned(self, capsys):
         # the minimizer is the whole ball: every proper subset has a
@@ -366,16 +384,17 @@ class TestIsoMin:
         assert payload["min-ratio"] == "0/1"
 
     def test_guard_fires_before_the_ball_is_built(self):
-        # B_40 of F_2 has about 3^40 elements; the guard stops at B_3
-        proc = subprocess.run(
-            [sys.executable, "-m", "amencert.cli", "iso-min", "--radius", "40"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+        # B_9 is one radius past the cap, and B_40 of F_2 has about 3^40
+        # elements; the guard counts both in closed form
+        for radius in ("9", "40"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "amencert.cli", "iso-min", "--radius", radius],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr == f"error: the ball of radius {radius} has more than 14284 elements, the iso-min cap\n"
 
 
 ISO_F2_R2_STDOUT = """{

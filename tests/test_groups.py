@@ -3,6 +3,8 @@
 import itertools
 import random
 import re
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -227,6 +229,39 @@ class TestBall:
         assert FreeAbelianGroup(64).ball_size(10**100, 10**6) > 10**6
         assert FreeGroup(2).ball_size(11, 10**6) == 354293
         assert FreeGroup(3).ball_size(8, 10**6) == 585937
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: FreeGroup(3), lambda: FreeAbelianGroup(2), lambda: FiniteGroup(dihedral_table(6), (1, 6))],
+        ids=["f3", "z2", "d6"],
+    )
+    def test_concurrent_balls_append_each_level_once(self, make):
+        # in each round four threads grow one fresh group's walk at once,
+        # switching as often as the interpreter allows; the lock must leave
+        # the levels of a serial walk on another fresh group
+        radii = (3, 5, 2, 4)
+        serial = make()
+        serial.ball(max(radii))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):
+                group, start, balls = make(), threading.Barrier(len(radii), timeout=30), {}
+
+                def grow(r):
+                    start.wait()
+                    balls[r] = group.ball(r)
+
+                threads = [threading.Thread(target=grow, args=(r,)) for r in radii]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert group._levels == serial._levels
+                assert {r: serial.ball(r) for r in radii} == balls
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestWordMetric:

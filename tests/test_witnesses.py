@@ -16,7 +16,6 @@ from amencert.witnesses import (
     flow_cycle,
     flow_pairing_certificate,
     flow_value,
-    reduced_words,
     verify_flow_cycle,
 )
 
@@ -342,10 +341,11 @@ class TestDefaultRoute:
 
     def test_ball_is_built_only_for_failures(self, f2):
         fs = FlowCycleSpec(f2, 1)
+        # the passing type sweep reads B_min(2r, 3); the oracle route reads B_2r
         assert verify_flow_cycle(fs, 3).points_checked == 53**2
-        assert len(f2._levels) == 1
+        assert len(f2._levels) == 4
         assert verify_flow_cycle(fs, 2, flow=flipped_at(fs, 2, "a*b")).failures
-        assert len(f2._levels) == 3
+        assert len(f2._levels) == 5
 
 
 class TestConeTypes:
@@ -356,8 +356,8 @@ class TestConeTypes:
         group = FreeGroup(rank)
         for ray in range(1, rank + 1):
             flow = functools.partial(flow_value, FlowCycleSpec(group, ray))
-            short = {flow_type(h, ray): oracle_sums(group, flow, h) for h in reduced_words(rank, 3)}
-            for h in reduced_words(rank, length):
+            short = {flow_type(h, ray): oracle_sums(group, flow, h) for h in group.ball(3)}
+            for h in group.ball(length):
                 assert oracle_sums(group, flow, h) == short[flow_type(h, ray)], h
 
     @pytest.mark.parametrize(
@@ -365,14 +365,16 @@ class TestConeTypes:
     )
     def test_the_type_sweep_finds_every_type(self, rank, radius):
         depth = min(2 * radius, witnesses._TYPE_DEPTH)
+        group = FreeGroup(rank)
         for ray in range(1, rank + 1):
-            found = {flow_type(h, ray) for h in reduced_words(rank, depth)}
-            assert found == {flow_type(h, ray) for h in reduced_words(rank, 2 * radius)}
+            found = {flow_type(h, ray) for h in group.ball(depth)}
+            assert found == {flow_type(h, ray) for h in group.ball(2 * radius)}
 
     def test_depth_two_is_not_enough(self):
         # (x, a^-1, y) with y not a or a^-1 first occurs at length 3
-        shallow = {flow_type(h, 1) for h in reduced_words(2, 2)}
-        missing = {flow_type(h, 1) for h in reduced_words(2, 4)} - shallow
+        f2 = FreeGroup(2)
+        shallow = {flow_type(h, 1) for h in f2.ball(2)}
+        missing = {flow_type(h, 1) for h in f2.ball(4)} - shallow
         assert missing == {((x, -1), False, False) for x in (-1, 2, -2)}
 
 
@@ -382,14 +384,9 @@ class TestReducedWords:
     def test_words_are_the_quotients_of_the_ball(self, rank, radius):
         group = FreeGroup(rank)
         ball = group.ball(radius)
-        words = list(reduced_words(rank, 2 * radius))
+        words = FreeGroup(rank).ball(2 * radius)
         assert len(words) == len(set(words))
         assert set(words) == {group.mul(group.inv(k), g) for k in ball for g in ball}
-
-    def test_lazy(self):
-        words = reduced_words(2, 10**9)
-        assert next(words) == ()
-        assert len(next(words)) == 1
 
 
 class TestSweepGuard:
