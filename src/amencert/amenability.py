@@ -34,7 +34,9 @@ from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .functions import FinSuppFn, frac, frac_str
-from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec, _check_radius, free_ball_size
+from .groups import (
+    Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec, _check_radius, free_ball_letters, free_ball_size,
+)
 
 
 def indicator(group: GroupSpec, members: Iterable[Element]) -> FinSuppFn:
@@ -151,6 +153,15 @@ def folner_certificate_from_set(
 
 # the largest candidate set folner_search may build, ball or box
 MAX_FOLNER_ELEMS = 10**6
+# the most letters a free ball that folner_search or isoperimetric_argmin builds may hold:
+# the element caps bound every rank but F_1, whose B_r holds r(r + 1) letters
+MAX_BALL_LETTERS = 10**7
+
+
+def _check_letters(group: GroupSpec, radius: int) -> None:
+    """Refuse a free ball of more than MAX_BALL_LETTERS letters, counted before any level is built."""
+    if isinstance(group, FreeGroup) and free_ball_letters(group.rank, radius, MAX_BALL_LETTERS) > MAX_BALL_LETTERS:
+        raise ValueError(f"the ball of radius {radius} holds more than {MAX_BALL_LETTERS} letters")
 
 
 def _box(group: FreeAbelianGroup, side: int) -> list[tuple[int, ...]]:
@@ -191,7 +202,8 @@ def folner_search(
     every parameter tried, so the caller sees how the search degenerated.
     Before any candidate is built, the largest one is counted in closed
     form (side^rank for a box, GroupSpec.ball_size for a ball) and a
-    count above MAX_FOLNER_ELEMS is refused.
+    count above MAX_FOLNER_ELEMS is refused, as is a free ball of more
+    than MAX_BALL_LETTERS letters.
 
     Two families have every candidate's size and ratio in closed form, so
     no rejected candidate is built:
@@ -232,6 +244,7 @@ def folner_search(
         )
     if strategy == "balls" and group.ball_size(max_radius, MAX_FOLNER_ELEMS) > MAX_FOLNER_ELEMS:
         raise ValueError(f"the ball of radius {max_radius} exceeds the cap of {MAX_FOLNER_ELEMS} elements")
+    _check_letters(group, max_radius)
 
     if strategy == "boxes":
         parameters, build = range(1, max_radius + 1), partial(_box, group)
@@ -268,7 +281,8 @@ def isoperimetric_argmin(group: GroupSpec, radius: int) -> tuple[Fraction, tuple
     """Minimum Reiter ratio over every nonempty subset of ball(radius), and a minimizer.
 
     The ball is counted by `group.ball_size` before anything is built, and
-    one of more than MAX_ISO_OUTPUT elements is refused. Two cases then
+    one of more than MAX_ISO_OUTPUT elements, or a free ball of more than
+    MAX_BALL_LETTERS letters, is refused. Two cases then
     have a proved, unique minimizer, the whole ball B, and return it
     without enumeration; any other ball of more than MAX_ISO_BALL elements
     is refused, and the rest go to _iso_enumerate. Write k for the number
@@ -295,6 +309,7 @@ def isoperimetric_argmin(group: GroupSpec, radius: int) -> tuple[Fraction, tuple
     size = group.ball_size(radius, MAX_ISO_OUTPUT)
     if size > MAX_ISO_OUTPUT:
         raise ValueError(f"the ball of radius {radius} has more than {MAX_ISO_OUTPUT} elements, the iso-min cap")
+    _check_letters(group, radius)
     if isinstance(group, FreeGroup):
         return _free_ball_ratio(group.rank, size), group.ball(radius)
     if isinstance(group, FiniteGroup) and size == group.order:

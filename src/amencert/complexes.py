@@ -29,7 +29,6 @@ c(g0,...,gm) = g0 . slice(g0^-1 g1, ..., g0^-1 gm).
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Mapping
 
 from .groups import GroupSpec, group_from_dict, json_check, json_field, json_pairs
@@ -37,7 +36,7 @@ from .functions import (
     BoundedFn,
     FinSuppFn,
     _add_terms,
-    _check_den,
+    _lcm_sum,
     _rational_form,
     _ratio_str,
     _reduced,
@@ -432,13 +431,9 @@ def inflate(phi: UfChain) -> EquivariantChain:
 def deflate(chain: EquivariantChain) -> UfChain:
     """Inverse of `inflate`; requires slice values with a zero constant part.
 
-    The slice values' numerators merge over the lcm D of their
-    denominators (checked by `_check_den`). Each value is canonical, so for
-    every prime power p^a exactly dividing D some value's denominator holds
-    p^a and some numerator of it is prime to p, and stays so when scaled:
-    the merged form is canonical. Each tuple (h^-1, h^-1 k) fixes its slice
-    key k and point h, so none is written twice; the chain's bound is the
-    realised support diameter.
+    The slice values are summed by one `_lcm_sum`, one part per value:
+    each tuple (h^-1, h^-1 k) fixes its slice key k and point h, so no key
+    is written twice. The chain's bound is the realised support diameter.
     """
     if chain.kind != KIND_LINF:
         raise ValueError("deflate expects a bounded-coefficient chain")
@@ -447,16 +442,14 @@ def deflate(chain: EquivariantChain) -> UfChain:
     for _, value in values:
         if value.terms or value.const:
             raise ValueError(f"cannot deflate a chain with value {value!r} (not of finite type)")
-    den = 1
-    for _, value in values:
-        if den % value.fn.den:
-            den = _check_den(lcm(den, value.fn.den))
-    nums: dict[tuple, int] = {}
-    for key, value in values:
-        f = den // value.fn.den
-        for h, n in value.fn.nums.items():
-            hi = group.inv(h)
-            nums[(hi,) + tuple(group.mul(hi, g) for g in key)] = n * f
+    inv, mul = group.inv, group.mul
+
+    def tuples(key: tuple, nums: dict):
+        for h, n in nums.items():
+            hi = inv(h)
+            yield (hi,) + tuple(mul(hi, g) for g in key), n
+
+    den, nums = _lcm_sum([(1, value.fn.den, tuples(key, value.fn.nums)) for key, value in values])
     return UfChain._raw(group, chain.degree, den, nums, _diameter(group, nums))
 
 

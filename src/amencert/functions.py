@@ -18,6 +18,10 @@ pipeline stays an exact rational.
 
 Each family has one n-ary sum, `combine`. Every operator on its values is
 one call of it, and so are the boundaries and coboundaries of `complexes`.
+`FinSuppFn.combine` and `complexes.deflate` add integer numerators by one
+kernel, `_lcm_sum`, which builds and checks the lcm of the denominators
+before it scales any numerator; the file reader does the same in two
+passes.
 
 Translation is the left action (g.f)(h) = f(g^-1 h) throughout.
 """
@@ -149,60 +153,50 @@ def _reduced(den: int, nums: dict) -> tuple[int, dict]:
     return den, nums
 
 
-# a running sum of fewer keys is rescaled in place when its denominator grows
-_PART_KEYS = 16
+def _lcm_sum(parts: Sequence) -> tuple[int, dict]:
+    """The canonical (D, nums) of the sum of the parts (p, q, items), each (p / q) * items.
+
+    items is a one-pass iterable of (key, n) with distinct keys and nonzero
+    n, and p is nonzero. D, the lcm of the q, is built and checked
+    (`_check_den`) before any numerator is scaled; then each part adds
+    n * p * (D / q) at its keys, and the first fills the sum with no lookup.
+    Cancelled sums can leave a common factor, which `_reduced` divides out.
+    """
+    den = 1
+    for _, q, _ in parts:
+        if den % q:
+            den = _check_den(lcm(den, q))
+    nums = None
+    for p, q, items in parts:
+        f = p * (den // q)
+        if f != 1:
+            items = ((k, n * f) for k, n in items)
+        if nums is None:
+            nums = dict(items)
+        else:
+            _add_terms(nums, items)
+    return _reduced(den, nums or {})
 
 
 def _integer_form(terms: Iterable) -> tuple[int, dict]:
-    """The canonical (D, nums) of the sum of the terms (key, p, q), q > 0, in one pass.
+    """The canonical (D, nums) of the sum of the terms (key, p, q), q > 0, in two passes.
 
-    D is the lcm of the reduced denominators read so far, and nums[key] the
-    sum so far times D; a key whose sum reaches zero is removed. A p/q whose
-    q divides D adds p * (D / q) and needs no gcd; any other is reduced
-    first, and if q still does not divide D, D grows by the factor m that
-    makes it lcm(D, q), checked by `_check_den` before any numerator is
-    scaled. A running sum of fewer than _PART_KEYS keys is then multiplied
-    by m in place. A larger one is set aside as a part over its own D and
-    merged once, times the final D over its own, at the end; so no growth
-    rescales more than _PART_KEYS numerators, and a value with many
-    distinct denominators scales each numerator once or a few times, not
-    once per growth. Cancelled sums can leave a common factor, which
-    `_reduced` divides out.
+    The first pass reads the terms and builds D, the lcm of their reduced
+    denominators: a p/q whose q divides D so far is kept as it is, and any
+    other is reduced first; if q still does not divide D, D grows to
+    lcm(D, q), checked by `_check_den`. The second scales each numerator
+    once, by D / q, into the sum; a key whose sum reaches zero is removed,
+    and `_reduced` divides out what cancellation leaves.
     """
-    den, nums = 1, {}
-    get = nums.get
-    parts = []
+    den, read = 1, []
     for key, p, q in terms:
-        if q != den:
+        if den % q:
+            g = gcd(p, q)
+            p, q = p // g, q // g
             if den % q:
-                g = gcd(p, q)
-                p, q = p // g, q // g
-                if den % q:
-                    m = q // gcd(den, q)
-                    grown = _check_den(den * m)
-                    if len(nums) < _PART_KEYS:
-                        for k in nums:
-                            nums[k] *= m
-                    else:
-                        parts.append((den, nums))
-                        nums = {}
-                        get = nums.get
-                    den = grown
-            p *= den // q
-        old = get(key)
-        if old is None:
-            if p:
-                nums[key] = p
-        else:
-            p += old
-            if p:
-                nums[key] = p
-            else:
-                del nums[key]
-    for part_den, part in parts:
-        m = den // part_den
-        _add_terms(nums, ((key, p * m) for key, p in part.items()))
-    return _reduced(den, nums)
+                den = _check_den(den * (q // gcd(den, q)))
+        read.append((key, p, q))
+    return _reduced(den, _add_terms({}, ((key, p * (den // q)) for key, p, q in read)))
 
 
 def _rational_form(terms: Iterable) -> tuple[int, dict]:
@@ -303,32 +297,16 @@ class FinSuppFn(_Linear):
         """sum c * (g . v) over the terms (c, g, v), g None for no shift, as integers over one lcm:
         g . v moves the numerator of v at k to g k. A lone term (1, None, v) is v itself.
 
-        The term c * v is (c.numerator * v.nums) / (c.denominator * v.den). D,
-        the lcm of those denominators, is built and checked (`_check_den`)
-        first; then each term adds its numerators times D / (c.denominator *
-        v.den), one `left_translates` pass for a shifted term. The first
-        term's keys are distinct, so it fills the sum without a lookup."""
+        The term c * v is (c.numerator * v.nums) / (c.denominator * v.den),
+        one part of `_lcm_sum`; a shifted term's keys come from one
+        `left_translates` pass."""
         if len(terms) == 1 and terms[0][:2] == (1, None):
             return terms[0][2]
-        den = 1
-        for c, _, v in terms:
-            if c and v.nums:
-                q = c.denominator * v.den
-                if den % q:
-                    den = _check_den(lcm(den, q))
-        nums = None
-        for c, g, v in terms:
-            vn = v.nums
-            if not c or not vn:
-                continue
-            f = c.numerator * (den // (c.denominator * v.den))
-            keys = vn if g is None else group.left_translates(g, vn)
-            values = vn.values() if f == 1 else (n * f for n in vn.values())
-            if nums is None:
-                nums = dict(zip(keys, values))
-            else:
-                _add_terms(nums, zip(keys, values))
-        return FinSuppFn._raw(group, *_reduced(den, nums or {}))
+        return FinSuppFn._raw(group, *_lcm_sum([
+            (c.numerator, c.denominator * v.den,
+             zip(v.nums if g is None else group.left_translates(g, v.nums), v.nums.values()))
+            for c, g, v in terms if c and v.nums
+        ]))
 
     def evaluate(self, g: Element) -> Fraction:
         n = self.nums.get(g)

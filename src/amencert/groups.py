@@ -681,6 +681,22 @@ def free_ball_size(rank: int, radius: int, cap: int) -> int:
     return total
 
 
+def free_ball_letters(rank: int, radius: int, cap: int) -> int:
+    """The letters of all the words of B_radius in the free group of rank `rank`, counted in closed form.
+
+    Level j >= 1 holds 2 rank (2 rank - 1)^(j - 1) words of j letters; the
+    sum stops as soon as it passes cap. B_radius of F_1 holds
+    radius (radius + 1) letters.
+    """
+    total, level = 0, 2 * rank
+    for j in range(1, radius + 1):
+        total += j * level
+        if total > cap:
+            break
+        level *= 2 * rank - 1
+    return total
+
+
 def cyclic_table(n: int) -> list[list[int]]:
     """Multiplication table of Z/n under addition mod n."""
     if n < 1:

@@ -337,6 +337,28 @@ class TestIsoperimetricMin:
                 isoperimetric_argmin(group, radius)
             assert group._levels == [(group.identity,)]
 
+    def test_letter_cap_bounds_free_balls(self):
+        # B_r of F_1 holds r(r + 1) letters: r = 3161 holds 9,995,082 and answers, r = 3162 holds
+        # 10,001,406 and is refused, as is a folner scan to radius 499999 that the element cap admits
+        f1 = FreeGroup(1)
+        ratio, members = isoperimetric_argmin(f1, 3161)
+        assert ratio == Fraction(4, 6323) and sum(map(len, members)) == 3161 * 3162 <= amenability.MAX_BALL_LETTERS
+        for call in (lambda g: isoperimetric_argmin(g, 3162),
+                     lambda g: folner_search(g, Fraction(1, 100000), max_radius=499999)):
+            g = FreeGroup(1)
+            with pytest.raises(ValueError, match="holds more than 10000000 letters"):
+                call(g)
+            assert g._levels == [(g.identity,)]
+
+    def test_letter_count_is_the_sum_of_word_lengths(self):
+        for rank, largest in ((1, 12), (2, 5), (3, 4)):
+            group = FreeGroup(rank)
+            for radius in range(largest + 1):
+                letters = sum(map(len, group.ball(radius)))
+                assert groups.free_ball_letters(rank, radius, 10**9) == letters
+                if letters:
+                    assert groups.free_ball_letters(rank, radius, letters - 1) > letters - 1
+
     def test_output_cap_is_the_largest_printable_subset_count(self):
         # 2^|B| - 1 has at most 4300 digits, the most str(int) writes by default
         cap = amenability.MAX_ISO_OUTPUT

@@ -257,6 +257,13 @@ class TestFolnerBallCap:
         err = one_line_error(["folner", "--group", f2, "--eps", "1/10", "--max-radius", "20"])
         assert "cap" in err
 
+    def test_f1_letter_cap_is_one_line_error(self, tmp_path):
+        # the element caps admit both; B_3162 and B_499999 of F_1 hold more than 10^7 letters
+        f1 = write_json(tmp_path / "f1.json", {"family": "free", "rank": 1, "generators": ["a"]})
+        for argv in (["iso-min", "--group", f1, "--radius", "3162"],
+                     ["folner", "--group", f1, "--eps", "1/100000", "--max-radius", "499999"]):
+            assert "holds more than 10000000 letters" in one_line_error(argv)
+
 
 def test_huge_word_exponent_is_one_line_error(tmp_path, f2_dict):
     group = write_json(tmp_path / "f2.json", f2_dict)

@@ -1,17 +1,22 @@
 """Drawn whole inputs through the CLI and the benchmark's independent validator.
 
-`hypothesis` draws `verify-f2` and `iso-min` jobs in the shapes that
-`perfbench/gen.py` writes. Each job runs through `cli.main` in process,
-and `perfbench/validate.check` judges `(job, rc, stdout)` with plain
-arithmetic that does not import amencert. The draws aim at the inputs
-where a walk or a guard could go wrong: F_1, radius 0 and 1, free balls
-up to the output cap of `iso-min`, and finite balls short of and at the
-group's order. An `iso-min` job's expected minimum comes from the forest
-count on a free group, 0 on a ball that is the whole finite group, and
-otherwise from this file's own brute force over every nonempty subset.
+`hypothesis` draws jobs in the shapes that `perfbench/gen.py` writes:
+`verify-f2` and `iso-min` jobs; weighted `reiter` files; `pair` jobs with
+full-dual cochain files and `l1` cycle files; and the `inflate` and
+`uf-boundary2` API jobs, which run through `perfbench/worker.OPS`. CLI
+jobs run through `cli.main` in process, and `perfbench/validate.check`
+judges `(job, rc, stdout)` with plain arithmetic that does not import
+amencert. The draws aim at the inputs where a walk, a guard or a sum could
+go wrong: F_1, radius 0 and 1, free balls up to the output cap of
+`iso-min`, finite balls short of and at the group's order, and value
+files with repeated elements, zero and unreduced numerators ("6/4") and
+denominators that keep growing after many keys are read. An `iso-min`
+job's expected minimum comes from the forest count on a free group, 0 on
+a ball that is the whole finite group, and otherwise from this file's own
+brute force over every nonempty subset.
 
-F_1 radii stop at 200: B_r of F_1 holds about r^2 letters, so radii near
-the output cap (7141) would cost this test hundreds of megabytes.
+F_1 radii stop at 200: B_r of F_1 holds r(r + 1) letters, so radii near
+the letter cap of `iso-min` (3161) would cost this test about 100 MB.
 """
 
 import contextlib
@@ -19,6 +24,7 @@ import importlib
 import io
 import json
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from pathlib import Path
 
@@ -39,7 +45,7 @@ def bench():
     """perfbench's gen, plain and validate, imported from their directory."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
-        yield tuple(importlib.import_module(name) for name in ("gen", "plain", "validate"))
+        yield tuple(importlib.import_module(name) for name in ("gen", "plain", "validate", "worker"))
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +75,7 @@ def verify_jobs(draw):
 @DRAWN
 @given(verify_jobs())
 def test_verify_f2(bench, params):
-    gen, _, validate = bench
+    gen, _, validate, _ = bench
     assert_valid(validate, gen.verify_job(*params))
 
 
@@ -129,7 +135,7 @@ def iso_groups(draw):
 @example(finite_case(dihedral_table(6), [1, 6], 3))
 @example(finite_case(dihedral_table(6), [1, 6], 4))
 def test_iso_min(bench, workdir, params):
-    gen, plain, validate = bench
+    gen, plain, validate, _ = bench
     spec, radius, closed = params
     if closed is None:
         whole = spec["family"] == "finite" and len(plain.PlainGroup(spec).ball(radius)) == len(spec["table"])
@@ -142,3 +148,164 @@ def test_iso_min(bench, workdir, params):
         {"type": "iso-min", "group": spec, "radius": radius, "min": plain.frac_str(closed)},
     )
     assert_valid(validate, job)
+
+
+# -- value files: weights, cochains, cycles and uniformly finite chains --------
+
+
+def free_spec(rank):
+    return {"family": "free", "rank": rank, "generators": list("abc"[:rank])}
+
+
+def abelian_spec(rank):
+    return {"family": "free-abelian", "rank": rank, "generators": list("ab"[:rank])}
+
+
+C3 = {"family": "finite", "table": [[(i + j) % 3 for j in range(3)] for i in range(3)], "generators": [1]}
+CHAIN_SPECS = [free_spec(2), abelian_spec(2), C3]
+
+
+# denominators with shared factors, so sums cancel and reduce; the later weights of a file
+# bring new primes, so the common denominator still grows after many keys are read
+DENOMINATORS = st.sampled_from([1, 2, 3, 4, 6, 9, 12])
+LATE_PRIMES = st.sampled_from([1, 5, 7, 11, 13])
+SCALE = st.integers(1, 3)  # a drawn scale writes some values unreduced, such as "6/4"
+NONZERO = st.sampled_from([n for n in range(-6, 7) if n])
+
+
+def ratio_text(value, scale):
+    return f"{value.numerator * scale}/{value.denominator * scale}"
+
+
+def write(workdir, plain, data):
+    path = workdir / f"{plain.spec_hash(data)}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def nearest(spec, count):
+    """`count` elements in `plain`'s form, breadth first from the identity (a finite group's first indices)."""
+    if spec["family"] == "finite":
+        return list(range(len(spec["table"])))[:count]
+    rank = spec["rank"]
+    if spec["family"] == "free-abelian":
+        return sorted(product(range(-count, count + 1), repeat=rank), key=lambda v: (sum(map(abs, v)), v))[:count]
+    words = level = [()]
+    while len(words) < count:
+        level = [w + (s,) for w in level for s in range(-rank, rank + 1) if s and (not w or w[-1] != -s)]
+        words = words + level
+    return words[:count]
+
+
+def near(spec):
+    return st.sampled_from(nearest(spec, 13))
+
+
+@st.composite
+def reiter_inputs(draw):
+    """(spec, pairs): 1-60 weights >= 0, at least one positive.
+
+    Each of up to 30 distinct elements is read once, then more weights on
+    the same elements follow, whose denominators can bring new primes.
+    """
+    spec = draw(st.sampled_from([free_spec(1), free_spec(2), free_spec(3), abelian_spec(1), abelian_spec(2)]))
+    size = draw(st.integers(1, 30))  # a drawn length: hypothesis keeps its own list lengths short
+    pool = draw(st.permutations(nearest(spec, 30)))[:size]
+    first = draw(st.lists(st.tuples(st.integers(0, 12), DENOMINATORS), min_size=size, max_size=size))
+    more = draw(st.integers(0, 60 - size))
+    later = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 12), DENOMINATORS, LATE_PRIMES),
+                          min_size=more, max_size=more))
+    pairs = [(g, p, q) for g, (p, q) in zip(pool, first)] + [(g, p, q * late) for g, p, q, late in later]
+    if not any(p for _, p, _ in pairs):
+        pairs[0] = (pairs[0][0], 1, pairs[0][2])
+    return spec, pairs
+
+
+@DRAWN
+@given(reiter_inputs())
+@example((free_spec(1), [((1,), 6, 4)]))
+# repeated, zero and unreduced weights; and a 21st distinct key that brings a new prime
+@example((abelian_spec(2), [((0, 0), 0, 3), ((0, 0), 2, 6)] + [((1, 0), 1, 2)] * 15 + [((0, 1), 1, 7 * 11)]))
+@example((abelian_spec(1), [((k,), k % 3 + 1, 2) for k in range(20)] + [((20,), 1, 7), ((0,), 1, 1)]))
+def test_reiter_weights(bench, workdir, params):
+    gen, plain, validate, _ = bench
+    spec, pairs = params
+    group = plain.PlainGroup(spec)
+    weights = [[group.dump(g), f"{p}/{q}"] for g, p, q in pairs]
+    group_path, set_path = write(workdir, plain, spec), write(workdir, plain, weights)
+    job = gen.cli_job("reiter-drawn", ["reiter", "--group", group_path, "--set", set_path],
+                      {"type": "reiter", "group": spec, "set": set_path})
+    assert_valid(validate, job)
+
+
+def value_rows(spec):
+    """An l1 value as raw (element, numerator, denominator) rows: repeats, zeros and cancellation."""
+    return st.lists(st.tuples(near(spec), st.integers(-6, 6), DENOMINATORS), max_size=5)
+
+
+def fraction_dict(rows):
+    out = {}
+    for g, p, q in rows:
+        out[g] = out.get(g, 0) + Fraction(p, q)
+    return {g: c for g, c in out.items() if c}
+
+
+@st.composite
+def pair_inputs(draw):
+    """(spec, degree-1 cochain rows, degree-2 chain rows whose boundary is the cycle, scale)."""
+    spec = draw(st.sampled_from(CHAIN_SPECS))
+    elem = near(spec)
+    cochain = draw(st.lists(st.tuples(st.tuples(elem), value_rows(spec)), max_size=5))
+    chain = draw(st.lists(st.tuples(st.tuples(elem, elem), value_rows(spec)), min_size=1, max_size=3))
+    return spec, cochain, chain, draw(SCALE)
+
+
+@DRAWN
+@given(pair_inputs())
+def test_pair_files(bench, workdir, params):
+    gen, plain, validate, _ = bench
+    spec, cochain_rows, chain_rows, scale = params
+    group = plain.PlainGroup(spec)
+    dump = group.dump
+    chain = {key: fraction_dict(rows) for key, rows in chain_rows}
+    cycle = plain.slice_boundary(group, {key: f for key, f in chain.items() if f}, 2)
+    cochain_path = write(workdir, plain, {
+        "group": spec, "degree": 1, "dual": "full-dual",
+        "entries": [[[dump(g) for g in key], [[dump(g), f"{p}/{q}"] for g, p, q in rows]]
+                    for key, rows in dict(cochain_rows).items()],
+    })
+    cycle_path = write(workdir, plain, {
+        "group": spec, "degree": 1, "kind": "l1",
+        "entries": [[[dump(g) for g in key], {"l1": [[dump(g), ratio_text(c, scale)] for g, c in f.items()]}]
+                    for key, f in cycle.items()],
+    })
+    job = gen.cli_job("pair-drawn", ["pair", "--cochain", cochain_path, "--cycle", cycle_path],
+                      {"type": "pair", "group": spec, "cochain": cochain_path, "cycle": cycle_path})
+    assert_valid(validate, job)
+
+
+@st.composite
+def uf_inputs(draw):
+    """(op, spec, degree, rows): a uniformly finite chain of nonzero coefficients; a repeated key keeps its last."""
+    spec = draw(st.sampled_from(CHAIN_SPECS))
+    degree = draw(st.integers(1, 2))
+    elem = near(spec)
+    rows = draw(st.lists(st.tuples(st.tuples(*[elem] * (degree + 1)), NONZERO, DENOMINATORS, SCALE),
+                         min_size=2, max_size=8))
+    return draw(st.sampled_from(["inflate", "uf-boundary2"])), spec, degree, rows
+
+
+@DRAWN
+@given(uf_inputs())
+# two slice values over the coprime denominators 2 and 3, written "2/6" and "1/2"
+@example(("inflate", free_spec(2), 1, [(((), (1,)), 1, 2, 1), (((), (2,)), 1, 3, 2)]))
+def test_uf_chain_jobs(bench, workdir, params):
+    gen, plain, validate, worker = bench
+    op, spec, degree, rows = params
+    group = plain.PlainGroup(spec)
+    coeffs = {key: ratio_text(Fraction(p, q), scale) for key, p, q, scale in rows}
+    data = {"group": spec, "degree": degree,
+            "entries": [[[group.dump(g) for g in key], c] for key, c in coeffs.items()]}
+    job = gen.api_job(f"{op}-drawn", op, write(workdir, plain, data))
+    text = json.dumps(worker.OPS[op](data), sort_keys=True)
+    assert validate.check(job, 0, text) is None, (op, data)

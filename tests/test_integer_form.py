@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amencert.amenability import indicator
-from amencert.complexes import KIND_L1, EquivariantChain, UfChain, deflate, inflate
+from amencert.complexes import KIND_L1, KIND_LINF, EquivariantChain, UfChain, deflate, inflate
 from amencert.functions import MAX_RATIONAL_DIGITS, BoundedFn, FinSuppFn, TreeFlow, delta, frac_str, pair_eval
 from amencert.groups import FreeAbelianGroup, FreeGroup, cyclic_group
 from amencert.witnesses import FlowCycleSpec, flow_pairing_certificate
@@ -94,8 +94,9 @@ class TestCanonicalForm:
 
     @SETTINGS
     @given(st.sampled_from(GROUPS), st.data())
-    def test_long_reads_merge_their_parts(self, group, data):
-        # many keys and denominators up to 60: the running sum is set aside and merged, with cancellation
+    def test_long_reads_scale_each_numerator_once(self, group, data):
+        # many keys and denominators up to 60: the lcm still grows after many keys are read, and the
+        # second pass scales every numerator by its own factor, with repeated keys and cancellation
         pairs = data.draw(st.lists(
             st.tuples(st.sampled_from(group.ball(2)), numerators, st.integers(1, 60)), min_size=40, max_size=120))
         read = FinSuppFn.from_pairs(group, [[group.elem_to_json(g), f"{p}/{q}"] for g, p, q in pairs])
@@ -203,6 +204,13 @@ class TestDenominatorGuard:
         high = FinSuppFn(Z1, {(k,): Fraction(1, p) for k, p in enumerate(ps[700:])})
         with pytest.raises(ValueError, match=GUARD):
             low + high
+
+    def test_deflate_refuses_a_sum_past_the_limit(self):
+        # 1,400 slice values 1/p delta_e, each canonical alone: only their lcm passes the limit
+        chain = EquivariantChain(Z1, 1, KIND_LINF, {
+            ((k,),): BoundedFn(Z1, 0, FinSuppFn(Z1, {(0,): Fraction(1, p)})) for k, p in enumerate(primes(1400))})
+        with pytest.raises(ValueError, match=GUARD):
+            deflate(chain)
 
     def write(self, tmp_path, count):
         group = tmp_path / "z1.json"
