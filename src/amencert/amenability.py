@@ -45,12 +45,21 @@ def indicator(group: GroupSpec, members: Iterable[Element]) -> FinSuppFn:
     return FinSuppFn._raw(group, 1, dict.fromkeys([group.check(g) for g in members], 1))
 
 
+def _by_label(pairs: Sequence[tuple[Element, tuple[str, ...]]], values: Iterable[int]) -> dict[str, int]:
+    """Each pair's value under every label of the pair: keys in letters() order."""
+    return {label: x for (_, labels), x in zip(pairs, values) for label in labels}
+
+
 def reiter_counts(group: GroupSpec, f: FinSuppFn) -> tuple[int, dict[str, int], int]:
     """The Reiter quantities of a nonnegative, nonzero f as integers over one denominator.
 
     Returns (D, diffs, mass): ||s.f - f||_1 = diffs[s] / D for every letter
     s, and ||f||_1 = mass / D. The ratio sum_s ||s.f - f||_1 / ||f||_1 is
     then sum(diffs) / mass, as D cancels, and mass > 0 as f is nonzero.
+
+    One translate pass per inverse pair of letters (GroupSpec.letter_pairs):
+    translation by s is a bijection of G, so an l1 isometry, and
+    ||s^-1.f - f||_1 = ||s^-1.(f - s.f)||_1 = ||s.f - f||_1.
     """
     if f.group != group:
         raise ValueError("function is defined over a different group")
@@ -58,9 +67,9 @@ def reiter_counts(group: GroupSpec, f: FinSuppFn) -> tuple[int, dict[str, int], 
         raise ValueError("the Reiter ratio of the zero function is undefined")
     if any(n < 0 for n in f.nums.values()):  # f = nums / den with den > 0
         raise ValueError("the Reiter ratio requires a nonnegative function")
-    letters = group.letters()
-    d, mass, dists = f.translate_distances(s for _, s in letters)
-    return d, {label: x for (label, _), x in zip(letters, dists)}, mass
+    pairs = group.letter_pairs()
+    d, mass, dists = f.translate_distances(s for s, _ in pairs)
+    return d, _by_label(pairs, dists), mass
 
 
 def reiter_ratio(group: GroupSpec, f: FinSuppFn) -> Fraction:
@@ -131,16 +140,19 @@ def folner_certificate_from_set(
     takes it for the sets it builds itself by group operations, as
     `FinSuppFn._raw` is taken for values built from checked parts.
 
-    Counted in integers, one `GroupSpec.left_translates` pass per letter s:
-    |sF| = |F|, so |sF symmetric-difference F| = 2(|F| - |sF n F|). Left
-    translation by s is injective, so the translates s.g that land in F
-    are distinct and |sF n F| is the size of the set F n {s.g : g in F}.
+    Counted in integers, one `GroupSpec.left_translates` pass per inverse
+    pair of letters (GroupSpec.letter_pairs): |sF| = |F|, so
+    |sF symmetric-difference F| = 2(|F| - |sF n F|). Left translation by s
+    is injective, so the translates s.g that land in F are distinct and
+    |sF n F| is the size of the set F n {s.g : g in F}. Translation by s
+    is a bijection, so |s^-1 F n F| = |F n sF|: the count for s is also
+    the count for s^-1.
     """
     inside = dict.fromkeys(members if _raw else map(group.check, members))
     if not inside:
         raise ValueError("a Folner certificate needs a nonempty set")
-    size, keys, translates = len(inside), inside.keys(), group.left_translates
-    differences = {label: 2 * (size - len(keys & translates(s, inside))) for label, s in group.letters()}
+    size, keys, translates, pairs = len(inside), inside.keys(), group.left_translates, group.letter_pairs()
+    differences = _by_label(pairs, (2 * (size - len(keys & translates(s, inside))) for s, _ in pairs))
     return FolnerCertificate(
         group=group,
         strategy=strategy,

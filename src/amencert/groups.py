@@ -17,7 +17,8 @@ certificates serialize support sets and must be byte-for-byte reproducible.
 Each group declares its generators once, as `gens` with `gen_labels`;
 `GroupSpec.__init__` builds the letter set from them, each generator and
 then its inverse, and `letters()` returns that one tuple to every caller:
-balls, word metrics, Reiter and Folner differences and the flow cycle.
+balls, word metrics and the flow cycle. `letter_pairs()` gives the same
+letters once per inverse pair, for the Reiter and Folner differences.
 Free and free-abelian groups share the rank, the labels, `gen` and
 `to_dict` through `_RankedGroup`; each family supplies only its basis.
 
@@ -111,20 +112,31 @@ class GroupSpec:
     def __init__(self) -> None:
         # Each declared generator, then its inverse labelled "^-1", skipping
         # an element already listed: a self-inverse generator, or one that
-        # is the inverse of an earlier one, appears once.
+        # is the inverse of an earlier one, appears once. The letters one
+        # generator adds form one block, and each nonempty block is one
+        # inverse pair (see letters()).
         letters: list[tuple[str, Element]] = []
+        pairs: list[tuple[Element, tuple[str, ...]]] = []
         seen: set[Element] = set()
         for g, lab in zip(self.gens, self.gen_labels):
+            block = []
             for label, x in ((lab, g), (lab + "^-1", self.inv(g))):
                 if x not in seen:
                     seen.add(x)
-                    letters.append((label, x))
+                    block.append((label, x))
+            if block:
+                letters += block
+                pairs.append((block[0][1], tuple(label for label, _ in block)))
         self._letters = tuple(letters)
+        self._letter_pairs = tuple(pairs)
         # The canonical JSON of the spec, built once: it decides equality,
         # hashing and the spec hash.
         self._canonical = _canonical_json(self.to_dict())
         # The walk's state. The lock keeps concurrent ball() calls from
-        # appending a level twice; everything else is immutable.
+        # appending a level twice; everything else is immutable, except
+        # FreeGroup's token table. Each of its entries is a function of its
+        # key, so two racing writers store equal values, and it holds no
+        # more entries than the distinct valid tokens the group has read.
         self._levels: list[tuple[Element, ...]] = [(self.identity,)]
         self._seen: set[Element] = {self.identity}  # every element reached by the generic walk
         self._saturated = False
@@ -183,8 +195,32 @@ class GroupSpec:
         vector, and no two of these coincide -- so nothing is skipped and
         the order is a, a^-1, b, b^-1, ... This order is the key order of
         every "generator-differences" object.
+
+        The letters come in blocks, one per declared generator g: g then
+        g^-1, g alone when g = g^-1, or nothing. So each inverse pair of
+        letters is adjacent, as letter_pairs() records.
+
+        - Free and free-abelian groups: each generator is followed by its
+          own inverse, distinct from it and from every other letter.
+        - Finite groups: a generator g that is already listed was listed
+          as h^-1 for an earlier generator h (g = h would be a duplicate,
+          which FiniteGroup refuses), so g^-1 = h is listed too and g adds
+          nothing. A new g with g^-1 != g is always followed by g^-1.
+          Suppose g^-1 had been listed earlier. If it was an earlier
+          generator h, then g = h^-1 was listed right after h. If it was
+          h^-1 for an earlier generator h, then g = h, a duplicate.
         """
         return self._letters
+
+    def letter_pairs(self) -> tuple[tuple[Element, tuple[str, ...]], ...]:
+        """Each inverse pair of letters once, as (s, labels), in letters() order.
+
+        labels holds the labels of s and s^-1, or s's alone when s = s^-1;
+        running over every pair's labels in turn gives the labels of
+        letters() in order. A quantity that is the same for s and s^-1,
+        such as ||s.f - f||_1 or |sF n F|, is counted once per pair.
+        """
+        return self._letter_pairs
 
     def _grow_levels(self, radius: int) -> None:
         """Extend the walk to levels 0..radius, or until a level comes out empty."""
@@ -283,6 +319,8 @@ class FreeGroup(_RankedGroup):
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
         super().__init__(rank, labels, "free group")
         self._label_letter = {lab: i + 1 for i, lab in enumerate(self.gen_labels)}
+        # raw token text -> (signed letter, count >= 0), filled by elem_from_str
+        self._tokens: dict[str, tuple[int, int]] = {}
         letters = tuple(x for _, x in self.letters())
         # each letter's place in letters(): a < a^-1 < b < b^-1 < ..., the word order of sort_key
         self._letter_rank = {x[0]: i for i, x in enumerate(letters)}
@@ -371,46 +409,59 @@ class FreeGroup(_RankedGroup):
     def elem_from_str(self, s: str):
         """The reduced word written as `a^2*b^-1` (or `e`).
 
-        Each token is `label` or `label^n`, n an optional "-" and decimal
+        Each token is `label` or `label^n`, read by _read_token on its
+        first appearance in any word the group reads; the token table
+        keeps the result, a signed letter and a count, under the raw token
+        text, so a token read again costs one dict lookup. A token that
+        raises is never stored, and raises the same error each time.
+
+        The running sum of the counts is checked against MAX_WORD_LETTERS
+        before each token is expanded, so nothing is allocated for a word
+        past the cap, even one that would reduce to a short word. Expansion
+        reduces on a stack: a run of one letter first cancels the inverse
+        letters on top, and the rest of it is pushed, so the result is the
+        free reduction of the whole expanded word.
+        """
+        s = s.strip()
+        if s in ("e", ""):
+            return ()
+        tokens = self._tokens
+        word: list[int] = []
+        count = 0
+        for token in s.split("*"):
+            entry = tokens.get(token)
+            if entry is None:
+                entry = tokens[token] = self._read_token(token)
+            letter, n = entry
+            count += n
+            if count > MAX_WORD_LETTERS:
+                raise ValueError(f"word token {token.strip()!r} passes the cap of {MAX_WORD_LETTERS} letters")
+            while n and word and word[-1] == -letter:
+                word.pop()
+                n -= 1
+            word.extend([letter] * n)
+        return tuple(word)
+
+    def _read_token(self, token: str) -> tuple[int, int]:
+        """(signed letter, count >= 0) of one word token: `label^-n` is (-k, n) for generator k.
+
+        The token is `label` or `label^n`, n an optional "-" and decimal
         digits: the strings `str.isdecimal` accepts are those `\\d+` matches,
         and `int` reads each of them. A token that is not of this form cannot
         be parsed; a well-formed one whose label is not a generator names an
         unknown generator. The labels all match `_LABEL_RE` whole, so a label
         that names a letter needs no pattern, and the pattern only words the
         error on a token that fails.
-
-        The running sum of the |exponents| is checked against
-        MAX_WORD_LETTERS before each token is expanded, so nothing is
-        allocated for a word past the cap, even one that would reduce to a
-        short word. Expansion reduces on a stack: a run of one letter first
-        cancels the inverse letters on top, and the rest of it is pushed, so
-        the result is the free reduction of the whole expanded word.
         """
-        s = s.strip()
-        if s in ("e", ""):
-            return ()
-        letters = self._label_letter
-        word: list[int] = []
-        count = 0
-        for token in s.split("*"):
-            lab, caret, exp_s = token.strip().partition("^")
-            letter = letters.get(lab)
-            digits = exp_s[1:] if exp_s[:1] == "-" else exp_s
-            if caret and not digits.isdecimal() or letter is None and not _LABEL_RE.fullmatch(lab):
-                raise ValueError(f"cannot parse word token {token!r}")
-            if letter is None:
-                raise ValueError(f"unknown generator {lab!r}")
-            n = int(exp_s) if caret else 1
-            count += abs(n)
-            if count > MAX_WORD_LETTERS:
-                raise ValueError(f"word token {token.strip()!r} passes the cap of {MAX_WORD_LETTERS} letters")
-            if n < 0:
-                letter, n = -letter, -n
-            while n and word and word[-1] == -letter:
-                word.pop()
-                n -= 1
-            word.extend([letter] * n)
-        return tuple(word)
+        lab, caret, exp_s = token.strip().partition("^")
+        letter = self._label_letter.get(lab)
+        digits = exp_s[1:] if exp_s[:1] == "-" else exp_s
+        if caret and not digits.isdecimal() or letter is None and not _LABEL_RE.fullmatch(lab):
+            raise ValueError(f"cannot parse word token {token!r}")
+        if letter is None:
+            raise ValueError(f"unknown generator {lab!r}")
+        n = int(exp_s) if caret else 1
+        return (-letter, -n) if n < 0 else (letter, n)
 
     def elem_to_json(self, a):
         return self.elem_to_str(a)

@@ -31,14 +31,29 @@ def box(group, side):
     return coords
 
 
+def symmetric_differences(group, members):
+    """Set-level oracle: |sF diff F| for each letter on its own, by label."""
+    fset = set(members)
+    return {label: len({group.mul(s, g) for g in fset} ^ fset) for label, s in group.letters()}
+
+
 def symmetric_difference_ratio(group, members):
     """Set-level oracle: sum of |sF diff F| over letters, divided by |F|."""
-    fset = set(members)
-    total = 0
-    for _, s in group.letters():
-        shifted = {group.mul(s, g) for g in fset}
-        total += len(shifted ^ fset)
-    return Fraction(total, len(fset))
+    return Fraction(sum(symmetric_differences(group, members).values()), len(set(members)))
+
+
+def mixed_finite_groups():
+    """Finite groups whose letters mix both kinds of inverse-pair block.
+
+    Z/5 on [1, 2] has two pairs; Z/6 on [3, 1] starts with a self-inverse
+    letter; D_5 on [5, 1, 6] (conftest's indices: 5 = s, 1 = r, 6 = rs) has
+    a rotation pair between two reflections.
+    """
+    return (
+        FiniteGroup(cyclic_table(5), generators=(1, 2)),
+        FiniteGroup(cyclic_table(6), generators=(3, 1)),
+        FiniteGroup(dihedral_table(5), generators=(5, 1, 6)),
+    )
 
 
 def abs_fn(f):
@@ -650,7 +665,7 @@ class TestGeneratorDifferences:
         assert set(letter_differences(z3, g)) == {"g1", "g1^-1"}
 
     def test_weighted_matches_translate_oracle(self, f2, z2, z3, s3, rng):
-        for group in (f2, z2, z3, s3):
+        for group in (f2, z2, z3, s3, *mixed_finite_groups()):
             for _ in range(60):
                 terms = [(random_element(rng, group), random_fraction(rng)) for _ in range(rng.randint(1, 8))]
                 f = abs_fn(FinSuppFn(group, terms))
@@ -659,7 +674,7 @@ class TestGeneratorDifferences:
                 assert letter_differences(group, f) == translate_oracle(group, f)
 
     def test_indicator_sets_match_translate_oracle(self, f2, z2, z3, s3, rng):
-        for group in (f2, z2, z3, s3):
+        for group in (f2, z2, z3, s3, *mixed_finite_groups()):
             for _ in range(60):
                 # repeats are drawn on purpose: the certificate counts a set
                 members = [random_element(rng, group) for _ in range(rng.randint(1, 12))]
@@ -668,8 +683,30 @@ class TestGeneratorDifferences:
                 assert letter_differences(group, f) == expected
                 cert = folner_certificate_from_set(group, members)
                 assert cert.differences == {k: int(v) for k, v in expected.items()}
+                # each letter counted on its own, in letters() order
+                assert list(cert.differences.items()) == list(symmetric_differences(group, members).items())
                 assert cert.ratio == sum(expected.values()) / len(set(members))
                 assert cert.ratio == symmetric_difference_ratio(group, members)
+
+    def test_one_translate_pass_per_inverse_pair(self, f2, z2, rng, monkeypatch):
+        z6, d5 = mixed_finite_groups()[1:]
+        # (group, letters, pairs): Z/6 on [3, 1] and D_5 on [5, 1, 6] have self-inverse letters
+        for group, n_letters, n_pairs in ((f2, 4, 2), (z2, 4, 2), (z6, 3, 2), (d5, 4, 3)):
+            assert (len(group.letters()), len(group.letter_pairs())) == (n_letters, n_pairs)
+            shifts = []
+
+            def counted(s, elems, base=group.left_translates):
+                shifts.append(s)
+                return base(s, elems)
+
+            monkeypatch.setattr(group, "left_translates", counted)
+            members = [random_element(rng, group) for _ in range(6)]
+            cert = folner_certificate_from_set(group, members)
+            assert shifts == [s for s, _ in group.letter_pairs()]
+            shifts.clear()
+            _, diffs, _ = reiter_counts(group, indicator(group, members))
+            assert shifts == [s for s, _ in group.letter_pairs()]
+            assert list(diffs) == list(cert.differences) == [label for label, _ in group.letters()]
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -698,7 +735,7 @@ class TestIntegerRoute:
     """The integer count over one denominator against the Fraction oracle."""
 
     def test_reiter_matches_fraction_oracle(self, f2, z2, z3, s3, rng):
-        for group in (f2, z2, z3, s3):
+        for group in (f2, z2, z3, s3, *mixed_finite_groups()):
             for f in integer_route_cases(rng, group):
                 expected = translate_oracle(group, f)
                 assert f.l1_norm() == plain_l1(f)
@@ -710,7 +747,7 @@ class TestIntegerRoute:
 
     def test_signed_coefficients(self, f2, z2, z3, s3, rng):
         # translate_distances and l1_norm assume no sign; only the Reiter ratio does
-        for group in (f2, z2, z3, s3):
+        for group in (f2, z2, z3, s3, *mixed_finite_groups()):
             for f in integer_route_cases(rng, group, signed=True):
                 assert f.l1_norm() == plain_l1(f)
                 d, mass, dists = f.translate_distances(s for _, s in group.letters())

@@ -1,12 +1,16 @@
 """Drawn whole inputs through the CLI and the benchmark's independent validator.
 
 `hypothesis` draws jobs in the shapes that `perfbench/gen.py` writes:
-`verify-f2` and `iso-min` jobs; weighted `reiter` files; `pair` jobs with
-full-dual cochain files and `l1` cycle files; and the `inflate` and
-`uf-boundary2` API jobs, which run through `perfbench/worker.OPS`. CLI
-jobs run through `cli.main` in process, and `perfbench/validate.check`
-judges `(job, rc, stdout)` with plain arithmetic that does not import
-amencert. The draws aim at the inputs where a walk, a guard or a sum could
+`verify-f2`, `iso-min` and `folner --strategy boxes` jobs; weighted
+`reiter` files; `pair` jobs with full-dual cochain files and `l1` cycle
+files; and the `inflate` and `uf-boundary2` API jobs, which run through
+`perfbench/worker.OPS`. CLI jobs run through `cli.main` in process, and
+`perfbench/validate.check` judges `(job, rc, stdout)` with plain
+arithmetic that does not import amencert. The validator counts the
+Reiter and Folner difference of every letter on its own, so it checks
+the library's one count per inverse pair of letters, on finite groups
+whose letters include self-inverse ones and elements listed after their
+inverses. The draws aim at the inputs where a walk, a guard or a sum could
 go wrong: F_1, radius 0 and 1, free balls up to the output cap of
 `iso-min`, finite balls short of and at the group's order, and value
 files with repeated elements, zero and unreduced numerators ("6/4") and
@@ -99,8 +103,27 @@ def free_case(rank, radius):
     return spec, radius, 4 * (rank - 1) + Fraction(4, size)
 
 
+def finite_spec(table, gens):
+    return {"family": "finite", "table": table, "generators": gens}
+
+
 def finite_case(table, gens, radius):
-    return {"family": "finite", "table": table, "generators": gens}, radius, None
+    return finite_spec(table, gens), radius, None
+
+
+def cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def finite_table(draw, kind):
+    """(table, generators): Z/n, n <= 12, on a drawn list of units in drawn order, which
+    may list a unit after its inverse; or D_k, k <= 6, on a rotation and a reflection."""
+    if kind == "cyclic":
+        n = draw(st.integers(1, 12))
+        units = [g for g in range(1, n) if gcd(g, n) == 1]
+        return cyclic_table(n), draw(st.lists(st.sampled_from(units), min_size=1, unique=True)) if units else []
+    k = draw(st.integers(1, 6))
+    return dihedral_table(k), [1, k] if k > 1 else [1]
 
 
 @st.composite
@@ -114,15 +137,7 @@ def iso_groups(draw):
         rank = draw(st.integers(1, 2))
         radius = draw(st.integers(0, 4 if rank == 1 else 1))  # at most 9 and 5 elements
         return {"family": "free-abelian", "rank": rank, "generators": list("ab"[:rank])}, radius, None
-    if kind == "cyclic":
-        n = draw(st.integers(1, 12))
-        table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        units = [g for g in range(1, n) if gcd(g, n) == 1]
-        gens = draw(st.lists(st.sampled_from(units), min_size=1, unique=True)) if units else []
-    else:
-        k = draw(st.integers(1, 6))
-        table = dihedral_table(k)
-        gens = [1, k] if k > 1 else [1]  # a rotation and a reflection
+    table, gens = finite_table(draw, kind)
     return finite_case(table, gens, draw(st.integers(0, len(table) + 1)))
 
 
@@ -158,7 +173,26 @@ def free_spec(rank):
 
 
 def abelian_spec(rank):
-    return {"family": "free-abelian", "rank": rank, "generators": list("ab"[:rank])}
+    return {"family": "free-abelian", "rank": rank, "generators": list("abc"[:rank])}
+
+
+@st.composite
+def box_jobs(draw):
+    """(rank, side): a box search in Z^rank at eps = 4 rank / side, which accepts the box of that
+    side, at most 1,000 points; the job's max radius 100 passes the 10^6-element cap up to Z^3."""
+    rank = draw(st.integers(1, 3))
+    return rank, draw(st.integers(1, {1: 100, 2: 30, 3: 10}[rank]))
+
+
+@DRAWN
+@given(box_jobs())
+@example((3, 10))
+@example((1, 1))
+def test_folner_boxes(bench, workdir, params):
+    gen, plain, validate, _ = bench
+    rank, side = params
+    spec = abelian_spec(rank)
+    assert_valid(validate, gen.folner_box_job(write(workdir, plain, spec), spec, f"{4 * rank}/{side}"))
 
 
 C3 = {"family": "finite", "table": [[(i + j) % 3 for j in range(3)] for i in range(3)], "generators": [1]}
@@ -205,10 +239,14 @@ def near(spec):
 def reiter_inputs(draw):
     """(spec, pairs): 1-60 weights >= 0, at least one positive.
 
-    Each of up to 30 distinct elements is read once, then more weights on
-    the same elements follow, whose denominators can bring new primes.
+    Each of up to 30 distinct elements (at most the order of a finite
+    group) is read once, then more weights on the same elements follow,
+    whose denominators can bring new primes.
     """
-    spec = draw(st.sampled_from([free_spec(1), free_spec(2), free_spec(3), abelian_spec(1), abelian_spec(2)]))
+    spec = draw(st.sampled_from([free_spec(1), free_spec(2), free_spec(3), abelian_spec(1), abelian_spec(2),
+                                 "cyclic", "dihedral"]))
+    if isinstance(spec, str):
+        spec = finite_spec(*finite_table(draw, spec))
     size = draw(st.integers(1, 30))  # a drawn length: hypothesis keeps its own list lengths short
     pool = draw(st.permutations(nearest(spec, 30)))[:size]
     first = draw(st.lists(st.tuples(st.integers(0, 12), DENOMINATORS), min_size=size, max_size=size))
@@ -227,6 +265,9 @@ def reiter_inputs(draw):
 # repeated, zero and unreduced weights; and a 21st distinct key that brings a new prime
 @example((abelian_spec(2), [((0, 0), 0, 3), ((0, 0), 2, 6)] + [((1, 0), 1, 2)] * 15 + [((0, 1), 1, 7 * 11)]))
 @example((abelian_spec(1), [((k,), k % 3 + 1, 2) for k in range(20)] + [((20,), 1, 7), ((0,), 1, 1)]))
+# Z/5 on [2, 1, 3]: 3 = 2^-1 is listed after its inverse; D_5 on a reflection, a rotation, a reflection
+@example((finite_spec(cyclic_table(5), [2, 1, 3]), [(0, 3, 1), (1, 1, 2), (3, 2, 3)]))
+@example((finite_spec(dihedral_table(5), [5, 1, 6]), [(g, g % 4 + 1, g % 3 + 1) for g in range(10)]))
 def test_reiter_weights(bench, workdir, params):
     gen, plain, validate, _ = bench
     spec, pairs = params

@@ -566,7 +566,12 @@ class TestSerialization:
             with pytest.raises(ValueError, match="invalid generator label"):
                 FreeGroup(2, labels=(bad, "b"))
 
-    # one row per way a token is read: Unicode decimal digits as today, every other odd form refused
+    # one group for every row, so that each row's second read, and every row after the
+    # first, meets a token table that earlier reads filled
+    SHARED = FreeGroup(2)
+
+    # one row per way a token is read: Unicode decimal digits as today, every other odd form refused;
+    # a tuple row reads its words in turn on the shared group, and want is for the last
     @pytest.mark.parametrize("word, want", [
         ("a^\u0663", (1, 1, 1)),
         ("a^-0", ()),
@@ -578,14 +583,22 @@ class TestSerialization:
         ("c^2", "unknown generator 'c'"),
         ("a*e", "unknown generator 'e'"),
         (f"a^{MAX_WORD_LETTERS}*b", f"word token 'b' passes the cap of {MAX_WORD_LETTERS} letters"),
+        # the whole count of a stored token still counts against the cap
+        ((f"a^{MAX_WORD_LETTERS}", f"a^{MAX_WORD_LETTERS}*b"),
+         f"word token 'b' passes the cap of {MAX_WORD_LETTERS} letters"),
     ])
     def test_word_token_edge_cases(self, f2, word, want):
-        if isinstance(want, tuple):
-            assert f2.elem_from_str(word) == want
-        else:
-            with pytest.raises(ValueError) as exc:
-                f2.elem_from_str(word)
-            assert str(exc.value) == want
+        *before, word = (word,) if isinstance(word, str) else word
+        for earlier in before:
+            assert self.SHARED.elem_from_str(earlier) == f2.elem_from_str(earlier)
+        # a group that has read only this row, then the shared one twice: the second read finds every token stored
+        for group in (f2, self.SHARED, self.SHARED):
+            if isinstance(want, tuple):
+                assert group.elem_from_str(word) == want
+            else:
+                with pytest.raises(ValueError) as exc:
+                    group.elem_from_str(word)
+                assert str(exc.value) == want
 
 
 class TestDefaultLabels:
@@ -630,6 +643,53 @@ class TestLetters:
         group = FiniteGroup(cyclic_table(5), [1, 4])
         assert group.letters() == (("g1", 1), ("g1^-1", 4))
         assert [group.dist(0, x) for x in range(5)] == [0, 1, 2, 2, 1]
+        assert group.letter_pairs() == ((1, ("g1", "g1^-1")),)
+
+    @staticmethod
+    def assert_pair_blocks(group):
+        """letter_pairs() cuts letters() into adjacent blocks: (s, s^-1), or (s) when s = s^-1."""
+        letters, i = group.letters(), 0
+        for s, labels in group.letter_pairs():
+            block = letters[i : i + len(labels)]
+            assert tuple(label for label, _ in block) == labels and block[0][1] == s
+            if len(labels) == 2:
+                assert block[1][1] == group.inv(s) != s
+            else:
+                assert len(labels) == 1 and group.inv(s) == s
+            i += len(labels)
+        assert i == len(letters)
+
+    def test_letter_pairs_are_inverse_blocks(self):
+        for rank in (1, 2, 3, 64):
+            for group in (FreeGroup(rank), FreeAbelianGroup(rank)):
+                self.assert_pair_blocks(group)
+                assert len(group.letter_pairs()) == rank
+        d5 = FiniteGroup(dihedral_table(5), [5, 1, 6])  # 5 = s, 1 = r, 6 = rs
+        assert d5.letter_pairs() == ((5, ("g5",)), (1, ("g1", "g1^-1")), (6, ("g6",)))
+        self.assert_pair_blocks(d5)
+        self.assert_pair_blocks(s3_group())
+        for n in (1, 2, 5, 6, 12):
+            self.assert_pair_blocks(cyclic_group(n))
+            self.assert_pair_blocks(FiniteGroup(cyclic_table(n)))  # every non-identity element declared
+
+    def test_letter_pairs_of_drawn_generator_sets(self):
+        # S_4 and D_n on drawn generator lists, in drawn order: elements listed after their
+        # inverses, self-inverse letters first or between pairs; sets that do not generate are skipped
+        rng = random.Random(29)
+        tables = [S4_TABLE] * 4 + [dihedral_table(n) for n in range(2, 9)]
+        built = 0
+        for _ in range(400):
+            table = rng.choice(tables)
+            elems = [x for x in range(len(table)) if x != 0]
+            gens = rng.sample(elems, rng.randint(1, min(5, len(elems))))
+            try:
+                group = FiniteGroup(table, gens)
+            except ValueError as exc:
+                assert str(exc) == "declared generators do not generate the group"
+                continue
+            self.assert_pair_blocks(group)
+            built += 1
+        assert built > 100
 
 
 class TestRankedFamilies:

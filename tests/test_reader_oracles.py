@@ -4,6 +4,10 @@
 `FreeGroup.elem_from_str` reads its tokens with `str` tests. The earlier
 bodies, which ran a pattern on every string, are kept here as oracles: on
 every drawn string both must give the same value or the same error text.
+
+The module-level `GROUP` carries its token table across all 150 drawn
+words, so most tokens are read from the table that earlier words filled,
+and a token that raised is read afresh each time it appears.
 """
 
 import re
