@@ -14,6 +14,7 @@ import functools
 import random
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -74,6 +75,16 @@ def _dumps(value, newline: str = "\n") -> str:
     written as a list, as json does. A float, a non-str key or any other
     type raises TypeError. `newline` is the line break and indent of the
     current level.
+
+    json.dumps(indent=2) writes a scalar the same way at every depth, and a
+    nonempty list at the depth whose line break is NL as "[", NL + "  ",
+    the items joined by "," + NL + "  ", then NL and "]". Two shapes of
+    list, found by one scan of the item types, are built as exactly that
+    string with no call per item: items all of one scalar type, joined
+    once; and items all nonempty lists or all nonempty tuples whose cells
+    are all of one scalar type, each row joined once and the rows joined
+    once. Every other list (mixed items, an empty row, a float anywhere)
+    takes the item-by-item path.
     """
     write = _SCALARS.get(type(value))
     if write is not None:
@@ -82,8 +93,23 @@ def _dumps(value, newline: str = "\n") -> str:
     if type(value) in (list, tuple):
         if not value:
             return "[]"
+        sep = "," + inner
+        kinds = set(map(type, value))
+        if len(kinds) == 1:
+            kind = kinds.pop()
+            write = _SCALARS.get(kind)
+            if write is not None:
+                return "[" + inner + sep.join(map(write, value)) + newline + "]"
+            if kind in (list, tuple) and all(value):
+                cells = set(map(type, chain.from_iterable(value)))
+                write = _SCALARS.get(cells.pop()) if len(cells) == 1 else None
+                if write is not None:
+                    cell = inner + "  "
+                    rows = map(("," + cell).join, map(map, repeat(write), value))
+                    between = inner + "]" + sep + "[" + cell
+                    return "[" + inner + "[" + cell + between.join(rows) + inner + "]" + newline + "]"
         items = [_dumps(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return "[" + inner + sep.join(items) + newline + "]"
     if type(value) is dict:
         if not value:
             return "{}"

@@ -29,6 +29,7 @@ c(g0,...,gm) = g0 . slice(g0^-1 g1, ..., g0^-1 gm).
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Mapping
 
 from .groups import GroupSpec, group_from_dict, json_check, json_field, json_pairs
@@ -36,13 +37,14 @@ from .functions import (
     BoundedFn,
     FinSuppFn,
     _add_terms,
-    _lcm_sum,
+    _check_den,
     _rational_form,
     _ratio_str,
     _reduced,
     bounded_from_json,
     delta,
     parse_frac,
+    parse_once,
 )
 
 KIND_L1 = "l1"
@@ -88,18 +90,21 @@ def _slice_map(group: GroupSpec, degree: int, entries, value_type: type, bad_typ
 
 
 def _read(data, what: str, read_value) -> tuple[GroupSpec, int, list]:
-    """(group, degree, entries) of a chain or cochain file; read_value(group, value) reads each value.
+    """(group, degree, entries) of a chain or cochain file; read_value(group, value, ratios) reads each value.
 
     Each key element is read by the group and each value by read_value over
-    the same group. The degree, key lengths, zero values and repeated keys
-    are left to the constructor that `from_json` hands the entries to.
+    the same group. All the file's values share one rational table,
+    `ratios`, made here and dropped when the read ends, so each distinct
+    rational string of the file is parsed once (`parse_once`). The degree,
+    key lengths, zero values and repeated keys are left to the constructor
+    that `from_json` hands the entries to.
     """
     group = group_from_dict(json_field(data, "group", dict, what))
     degree = json_field(data, "degree", int, what)
-    entries = []
+    entries, ratios = [], {}
     for key, value in json_pairs(json_field(data, "entries", list, what), f"{what} entries"):
         key = tuple(map(group.elem_from_json, json_check(key, list, f"{what} key")))
-        entries.append((key, read_value(group, value)))
+        entries.append((key, read_value(group, value, ratios)))
     return group, degree, entries
 
 
@@ -116,10 +121,10 @@ def _write(group: GroupSpec, degree: int, fields: dict, entries: Mapping, write_
     }
 
 
-def _read_l1(group: GroupSpec, value) -> FinSuppFn:
+def _read_l1(group: GroupSpec, value, ratios: dict) -> FinSuppFn:
     if type(value) is not dict or list(value) != ["l1"]:
         raise ValueError('an l1 chain value must be an object whose one field is "l1"')
-    return FinSuppFn.from_pairs(group, value["l1"])
+    return FinSuppFn.from_pairs(group, value["l1"], ratios)
 
 
 class EquivariantChain:
@@ -395,7 +400,8 @@ class UfChain:
 
     @classmethod
     def from_json(cls, data: dict) -> "UfChain":
-        group, degree, coeffs = _read(data, "uniformly finite chain", lambda group, c: parse_frac(c))
+        group, degree, coeffs = _read(
+            data, "uniformly finite chain", lambda group, c, ratios: parse_once(ratios, c, parse_frac))
         bound = json_field(data, "diameter-bound", int, "uniformly finite chain", None)
         return cls(group, degree, coeffs, bound)
 
@@ -431,25 +437,37 @@ def inflate(phi: UfChain) -> EquivariantChain:
 def deflate(chain: EquivariantChain) -> UfChain:
     """Inverse of `inflate`; requires slice values with a zero constant part.
 
-    The slice values are summed by one `_lcm_sum`, one part per value:
-    each tuple (h^-1, h^-1 k) fixes its slice key k and point h, so no key
-    is written twice. The chain's bound is the realised support diameter.
+    Each numerator n of the slice value at key k, at point h, over that
+    value's denominator d, is written once as the tuple (h^-1, h^-1 k) with
+    numerator n * (D / d), D the lcm of the slice denominators, checked
+    (`_check_den`) before any numerator is scaled. The tuple fixes both k
+    (drop its first coordinate, then shift by its inverse) and h (invert
+    that coordinate), so no tuple is written twice and no sum is needed.
+
+    The form is canonical with no gcd: for each prime power p^a that
+    exactly divides D, some slice denominator d has p^a dividing it. That
+    value is canonical, so one of its numerators is prime to p, and so is
+    D / d; their product is prime to p. Every prime of D misses some
+    numerator, so gcd(D, *nums) = 1. The chain's bound is the realised
+    support diameter.
     """
     if chain.kind != KIND_LINF:
         raise ValueError("deflate expects a bounded-coefficient chain")
     group = chain.group
     values = chain.slice.items()
+    den = 1
     for _, value in values:
         if value.terms or value.const:
             raise ValueError(f"cannot deflate a chain with value {value!r} (not of finite type)")
+        if den % value.fn.den:
+            den = _check_den(lcm(den, value.fn.den))
     inv, mul = group.inv, group.mul
-
-    def tuples(key: tuple, nums: dict):
-        for h, n in nums.items():
+    nums = {}
+    for key, value in values:
+        f = den // value.fn.den
+        for h, n in value.fn.nums.items():
             hi = inv(h)
-            yield (hi,) + tuple(mul(hi, g) for g in key), n
-
-    den, nums = _lcm_sum([(1, value.fn.den, tuples(key, value.fn.nums)) for key, value in values])
+            nums[(hi,) + tuple(mul(hi, g) for g in key)] = n * f
     return UfChain._raw(group, chain.degree, den, nums, _diameter(group, nums))
 
 

@@ -18,10 +18,10 @@ pipeline stays an exact rational.
 
 Each family has one n-ary sum, `combine`. Every operator on its values is
 one call of it, and so are the boundaries and coboundaries of `complexes`.
-`FinSuppFn.combine` and `complexes.deflate` add integer numerators by one
-kernel, `_lcm_sum`, which builds and checks the lcm of the denominators
-before it scales any numerator; the file reader does the same in two
-passes.
+`FinSuppFn.combine` adds integer numerators by `_lcm_sum`, which builds
+and checks the lcm of the denominators before it scales any numerator;
+the file reader does the same in two passes, and `complexes.deflate`,
+whose keys never meet, writes each scaled numerator once.
 
 Translation is the left action (g.f)(h) = f(g^-1 h) throughout.
 """
@@ -126,6 +126,24 @@ def parse_ratio(s: str) -> tuple[int, int]:
 def parse_frac(s: str) -> Fraction:
     """The rational `parse_ratio` reads, as one Fraction."""
     return Fraction(*parse_ratio(s))
+
+
+def parse_once(table: dict, s, parse):
+    """parse(s), parsed on s's first occurrence in one input file and read from `table` after.
+
+    Each file reader makes one table and hands it to every value of the
+    file, so a string repeated across the file is parsed once; the table
+    lives for that one read, and one table serves one parse function. A
+    string that raises is never stored. A value that is not a str goes
+    straight to parse, which refuses it with its own one-line error (a list
+    would not even hash).
+    """
+    if type(s) is not str:
+        return parse(s)
+    value = table.get(s)
+    if value is None:
+        value = table[s] = parse(s)
+    return value
 
 
 def _check_den(den: int) -> int:
@@ -375,11 +393,14 @@ class FinSuppFn(_Linear):
         return [[write(g), _ratio_str(nums[g], den)] for g in self.support()]
 
     @classmethod
-    def from_pairs(cls, group: GroupSpec, pairs: list) -> "FinSuppFn":
+    def from_pairs(cls, group: GroupSpec, pairs: list, ratios: dict | None = None) -> "FinSuppFn":
         """The function a file's [element, "p/q"] pairs name; repeated elements sum. Each pair is
         read straight into integers and summed as it is read (`_integer_form`); the readers return
-        checked elements, so nothing is checked twice."""
-        terms = ((group.elem_from_json(e), *parse_ratio(c)) for e, c in json_pairs(pairs, "function"))
+        checked elements, so nothing is checked twice. Each distinct "p/q" string is parsed once,
+        through `ratios`: the table of the file being read (`parse_once`), or a new one."""
+        ratios = {} if ratios is None else ratios
+        terms = ((group.elem_from_json(e), *parse_once(ratios, c, parse_ratio))
+                 for e, c in json_pairs(pairs, "function"))
         return cls._raw(group, *_integer_form(terms))
 
 
@@ -554,17 +575,20 @@ def ray_first_letter(word: tuple[int, ...], ray: int) -> int:
     return word[0] if i else ray
 
 
-def bounded_from_json(group: GroupSpec, data: dict) -> BoundedFn:
+def bounded_from_json(group: GroupSpec, data: dict, ratios: dict | None = None) -> BoundedFn:
+    """The bounded value a file's one-field object names; its rationals, the constant included,
+    are parsed through `ratios`, the table of the file being read (`parse_once`), or a new one."""
     if type(data) is not dict or len(data) != 1:
         raise ValueError("a bounded value must be an object with exactly one field")
+    ratios = {} if ratios is None else ratios
     (kind, payload), = data.items()
     if kind == "constant":
-        return BoundedFn(group, parse_frac(payload))
+        return BoundedFn(group, Fraction(*parse_once(ratios, payload, parse_ratio)))
     if kind == "finite":
-        return BoundedFn(group, 0, FinSuppFn.from_pairs(group, payload))
+        return BoundedFn(group, 0, FinSuppFn.from_pairs(group, payload, ratios))
     if kind == "constant-plus-finite":
-        const = parse_frac(json_field(payload, "constant", str, kind))
-        finite = FinSuppFn.from_pairs(group, json_field(payload, "finite", list, kind))
+        const = Fraction(*parse_once(ratios, json_field(payload, "constant", str, kind), parse_ratio))
+        finite = FinSuppFn.from_pairs(group, json_field(payload, "finite", list, kind), ratios)
         return BoundedFn(group, const, finite)
     if kind == "tree-flow":
         if not isinstance(group, FreeGroup):

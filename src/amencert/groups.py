@@ -390,7 +390,13 @@ class FreeGroup(_RankedGroup):
         return (len(a), tuple(map(self._letter_rank.__getitem__, a)))
 
     def dist(self, a, b):
-        return len(self.mul(self.inv(a), b))
+        """|a| + |b| - 2|p| for p the longest common prefix. With a = p a' and b = p b', a^-1 b is
+        a'^-1 b', reduced: its one junction pair (-a'[0], b'[0]) would cancel only if a'[0] = b'[0],
+        which the maximality of p excludes."""
+        i, stop = 0, min(len(a), len(b))
+        while i < stop and a[i] == b[i]:
+            i += 1
+        return len(a) + len(b) - 2 * i
 
     def ball_size(self, radius, cap):
         return free_ball_size(self.rank, radius, cap)

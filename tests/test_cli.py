@@ -603,6 +603,26 @@ JSON_VALUES = st.recursive(
 )
 
 
+SCALARS = [st.none(), st.booleans(), st.integers(), st.text()]
+
+
+def one_type_rows(cell):
+    """A flat list of one scalar type, or a list or tuple of nonempty rows of it, the rows all lists or all tuples."""
+    row = st.lists(cell, min_size=1, max_size=4)
+    return st.lists(cell, max_size=6) | st.lists(row, max_size=6) | st.lists(row.map(tuple), max_size=6).map(tuple)
+
+
+# the shapes the writer joins whole, and their near misses: empty rows, rows of mixed scalar
+# types (bool beside int included), lists mixed with tuples; nested inside dicts and lists
+ANY_SCALAR = st.one_of(*SCALARS)
+NEAR_ROWS = st.lists(st.lists(ANY_SCALAR, max_size=3) | st.lists(ANY_SCALAR, max_size=3).map(tuple), max_size=5)
+ROW_VALUES = st.recursive(
+    st.sampled_from(SCALARS).flatmap(one_type_rows) | NEAR_ROWS,
+    lambda inner: st.dictionaries(st.text(max_size=4), inner, max_size=3) | st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestWriter:
     """cli._dumps against its oracle, json.dumps(indent=2)."""
 
@@ -611,7 +631,14 @@ class TestWriter:
     def test_matches_json_dumps_indent_2(self, value):
         assert _dumps(value) == json.dumps(value, indent=2)
 
-    @pytest.mark.parametrize("value", [0.5, [1, {"x": 1.0}], {1: "int key"}, {"x": {2, 3}}])
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(ROW_VALUES)
+    def test_rows_match_json_dumps_indent_2(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        0.5, [1, {"x": 1.0}], {1: "int key"}, {"x": {2, 3}}, [[1, 0.5]], [[0.5]], [0.5, 1.5],
+    ])
     def test_refuses_what_a_certificate_never_holds(self, value):
         # a float is never exact; json would write an int key as a string
         with pytest.raises(TypeError):

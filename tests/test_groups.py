@@ -277,6 +277,19 @@ class TestWordMetric:
         assert f2.dist(ab, ba) == 4
         assert bfs_distance(f2, ab, ba) == 4
 
+    def test_free_prefix_metric_is_the_length_of_the_quotient(self, f2, rng):
+        # dist reads the longest common prefix; the oracle is |a^-1 b| as the product reduces it
+        ball = f2.ball(3)
+        for a in ball:
+            for b in ball:
+                assert f2.dist(a, b) == len(f2.mul(f2.inv(a), b))
+        f3 = FreeGroup(3)
+        for _ in range(500):
+            # a drawn common prefix, so that long shared prefixes and equal words both occur
+            p, x, y = (random_element(rng, f3, 6) for _ in range(3))
+            a, b = f3.mul(p, x), f3.mul(p, rng.choice([x, y]))
+            assert f3.dist(a, b) == len(f3.mul(f3.inv(a), b))
+
     def test_left_invariance_random(self, all_groups, rng):
         from amencert.sampling import random_element
 

@@ -136,6 +136,21 @@ class TestCanonicalForm:
         out = uf.boundary()
         assert as_fractions(out.den, out.nums) == {k: c for k, c in want.items() if c}
 
+    @SETTINGS
+    @given(st.sampled_from(GROUPS), st.data())
+    def test_deflate_is_the_constructor_on_its_tuples(self, group, data):
+        # slice values over unrelated denominators: deflate writes each scaled numerator once and
+        # divides by no gcd, the public constructor sums the same tuples as Fractions and reduces
+        degree = data.draw(st.integers(0, 2))
+        near = st.sampled_from(group.ball(1))
+        entries = data.draw(st.dictionaries(st.tuples(*[near] * degree), values(group, near), max_size=4))
+        chain = EquivariantChain(group, degree, KIND_LINF, {k: BoundedFn(group, 0, v) for k, v in entries.items()})
+        tuples = [((group.inv(h),) + tuple(group.mul(group.inv(h), g) for g in k), c)
+                  for k, value in chain.slice.items() for h, c in value.fn.items()]
+        out, want = deflate(chain), UfChain(group, degree, tuples)
+        assert_canonical(out.den, out.nums)
+        assert out == want and out.diameter_bound == want.diameter_bound
+
 
 @pytest.mark.parametrize("group", GROUPS, ids=["F2", "Z2", "Z3"])
 class TestFractionOracle:

@@ -8,15 +8,28 @@ every drawn string both must give the same value or the same error text.
 The module-level `GROUP` carries its token table across all 150 drawn
 words, so most tokens are read from the table that earlier words filled,
 and a token that raised is read afresh each time it appears.
+
+Each weights, chain or cochain file is read with one rational table of its
+own: the last tests count `parse_ratio` calls per file, and check that a
+malformed coefficient among repeated strings gives the same one-line error
+as a reader with no table.
 """
 
+import contextlib
+import io
+import json
 import re
+from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amencert.functions import MAX_RATIONAL_DIGITS, parse_frac
+from amencert import functions
+from amencert.cli import main
+from amencert.complexes import UfChain
+from amencert.functions import MAX_RATIONAL_DIGITS, parse_frac, parse_once, parse_ratio
 from amencert.groups import MAX_WORD_LETTERS, FreeGroup
 
 SETTINGS = dict(derandomize=True, database=None, deadline=None)
@@ -116,3 +129,109 @@ def test_parse_frac_matches_the_pattern_reader(text):
 def test_elem_from_str_matches_the_pattern_reader(text):
     assert outcome(GROUP.elem_from_str, text) == outcome(oracle_word, GROUP, text)
 
+
+
+F2 = {"family": "free", "rank": 2, "generators": ["a", "b"]}
+# strings repeated within each file and shared between the files
+WEIGHTS = [["a", "1/2"], ["b", "1/3"], ["a*b", "1/2"], ["b^-1", "2"], ["e", "1/3"], ["a^2", "1/2"]]
+COCHAIN = {"group": F2, "degree": 1, "dual": "full-dual", "entries": [
+    [["a"], [["a", "1/2"], ["b", "-1/3"]]], [["b"], [["e", "1/2"], ["a", "2"]]], [["a*b"], [["b", "-1/3"]]]]}
+LINF = {"group": F2, "degree": 1, "kind": "linf", "entries": [
+    [["a"], {"constant": "1/2"}], [["b"], {"finite": [["a", "1/2"], ["b", "5/7"]]}],
+    [["b^-1"], {"constant-plus-finite": {"constant": "5/7", "finite": [["a", "1/2"], ["e", "-1/3"]]}}]]}
+UF = {"group": F2, "degree": 1, "entries": [
+    [["e", "a"], "1/2"], [["a", "b"], "-1/3"], [["b", "e"], "1/2"], [["e", "b"], "-1/3"]]}
+JOHNSON = {"builtin": "johnson", "group": F2}
+
+
+def rationals_of(doc):
+    """Every "p/q" string of a file, with repeats: the coefficients of its [element, "p/q"] pairs and constants."""
+    if isinstance(doc, dict):
+        return [x for key, value in doc.items() if key != "group"
+                for x in ([value] if key == "constant" else rationals_of(value))]
+    if isinstance(doc, list):
+        if len(doc) == 2 and isinstance(doc[1], str) and isinstance(doc[0], (str, list)):
+            return [doc[1]]
+        return [x for item in doc for x in rationals_of(item)]
+    return []
+
+
+def cli(tmp_path, command, **files):
+    """(exit code, stdout, stderr) of one command over files written from JSON documents."""
+    argv = [command]
+    for flag, doc in files.items():
+        path = tmp_path / f"{flag}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{flag}", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The list of strings parse_ratio is called on, in order."""
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return parse_ratio(s)
+
+    monkeypatch.setattr(functions, "parse_ratio", counting)
+    return calls
+
+
+def test_each_distinct_string_is_parsed_once_per_file(tmp_path, parsed):
+    assert len(rationals_of(WEIGHTS)) == 6 and len(set(rationals_of(WEIGHTS))) == 3
+    assert cli(tmp_path, "reiter", group=F2, set=WEIGHTS)[0] == 0
+    assert Counter(parsed) == Counter(set(rationals_of(WEIGHTS)))
+    # a second read of the same file starts from a new table
+    assert cli(tmp_path, "reiter", group=F2, set=WEIGHTS)[0] == 0
+    assert Counter(parsed) == Counter(2 * sorted(set(rationals_of(WEIGHTS))))
+
+    # the cochain and the cycle are two files: each parses its own distinct strings once, a
+    # constant and a pair coefficient that share a string included
+    parsed.clear()
+    assert cli(tmp_path, "pair", cochain=COCHAIN, cycle=LINF)[0] == 0
+    assert Counter(parsed) == Counter(set(rationals_of(COCHAIN))) + Counter(set(rationals_of(LINF)))
+    assert len(rationals_of(LINF)) == 6 and len(set(rationals_of(LINF))) == 3
+
+    parsed.clear()
+    chain = UfChain.from_json(UF)
+    assert Counter(parsed) == Counter(set(rationals_of(UF))) and len(rationals_of(UF)) == 4
+    assert chain == UfChain(FreeGroup(2), 1, {((), (1,)): Fraction(1, 2), ((1,), (2,)): Fraction(-1, 3),
+                                              ((2,), ()): Fraction(1, 2), ((), (2,)): Fraction(-1, 3)})
+
+
+@pytest.mark.parametrize("bad", [[1], 3, None, "1/0"])
+def test_a_bad_coefficient_among_repeated_strings_gives_the_one_line_error(tmp_path, bad):
+    want = "cannot parse rational '1/0'" if bad == "1/0" else f'a rational must be a "p/q" string, got {bad!r}'
+    cochain = json.loads(json.dumps(COCHAIN))
+    cochain["entries"][1][1].append(["a*b", bad])
+    cochain["entries"].append([["b^2"], [["a", bad]]])
+    linf = json.loads(json.dumps(LINF))
+    linf["entries"][1][1]["finite"].append(["a*b", bad])
+    constant = {"group": F2, "degree": 1, "kind": "linf", "entries": [
+        [["a"], {"finite": [["a", "1/2"]]}], [["b"], {"constant": "1/2"}], [["a*b"], {"constant": bad}]]}
+    for files in [dict(cochain=cochain, cycle=LINF), dict(cochain=JOHNSON, cycle=linf),
+                  dict(cochain=JOHNSON, cycle=constant)]:
+        assert cli(tmp_path, "pair", **files) == (1, "", f"error: {want}\n")
+    # a weights file holds only strings: any other coefficient makes it a list of elements
+    weights = WEIGHTS + [["a*b", bad], ["b", "1/2"], ["a*b", bad]]
+    weights_error = want if bad == "1/0" else "free-group element must serialize as a string, got ['a', '1/2']"
+    assert cli(tmp_path, "reiter", group=F2, set=weights) == (1, "", f"error: {weights_error}\n")
+    uf = json.loads(json.dumps(UF))
+    uf["entries"] += [[["a", "a*b"], bad], [["b", "a*b"], bad]]
+    with pytest.raises(ValueError) as info:
+        UfChain.from_json(uf)
+    assert str(info.value) == want
+
+
+def test_a_string_that_raises_is_never_stored():
+    table = {}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cannot parse rational '1/0'"):
+            parse_once(table, "1/0", parse_ratio)
+    assert table == {}
+    assert parse_once(table, "2/4", parse_ratio) == (2, 4) and table == {"2/4": (2, 4)}
