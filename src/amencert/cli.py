@@ -9,54 +9,19 @@ set is serialized in the canonical element order and all rationals are
 
 from __future__ import annotations
 
+# argparse, hashlib (through groups) and json stay at the top: main builds the
+# parser on every run and every certificate carries its group-hash, so every
+# command pays for them. Each command imports the rest of the library it runs.
 import argparse
 import functools
-import random
 import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .amenability import (
-    finite_h0,
-    folner_search,
-    indicator,
-    isoperimetric_argmin,
-    reiter_counts,
-    FolnerCertificate,
-)
-from .complexes import (
-    BoundedCochain,
-    EquivariantChain,
-    connecting_lift_check,
-    deflate,
-    fundamental_cycle,
-    inflate,
-    johnson_cocycle,
-    one_l1_cycle,
-    one_lift_cochain,
-    one_cochain,
-)
 from .functions import FinSuppFn, frac_str, parse_frac
-from .groups import (
-    FiniteGroup, FreeAbelianGroup, FreeGroup, cyclic_group, group_from_dict, json_field, load_group, load_json
-)
-from .pairing import adjointness_values, make_pairing_certificate
-from .sampling import (
-    random_element,
-    random_cochain,
-    random_l1_chain,
-    random_linf_chain,
-    random_uf_chain,
-)
-from .witnesses import (
-    FlowCycleSpec,
-    flow_cycle,
-    flow_pairing_certificate,
-    verify_flow_cycle,
-)
-
+from .groups import FiniteGroup, FreeGroup, group_from_dict, json_field, load_group, load_json
 
 # the writer for each scalar type, looked up by exact type: a float (never exact) has none
 _SCALARS = {
@@ -131,29 +96,20 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def _flow_spec(group: FreeGroup, label: str) -> FlowCycleSpec:
     """The flow cycle spec whose ray is the generator labelled `label`."""
+    from .witnesses import FlowCycleSpec
+
     if label not in group.gen_labels:
         raise ValueError(f"ray {label!r} is not a generator of the rank-{group.rank} group")
     return FlowCycleSpec(group, group.gen_labels.index(label) + 1)
 
 
 def _flow_cycle(group, data: dict) -> tuple[EquivariantChain, str]:
+    from .witnesses import flow_cycle
+
     if not isinstance(group, FreeGroup):
         raise ValueError("the flow cycle requires a free group")
     label = json_field(data, "ray", str, "the cycle file", group.gen_labels[0])
     return flow_cycle(_flow_spec(group, label)), f"tree-flow({label})"
-
-
-# builtin cochains and cycles by name, each built from the file's group and the file itself
-BUILTIN_COCHAINS = {
-    "johnson": lambda group, data: johnson_cocycle(group),
-    "one-lift": lambda group, data: one_lift_cochain(group),
-    "one": lambda group, data: one_cochain(group),
-}
-BUILTIN_CYCLES = {
-    "fundamental": lambda group, data: (fundamental_cycle(group), "fundamental-cycle"),
-    "one-l1": lambda group, data: (one_l1_cycle(group), "one-l1-cycle"),
-    "flow": _flow_cycle,
-}
 
 
 def _load_pair_input(path: str, what: str, builtins: dict, from_json):
@@ -168,6 +124,8 @@ def _load_pair_input(path: str, what: str, builtins: dict, from_json):
 
 
 def cmd_verify_f2(args) -> int:
+    from .witnesses import flow_pairing_certificate, verify_flow_cycle
+
     group = FreeGroup(args.rank)
     fs = _flow_spec(group, group.gen_labels[0] if args.ray is None else args.ray)
     report = verify_flow_cycle(fs, args.radius)
@@ -179,9 +137,26 @@ def cmd_verify_f2(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    phi = _load_pair_input(args.cochain, "cochain", BUILTIN_COCHAINS, BoundedCochain.from_json)
+    from .complexes import (
+        BoundedCochain, EquivariantChain, fundamental_cycle, johnson_cocycle, one_cochain, one_l1_cycle,
+        one_lift_cochain,
+    )
+    from .pairing import make_pairing_certificate
+
+    # builtin cochains and cycles by name, each built from the file's group and the file itself
+    cochains = {
+        "johnson": lambda group, data: johnson_cocycle(group),
+        "one-lift": lambda group, data: one_lift_cochain(group),
+        "one": lambda group, data: one_cochain(group),
+    }
+    cycles = {
+        "fundamental": lambda group, data: (fundamental_cycle(group), "fundamental-cycle"),
+        "one-l1": lambda group, data: (one_l1_cycle(group), "one-l1-cycle"),
+        "flow": _flow_cycle,
+    }
+    phi = _load_pair_input(args.cochain, "cochain", cochains, BoundedCochain.from_json)
     cycle, cycle_id = _load_pair_input(
-        args.cycle, "cycle", BUILTIN_CYCLES, lambda data: (EquivariantChain.from_json(data), "cycle-file")
+        args.cycle, "cycle", cycles, lambda data: (EquivariantChain.from_json(data), "cycle-file")
     )
     cert = make_pairing_certificate(phi, cycle, cycle_id=cycle_id)
     _emit(cert.to_json(), args.out)
@@ -189,6 +164,8 @@ def cmd_pair(args) -> int:
 
 
 def cmd_folner(args) -> int:
+    from .amenability import FolnerCertificate, folner_search
+
     group = load_group(args.group)
     result = folner_search(
         group, parse_frac(args.eps), strategy=args.strategy, max_radius=args.max_radius
@@ -198,12 +175,15 @@ def cmd_folner(args) -> int:
 
 
 def cmd_reiter(args) -> int:
+    from .amenability import indicator, reiter_counts
+
     group = load_group(args.group)
     data = load_json(args.set)
     if not isinstance(data, list) or not data:
         raise ValueError("the set file must hold a nonempty list of elements or [element, rational] pairs")
-    # weighted entries are [element, "p/q"]; everything else is an element list
-    if all(isinstance(x, list) and len(x) == 2 and isinstance(x[1], str) for x in data):
+    # weighted entries are [element, "p/q"]. No element of any family serializes as a 2-list
+    # ending in a str, so one such entry makes the file weighted, and from_pairs names any bad pair
+    if any(isinstance(x, list) and len(x) == 2 and isinstance(x[1], str) for x in data):
         f = FinSuppFn.from_pairs(group, data)
     else:
         # a plain list names a set: repeated elements are dropped, not weighted
@@ -221,6 +201,8 @@ def cmd_reiter(args) -> int:
 
 
 def cmd_finite_h0(args) -> int:
+    from .amenability import finite_h0
+
     group = load_group(args.group)
     if not isinstance(group, FiniteGroup):
         raise ValueError("finite-h0 requires a finite group spec")
@@ -229,6 +211,8 @@ def cmd_finite_h0(args) -> int:
 
 
 def cmd_iso_min(args) -> int:
+    from .amenability import isoperimetric_argmin
+
     group = load_group(args.group) if args.group else FreeGroup(2)
     ratio, members = isoperimetric_argmin(group, args.radius)
     ball = group.ball(args.radius)
@@ -247,83 +231,12 @@ def cmd_iso_min(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    """Seeded randomized property checks across the whole library."""
-    rng = random.Random(args.seed)
-    trials = max(1, args.trials)
-    specs = [FreeGroup(2), FreeAbelianGroup(2), cyclic_group(3)]
-    checks = []
+    """Seeded randomized property checks across the whole library (`sampling.selftest`)."""
+    from .sampling import selftest
 
-    def run(name, fn):
-        try:
-            count = fn()
-        except Exception as exc:  # a failing property is a verified failure, not an input error
-            checks.append({"name": name, "trials": 0, "passed": False, "error": str(exc)})
-            return
-        checks.append({"name": name, "trials": count, "passed": True})
-
-    def group_laws():
-        n = 0
-        for _ in range(trials):
-            g = rng.choice(specs)
-            a, b, c = (random_element(rng, g) for _ in range(3))
-            assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
-            assert g.mul(a, g.identity) == a and g.mul(g.identity, a) == a
-            assert g.mul(a, g.inv(a)) == g.identity
-            n += 3
-        return n
-
-    def complex_axioms():
-        n = 0
-        for _ in range(trials):
-            g = rng.choice(specs)
-            chain = random_l1_chain(rng, g, rng.randint(2, 3))
-            assert chain.boundary().boundary().is_zero
-            uf = random_uf_chain(rng, g, rng.randint(2, 3))
-            assert uf.boundary().boundary().is_zero
-            linf = random_linf_chain(rng, g, rng.randint(2, 3))
-            assert linf.boundary().boundary().is_zero
-            phi = random_cochain(rng, g, rng.randint(0, 1))
-            dd = phi.coboundary().coboundary()
-            for _ in range(3):
-                key = tuple(random_element(rng, g, 2) for _ in range(dd.degree))
-                assert dd.value_at(key).is_zero
-            n += 4
-        return n
-
-    def adjointness():
-        n = 0
-        for _ in range(trials):
-            g = rng.choice(specs)
-            m = rng.randint(0, 2)
-            left, right = adjointness_values(random_cochain(rng, g, m), random_l1_chain(rng, g, m + 1))
-            assert left == right
-            n += 1
-        return n
-
-    def inflation():
-        n = 0
-        for _ in range(trials):
-            g = rng.choice(specs)
-            uf = random_uf_chain(rng, g, rng.randint(0, 2))
-            assert deflate(inflate(uf)) == uf
-            if uf.degree >= 1:
-                assert inflate(uf.boundary()) == inflate(uf).boundary()
-            n += 1
-        return n
-
-    def connecting():
-        for g in specs:
-            assert connecting_lift_check(g)
-        return len(specs)
-
-    run("group-laws", group_laws)
-    run("complex-axioms", complex_axioms)
-    run("adjointness", adjointness)
-    run("inflation-isomorphism", inflation)
-    run("connecting-map", connecting)
-    passed = all(c["passed"] for c in checks)
-    _emit({"type": "selftest", "seed": args.seed, "checks": checks, "passed": passed}, args.out)
-    return 0 if passed else 2
+    payload = selftest(args.seed, args.trials)
+    _emit(payload, args.out)
+    return 0 if payload["passed"] else 2
 
 
 @functools.cache

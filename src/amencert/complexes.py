@@ -20,8 +20,8 @@ degree, key, value and diameter bound. Internal operations (boundaries and
 inflation) build their results through the private `_raw` constructors,
 each with the reason no check can fail there. `_read` and `_write` own the
 chain and cochain file format; `from_json` hands what `_read` reads to the
-constructor, so every error text past the file's own fields is the
-constructor's.
+constructor (`UfChain`'s to the constructor's own checks, `_checked`), so
+every error text past the file's own fields is the constructor's.
 
 An equivariant degree-m chain is recovered from its slice by
 c(g0,...,gm) = g0 . slice(g0^-1 g1, ..., g0^-1 gm).
@@ -38,13 +38,14 @@ from .functions import (
     FinSuppFn,
     _add_terms,
     _check_den,
+    _integer_form,
     _rational_form,
     _ratio_str,
     _reduced,
     bounded_from_json,
     delta,
-    parse_frac,
     parse_once,
+    parse_ratio,
 )
 
 KIND_L1 = "l1"
@@ -327,11 +328,22 @@ class UfChain:
     __slots__ = ("group", "degree", "den", "nums", "diameter_bound")
 
     def __init__(self, group, degree, coeffs: Mapping | Iterable = (), diameter_bound: int | None = None):
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        self.den, self.nums, self.diameter_bound = self._checked(
+            group, degree, diameter_bound,
+            lambda length: _rational_form((_tuple_key(group, key, length), c) for key, c in items))
+        self.group = group
+        self.degree = degree
+
+    @staticmethod
+    def _checked(group, degree, diameter_bound, read) -> tuple[int, dict, int]:
+        """(den, nums, bound) after the constructor's checks, in its order: the degree, the bound,
+        then read(degree + 1), the canonical (den, nums) of the terms with each key checked as a
+        tuple of that length, and last the realised support diameter against the bound."""
         _check_degree(degree, "chain")
         if diameter_bound is not None and (type(diameter_bound) is not int or diameter_bound < 0):
             raise ValueError(f"diameter bound must be an integer >= 0, got {diameter_bound!r}")
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        den, nums = _rational_form((_tuple_key(group, key, degree + 1), c) for key, c in items)
+        den, nums = read(degree + 1)
         # the bound is the realised support diameter when none is declared, and may not be passed
         realized = _diameter(group, nums)
         if diameter_bound is None:
@@ -340,11 +352,7 @@ class UfChain:
             raise ValueError(
                 f"support diameter {realized} exceeds the declared bound {diameter_bound}"
             )
-        self.group = group
-        self.degree = degree
-        self.den = den
-        self.nums = nums
-        self.diameter_bound = diameter_bound
+        return den, nums, diameter_bound
 
     @classmethod
     def _raw(cls, group, degree, den, nums, diameter_bound):
@@ -400,10 +408,14 @@ class UfChain:
 
     @classmethod
     def from_json(cls, data: dict) -> "UfChain":
+        """The chain a file names, with the constructor's checks; each coefficient is read straight
+        into integers (`parse_ratio` through the file's table) and summed as `FinSuppFn.from_pairs`
+        sums its pairs, with no Fraction."""
         group, degree, coeffs = _read(
-            data, "uniformly finite chain", lambda group, c, ratios: parse_once(ratios, c, parse_frac))
+            data, "uniformly finite chain", lambda group, c, ratios: parse_once(ratios, c, parse_ratio))
         bound = json_field(data, "diameter-bound", int, "uniformly finite chain", None)
-        return cls(group, degree, coeffs, bound)
+        return cls._raw(group, degree, *cls._checked(group, degree, bound, lambda length: _integer_form(
+            (_tuple_key(group, key, length), p, q) for key, (p, q) in coeffs)))
 
 
 # -- complex-level operations -------------------------------------------------

@@ -448,6 +448,16 @@ class TestSelftest:
             "connecting-map",
         }
 
+    def test_a_broken_boundary_fails_under_python_O(self):
+        # -O strips assert statements; the selftest's checks must still run
+        code = ("import json; from amencert import complexes, sampling; complexes.UfChain.boundary = lambda self: self; "
+                "print(json.dumps(sampling.selftest(0, 5)))")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["passed"] is False
+        assert {c["name"] for c in report["checks"] if not c["passed"]} >= {"complex-axioms", "inflation-isomorphism"}
+
 
 MALFORMED_GROUPS = {
     "float-rank": {"family": "free", "rank": 2.7},
@@ -544,6 +554,59 @@ def test_deeply_nested_set_is_one_line_error(capsys, tmp_path, z2_file):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def imported(code):
+    """The amencert modules loaded after running `code` in a fresh interpreter."""
+    code += "; import json, sys; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'amencert']))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+# the modules each command loads beyond the package, groups and functions
+COMMAND_MODULES = {
+    "verify-f2": {"complexes", "pairing", "witnesses"},
+    "pair": {"complexes", "pairing"},
+    "folner": {"amenability"},
+    "reiter": {"amenability"},
+    "finite-h0": {"amenability"},
+    "iso-min": {"amenability"},
+    "selftest": {"complexes", "pairing", "sampling"},
+}
+
+
+def command_argv(command, tmp_path, f2_dict):
+    """A small passing run of `command`, its input files written under tmp_path."""
+    z2 = write_json(tmp_path / "z2.json", {"family": "free-abelian", "rank": 2, "generators": ["a", "b"]})
+    return {
+        "verify-f2": ["verify-f2", "--radius", "1"],
+        "pair": ["pair", "--cochain", write_json(tmp_path / "phi.json", {"builtin": "one", "group": f2_dict}),
+                 "--cycle", write_json(tmp_path / "c.json", {"builtin": "fundamental", "group": f2_dict})],
+        "folner": ["folner", "--group", z2, "--eps", "1", "--strategy", "boxes"],
+        "reiter": ["reiter", "--group", z2, "--set", write_json(tmp_path / "w.json", [[[0, 0], "1/2"], [[1, 0], "1/3"]])],
+        "finite-h0": ["finite-h0", "--group", write_json(
+            tmp_path / "z3.json", {"family": "finite", "table": cyclic_table(3), "generators": [1]})],
+        "iso-min": ["iso-min", "--radius", "2"],
+        "selftest": ["selftest", "--trials", "2"],
+    }[command]
+
+
+# the public names of the package, by the module that defines each
+PUBLIC = {
+    "groups": ["Element", "FiniteGroup", "FreeAbelianGroup", "FreeGroup", "GroupSpec", "cyclic_group",
+               "cyclic_table", "group_from_dict", "load_group"],
+    "functions": ["BoundedFn", "FinSuppFn", "TreeFlow", "delta", "pair_eval"],
+    "complexes": ["KIND_L1", "KIND_LINF", "BoundedCochain", "EquivariantChain", "UfChain", "connecting_lift_check",
+                  "deflate", "fundamental_cycle", "inflate", "johnson_cocycle", "one_cochain", "one_l1_cycle",
+                  "one_lift_cochain"],
+    "pairing": ["PairingCertificate", "make_pairing_certificate", "pair"],
+    "amenability": ["FiniteH0Report", "FolnerCertificate", "FolnerFailure", "finite_h0",
+                    "folner_certificate_from_set", "folner_search", "indicator", "isoperimetric_argmin",
+                    "reiter_ratio"],
+    "witnesses": ["FlowCycleSpec", "FlowVerification", "flow_cycle", "flow_pairing_certificate", "flow_value",
+                  "verify_flow_cycle"],
+}
+
+
 class TestOutputContract:
     def test_deterministic_bytes(self, capsys, z2_file):
         args = ["folner", "--group", z2_file, "--eps", "1/4", "--strategy", "boxes", "--max-radius", "40"]
@@ -571,6 +634,50 @@ class TestOutputContract:
         # 1 MB of RSS and 9 ms of import in every process that runs the CLI
         code = "import amencert.cli, sys; assert 'inspect' not in sys.modules"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_loads_only_groups_and_functions(self):
+        assert imported("import amencert.cli") == {"amencert", "amencert.cli", "amencert.functions", "amencert.groups"}
+
+    def test_package_import_loads_no_submodule(self):
+        assert imported("import amencert") == {"amencert"}
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+    def test_each_command_loads_only_what_it_runs(self, capsys, tmp_path, f2_dict, command):
+        argv = command_argv(command, tmp_path, f2_dict)
+        # -m runs the cli as __main__, so the import log names the package and what the command loads
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "amencert.cli", *argv], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        logged = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+                  if line.startswith("import time:")}
+        loaded = {name for name in logged if name.split(".")[0] == "amencert"}
+        assert loaded == {"amencert", "amencert.functions", "amencert.groups"} | {
+            f"amencert.{name}" for name in COMMAND_MODULES[command]}
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and proc.stdout == out.encode()
+
+    def test_public_names_are_their_modules_objects(self):
+        code = """if True:
+            import importlib, json, sys
+            from amencert import FolnerCertificate, verify_flow_cycle
+            import amencert
+            public = json.loads(sys.argv[1])
+            assert sorted(amencert.__all__) == sorted(n for names in public.values() for n in names)
+            assert set(amencert.__all__) <= set(dir(amencert))
+            for module, names in public.items():
+                for name in names:
+                    assert getattr(amencert, name) is getattr(importlib.import_module("amencert." + module), name), name
+            assert FolnerCertificate is amencert.amenability.FolnerCertificate
+            assert verify_flow_cycle is amencert.witnesses.verify_flow_cycle
+            try:
+                amencert.no_such_name
+            except AttributeError as exc:
+                assert "no_such_name" in str(exc)
+            else:
+                raise AssertionError("no AttributeError")
+            assert not hasattr(amencert, "no_such_name")
+        """
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(PUBLIC)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
     def test_missing_file_is_input_error(self, capsys):

@@ -12,7 +12,9 @@ and a token that raised is read afresh each time it appears.
 Each weights, chain or cochain file is read with one rational table of its
 own: the last tests count `parse_ratio` calls per file, and check that a
 malformed coefficient among repeated strings gives the same one-line error
-as a reader with no table.
+as a reader with no table. The uniformly finite chain reader, which sums
+integers and forms no Fraction, is checked against the Fraction-taking
+constructor it replaced on fixed and drawn files, malformed ones included.
 """
 
 import contextlib
@@ -26,11 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amencert import functions
+from amencert import complexes, functions
 from amencert.cli import main
 from amencert.complexes import UfChain
 from amencert.functions import MAX_RATIONAL_DIGITS, parse_frac, parse_once, parse_ratio
-from amencert.groups import MAX_WORD_LETTERS, FreeGroup
+from amencert.groups import MAX_WORD_LETTERS, FreeGroup, json_field
 
 SETTINGS = dict(derandomize=True, database=None, deadline=None)
 
@@ -171,14 +173,15 @@ def cli(tmp_path, command, **files):
 
 @pytest.fixture
 def parsed(monkeypatch):
-    """The list of strings parse_ratio is called on, in order."""
+    """The list of strings parse_ratio is called on, in order, by every reader that calls it."""
     calls = []
 
     def counting(s):
         calls.append(s)
         return parse_ratio(s)
 
-    monkeypatch.setattr(functions, "parse_ratio", counting)
+    for module in (functions, complexes):
+        monkeypatch.setattr(module, "parse_ratio", counting)
     return calls
 
 
@@ -217,10 +220,9 @@ def test_a_bad_coefficient_among_repeated_strings_gives_the_one_line_error(tmp_p
     for files in [dict(cochain=cochain, cycle=LINF), dict(cochain=JOHNSON, cycle=linf),
                   dict(cochain=JOHNSON, cycle=constant)]:
         assert cli(tmp_path, "pair", **files) == (1, "", f"error: {want}\n")
-    # a weights file holds only strings: any other coefficient makes it a list of elements
+    # one [element, str] pair makes a weights file weighted, so the bad coefficient is named
     weights = WEIGHTS + [["a*b", bad], ["b", "1/2"], ["a*b", bad]]
-    weights_error = want if bad == "1/0" else "free-group element must serialize as a string, got ['a', '1/2']"
-    assert cli(tmp_path, "reiter", group=F2, set=weights) == (1, "", f"error: {weights_error}\n")
+    assert cli(tmp_path, "reiter", group=F2, set=weights) == (1, "", f"error: {want}\n")
     uf = json.loads(json.dumps(UF))
     uf["entries"] += [[["a", "a*b"], bad], [["b", "a*b"], bad]]
     with pytest.raises(ValueError) as info:
@@ -235,3 +237,66 @@ def test_a_string_that_raises_is_never_stored():
             parse_once(table, "1/0", parse_ratio)
     assert table == {}
     assert parse_once(table, "2/4", parse_ratio) == (2, 4) and table == {"2/4": (2, 4)}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("weights")
+
+
+# coefficients no reader accepts: values that are not strings, and strings that name no rational
+BAD_COEFFICIENTS = [[1], [], {}, 3, 1.5, True, None, "1/0", "a/b", "", "1 / 2", "--1"]
+ELEMENTS = ["e", "a", "b^-1", "a*b", "a^2*b^-3"]
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(
+    pairs=st.lists(st.tuples(st.sampled_from(ELEMENTS), st.sampled_from(["1/2", "-1/3", "2", "0/5", "3/6"])),
+                   min_size=1, max_size=8),
+    bad=st.sampled_from(BAD_COEFFICIENTS), element=st.sampled_from(ELEMENTS), data=st.data())
+def test_one_bad_pair_anywhere_in_a_weights_file_names_its_coefficient(workdir, pairs, bad, element, data):
+    weights = [list(pair) for pair in pairs]
+    weights.insert(data.draw(st.integers(0, len(weights)), label="at"), [element, bad])
+    error = outcome(parse_ratio, bad)
+    assert error[0] == "error" and repr(bad) in error[1]
+    assert cli(workdir, "reiter", group=F2, set=weights) == (1, "", f"error: {error[1]}\n")
+
+
+def uf_by_constructor(data):
+    """UfChain.from_json as it read each coefficient into a Fraction and handed the entries to the constructor."""
+    group, degree, coeffs = complexes._read(data, "uniformly finite chain", lambda group, c, ratios: parse_frac(c))
+    return UfChain(group, degree, coeffs, json_field(data, "diameter-bound", int, "uniformly finite chain", None))
+
+
+def uf_outcome(read, data):
+    kind, value = outcome(read, data)
+    return (kind, value) if kind == "error" else (kind, (value.degree, value.den, value.nums, value.diameter_bound))
+
+
+@pytest.mark.parametrize("bad", [None, *BAD_COEFFICIENTS])
+@pytest.mark.parametrize("case", ["plain", "bound-1", "bound-0", "bound--1", "degree-2", "degree--1", "short-key"])
+def test_uf_reader_matches_the_constructor(case, bad):
+    doc = json.loads(json.dumps(UF))
+    if bad is not None:
+        doc["entries"] += [[["a", "a*b"], bad], [["b", "a*b"], "1/2"]]
+    if case.startswith("bound"):
+        doc["diameter-bound"] = int(case[len("bound-"):])
+    elif case.startswith("degree"):
+        doc["degree"] = int(case[len("degree-"):])
+    elif case == "short-key":
+        doc["entries"].insert(1, [["a"], "1/2"])
+    assert uf_outcome(UfChain.from_json, doc) == uf_outcome(uf_by_constructor, doc)
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(degree=st.integers(0, 2), bound=st.sampled_from([None, 0, 1, 2, 4]), data=st.data())
+def test_drawn_uf_files_read_as_the_constructor_reads_them(degree, bound, data):
+    # each key has the degree's length nine times in ten
+    length = st.sampled_from([degree + 1] * 9 + [degree + 2])
+    key = length.flatmap(lambda n: st.lists(st.sampled_from(ELEMENTS), min_size=n, max_size=n))
+    coefficient = st.sampled_from(["1/2", "-1/2", "2/4", "-1/3", "0", "7", "1/6"])
+    entries = data.draw(st.lists(st.tuples(key, coefficient).map(list), max_size=6), label="entries")
+    doc = {"group": F2, "degree": degree, "entries": entries}
+    if bound is not None:
+        doc["diameter-bound"] = bound
+    assert uf_outcome(UfChain.from_json, doc) == uf_outcome(uf_by_constructor, doc)
