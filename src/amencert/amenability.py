@@ -65,7 +65,7 @@ def reiter_counts(group: GroupSpec, f: FinSuppFn) -> tuple[int, dict[str, int], 
         raise ValueError("function is defined over a different group")
     if f.is_zero:
         raise ValueError("the Reiter ratio of the zero function is undefined")
-    if any(n < 0 for n in f.nums.values()):  # f = nums / den with den > 0
+    if min(f.nums.values()) < 0:  # f = nums / den with den > 0, and nums is nonempty as f is nonzero
         raise ValueError("the Reiter ratio requires a nonnegative function")
     pairs = group.letter_pairs()
     d, mass, dists = f.translate_distances(s for s, _ in pairs)
@@ -136,30 +136,35 @@ def folner_certificate_from_set(
 ) -> FolnerCertificate:
     """Build (or revalidate) a certificate directly from a candidate set.
 
-    Every member is checked, except on the `_raw` route: `folner_search`
-    takes it for the sets it builds itself by group operations, as
-    `FinSuppFn._raw` is taken for values built from checked parts.
+    On the checked route every member is checked, repeats count once, and
+    the members are sorted by `group.sort_key`. The `_raw` route takes the
+    members as given, which must be distinct, valid, in canonical order:
+    `folner_search` takes it for the sets it builds by group operations,
+    `_box` and `group.ball`, both in `sort_key` order, as `FinSuppFn._raw`
+    is taken for values built from checked parts.
 
     Counted in integers, one `GroupSpec.left_translates` pass per inverse
     pair of letters (GroupSpec.letter_pairs): |sF| = |F|, so
     |sF symmetric-difference F| = 2(|F| - |sF n F|). Left translation by s
-    is injective, so the translates s.g that land in F are distinct and
-    |sF n F| is the size of the set F n {s.g : g in F}. Translation by s
+    is injective and the members are distinct, so the translates s.g are
+    distinct, and |sF n F| is the number of them that land in F: one
+    membership test each, with no intersection set built. Translation by s
     is a bijection, so |s^-1 F n F| = |F n sF|: the count for s is also
     the count for s^-1.
     """
-    inside = dict.fromkeys(members if _raw else map(group.check, members))
+    inside = set(members if _raw else map(group.check, members))
     if not inside:
         raise ValueError("a Folner certificate needs a nonempty set")
-    size, keys, translates, pairs = len(inside), inside.keys(), group.left_translates, group.letter_pairs()
-    differences = _by_label(pairs, (2 * (size - len(keys & translates(s, inside))) for s, _ in pairs))
+    members = tuple(members if _raw else sorted(inside, key=group.sort_key))
+    size, contains, translates, pairs = len(members), inside.__contains__, group.left_translates, group.letter_pairs()
+    differences = _by_label(pairs, (2 * (size - sum(map(contains, translates(s, members)))) for s, _ in pairs))
     return FolnerCertificate(
         group=group,
         strategy=strategy,
         parameter=parameter,
-        members=tuple(sorted(inside, key=group.sort_key)),
+        members=members,
         differences=differences,
-        ratio=Fraction(sum(differences.values()), len(inside)),
+        ratio=Fraction(sum(differences.values()), size),
     )
 
 
@@ -177,7 +182,16 @@ def _check_letters(group: GroupSpec, radius: int) -> None:
 
 
 def _box(group: FreeAbelianGroup, side: int) -> list[tuple[int, ...]]:
-    return list(product(range(side), repeat=group.rank))
+    """The box {0, ..., side - 1}^rank of Z^rank, in `sort_key` order.
+
+    product(range(side), repeat=rank) yields the points in lexicographic
+    order. FreeAbelianGroup.sort_key(a) is (l1 norm of a, a), and every
+    coordinate here is >= 0, so the l1 norm is sum(a). A stable sort by
+    sum keeps lexicographic order among points of equal sum, which is the
+    order of the key's second part. So the points come out sorted by
+    sort_key, as folner_certificate_from_set's `_raw` route requires.
+    """
+    return sorted(product(range(side), repeat=group.rank), key=sum)
 
 
 def _free_ball_ratio(rank: int, size: int) -> Fraction:

@@ -45,11 +45,20 @@ def _dumps(value, newline: str = "\n") -> str:
     nonempty list at the depth whose line break is NL as "[", NL + "  ",
     the items joined by "," + NL + "  ", then NL and "]". Two shapes of
     list, found by one scan of the item types, are built as exactly that
-    string with no call per item: items all of one scalar type, joined
-    once; and items all nonempty lists or all nonempty tuples whose cells
-    are all of one scalar type, each row joined once and the rows joined
-    once. Every other list (mixed items, an empty row, a float anywhere)
-    takes the item-by-item path.
+    string with no call per item. Items all of one scalar type are joined
+    once. Items all nonempty lists or all nonempty tuples, of one length k
+    and with cells all exact ints, such as a box certificate's points, are
+    written by one %-format: for an exact int "%d" writes what
+    int.__repr__ and json write. The row format
+    "[" + C + ("%d," + C) * (k - 1) + "%d" + NL + "  ]", with C the cell
+    indent, is the text of a row with a "%d" slot for each of its k cells;
+    the rows' format is the rows' part of the list's text with that row
+    format in place of every row, and holds no other "%". Every row has k
+    cells, so the slots, read in order, are the cells of the rows chained
+    in order: the tuple `cells` whose types the scan read. So format %
+    cells is that part of the list's text. Every other list (mixed items,
+    a str or bool cell, an empty row, rows of unequal length, a float
+    anywhere) takes the item-by-item path.
     """
     write = _SCALARS.get(type(value))
     if write is not None:
@@ -66,13 +75,12 @@ def _dumps(value, newline: str = "\n") -> str:
             if write is not None:
                 return "[" + inner + sep.join(map(write, value)) + newline + "]"
             if kind in (list, tuple) and all(value):
-                cells = set(map(type, chain.from_iterable(value)))
-                write = _SCALARS.get(cells.pop()) if len(cells) == 1 else None
-                if write is not None:
+                cells = tuple(chain.from_iterable(value))
+                if set(map(type, cells)) == {int} and len(set(map(len, value))) == 1:
                     cell = inner + "  "
-                    rows = map(("," + cell).join, map(map, repeat(write), value))
-                    between = inner + "]" + sep + "[" + cell
-                    return "[" + inner + "[" + cell + between.join(rows) + inner + "]" + newline + "]"
+                    row = "[" + cell + ("%d," + cell) * (len(value[0]) - 1) + "%d" + inner + "]"
+                    # one join, so the text is copied once: a chain of + would copy it at each step
+                    return "".join(("[", inner, sep.join(repeat(row, len(value))) % cells, newline, "]"))
         items = [_dumps(v, inner) for v in value]
         return "[" + inner + sep.join(items) + newline + "]"
     if type(value) is dict:

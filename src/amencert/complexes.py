@@ -104,7 +104,9 @@ def _read(data, what: str, read_value) -> tuple[GroupSpec, int, list]:
     degree = json_field(data, "degree", int, what)
     entries, ratios = [], {}
     for key, value in json_pairs(json_field(data, "entries", list, what), f"{what} entries"):
-        key = tuple(map(group.elem_from_json, json_check(key, list, f"{what} key")))
+        if type(key) is not list:
+            json_check(key, list, f"{what} key")  # raises, naming the key's type
+        key = tuple(map(group.elem_from_json, key))
         entries.append((key, read_value(group, value, ratios)))
     return group, degree, entries
 

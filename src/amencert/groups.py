@@ -786,10 +786,18 @@ def json_field(data, name: str, kind: type, what: str, default=...):
 
 
 def json_pairs(data, what: str) -> list:
-    """data checked to be a list of two-item lists, each unpackable as (key, value)."""
+    """data checked to be a list of two-item lists, each unpackable as (key, value).
+
+    Each item costs one type test and one length test; the error text is
+    built only for the first item refused, and names its index and its
+    value, shortened by reprlib. That index is data.index(item): an earlier
+    item equal to it would be no two-item list either, and so refused first.
+    """
     for item in json_check(data, list, what):
-        if len(json_check(item, list, f"each {what} item")) != 2:
-            raise ValueError(f"each {what} item must be a [key, value] pair, got {len(item)} items")
+        if type(item) is not list or len(item) != 2:
+            from reprlib import repr as short
+
+            raise ValueError(f"{what} item {data.index(item)} must be a [key, value] pair, got {short(item)}")
     return data
 
 

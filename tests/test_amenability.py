@@ -241,6 +241,33 @@ class TestFolnerSearch:
             folner_search(FreeAbelianGroup(64), Fraction(1, 10), max_radius=10)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_box_is_built_in_sort_key_order(self, rank):
+        # the `_raw` route keeps the order it is given: a box in lexicographic order fails here
+        group = FreeAbelianGroup(rank)
+        for side in range(1, 13):
+            assert amenability._box(group, side) == sorted(box(group, side), key=group.sort_key)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_raw_box_certificate_is_the_checked_one(self, rank):
+        group = FreeAbelianGroup(rank)
+        for side in range(1, 13):
+            members = amenability._box(group, side)
+            raw = folner_certificate_from_set(group, members, "boxes", side, _raw=True)
+            assert raw == folner_certificate_from_set(group, members[::-1], "boxes", side)
+
+    @pytest.mark.parametrize("group, largest", [
+        (FreeGroup(1), 12), (FreeGroup(2), 5), (FreeGroup(3), 4),
+        (FreeAbelianGroup(1), 12), (FreeAbelianGroup(2), 8), (FreeAbelianGroup(3), 5),
+        (cyclic_group(12), 7), (FiniteGroup(dihedral_table(6), generators=(1, 6)), 5), (s3_group(), 3),
+    ], ids=["f1", "f2", "f3", "z1", "z2", "z3", "c12", "d6", "s3"])
+    def test_raw_ball_certificate_is_the_checked_one(self, group, largest):
+        # radii past a finite group's diameter included: every ball, saturated or not
+        for r in range(largest + 1):
+            ball = group.ball(r)
+            raw = folner_certificate_from_set(group, ball, "balls", r, _raw=True)
+            assert raw == folner_certificate_from_set(group, ball[::-1], "balls", r)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_box_closed_form_matches_count(self, rank):
         group = FreeAbelianGroup(rank)
         closed_form = amenability._closed_form(group, "boxes")

@@ -305,6 +305,13 @@ class TestReiter:
         assert payload["ratio"] == "6/1"
         assert run_cli(capsys, "reiter", "--group", z2_file, "--set", plain) == (0, out)
 
+    def test_element_beside_a_weighted_pair_is_named(self, tmp_path, f2_dict):
+        # one [x, "p/q"] entry makes the file weighted, so its first plain element is refused
+        group = write_json(tmp_path / "f2.json", f2_dict)
+        members = write_json(tmp_path / "set.json", ["a", "b", "a*b", ["b", "1/2"]])
+        err = one_line_error(["reiter", "--group", group, "--set", members])
+        assert err == "error: function item 0 must be a [key, value] pair, got 'a'\n"
+
     def test_repeated_and_cancelling_weights(self, capsys, tmp_path, z2_file):
         fn = write_json(tmp_path / "fn.json", [
             [[0, 0], "1/2"], [[1, 0], "1/3"], [[0, 0], "1/4"], [[2, 0], "1/5"], [[2, 0], "-1/5"],
@@ -719,12 +726,41 @@ def one_type_rows(cell):
     return st.lists(cell, max_size=6) | st.lists(row, max_size=6) | st.lists(row.map(tuple), max_size=6).map(tuple)
 
 
-# the shapes the writer joins whole, and their near misses: empty rows, rows of mixed scalar
+# the shapes the writer writes whole, and their near misses: empty rows, rows of mixed scalar
 # types (bool beside int included), lists mixed with tuples; nested inside dicts and lists
 ANY_SCALAR = st.one_of(*SCALARS)
 NEAR_ROWS = st.lists(st.lists(ANY_SCALAR, max_size=3) | st.lists(ANY_SCALAR, max_size=3).map(tuple), max_size=5)
+# rows of one length whose cells are all exact ints, written by one %-format: negative cells,
+# cells past 2^64, one-cell rows, list rows and tuple rows
+ROW_INTS = st.integers() | st.integers(-(2**70), 2**70) | st.sampled_from([2**64, -(2**64), 2**64 + 1])
+
+
+def int_rows(width):
+    row = st.lists(ROW_INTS, min_size=width, max_size=width)
+    return st.lists(row, min_size=1, max_size=6) | st.lists(row.map(tuple), min_size=1, max_size=6).map(tuple)
+
+
+INT_ROWS = st.integers(1, 4).flatmap(int_rows)
+
+
+@st.composite
+def near_int_rows(draw):
+    """Int rows of one length with one flaw, each leaving the %-format path: a bool cell, one
+    short row or an empty row."""
+    rows = [list(row) for row in draw(st.integers(2, 4).flatmap(int_rows))]
+    at = draw(st.integers(0, len(rows) - 1))
+    flaw = draw(st.sampled_from(["bool", "short", "empty"]))
+    if flaw == "bool":
+        rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(st.booleans())
+    elif flaw == "short":
+        rows[at].pop()
+    else:
+        rows.insert(at, [])
+    return rows
+
+
 ROW_VALUES = st.recursive(
-    st.sampled_from(SCALARS).flatmap(one_type_rows) | NEAR_ROWS,
+    st.sampled_from(SCALARS).flatmap(one_type_rows) | NEAR_ROWS | INT_ROWS | near_int_rows(),
     lambda inner: st.dictionaries(st.text(max_size=4), inner, max_size=3) | st.lists(inner, max_size=3),
     max_leaves=8,
 )
@@ -744,7 +780,14 @@ class TestWriter:
         assert _dumps(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("value", [
-        0.5, [1, {"x": 1.0}], {1: "int key"}, {"x": {2, 3}}, [[1, 0.5]], [[0.5]], [0.5, 1.5],
+        [[-1, 2**64], [3, -(2**70)]], [(5,), (-6,)], ([0, 1, 2], [3, 4, 5]), {"set": [[0, 0], [1, 0]]},
+        [[1, True], [2, 3]], [[1, 2], [3]], [[1, 2], []], [[1, 2], (3, 4)],
+    ], ids=["big", "one-cell-tuples", "tuple-of-lists", "in-dict", "bool-cell", "short-row", "empty-row", "mixed"])
+    def test_int_rows_match_json_dumps_indent_2(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        0.5, [1, {"x": 1.0}], {1: "int key"}, {"x": {2, 3}}, [[1, 0.5]], [[0.5]], [0.5, 1.5], [[1, 2], [3, 4.0]],
     ])
     def test_refuses_what_a_certificate_never_holds(self, value):
         # a float is never exact; json would write an int key as a string

@@ -8,6 +8,8 @@ import threading
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amencert.groups import (
     MAX_RANK,
@@ -165,6 +167,26 @@ class TestBall:
             group = FreeGroup(rank)
             ball = group.ball(5)
             assert all(group.sort_key(ball[i]) < group.sort_key(ball[i + 1]) for i in range(len(ball) - 1))
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_ball_is_in_sort_key_order(self, data):
+        # folner_search hands balls to the certificate's `_raw` route, which keeps their order
+        kind = data.draw(st.sampled_from(["free", "free-abelian", "finite"]), label="kind")
+        if kind == "finite":
+            table = data.draw(st.sampled_from([S4_TABLE, dihedral_table(6), cyclic_table(12)]), label="table")
+            gens = data.draw(st.lists(st.integers(1, len(table) - 1), min_size=1, max_size=3, unique=True))
+            try:
+                group = FiniteGroup(table, gens)
+            except ValueError:  # the drawn generators span a proper subgroup
+                assume(False)
+            radius = data.draw(st.integers(0, 8), label="radius")  # short of the group's order or not
+        else:
+            rank = data.draw(st.integers(1, 3), label="rank")
+            group = (FreeGroup if kind == "free" else FreeAbelianGroup)(rank)
+            radius = data.draw(st.integers(0, {1: 12, 2: 5, 3: 4}[rank]), label="radius")
+        ball = group.ball(radius)
+        assert list(ball) == sorted(ball, key=group.sort_key)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_sort_key_matches_letter_formula(self, rank):

@@ -108,6 +108,24 @@ def test_translate_distances_match_the_per_point_loop(case, data):
     assert dists == [(f.translate(g) - f).l1_norm() * d for g in shifts]
 
 
+def oracle_intersections(group, members):
+    """folner_certificate_from_set's differences as it built the set F n sF once per inverse pair of letters."""
+    inside = dict.fromkeys(members)
+    keys = inside.keys()
+    return {label: 2 * (len(inside) - len(keys & group.left_translates(s, inside)))
+            for s, labels in group.letter_pairs() for label in labels}
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(group_functions(min_size=1), st.randoms(use_true_random=False))
+def test_folner_membership_count_is_the_intersection_count(case, rng):
+    group, f = case
+    members = [g for g, _ in f.items()]
+    rng.shuffle(members)
+    cert = folner_certificate_from_set(group, members + members[: len(members) // 2])  # repeats count once
+    assert cert.differences == oracle_intersections(group, members)
+
+
 @settings(max_examples=100, **SETTINGS)
 @given(group_functions(min_size=1))
 def test_folner_count_matches_the_per_point_loop(case):

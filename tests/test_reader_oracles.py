@@ -144,6 +144,7 @@ LINF = {"group": F2, "degree": 1, "kind": "linf", "entries": [
 UF = {"group": F2, "degree": 1, "entries": [
     [["e", "a"], "1/2"], [["a", "b"], "-1/3"], [["b", "e"], "1/2"], [["e", "b"], "-1/3"]]}
 JOHNSON = {"builtin": "johnson", "group": F2}
+FUNDAMENTAL = {"builtin": "fundamental", "group": F2}
 
 
 def rationals_of(doc):
@@ -260,6 +261,31 @@ def test_one_bad_pair_anywhere_in_a_weights_file_names_its_coefficient(workdir, 
     error = outcome(parse_ratio, bad)
     assert error[0] == "error" and repr(bad) in error[1]
     assert cli(workdir, "reiter", group=F2, set=weights) == (1, "", f"error: {error[1]}\n")
+
+
+# items that are no [key, value] pair, and the text the refusal names each by
+BAD_ITEMS = [("a", "'a'"), (["a"], "['a']"), (["a", "1/2", "1/3"], "['a', '1/2', '1/3']"), (3, "3"),
+             (None, "None"), ({"a": "1/2"}, "{'a': '1/2'}"), (list(range(40)), "[0, 1, 2, 3, 4, 5, ...]")]
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(pairs=st.lists(st.tuples(st.sampled_from(ELEMENTS), st.sampled_from(["1/2", "-1/3", "2"])),
+                     min_size=1, max_size=8),
+       bad=st.sampled_from(BAD_ITEMS), data=st.data())
+def test_an_item_that_is_no_pair_is_named_by_index_and_value(workdir, pairs, bad, data):
+    item, text = bad
+    weights = [list(pair) for pair in pairs]
+    at = data.draw(st.integers(0, len(weights)), label="at")
+    weights.insert(at, item)
+    want = f"error: function item {at} must be a [key, value] pair, got {text}\n"
+    assert cli(workdir, "reiter", group=F2, set=weights) == (1, "", want)
+    # the same item as a cochain value, and then as a cochain entry
+    cochain = {**COCHAIN, "entries": [[["a"], [list(pair) for pair in pairs]], [["b"], weights]]}
+    assert cli(workdir, "pair", cochain=cochain, cycle=FUNDAMENTAL) == (1, "", want)
+    at %= 3
+    cochain["entries"].insert(at, item)
+    want = f"error: cochain entries item {at} must be a [key, value] pair, got {text}\n"
+    assert cli(workdir, "pair", cochain=cochain, cycle=FUNDAMENTAL) == (1, "", want)
 
 
 def uf_by_constructor(data):
