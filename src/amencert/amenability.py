@@ -73,7 +73,12 @@ def reiter_counts(group: GroupSpec, f: FinSuppFn) -> tuple[int, dict[str, int], 
 
 
 def reiter_ratio(group: GroupSpec, f: FinSuppFn) -> Fraction:
-    """Normalized generator-difference ratio of a nonnegative, nonzero f."""
+    """Normalized generator-difference ratio of a nonnegative, nonzero f.
+
+    No command calls it (the CLI reads `reiter_counts`); it stays public
+    because `perfbench/tracing.py` looks it up by name for its
+    `amenability.reiter` span, which therefore reads 0 on CLI runs.
+    """
     _, diffs, mass = reiter_counts(group, f)
     return Fraction(sum(diffs.values()), mass)
 

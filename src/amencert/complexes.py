@@ -45,7 +45,6 @@ from .functions import (
     bounded_from_json,
     delta,
     parse_once,
-    parse_ratio,
 )
 
 KIND_L1 = "l1"
@@ -65,6 +64,12 @@ def _tuple_key(group: GroupSpec, key, length: int) -> tuple:
 
 def _key_sort(group: GroupSpec, key: tuple):
     return tuple(group.sort_key(g) for g in key)
+
+
+def _check_kind(kind) -> str:
+    if kind not in (KIND_L1, KIND_LINF):
+        raise ValueError(f"unknown chain kind {kind!r}")
+    return kind
 
 
 def _check_degree(degree, what: str) -> None:
@@ -137,9 +142,7 @@ class EquivariantChain:
 
     def __init__(self, group: GroupSpec, degree: int, kind: str, entries: Mapping | Iterable = ()):
         _check_degree(degree, "chain")
-        if kind not in (KIND_L1, KIND_LINF):
-            raise ValueError(f"unknown chain kind {kind!r}")
-        value_type = FinSuppFn if kind == KIND_L1 else BoundedFn
+        value_type = FinSuppFn if _check_kind(kind) == KIND_L1 else BoundedFn
         self.group = group
         self.degree = degree
         self.kind = kind
@@ -156,23 +159,6 @@ class EquivariantChain:
         obj.kind = kind
         obj.slice = slice_map
         return obj
-
-    def zero_value(self):
-        if self.kind == KIND_L1:
-            return FinSuppFn.zero(self.group)
-        return BoundedFn(self.group)
-
-    def slice_value(self, key):
-        key = _tuple_key(self.group, key, self.degree)
-        return self.slice.get(key, self.zero_value())
-
-    def evaluate(self, point):
-        """Value of the full equivariant chain at a (degree+1)-tuple."""
-        point = _tuple_key(self.group, point, self.degree + 1)
-        g0 = point[0]
-        g0i = self.group.inv(g0)
-        key = tuple(self.group.mul(g0i, g) for g in point[1:])
-        return self.slice.get(key, self.zero_value()).translate(g0)
 
     @property
     def is_zero(self) -> bool:
@@ -228,7 +214,8 @@ class EquivariantChain:
 
     @classmethod
     def from_json(cls, data: dict) -> "EquivariantChain":
-        kind = json_field(data, "kind", str, "chain")
+        """The chain a file names; its kind is checked before any entry is read, as it picks the value reader."""
+        kind = _check_kind(json_field(data, "kind", str, "chain"))
         group, degree, entries = _read(data, "chain", _read_l1 if kind == KIND_L1 else bounded_from_json)
         return cls(group, degree, kind, entries)
 
@@ -411,10 +398,10 @@ class UfChain:
     @classmethod
     def from_json(cls, data: dict) -> "UfChain":
         """The chain a file names, with the constructor's checks; each coefficient is read straight
-        into integers (`parse_ratio` through the file's table) and summed as `FinSuppFn.from_pairs`
+        into integers (`parse_once`, through the file's table) and summed as `FinSuppFn.from_pairs`
         sums its pairs, with no Fraction."""
         group, degree, coeffs = _read(
-            data, "uniformly finite chain", lambda group, c, ratios: parse_once(ratios, c, parse_ratio))
+            data, "uniformly finite chain", lambda group, c, ratios: parse_once(ratios, c))
         bound = json_field(data, "diameter-bound", int, "uniformly finite chain", None)
         return cls._raw(group, degree, *cls._checked(group, degree, bound, lambda length: _integer_form(
             (_tuple_key(group, key, length), p, q) for key, (p, q) in coeffs)))

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .groups import Element, FiniteGroup, FreeGroup, GroupSpec, json_field, json_pairs
+from .groups import Element, FreeGroup, GroupSpec, json_field, json_pairs
 
 Rational = Union[Fraction, int]
 _ZERO = Fraction(0)
@@ -128,21 +128,20 @@ def parse_frac(s: str) -> Fraction:
     return Fraction(*parse_ratio(s))
 
 
-def parse_once(table: dict, s, parse):
-    """parse(s), parsed on s's first occurrence in one input file and read from `table` after.
+def parse_once(table: dict, s) -> tuple[int, int]:
+    """parse_ratio(s), parsed on s's first occurrence in one input file and read from `table` after.
 
     Each file reader makes one table and hands it to every value of the
     file, so a string repeated across the file is parsed once; the table
-    lives for that one read, and one table serves one parse function. A
-    string that raises is never stored. A value that is not a str goes
-    straight to parse, which refuses it with its own one-line error (a list
-    would not even hash).
+    lives for that one read. A string that raises is never stored. A value
+    that is not a str goes straight to parse_ratio, which refuses it with
+    its own one-line error (a list would not even hash).
     """
     if type(s) is not str:
-        return parse(s)
+        return parse_ratio(s)
     value = table.get(s)
     if value is None:
-        value = table[s] = parse(s)
+        value = table[s] = parse_ratio(s)
     return value
 
 
@@ -342,12 +341,6 @@ class FinSuppFn(_Linear):
     def is_zero(self) -> bool:
         return not self.nums
 
-    def l1_norm(self) -> Fraction:
-        return Fraction(sum(map(abs, self.nums.values())), self.den)
-
-    def coeff_sum(self) -> Fraction:
-        return Fraction(sum(self.nums.values()), self.den)
-
     def translate_distances(self, shifts: Iterable[Element]) -> tuple[int, int, list[int]]:
         """D, D ||f||_1 and every D ||g.f - f||_1: integers over one denominator.
 
@@ -399,7 +392,7 @@ class FinSuppFn(_Linear):
         checked elements, so nothing is checked twice. Each distinct "p/q" string is parsed once,
         through `ratios`: the table of the file being read (`parse_once`), or a new one."""
         ratios = {} if ratios is None else ratios
-        terms = ((group.elem_from_json(e), *parse_once(ratios, c, parse_ratio))
+        terms = ((group.elem_from_json(e), *parse_once(ratios, c))
                  for e, c in json_pairs(pairs, "function"))
         return cls._raw(group, *_integer_form(terms))
 
@@ -583,11 +576,11 @@ def bounded_from_json(group: GroupSpec, data: dict, ratios: dict | None = None) 
     ratios = {} if ratios is None else ratios
     (kind, payload), = data.items()
     if kind == "constant":
-        return BoundedFn(group, Fraction(*parse_once(ratios, payload, parse_ratio)))
+        return BoundedFn(group, Fraction(*parse_once(ratios, payload)))
     if kind == "finite":
         return BoundedFn(group, 0, FinSuppFn.from_pairs(group, payload, ratios))
     if kind == "constant-plus-finite":
-        const = Fraction(*parse_once(ratios, json_field(payload, "constant", str, kind), parse_ratio))
+        const = Fraction(*parse_once(ratios, json_field(payload, "constant", str, kind)))
         finite = FinSuppFn.from_pairs(group, json_field(payload, "finite", list, kind), ratios)
         return BoundedFn(group, const, finite)
     if kind == "tree-flow":
@@ -599,24 +592,6 @@ def bounded_from_json(group: GroupSpec, data: dict, ratios: dict | None = None) 
             raise ValueError("tree-flow edge/ray must be single letters (ray positive)")
         return TreeFlow(group, edge_word[0], ray_word[0])
     raise ValueError(f"unknown bounded-function kind {kind!r}")
-
-
-def is_constant_fn(v: BoundedFn) -> bool:
-    """Whether v is a constant function on its group.
-
-    A value with no terms is decided symbolically; over a finite group any
-    value is decided by exhaustive evaluation. Raises for a value with
-    terms over an infinite group.
-    """
-    group = v.group
-    if not v.terms and v.fn.is_zero:
-        return True
-    if isinstance(group, FiniteGroup):
-        vals = {v.evaluate(g) for g in range(group.order)}
-        return len(vals) == 1
-    if not v.terms:
-        return False  # a nonzero finitely supported part on an infinite group
-    raise ValueError("constant test is undecidable for oracle-backed variants over infinite groups")
 
 
 # -- evaluation pairing ------------------------------------------------------

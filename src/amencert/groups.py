@@ -19,8 +19,8 @@ Each group declares its generators once, as `gens` with `gen_labels`;
 then its inverse, and `letters()` returns that one tuple to every caller:
 balls, word metrics and the flow cycle. `letter_pairs()` gives the same
 letters once per inverse pair, for the Reiter and Folner differences.
-Free and free-abelian groups share the rank, the labels, `gen` and
-`to_dict` through `_RankedGroup`; each family supplies only its basis.
+Free and free-abelian groups share the rank, the labels and `to_dict`
+through `_RankedGroup`; each family supplies only its basis.
 
 Every JSON input file of the library and the CLI is read through
 `load_json` and checked with `json_field`, `json_pairs` and `json_check`.
@@ -285,13 +285,6 @@ class _RankedGroup(GroupSpec):
 
     def _basis(self, i: int) -> tuple[int, ...]:
         raise NotImplementedError
-
-    def gen(self, i: int) -> tuple[int, ...]:
-        if type(i) is not int:
-            raise ValueError(f"generator index must be an integer, got {i!r}")
-        if not 0 <= i < self.rank:
-            raise ValueError(f"generator index {i} out of range")
-        return self.gens[i]
 
     def to_dict(self):
         return {"family": self.family, "rank": self.rank, "generators": list(self.gen_labels)}

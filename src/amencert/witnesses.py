@@ -58,7 +58,9 @@ def flow_value(fs: FlowCycleSpec, s: int, g: Element) -> int:
     `fs.group.check` first. This is the per-edge oracle for outside callers
     and for oracles handed to `verify_flow_cycle`; its default sweep reads
     `ray_first_letter` directly, on the words of B_min(2r, 3) only, and
-    makes no call here.
+    makes no call here. It stays public because `perfbench/tracing.py`
+    looks it up by name to count oracle calls, which therefore read 0 on
+    the default sweep.
     """
     if s == 0 or abs(s) > fs.group.rank:
         raise ValueError(f"edge letter {s} is not a generator or inverse")

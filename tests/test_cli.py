@@ -114,6 +114,19 @@ class TestPair:
             assert main(argv) == 1
             assert capsys.readouterr().err == "error: ray 'c' is not a generator of the rank-2 group\n"
 
+    @pytest.mark.parametrize("kind, error", [
+        ("L1", "unknown chain kind 'L1'"),
+        ("", "unknown chain kind ''"),
+        (3, "chain field 'kind' must be a string, got an integer"),
+    ], ids=["L1", "empty", "int"])
+    def test_bad_chain_kind_is_named_before_any_value_is_read(self, capsys, tmp_path, f2_dict, kind, error):
+        # the values are l1 values, which the linf reader would refuse first
+        cochain = write_json(tmp_path / "j.json", {"builtin": "johnson", "group": f2_dict})
+        cycle = write_json(tmp_path / "c.json", {"group": f2_dict, "degree": 1, "kind": kind,
+                                                   "entries": [[["a"], {"l1": [["e", "3/1"]]}]]})
+        assert main(["pair", "--cochain", cochain, "--cycle", cycle]) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     def test_one_against_fundamental(self, capsys, tmp_path, f2_dict):
         cochain = write_json(tmp_path / "one.json", {"builtin": "one", "group": f2_dict})
         cycle = write_json(tmp_path / "f.json", {"builtin": "fundamental", "group": f2_dict})

@@ -32,6 +32,18 @@ from amencert.sampling import (
 from amencert.witnesses import FlowCycleSpec, flow_cycle
 
 
+def zero_value(chain):
+    """The zero of the chain's value type."""
+    return FinSuppFn.zero(chain.group) if chain.kind == KIND_L1 else BoundedFn(chain.group)
+
+
+def chain_value(chain, point):
+    """The full equivariant chain at a (degree+1)-tuple: c(g0, ..., gm) = g0 . slice(g0^-1 g1, ..., g0^-1 gm)."""
+    group = chain.group
+    g0i = group.inv(point[0])
+    return chain.slice.get(tuple(group.mul(g0i, g) for g in point[1:]), zero_value(chain)).translate(point[0])
+
+
 def boundary_oracle_value(chain, out_key, radius=3):
     """Insertion-sum boundary by direct summation over a ball.
 
@@ -41,12 +53,12 @@ def boundary_oracle_value(chain, out_key, radius=3):
     """
     group = chain.group
     base = (group.identity,) + tuple(out_key)
-    total = chain.zero_value()
+    total = zero_value(chain)
     for i in range(chain.degree + 1):
         sign = 1 if i % 2 == 0 else -1
         for g in group.ball(radius):
             point = base[:i] + (g,) + base[i:]
-            value = chain.evaluate(point)
+            value = chain_value(chain, point)
             if not value.is_zero:
                 total = total + (value if sign > 0 else -value)
     return total
@@ -54,12 +66,12 @@ def boundary_oracle_value(chain, out_key, radius=3):
 
 class TestL1Boundary:
     def test_single_entry_against_oracle(self, f2):
-        a = f2.gen(0)
+        a = f2.gens[0]
         chain = EquivariantChain(f2, 1, KIND_L1, {(a,): delta(f2, f2.identity)})
         out = chain.boundary()
         assert out.degree == 0
         expected = delta(f2, f2.inv(a)) - delta(f2, f2.identity)
-        assert out.slice_value(()) == expected
+        assert out.slice[()] == expected
         assert boundary_oracle_value(chain, ()) == expected
 
     def test_matches_oracle_random(self, all_groups, rng):
@@ -71,7 +83,7 @@ class TestL1Boundary:
                     key for key in _candidate_faces(chain)
                 }
                 for key in seen:
-                    assert out.slice_value(key) == boundary_oracle_value(chain, key, radius=2)
+                    assert out.slice.get(key, zero_value(out)) == boundary_oracle_value(chain, key, radius=2)
 
     def test_boundary_squared_zero(self, all_groups, rng):
         for group in all_groups:
@@ -83,7 +95,7 @@ class TestL1Boundary:
         cycle = flow_cycle(FlowCycleSpec(f2, 1))
         out = cycle.boundary()
         assert out.degree == 0
-        value = out.slice_value(())
+        value = out.slice[()]
         for g in f2.ball(4):
             assert value.evaluate(g) == 2
 
@@ -102,7 +114,7 @@ class TestL1Boundary:
 
     def test_tree_flow_boundary_squared_is_structurally_zero(self, f2):
         # terms with one shift and one leaf merge, so the faces cancel term by term
-        a, b = f2.gen(0), f2.gen(1)
+        a, b = f2.gens[0], f2.gens[1]
         chain = EquivariantChain(f2, 2, KIND_LINF, {
             (a, b): TreeFlow(f2, 1, 1),
             (f2.inv(b), f2.mul(a, a)): TreeFlow(f2, -2, 1).translate(a) + BoundedFn(f2, 3),
@@ -130,10 +142,10 @@ class TestEquivariance:
                 point = random_tuple(rng, group, chain.degree + 1)
                 g = random_element(rng, group)
                 moved = tuple(group.mul(g, x) for x in point)
-                assert chain.evaluate(moved) == chain.evaluate(point).translate(g)
+                assert chain_value(chain, moved) == chain_value(chain, point).translate(g)
 
     def test_degenerate_tuples_allowed(self, f2):
-        a = f2.gen(0)
+        a = f2.gens[0]
         chain = EquivariantChain(f2, 2, KIND_L1, {(a, a): delta(f2, a)})
         assert chain.boundary().boundary().is_zero
 
@@ -177,7 +189,7 @@ class TestBarCoboundary:
 class TestJohnson:
     def test_slice_values(self, f2):
         J = johnson_cocycle(f2)
-        a = f2.gen(0)
+        a = f2.gens[0]
         assert J.value_at((a,)) == delta(f2, a) - delta(f2, f2.identity)
         assert J.value_at((f2.identity,)).is_zero
 
@@ -185,12 +197,12 @@ class TestJohnson:
         for group in all_groups:
             J = johnson_cocycle(group)
             for _ in range(20):
-                assert J.value_at((random_element(rng, group),)).coeff_sum() == 0
+                assert sum(J.value_at((random_element(rng, group),)).nums.values()) == 0
 
 
 class TestUfChains:
     def test_edge_boundary(self, f2):
-        a = f2.gen(0)
+        a = f2.gens[0]
         edge = UfChain(f2, 1, {(f2.identity, a): 1})
         out = edge.boundary()
         assert (out.den, out.nums) == (1, {(a,): 1, (f2.identity,): -1})
@@ -236,8 +248,8 @@ class TestInflation:
             ball = f2.ball(r)
             ones = UfChain(f2, 0, {(g,): 1 for g in ball})
             inflated = inflate(ones)
-            value = inflated.slice_value(())
-            target = fundamental_cycle(f2).slice_value(())
+            value = inflated.slice[()]
+            target = fundamental_cycle(f2).slice[()]
             for g in ball:
                 assert value.evaluate(g) == target.evaluate(g) == 1
             assert deflate(inflated) == ones
@@ -252,12 +264,12 @@ class TestInflation:
 class TestFundamentalCycle:
     def test_constant_one(self, all_groups, rng):
         for group in all_groups:
-            value = fundamental_cycle(group).slice_value(())
+            value = fundamental_cycle(group).slice[()]
             for _ in range(10):
                 assert value.evaluate(random_element(rng, group)) == 1
 
     def test_translation_invariance(self, f2, rng):
-        value = fundamental_cycle(f2).slice_value(())
+        value = fundamental_cycle(f2).slice[()]
         g = random_element(rng, f2)
         assert value.translate(g) == value
 
@@ -341,7 +353,7 @@ class TestFileEntries:
         assert str(exc.value) == error
 
     def test_zero_values_dropped_and_uf_keys_summed(self, f2):
-        a = f2.gen(0)
+        a = f2.gens[0]
         chain = EquivariantChain.from_json(chain_file([[["a"], {"l1": []}], [["a"], ONE]]))
         assert chain == EquivariantChain(f2, 1, KIND_L1, {(a,): delta(f2, f2.identity)})
         uf = UfChain.from_json(uf_file([[["e", "a"], "1/2"], [["e", "a"], "1/2"], [["e", "b"], "0/1"]]))
@@ -351,16 +363,16 @@ class TestFileEntries:
 class TestChainValidation:
     def test_kind_checked(self, f2):
         with pytest.raises(ValueError):
-            EquivariantChain(f2, 1, KIND_L1, {(f2.gen(0),): BoundedFn(f2, 1)})
+            EquivariantChain(f2, 1, KIND_L1, {(f2.gens[0],): BoundedFn(f2, 1)})
         with pytest.raises(ValueError):
-            EquivariantChain(f2, 1, KIND_LINF, {(f2.gen(0),): delta(f2, f2.identity)})
+            EquivariantChain(f2, 1, KIND_LINF, {(f2.gens[0],): delta(f2, f2.identity)})
 
     def test_key_length_checked(self, f2):
         with pytest.raises(ValueError):
-            EquivariantChain(f2, 2, KIND_L1, {(f2.gen(0),): delta(f2, f2.identity)})
+            EquivariantChain(f2, 2, KIND_L1, {(f2.gens[0],): delta(f2, f2.identity)})
 
     def test_zero_values_dropped(self, f2):
-        chain = EquivariantChain(f2, 1, KIND_L1, {(f2.gen(0),): FinSuppFn.zero(f2)})
+        chain = EquivariantChain(f2, 1, KIND_L1, {(f2.gens[0],): FinSuppFn.zero(f2)})
         assert chain.is_zero
 
     # a degree or bound that from_json would refuse is refused by the constructor too
@@ -381,6 +393,6 @@ class TestChainValidation:
     @pytest.mark.parametrize("bound", [1.5, True, "2", -1])
     def test_diameter_bound_must_be_nonnegative_int(self, f2, bound):
         with pytest.raises(ValueError, match="diameter bound must be an integer >= 0"):
-            UfChain(f2, 1, {(f2.identity, f2.gen(0)): 1}, diameter_bound=bound)
+            UfChain(f2, 1, {(f2.identity, f2.gens[0]): 1}, diameter_bound=bound)
         with pytest.raises(ValueError, match="diameter bound must be an integer >= 0"):
             UfChain(f2, 1, diameter_bound=bound)

@@ -1,7 +1,8 @@
 """Drawn whole inputs through the CLI and the benchmark's independent validator.
 
 `hypothesis` draws jobs in the shapes that `perfbench/gen.py` writes:
-`verify-f2`, `iso-min` and `folner --strategy boxes` jobs; weighted
+`verify-f2`, `iso-min`, `folner --strategy boxes` and `folner --strategy
+balls` jobs; weighted
 `reiter` files; `pair` jobs with full-dual cochain files and `l1` cycle
 files; and the `inflate` and `uf-boundary2` API jobs, which run through
 `perfbench/worker.OPS`. CLI jobs run through `cli.main` in process, and
@@ -37,7 +38,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amencert import cli
-from conftest import dihedral_table
+from conftest import dihedral_table, s3_group
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -193,6 +194,66 @@ def test_folner_boxes(bench, workdir, params):
     rank, side = params
     spec = abelian_spec(rank)
     assert_valid(validate, gen.folner_box_job(write(workdir, plain, spec), spec, f"{4 * rank}/{side}"))
+
+
+S3 = s3_group().to_dict()
+
+
+@st.composite
+def ball_jobs(draw):
+    """(spec, eps, max radius) of a ball search on F_1-F_3, Z/n, D_k or S_3.
+
+    A finite group's max radius is at most its order + 1: `plain.PlainGroup.ball`
+    runs every round asked of it, even after the ball has stopped growing. The
+    eps draws reach both outcomes: a free ball's ratio falls from 4k at r = 0
+    toward 4(k - 1), and a finite ball's is 0 once it is the whole group.
+    """
+    kind = draw(st.sampled_from(["free", "cyclic", "dihedral", "s3"]))
+    if kind == "free":
+        rank = draw(st.integers(1, 3))
+        spec, top = free_spec(rank), {1: 50, 2: 5, 3: 4}[rank]
+    else:
+        spec = S3 if kind == "s3" else finite_spec(*finite_table(draw, kind))
+        top = len(spec["table"]) + 1
+    eps = Fraction(draw(st.integers(1, 13)), draw(st.integers(1, 13)))
+    return spec, eps, draw(st.integers(0, top))
+
+
+@DRAWN
+@given(ball_jobs())
+@example((free_spec(1), Fraction(4, 101), 50))  # F_1 accepts B_50, its last radius
+@example((free_spec(2), Fraction(4), 5))  # F_2 stays above 4 on every ball
+@example((finite_spec(dihedral_table(6), [1, 6]), Fraction(1, 13), 3))  # D_6 short of its diameter 4
+@example((S3, Fraction(1, 13), 0))
+def test_folner_balls(bench, workdir, params):
+    """An exhausted search is judged by the validator; an accepted ball is recounted on its own."""
+    gen, plain, validate, _ = bench
+    spec, eps, top = params
+    eps_text = plain.frac_str(eps)
+    job = gen.cli_job(
+        "folner-balls-drawn",
+        ["folner", "--group", write(workdir, plain, spec), "--eps", eps_text, "--strategy", "balls",
+         "--max-radius", str(top)],
+        {"type": "folner-ball-failure", "group": spec, "eps": eps_text, "max": top, "rc": 2},
+    )
+    rc, text = run(job["argv"])
+    if rc == 2:
+        assert validate.check(job, rc, text) is None, (job["argv"], text[:300])
+        return
+    assert rc == 0, text
+    cert = json.loads(text)
+    group = plain.PlainGroup(spec)
+    radius = cert["parameter"]
+    validate.expect_group(cert, spec)
+    assert (cert["type"], cert["strategy"]) == ("folner-certificate", "balls") and 0 <= radius <= top
+    members = [group.parse(g) for g in cert["set"]]
+    assert len(members) == len(set(members)) == cert["set-size"]
+    assert set(members) == group.ball(radius)
+    counts, ratio = validate.folner_ratio(group, set(members))
+    assert cert["generator-differences"] == dict(zip(group.letter_labels, counts))
+    assert cert["ratio"] == plain.frac_str(ratio) and ratio <= eps
+    # the search stops at the first ball that meets eps
+    assert all(validate.folner_ratio(group, group.ball(r))[1] > eps for r in range(radius))
 
 
 C3 = {"family": "finite", "table": [[(i + j) % 3 for j in range(3)] for i in range(3)], "generators": [1]}

@@ -13,7 +13,7 @@ from amencert.complexes import (
     one_l1_cycle,
     one_lift_cochain,
 )
-from amencert.functions import delta
+from amencert.functions import FinSuppFn, delta
 from amencert.pairing import (
     adjointness_values,
     make_pairing_certificate,
@@ -25,8 +25,9 @@ from amencert.witnesses import FlowCycleSpec, flow_cycle
 
 def chain_sum(c1, c2):
     """c1 + c2 for l1 chains of one shape, built through the constructor from the summed slices."""
-    keys = c1.slice.keys() | c2.slice.keys()
-    return EquivariantChain(c1.group, c1.degree, KIND_L1, {k: c1.slice_value(k) + c2.slice_value(k) for k in keys})
+    keys, zero = c1.slice.keys() | c2.slice.keys(), FinSuppFn.zero(c1.group)
+    return EquivariantChain(c1.group, c1.degree, KIND_L1,
+                            {k: c1.slice.get(k, zero) + c2.slice.get(k, zero) for k in keys})
 
 
 class TestPair:
