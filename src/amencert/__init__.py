@@ -19,7 +19,7 @@ _EXPORTS = {
         "Element", "FiniteGroup", "FreeAbelianGroup", "FreeGroup", "GroupSpec",
         "cyclic_group", "cyclic_table", "group_from_dict", "load_group",
     ),
-    "functions": ("BoundedFn", "FinSuppFn", "TreeFlow", "delta", "pair_eval"),
+    "functions": ("BoundedFn", "FinSuppFn", "delta", "pair_eval", "tree_flow"),
     "complexes": (
         "KIND_L1", "KIND_LINF", "BoundedCochain", "EquivariantChain", "UfChain",
         "connecting_lift_check", "deflate", "fundamental_cycle", "inflate",

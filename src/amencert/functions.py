@@ -9,12 +9,13 @@ these values run on integers; a `Fraction` is formed only for a single
 number, such as `evaluate`'s value or a pairing. The bounded side is
 `BoundedFn`, one class holding one normal form: a constant plus a
 finitely supported part (either may be zero) plus rational multiples of
-translated leaves, such as the tree-flow indicator `TreeFlow` of the
-free-group witness, its one subclass. Terms with the same shift and leaf
-merge, so sums that cancel are structurally zero. Bounded functions are
-never truncated to vectors; pairings only ever evaluate them at the
-finitely many points of a summable support, so every number in the
-pipeline stays an exact rational.
+translated tree flows, the indicators of the free-group witness, each
+held as a plain (shift, edge, ray) term (`tree_flow` builds one). Terms
+with the same shift, edge and ray merge, so sums that cancel are
+structurally zero. Bounded functions are never truncated to vectors;
+pairings only ever evaluate them at the finitely many points of a
+summable support, so every number in the pipeline stays an exact
+rational.
 
 Each family has one n-ary sum, `combine`. Every operator on its values is
 one call of it, and so are the boundaries and coboundaries of `complexes`.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -244,8 +246,8 @@ def _add_terms(out: dict, terms: Iterable) -> dict:
 class _Linear:
     """translate, +, -, negation and scaling, each one call of the family's n-ary `combine`.
 
-    A family is the classes that share one static combine: `FinSuppFn`, or
-    `BoundedFn` and its subclasses. Any other operand gives NotImplemented.
+    A family is one class with its static combine: `FinSuppFn` or
+    `BoundedFn`. Any other operand gives NotImplemented.
     """
 
     __slots__ = ()
@@ -255,7 +257,7 @@ class _Linear:
         return self.combine(self.group, ((1, g, self),))
 
     def _sum(self, other, sign: int):
-        if getattr(type(other), "combine", None) is not self.combine:
+        if type(other) is not type(self):
             return NotImplemented
         if self.group != other.group:
             raise ValueError("cannot add functions over different groups")
@@ -406,19 +408,18 @@ def delta(group: GroupSpec, g: Element) -> FinSuppFn:
 
 
 class BoundedFn(_Linear):
-    """Bounded function on a group, in one normal form: const + fn + sum c * (shift . leaf).
+    """Bounded function on a group, in one normal form: const + fn + sum c * (shift . flow(edge, ray)).
 
     `const` is a Fraction, `fn` a `FinSuppFn` and `terms` a dict
-    {(shift, leaf): c} with no zero c; the constructor builds a value with
-    no terms, and only `combine` sets them. A leaf is a subclass that
-    evaluates itself (`TreeFlow`) to 0 or 1, an indicator, so `pair_eval`
-    sums integers against it. A leaf is its own one term (e, leaf) with
-    coefficient 1, so it must be hashable. `combine` is
-    the one sum, and every operator goes through it: equal terms merge, so
-    a sum that cancels term by term is structurally zero, and equality does
-    not depend on the order of the terms. The file formats hold every value
-    with no terms: the fundamental class is the constant 1, and inflated
-    uniformly finite chains are finitely supported.
+    {(shift, edge, ray): c} with no zero c, each key a translated tree flow
+    (`tree_flow`): an indicator, so `pair_eval` sums integers against it.
+    The constructor builds a value with no terms; `combine` and `tree_flow`
+    set them. `combine` is the one sum, and every operator goes through
+    it: equal terms merge, so a sum that cancels term by term is
+    structurally zero, and equality does not depend on the order of the
+    terms. The file formats hold every value with no terms and the
+    unshifted tree flow: the fundamental class is the constant 1, and
+    inflated uniformly finite chains are finitely supported.
     """
 
     __slots__ = ("group", "const", "fn", "terms")
@@ -432,32 +433,25 @@ class BoundedFn(_Linear):
     @staticmethod
     def combine(group: GroupSpec, terms: Sequence) -> "BoundedFn":
         """sum c * (g . v) over the terms (c, g, v), g None for no shift: the constants, the finite
-        parts (by `FinSuppFn.combine`) and the (shift, leaf) terms are each summed once; a shift g
-        moves a term's shift s to g s and fixes a constant. A lone term (1, None, v) is v itself,
-        and a sum whose only part is (e, leaf) with coefficient 1 is that leaf."""
+        parts (by `FinSuppFn.combine`) and the (shift, edge, ray) terms are each summed once; a shift
+        g moves a term's shift s to g s and fixes a constant. A lone term (1, None, v) is v itself."""
         if len(terms) == 1 and terms[0][:2] == (1, None):
             return terms[0][2]
         terms = [term for term in terms if term[0]]
         const = sum((c * v.const for c, _, v in terms if v.const), _ZERO)
-        fn = FinSuppFn.combine(group, [(c, g, v.fn) for c, g, v in terms])
-        leaves = _add_terms({}, (
-            ((s if g is None else group.mul(g, s), leaf), c * ci)
-            for c, g, v in terms for (s, leaf), ci in v.terms.items()
+        value = BoundedFn(group, const, FinSuppFn.combine(group, [(c, g, v.fn) for c, g, v in terms]))
+        value.terms = _add_terms({}, (
+            ((s if g is None else group.mul(g, s), edge, ray), c * ci)
+            for c, g, v in terms for (s, edge, ray), ci in v.terms.items()
         ))
-        if len(leaves) == 1 and not const and not fn:
-            ((shift, leaf), c), = leaves.items()
-            if c == 1 and shift == group.identity:
-                return leaf
-        value = BoundedFn(group, const, fn)
-        value.terms = leaves
         return value
 
     def evaluate(self, g: Element) -> Fraction:
         value = self.const + self.fn.evaluate(g)
         if self.terms:
             group = self.group
-            value += sum((c * leaf.evaluate(group.mul(group.inv(s), g)) for (s, leaf), c in self.terms.items()),
-                         Fraction(0))
+            value += sum((c for (s, edge, ray), c in self.terms.items()
+                          if ray_first_letter(group.mul(group.inv(s), g), ray) == edge), _ZERO)
         return value
 
     @property
@@ -479,13 +473,19 @@ class BoundedFn(_Linear):
 
     def __repr__(self):
         word = self.group.elem_to_str
-        terms = "".join(f", {c} * {word(s)}.{leaf!r}" for (s, leaf), c in self.terms.items())
+        terms = "".join(f", {c} * {word(s)}.flow({word((edge,))}, {word((ray,))})"
+                        for (s, edge, ray), c in self.terms.items())
         return f"BoundedFn({self.const}, {self.fn!r}{terms})"
 
     def to_json(self) -> dict:
-        """The shortest of the three serialized forms that holds a value with no terms."""
+        """The shortest of the three serialized forms that holds a value with no terms, or the
+        tree-flow form of a value that is exactly one unit unshifted tree flow."""
         if self.terms:
-            raise ValueError("a bounded value with tree-flow terms has no serialized form")
+            (s, edge, ray), c = next(iter(self.terms.items()))
+            if len(self.terms) > 1 or c != 1 or s != self.group.identity or self.const or self.fn:
+                raise ValueError("a bounded value with tree-flow terms has no serialized form")
+            word = self.group.elem_to_str  # each letter as a one-letter word: "b^-1", "a"
+            return {"tree-flow": {"edge": word((edge,)), "ray": word((ray,))}}
         if self.fn.is_zero:
             return {"constant": frac_str(self.const)}
         if not self.const:
@@ -493,66 +493,27 @@ class BoundedFn(_Linear):
         return {"constant-plus-finite": {"constant": frac_str(self.const), "finite": self.fn.to_pairs()}}
 
 
-class TreeFlow(BoundedFn):
+def tree_flow(group: FreeGroup, edge: int, ray: int) -> BoundedFn:
     """Indicator that a fixed edge at the identity starts the geodesic to gp.
 
     Defined over a free group with a boundary point p given by an
-    eventually-constant generator ray. evaluate(g) is 1 exactly when the
+    eventually-constant generator ray: the value at g is 1 exactly when the
     first letter of the reduced infinite word g * ray^infinity equals the
-    edge letter, else 0. A leaf of the normal form: a zero constant and
-    finite part, and itself as its one term (`terms`).
+    edge letter, else 0. Its one term is (e, edge, ray) with coefficient 1.
     """
-
-    __slots__ = ("edge", "ray")
-
-    def __init__(self, group: FreeGroup, edge: int, ray: int):
-        if not isinstance(group, FreeGroup):
-            raise ValueError("tree flows are only defined over free groups")
-        if type(edge) is not int:
-            raise ValueError(f"edge letter must be an integer, got {edge!r}")
-        if type(ray) is not int:
-            raise ValueError(f"ray letter must be an integer, got {ray!r}")
-        if edge == 0 or abs(edge) > group.rank:
-            raise ValueError(f"edge letter {edge} out of range")
-        if not 1 <= ray <= group.rank:
-            raise ValueError(f"ray letter {ray} must be a positive generator index")
-        self.group = group
-        self.const = _ZERO
-        self.fn = FinSuppFn.zero(group)
-        self.edge = edge
-        self.ray = ray
-
-    @property
-    def terms(self) -> dict:
-        """The leaf's one term, built on each read: a stored dict holding the leaf itself would make
-        every leaf a reference cycle, alive with its group until the cyclic collector runs."""
-        return {(self.group.identity, self): _ONE}
-
-    def evaluate(self, g):
-        return _ONE if ray_first_letter(g, self.ray) == self.edge else _ZERO
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TreeFlow)
-            and self.group == other.group
-            and self.edge == other.edge
-            and self.ray == other.ray
-        )
-
-    def __hash__(self):
-        return hash((self.edge, self.ray))
-
-    def _labels(self) -> tuple[str, str]:
-        """The edge and ray letters as the group writes one-letter words: ("b^-1", "a")."""
-        word = self.group.elem_to_str
-        return word((self.edge,)), word((self.ray,))
-
-    def __repr__(self):
-        return "TreeFlow(edge={}, ray={})".format(*self._labels())
-
-    def to_json(self):
-        edge, ray = self._labels()
-        return {"tree-flow": {"edge": edge, "ray": ray}}
+    if not isinstance(group, FreeGroup):
+        raise ValueError("tree flows are only defined over free groups")
+    if type(edge) is not int:
+        raise ValueError(f"edge letter must be an integer, got {edge!r}")
+    if type(ray) is not int:
+        raise ValueError(f"ray letter must be an integer, got {ray!r}")
+    if edge == 0 or abs(edge) > group.rank:
+        raise ValueError(f"edge letter {edge} out of range")
+    if not 1 <= ray <= group.rank:
+        raise ValueError(f"ray letter {ray} must be a positive generator index")
+    value = BoundedFn(group)
+    value.terms = {(group.identity, edge, ray): _ONE}
+    return value
 
 
 def ray_first_letter(word: tuple[int, ...], ray: int) -> int:
@@ -590,7 +551,7 @@ def bounded_from_json(group: GroupSpec, data: dict, ratios: dict | None = None) 
         ray_word = group.elem_from_str(json_field(payload, "ray", str, kind))
         if len(edge_word) != 1 or len(ray_word) != 1 or ray_word[0] < 0:
             raise ValueError("tree-flow edge/ray must be single letters (ray positive)")
-        return TreeFlow(group, edge_word[0], ray_word[0])
+        return tree_flow(group, edge_word[0], ray_word[0])
     raise ValueError(f"unknown bounded-function kind {kind!r}")
 
 
@@ -602,9 +563,9 @@ def pair_eval(phi: FinSuppFn, v: FinSuppFn | BoundedFn) -> Fraction:
 
     With phi = n / D and a finite part m / E, the finite part gives the
     integer dot product of n and m over D E; a constant c gives c sum(n) / D;
-    a term c (s . leaf) gives c / D times the sum of n(g) over the g in
-    supp(phi) where the leaf, an indicator, is 1 at s^-1 g. So each nonzero
-    part forms one Fraction.
+    a term c (s . flow(edge, ray)) gives c / D times the sum of n(g) over
+    the g in supp(phi) where the ray head of s^-1 g (`ray_first_letter`) is
+    the edge. So each nonzero part forms one Fraction.
     """
     if phi.group != v.group:
         raise ValueError("pairing requires functions over the same group")
@@ -618,9 +579,9 @@ def pair_eval(phi: FinSuppFn, v: FinSuppFn | BoundedFn) -> Fraction:
     parts = [(v.const, sum(nums.values()))] if v.const else []
     if v.terms:
         group = v.group
-        for (s, leaf), c in v.terms.items():
-            hits = map(leaf.evaluate, group.left_translates(group.inv(s), nums))
-            parts.append((c, sum(n for n, hit in zip(nums.values(), hits) if hit)))
+        for (s, edge, ray), c in v.terms.items():
+            heads = map(ray_first_letter, group.left_translates(group.inv(s), nums), repeat(ray))
+            parts.append((c, sum(n for n, head in zip(nums.values(), heads) if head == edge)))
     for c, acc in parts:
         if acc:
             total += Fraction(c.numerator * acc, c.denominator * den)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .complexes import (
     DUAL_FULL, KIND_L1, KIND_LINF, BoundedCochain, EquivariantChain, UfChain, connecting_lift_check, deflate, inflate
 )
-from .functions import BoundedFn, FinSuppFn, TreeFlow
+from .functions import BoundedFn, FinSuppFn, tree_flow
 from .groups import Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec, cyclic_group
 from .pairing import adjointness_values
 
@@ -49,14 +49,14 @@ def random_finsupp(rng: random.Random, group: GroupSpec, max_len: int = 3) -> Fi
 
 def random_boundedfn(rng: random.Random, group: GroupSpec, max_len: int = 3) -> BoundedFn:
     """A constant (shape 0), a finite part (shape 1) or both (shape 2); on a
-    free group, half the draws add a tree flow term c (s . TreeFlow(edge, ray))."""
+    free group, half the draws add a tree flow term c (s . tree_flow(edge, ray))."""
     shape = rng.randrange(3)
     const = 0 if shape == 1 else random_fraction(rng, allow_zero=shape == 0)
     fn = FinSuppFn.zero(group) if shape == 0 else random_finsupp(rng, group, max_len=max_len)
     value = BoundedFn(group, const, fn)
     if isinstance(group, FreeGroup) and rng.randrange(2):
         edge = rng.choice([s for s in range(-group.rank, group.rank + 1) if s])
-        flow = TreeFlow(group, edge, rng.randint(1, group.rank)).translate(random_element(rng, group, max_len))
+        flow = tree_flow(group, edge, rng.randint(1, group.rank)).translate(random_element(rng, group, max_len))
         value += flow * random_fraction(rng)
     return value
 

@@ -27,7 +27,7 @@ from operator import add, eq
 from typing import Callable, NamedTuple
 
 from .complexes import KIND_LINF, EquivariantChain, johnson_cocycle, one_lift_cochain
-from .functions import TreeFlow, ray_first_letter
+from .functions import ray_first_letter, tree_flow
 from .groups import Element, FreeGroup, _check_radius, _check_rank, free_ball_size
 from .pairing import PairingCertificate, make_pairing_certificate
 
@@ -53,7 +53,7 @@ class FlowCycleSpec:
 def flow_value(fs: FlowCycleSpec, s: int, g: Element) -> int:
     """1 when the edge from e labelled s starts the geodesic from e to g.p.
 
-    g must be a reduced word of `fs.group`, as `TreeFlow.evaluate` assumes;
+    g must be a reduced word of `fs.group`, as `ray_first_letter` assumes;
     it is not re-validated here. Words from outside go through
     `fs.group.check` first. This is the per-edge oracle for outside callers
     and for oracles handed to `verify_flow_cycle`; its default sweep reads
@@ -70,7 +70,7 @@ def flow_value(fs: FlowCycleSpec, s: int, g: Element) -> int:
 def flow_cycle(fs: FlowCycleSpec) -> EquivariantChain:
     """Degree-1 bounded chain with one tree-flow value per edge letter."""
     group = fs.group
-    entries = {(word,): TreeFlow(group, word[0], fs.ray) for _, word in group.letters()}
+    entries = {(word,): tree_flow(group, word[0], fs.ray) for _, word in group.letters()}
     return EquivariantChain(group, 1, KIND_LINF, entries)
 
 

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from amencert import groups
 from amencert.cli import _dumps, main
-from amencert.groups import cyclic_table
+from amencert.complexes import EquivariantChain
+from amencert.groups import FreeGroup, cyclic_table
+from amencert.witnesses import FlowCycleSpec, flow_cycle
 from conftest import dihedral_table, s3_group
 
 
@@ -106,6 +108,20 @@ class TestPair:
         assert code == 0
         assert payload["value"] == "2/1"
         assert payload["cycle"] == "tree-flow(a)"
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_flow_cycle_through_a_cycle_file(self, capsys, tmp_path, rank):
+        # the file reader's tree-flow route: each value of the written cycle is one unshifted tree flow
+        group = FreeGroup(rank)
+        cochain = write_json(tmp_path / "j.json", {"builtin": "johnson", "group": group.to_dict()})
+        for ray in range(1, rank + 1):
+            fs = FlowCycleSpec(group, ray)
+            data = flow_cycle(fs).to_json()
+            assert EquivariantChain.from_json(data) == flow_cycle(fs)
+            code, out = run_cli(capsys, "pair", "--cochain", cochain, "--cycle", write_json(tmp_path / "c.json", data))
+            payload = json.loads(out)
+            assert code == 0
+            assert (payload["value"], payload["cycle"]) == (f"{2 * rank - 2}/1", "cycle-file")
 
     def test_bad_ray_same_error_as_verify_f2(self, capsys, tmp_path, f2_dict):
         cochain = write_json(tmp_path / "j.json", {"builtin": "johnson", "group": f2_dict})
@@ -534,6 +550,15 @@ F2 = {"family": "free", "rank": 2, "generators": ["a", "b"]}
 COCHAIN = {"group": F2, "degree": 1, "dual": "full-dual", "entries": [[["a"], [["e", "2/1"]]]]}
 L1_CYCLE = {"group": F2, "degree": 1, "kind": "l1", "entries": [[["a"], {"l1": [["e", "3/1"]]}]]}
 FUNDAMENTAL = {"builtin": "fundamental", "group": F2}
+Z2 = {"family": "free-abelian", "rank": 2, "generators": ["a", "b"]}
+SINGLE_LETTERS = "tree-flow edge/ray must be single letters (ray positive)"
+
+
+def flow_file(edge, ray, group=F2, key="a"):
+    """A linf cycle file whose one value is the tree-flow form, as the file reader's tree-flow route reads it."""
+    return {"group": group, "degree": 1, "kind": "linf",
+            "entries": [[[key], {"tree-flow": {"edge": edge, "ray": ray}}]]}
+
 
 # name: (cochain file, cycle file, a fragment the one-line error must hold)
 MALFORMED_PAIR_FILES = {
@@ -551,6 +576,12 @@ MALFORMED_PAIR_FILES = {
     "float-degree": ({**COCHAIN, "degree": 0.7, "entries": []}, FUNDAMENTAL, "'degree'"),
     "string-degree": (COCHAIN, {**L1_CYCLE, "degree": "1"}, "'degree'"),
     "one-item-pair": ({**COCHAIN, "entries": [[["a"], [["a"]]]]}, L1_CYCLE, "[key, value] pair"),
+    "tree-flow-edge-e": (COCHAIN, flow_file("e", "a"), SINGLE_LETTERS),
+    "tree-flow-edge-a^2": (COCHAIN, flow_file("a^2", "a"), SINGLE_LETTERS),
+    "tree-flow-ray-a^-1": (COCHAIN, flow_file("a", "a^-1"), SINGLE_LETTERS),
+    "tree-flow-edge-c": (COCHAIN, flow_file("c", "a"), "unknown generator 'c'"),
+    "tree-flow-ray-c": (COCHAIN, flow_file("a", "c"), "unknown generator 'c'"),
+    "tree-flow-over-z2": (COCHAIN, flow_file("a", "a", Z2, [1, 0]), "tree-flow values require a free group"),
 }
 
 
@@ -614,7 +645,7 @@ def command_argv(command, tmp_path, f2_dict):
 PUBLIC = {
     "groups": ["Element", "FiniteGroup", "FreeAbelianGroup", "FreeGroup", "GroupSpec", "cyclic_group",
                "cyclic_table", "group_from_dict", "load_group"],
-    "functions": ["BoundedFn", "FinSuppFn", "TreeFlow", "delta", "pair_eval"],
+    "functions": ["BoundedFn", "FinSuppFn", "delta", "pair_eval", "tree_flow"],
     "complexes": ["KIND_L1", "KIND_LINF", "BoundedCochain", "EquivariantChain", "UfChain", "connecting_lift_check",
                   "deflate", "fundamental_cycle", "inflate", "johnson_cocycle", "one_cochain", "one_l1_cycle",
                   "one_lift_cochain"],

@@ -19,7 +19,7 @@ from amencert.complexes import (
     johnson_cocycle,
     one_lift_cochain,
 )
-from amencert.functions import BoundedFn, FinSuppFn, TreeFlow, delta
+from amencert.functions import BoundedFn, FinSuppFn, delta, tree_flow
 from amencert.groups import FreeAbelianGroup
 from amencert.sampling import (
     random_cochain,
@@ -113,11 +113,11 @@ class TestL1Boundary:
                     assert value.evaluate(random_element(rng, f2)) == 0
 
     def test_tree_flow_boundary_squared_is_structurally_zero(self, f2):
-        # terms with one shift and one leaf merge, so the faces cancel term by term
+        # terms with one shift, edge and ray merge, so the faces cancel term by term
         a, b = f2.gens[0], f2.gens[1]
         chain = EquivariantChain(f2, 2, KIND_LINF, {
-            (a, b): TreeFlow(f2, 1, 1),
-            (f2.inv(b), f2.mul(a, a)): TreeFlow(f2, -2, 1).translate(a) + BoundedFn(f2, 3),
+            (a, b): tree_flow(f2, 1, 1),
+            (f2.inv(b), f2.mul(a, a)): tree_flow(f2, -2, 1).translate(a) + BoundedFn(f2, 3),
         })
         assert chain.boundary().boundary().is_zero
 

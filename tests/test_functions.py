@@ -10,13 +10,13 @@ from amencert import functions
 from amencert.functions import (
     BoundedFn,
     FinSuppFn,
-    TreeFlow,
     bounded_from_json,
     delta,
     frac_str,
     pair_eval,
     parse_frac,
     ray_first_letter,
+    tree_flow,
 )
 from amencert.complexes import UfChain
 from amencert.groups import FreeAbelianGroup, FreeGroup, cyclic_group
@@ -125,7 +125,7 @@ class TestConstruction:
             lambda g, c: FinSuppFn(g, {(): c}),
             lambda g, c: UfChain(g, 0, {((),): c}),
             lambda g, c: BoundedFn(g, c),
-            lambda g, c: TreeFlow(g, 1, 1) * c,
+            lambda g, c: tree_flow(g, 1, 1) * c,
         ],
         ids=["FinSuppFn", "UfChain", "BoundedFn", "BoundedFn.__mul__"],
     )
@@ -151,13 +151,29 @@ class TestBoundedFn:
     def test_tree_flow_translate_composition(self, f2):
         # moving the flow by a and evaluating at a^2 is evaluating the
         # original flow at a; the direct geodesic computation gives 1.
-        flow = TreeFlow(f2, 1, 1)
+        flow = tree_flow(f2, 1, 1)
         shifted = flow.translate(f2.gens[0])
         assert shifted.evaluate(f2.elem_from_str("a^2")) == flow.evaluate(f2.gens[0]) == 1
 
-    def test_tree_flow_requires_free_group(self, z2):
-        with pytest.raises(ValueError):
-            TreeFlow(z2, 1, 1)
+    def test_tree_flow_requires_free_group(self, z2, z3):
+        # the group is checked first, so letters that would be out of range are never read
+        for group in (z2, z3):
+            with pytest.raises(ValueError) as err:
+                tree_flow(group, 0, 0)
+            assert str(err.value) == "tree flows are only defined over free groups"
+
+    @pytest.mark.parametrize("edge, ray, error", [
+        (0, 1, "edge letter 0 out of range"),
+        (3, 1, "edge letter 3 out of range"),
+        (-3, 1, "edge letter -3 out of range"),
+        (1, 0, "ray letter 0 must be a positive generator index"),
+        (1, -1, "ray letter -1 must be a positive generator index"),
+        (1, 3, "ray letter 3 must be a positive generator index"),
+    ])
+    def test_tree_flow_letter_ranges(self, f2, edge, ray, error):
+        with pytest.raises(ValueError) as err:
+            tree_flow(f2, edge, ray)
+        assert str(err.value) == error
 
     @pytest.mark.parametrize(
         "edge, ray, which",
@@ -166,12 +182,12 @@ class TestBoundedFn:
     def test_tree_flow_letters_are_exact_ints(self, f2, edge, ray, which):
         # a bool would be read as letter 1 and a float would break repr/to_json
         with pytest.raises(ValueError, match=f"^{which} letter must be an integer") as err:
-            TreeFlow(f2, edge, ray)
+            tree_flow(f2, edge, ray)
         assert "\n" not in str(err.value)
 
     def test_tree_flow_labels(self, f2):
-        flow = TreeFlow(f2, -2, 1)
-        assert repr(flow) == "TreeFlow(edge=b^-1, ray=a)"
+        flow = tree_flow(f2, -2, 1)
+        assert repr(flow) == "BoundedFn(0, FinSuppFn({}), 1 * e.flow(b^-1, a))"
         assert flow.to_json() == {"tree-flow": {"edge": "b^-1", "ray": "a"}}
         assert bounded_from_json(f2, flow.to_json()) == flow
 
@@ -191,7 +207,7 @@ class TestBoundedFn:
         assert (s - s).is_zero
 
     def test_combination_and_translate_evaluate(self, f2, rng):
-        flow = TreeFlow(f2, 2, 1)
+        flow = tree_flow(f2, 2, 1)
         g = random_element(rng, f2)
         v = flow + BoundedFn(f2, 1)
         w = v.translate(g)
@@ -208,46 +224,40 @@ class TestBoundedFn:
             BoundedFn(f2, Fraction(-2, 3)),
             BoundedFn(f2, 0, delta(f2, f2.gens[1])),
             BoundedFn(f2, 1, delta(f2, f2.identity)),
-            TreeFlow(f2, -2, 1),
+            tree_flow(f2, -2, 1),
         ]
         for v in values:
             w = bounded_from_json(f2, v.to_json())
             assert w == v
 
     def test_parts(self, f2):
-        flow = TreeFlow(f2, 1, 1)
-        assert (flow.const, flow.fn, flow.terms) == (0, FinSuppFn.zero(f2), {(f2.identity, flow): 1})
+        flow = tree_flow(f2, 1, 1)
+        assert (flow.const, flow.fn, flow.terms) == (0, FinSuppFn.zero(f2), {(f2.identity, 1, 1): 1})
         c = BoundedFn(f2, 2, delta(f2, f2.gens[0]))
         assert (c.const, c.fn, c.terms) == (2, delta(f2, f2.gens[0]), {})
 
-    def test_lone_leaf_is_itself(self, f2):
-        flow = TreeFlow(f2, 1, 1)
-        assert flow.translate(f2.identity) is flow
-        assert flow - BoundedFn(f2, 0) is flow
-        assert flow.translate(f2.gens[0]).translate(f2.inv(f2.gens[0])) is flow
-
     def test_cancelled_sum_is_structurally_zero(self, f2):
-        t = TreeFlow(f2, 1, 1)
+        t = tree_flow(f2, 1, 1)
         assert not t - t
         assert t - t == BoundedFn(f2, 0)
         v = 2 * t.translate(f2.gens[1]) + BoundedFn(f2, 1, delta(f2, f2.gens[0]))
         assert (v - v).is_zero
 
     def test_sum_does_not_depend_on_term_order(self, f2):
-        t = TreeFlow(f2, 1, 1)
+        t = tree_flow(f2, 1, 1)
         a = f2.gens[0]
         assert t.translate(a) + t == t + t.translate(a)
 
     def test_combination_translate_is_action(self, f2, rng):
         a = f2.gens[0]
-        v = TreeFlow(f2, -2, 1).translate(a) - 3 * TreeFlow(f2, 1, 2) + BoundedFn(f2, 1, delta(f2, a))
+        v = tree_flow(f2, -2, 1).translate(a) - 3 * tree_flow(f2, 1, 2) + BoundedFn(f2, 1, delta(f2, a))
         for _ in range(20):
             g, h = random_element(rng, f2), random_element(rng, f2)
             assert v.translate(g).translate(h) == v.translate(f2.mul(h, g))
 
     def test_combination_evaluate_sums_its_terms(self, f2):
         a, b = f2.gens[0], f2.gens[1]
-        t, u = TreeFlow(f2, -2, 1), TreeFlow(f2, 1, 2)
+        t, u = tree_flow(f2, -2, 1), tree_flow(f2, 1, 2)
         v = Fraction(2, 3) * t.translate(a) + u - BoundedFn(f2, 4, delta(f2, b))
         assert type(v) is BoundedFn and len(v.terms) == 2
         for x in f2.ball(3):
@@ -255,7 +265,7 @@ class TestBoundedFn:
             assert v.evaluate(x) == expected
 
     def test_oracle_variants_not_serializable(self, f2):
-        v = TreeFlow(f2, 1, 1).translate(f2.gens[0])
+        v = tree_flow(f2, 1, 1).translate(f2.gens[0])
         with pytest.raises(ValueError):
             v.to_json()
 
@@ -278,7 +288,7 @@ def bounded_values(draw, count):
         finite = FinSuppFn(group, draw(st.lists(st.tuples(near, small_rationals), max_size=2)))
         v = BoundedFn(group, draw(small_rationals), finite)
         for _ in range(draw(st.integers(0, 3))):
-            flow = TreeFlow(group, draw(st.sampled_from(letters)), draw(st.integers(1, group.rank)))
+            flow = tree_flow(group, draw(st.sampled_from(letters)), draw(st.integers(1, group.rank)))
             v = v + draw(small_rationals) * flow.translate(draw(near))
         values.append(v)
     return group, draw(st.sampled_from(group.ball(2))), draw(small_rationals), values
@@ -316,12 +326,12 @@ class TestNormalForm:
 
     @staticmethod
     def results(drawn):
-        """The values each operation returns on the drawn pair, with a leaf added and taken away again."""
+        """The values each operation returns on the drawn pair, with a tree flow added and taken away again."""
         group, g, c, (u, v) = drawn
-        leaf = TreeFlow(group, 1, 1)
+        flow = tree_flow(group, 1, 1)
         return [
-            u, u + v, u - v, c * u, -v, u.translate(g), u - u, (u + leaf) - u,
-            leaf.translate(g).translate(group.inv(g)),
+            u, u + v, u - v, c * u, -v, u.translate(g), u - u, (u + flow) - u,
+            flow.translate(g).translate(group.inv(g)),
             BoundedFn.combine(group, [(c, g, u), (1, None, v), (-c, g, u)]),
         ]
 
@@ -333,22 +343,15 @@ class TestNormalForm:
 
     @_settings
     @given(bounded_values(2))
-    def test_a_lone_unshifted_leaf_is_the_leaf(self, drawn):
-        group = drawn[0]
-        for w in self.results(drawn):
-            if not w.const and not w.fn and len(w.terms) == 1:
-                ((shift, leaf), coeff), = w.terms.items()
-                if shift == group.identity and coeff == 1:
-                    assert w is leaf
-
-    @_settings
-    @given(bounded_values(2))
     def test_only_term_free_values_and_leaves_serialize(self, drawn):
         group = drawn[0]
         for w in self.results(drawn):
-            if not w.terms:
+            # a lone flow is one unit unshifted term: (e, edge, ray) with coefficient 1
+            shifts = [(s, c) for (s, _, _), c in w.terms.items()]
+            lone_flow = not w.const and not w.fn and shifts == [(group.identity, 1)]
+            if not w.terms or lone_flow:
                 assert bounded_from_json(group, w.to_json()) == w
-            elif type(w) is not TreeFlow:
+            else:
                 with pytest.raises(ValueError, match="no serialized form"):
                     w.to_json()
 
@@ -413,7 +416,7 @@ class TestPairEval:
 
     def test_flow_term(self, f2):
         phi = delta(f2, f2.gens[1]) - delta(f2, f2.identity)
-        assert pair_eval(phi, TreeFlow(f2, 2, 1)) == 1
+        assert pair_eval(phi, tree_flow(f2, 2, 1)) == 1
 
     def test_bilinear(self, all_groups, rng):
         for group in all_groups:

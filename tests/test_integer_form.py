@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from amencert.amenability import indicator
 from amencert.complexes import KIND_L1, KIND_LINF, EquivariantChain, UfChain, deflate, inflate
-from amencert.functions import MAX_RATIONAL_DIGITS, BoundedFn, FinSuppFn, TreeFlow, delta, frac_str, pair_eval
+from amencert.functions import MAX_RATIONAL_DIGITS, BoundedFn, FinSuppFn, delta, frac_str, pair_eval, tree_flow
 from amencert.groups import FreeAbelianGroup, FreeGroup, cyclic_group
 from amencert.witnesses import FlowCycleSpec, flow_pairing_certificate
 
@@ -172,8 +172,8 @@ class TestFractionOracle:
         const = data.draw(rationals)
         assert pair_eval(phi, f) == sum((c * f.evaluate(g) for g, c in phi.items()), Fraction(0))
         v = BoundedFn(group, const, f)
-        if isinstance(group, FreeGroup):  # a leaf term takes the indicator route
-            flow = TreeFlow(group, data.draw(st.sampled_from([1, -1, 2, -2])), data.draw(st.sampled_from([1, 2])))
+        if isinstance(group, FreeGroup):  # a tree-flow term takes the indicator route
+            flow = tree_flow(group, data.draw(st.sampled_from([1, -1, 2, -2])), data.draw(st.sampled_from([1, 2])))
             v = v + data.draw(rationals) * flow.translate(data.draw(near))
         assert pair_eval(phi, v) == sum((c * v.evaluate(g) for g, c in phi.items()), Fraction(0))
 
@@ -259,7 +259,7 @@ class TestDenominatorGuard:
 
 
 def test_flow_pairing_certificate_leaves_no_reference_cycle():
-    """A tree-flow leaf is its own term without holding itself, so it and its group go by reference count."""
+    """A tree flow is a plain (shift, edge, ray) term, so it and its group go by reference count."""
     flow_pairing_certificate(FlowCycleSpec(FreeGroup(2), 1))
     gc.collect()
     gc.disable()
