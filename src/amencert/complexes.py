@@ -404,7 +404,7 @@ class UfChain:
             data, "uniformly finite chain", lambda group, c, ratios: parse_once(ratios, c))
         bound = json_field(data, "diameter-bound", int, "uniformly finite chain", None)
         return cls._raw(group, degree, *cls._checked(group, degree, bound, lambda length: _integer_form(
-            (_tuple_key(group, key, length), p, q) for key, (p, q) in coeffs)))
+            (_tuple_key(group, key, length), c) for key, c in coeffs)))
 
 
 # -- complex-level operations -------------------------------------------------

@@ -21,8 +21,9 @@ Each family has one n-ary sum, `combine`. Every operator on its values is
 one call of it, and so are the boundaries and coboundaries of `complexes`.
 `FinSuppFn.combine` adds integer numerators by `_lcm_sum`, which builds
 and checks the lcm of the denominators before it scales any numerator;
-the file reader does the same in two passes, and `complexes.deflate`,
-whose keys never meet, writes each scaled numerator once.
+the file reader does the same in two passes, each distinct coefficient
+reduced and scaled once, and `complexes.deflate`, whose keys never meet,
+writes each scaled numerator once.
 
 Translation is the left action (g.f)(h) = f(g^-1 h) throughout.
 """
@@ -198,29 +199,52 @@ def _lcm_sum(parts: Sequence) -> tuple[int, dict]:
 
 
 def _integer_form(terms: Iterable) -> tuple[int, dict]:
-    """The canonical (D, nums) of the sum of the terms (key, p, q), q > 0, in two passes.
+    """The canonical (D, nums) of the sum of the terms (key, (p, q)), q > 0, in two passes, each
+    distinct coefficient (p, q) reduced and scaled once.
 
-    The first pass reads the terms and builds D, the lcm of their reduced
-    denominators: a p/q whose q divides D so far is kept as it is, and any
-    other is reduced first; if q still does not divide D, D grows to
-    lcm(D, q), checked by `_check_den`. The second scales each numerator
-    once, by D / q, into the sum; a key whose sum reaches zero is removed,
-    and `_reduced` divides out what cancellation leaves.
+    Write p'/q' for p/q in lowest terms. The first pass reads and keeps the
+    terms in order, and folds the first occurrence of each coefficient
+    into D, entering it in a table of the call: a q that divides D so far
+    leaves D as it is, and any other is reduced first; if q' still does
+    not divide D, D grows to lcm(D, q'), checked by `_check_den` at that
+    term. A repeated coefficient could not grow D, as its q' already
+    divides it, so D and the term at which the check fires are those of a
+    fold over every term. The second pass scales each distinct coefficient
+    once, to the integer p D / q = p' (D / q'), and maps each key to its
+    coefficient's numerator.
+
+    The result is canonical. D is the lcm of the q', and each numerator is
+    D times its value. With distinct keys and no zero coefficient, the map
+    holds no zero, and each value is one p'/q'. A prime power r^a that
+    exactly divides D then exactly divides some q', whose numerator
+    p' (D / q') is prime to r, as r does not divide p'; so gcd(D, *nums) is
+    1. A repeated key or a zero coefficient instead sums the terms by
+    `_add_terms`, which drops the keys whose sum reaches zero, and
+    `_reduced` divides out what cancellation leaves.
     """
-    den, read = 1, []
-    for key, p, q in terms:
-        if den % q:
-            g = gcd(p, q)
-            p, q = p // g, q // g
+    den, scale, read = 1, {}, []
+    for term in terms:
+        c = term[1]
+        if c not in scale:
+            scale[c] = None
+            p, q = c
             if den % q:
-                den = _check_den(den * (q // gcd(den, q)))
-        read.append((key, p, q))
-    return _reduced(den, _add_terms({}, ((key, p * (den // q)) for key, p, q in read)))
+                g = gcd(p, q)
+                p, q = p // g, q // g
+                if den % q:
+                    den = _check_den(den * (q // gcd(den, q)))
+        read.append(term)
+    for c in scale:
+        scale[c] = c[0] * den // c[1]
+    nums = {key: scale[c] for key, c in read}
+    if len(nums) == len(read) and all(scale.values()):
+        return den, nums
+    return _reduced(den, _add_terms({}, ((key, scale[c]) for key, c in read)))
 
 
 def _rational_form(terms: Iterable) -> tuple[int, dict]:
     """`_integer_form` of (key, c) terms, each c an int or a Fraction (`frac` refuses the rest)."""
-    return _integer_form((key, q.numerator, q.denominator) for key, q in ((k, frac(c)) for k, c in terms))
+    return _integer_form((key, (q.numerator, q.denominator)) for key, q in ((k, frac(c)) for k, c in terms))
 
 
 def _add_terms(out: dict, terms: Iterable) -> dict:
@@ -390,12 +414,14 @@ class FinSuppFn(_Linear):
     @classmethod
     def from_pairs(cls, group: GroupSpec, pairs: list, ratios: dict | None = None) -> "FinSuppFn":
         """The function a file's [element, "p/q"] pairs name; repeated elements sum. Each pair is
-        read straight into integers and summed as it is read (`_integer_form`); the readers return
-        checked elements, so nothing is checked twice. Each distinct "p/q" string is parsed once,
-        through `ratios`: the table of the file being read (`parse_once`), or a new one."""
+        read straight into integers, with no Fraction, by `_integer_form`: each distinct coefficient
+        reduced and scaled once, and the result canonical by the proof in its docstring. The readers
+        return checked elements, so nothing is checked twice. Each distinct "p/q" string is parsed
+        once, through `ratios`: the table of the file being read (`parse_once`), or a new one. The
+        pairs are read in order, and the first bad one is named: its element, then its coefficient,
+        then the common denominator past the digit limit."""
         ratios = {} if ratios is None else ratios
-        terms = ((group.elem_from_json(e), *parse_once(ratios, c))
-                 for e, c in json_pairs(pairs, "function"))
+        terms = ((group.elem_from_json(e), parse_once(ratios, c)) for e, c in json_pairs(pairs, "function"))
         return cls._raw(group, *_integer_form(terms))
 
 
@@ -547,10 +573,12 @@ def bounded_from_json(group: GroupSpec, data: dict, ratios: dict | None = None) 
     if kind == "tree-flow":
         if not isinstance(group, FreeGroup):
             raise ValueError("tree-flow values require a free group")
-        edge_word = group.elem_from_str(json_field(payload, "edge", str, kind))
-        ray_word = group.elem_from_str(json_field(payload, "ray", str, kind))
-        if len(edge_word) != 1 or len(ray_word) != 1 or ray_word[0] < 0:
-            raise ValueError("tree-flow edge/ray must be single letters (ray positive)")
+        edge, ray = json_field(payload, "edge", str, kind), json_field(payload, "ray", str, kind)
+        edge_word, ray_word = group.elem_from_str(edge), group.elem_from_str(ray)
+        if len(edge_word) != 1:
+            raise ValueError(f"tree-flow edge must be one letter, got {edge!r}")
+        if len(ray_word) != 1 or ray_word[0] < 0:
+            raise ValueError(f"tree-flow ray must be one positive letter, got {ray!r}")
         return tree_flow(group, edge_word[0], ray_word[0])
     raise ValueError(f"unknown bounded-function kind {kind!r}")
 

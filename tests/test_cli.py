@@ -551,7 +551,8 @@ COCHAIN = {"group": F2, "degree": 1, "dual": "full-dual", "entries": [[["a"], [[
 L1_CYCLE = {"group": F2, "degree": 1, "kind": "l1", "entries": [[["a"], {"l1": [["e", "3/1"]]}]]}
 FUNDAMENTAL = {"builtin": "fundamental", "group": F2}
 Z2 = {"family": "free-abelian", "rank": 2, "generators": ["a", "b"]}
-SINGLE_LETTERS = "tree-flow edge/ray must be single letters (ray positive)"
+SINGLE_LETTERS = {"edge": "tree-flow edge must be one letter, got {!r}",
+                  "ray": "tree-flow ray must be one positive letter, got {!r}"}
 
 
 def flow_file(edge, ray, group=F2, key="a"):
@@ -576,9 +577,10 @@ MALFORMED_PAIR_FILES = {
     "float-degree": ({**COCHAIN, "degree": 0.7, "entries": []}, FUNDAMENTAL, "'degree'"),
     "string-degree": (COCHAIN, {**L1_CYCLE, "degree": "1"}, "'degree'"),
     "one-item-pair": ({**COCHAIN, "entries": [[["a"], [["a"]]]]}, L1_CYCLE, "[key, value] pair"),
-    "tree-flow-edge-e": (COCHAIN, flow_file("e", "a"), SINGLE_LETTERS),
-    "tree-flow-edge-a^2": (COCHAIN, flow_file("a^2", "a"), SINGLE_LETTERS),
-    "tree-flow-ray-a^-1": (COCHAIN, flow_file("a", "a^-1"), SINGLE_LETTERS),
+    "tree-flow-edge-e": (COCHAIN, flow_file("e", "a"), SINGLE_LETTERS["edge"].format("e")),
+    "tree-flow-edge-a^2": (COCHAIN, flow_file("a^2", "a"), SINGLE_LETTERS["edge"].format("a^2")),
+    "tree-flow-ray-a^-1": (COCHAIN, flow_file("a", "a^-1"), SINGLE_LETTERS["ray"].format("a^-1")),
+    "tree-flow-ray-a*b": (COCHAIN, flow_file("a", "a*b"), SINGLE_LETTERS["ray"].format("a*b")),
     "tree-flow-edge-c": (COCHAIN, flow_file("c", "a"), "unknown generator 'c'"),
     "tree-flow-ray-c": (COCHAIN, flow_file("a", "c"), "unknown generator 'c'"),
     "tree-flow-over-z2": (COCHAIN, flow_file("a", "a", Z2, [1, 0]), "tree-flow values require a free group"),

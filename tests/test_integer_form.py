@@ -152,6 +152,44 @@ class TestCanonicalForm:
         assert out == want and out.diameter_bound == want.diameter_bound
 
 
+READ_GROUPS = [*map(FreeGroup, (1, 2, 3)), *map(FreeAbelianGroup, (1, 2, 3)), *map(cyclic_group, (1, 2, 5))]
+# few distinct strings, so the reader meets most coefficients again: equal values written
+# differently, zero, and each nonzero value's negative written more than one way
+POOL = ["1/2", "2/4", "0.5", "5e-1", "-1/2", "-2/4", "0/1", "1/3", "-2/6", "-1/3", "3", "-3/1"]
+
+
+class TestDistinctCoefficients:
+    @SETTINGS
+    @given(st.sampled_from(READ_GROUPS), st.data())
+    def test_reads_from_a_small_pool_of_strings(self, group, data):
+        near = st.sampled_from(group.ball(1))
+        pairs = data.draw(st.lists(st.tuples(near, st.sampled_from(POOL)), min_size=1, max_size=12))
+        # the negative of a drawn pair, often in another spelling, cancels that pair's share of its element
+        for g, c in data.draw(st.lists(st.sampled_from(pairs), max_size=3)):
+            pairs.append((g, data.draw(st.sampled_from([s for s in POOL if Fraction(s) == -Fraction(c)]))))
+        pairs = data.draw(st.permutations(pairs))
+        want = {}
+        for g, c in pairs:
+            want[g] = want.get(g, 0) + Fraction(c)
+        want = {g: c for g, c in want.items() if c}
+        read = FinSuppFn.from_pairs(group, [[group.elem_to_json(g), c] for g, c in pairs])
+        chain = UfChain.from_json({"group": group.to_dict(), "degree": 0,
+                                   "entries": [[[group.elem_to_json(g)], c] for g, c in pairs]})
+        for den, nums in [(read.den, read.nums), (chain.den, {g: n for (g,), n in chain.nums.items()})]:
+            assert_canonical(den, nums)
+            assert as_fractions(den, nums) == want
+
+    @pytest.mark.parametrize("group, element, twin, text", [
+        (cyclic_group(5), True, 1, "finite-group element must be an index 0..4, got True"),
+        (FreeAbelianGroup(2), [1, True], [1, 1], "non-integer coordinate in (1, True)"),
+    ])
+    def test_a_bool_element_is_refused(self, group, element, twin, text):
+        # the int it equals, read first with the same coefficient, does not let it through
+        with pytest.raises(ValueError) as info:
+            FinSuppFn.from_pairs(group, [[twin, "1/2"], [element, "1/2"]])
+        assert str(info.value) == text
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=["F2", "Z2", "Z3"])
 class TestFractionOracle:
     @SETTINGS

@@ -15,6 +15,10 @@ malformed coefficient among repeated strings gives the same one-line error
 as a reader with no table. The uniformly finite chain reader, which sums
 integers and forms no Fraction, is checked against the Fraction-taking
 constructor it replaced on fixed and drawn files, malformed ones included.
+The weights reader reduces and scales each distinct coefficient once, but
+still reads a file pair by pair: a bad element, a bad coefficient and a
+common denominator past the digit limit, placed anywhere, are named in the
+order a reader of one pair at a time meets them.
 """
 
 import contextlib
@@ -23,6 +27,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -325,3 +330,39 @@ def test_drawn_uf_files_read_as_the_constructor_reads_them(degree, bound, data):
     if bound is not None:
         doc["diameter-bound"] = bound
     assert uf_outcome(UfChain.from_json, doc) == uf_outcome(uf_by_constructor, doc)
+
+
+# coprime denominators of 2,200 digits: either alone leaves room under the digit limit, and the
+# second of the two to be read pushes the common denominator past it
+WIDE = [f"1/{10**2199}", f"-1/{10**2199 + 1}"]
+BAD_ELEMENTS = ["c", "a^", 5, ["a"]]
+GROUP_F2 = FreeGroup(2)
+
+
+def oracle_weights(pairs):
+    """The weights reader as it read each pair in turn: the element, then the coefficient, then the
+    common denominator, each refused with its one-line error at the first pair that fails it."""
+    den = 1
+    for e, c in pairs:
+        GROUP_F2.elem_from_json(e)
+        den = lcm(den, parse_frac(c).denominator)
+        if den >= _DIGIT_BOUND:
+            raise ValueError(f"a common denominator passes the {MAX_RATIONAL_DIGITS}-digit limit")
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(
+    pairs=st.lists(st.tuples(st.sampled_from(ELEMENTS), st.sampled_from(["1/2", "-1/3", "2/4", "0/5", WIDE[0]])),
+                   min_size=1, max_size=10),
+    element=st.sampled_from(BAD_ELEMENTS), coefficient=st.sampled_from(BAD_COEFFICIENTS), data=st.data())
+def test_the_first_bad_pair_of_a_weights_file_names_the_error(workdir, pairs, element, coefficient, data):
+    # one bad element, one bad coefficient and the two wide coefficients, each at a drawn index among
+    # pairs that repeat their coefficients: the error of the first bad pair to be read is named, the
+    # second wide coefficient read being the one past the digit limit
+    weights = [list(pair) for pair in pairs]
+    weights.insert(data.draw(st.integers(0, len(weights)), label="wide"), ["a", WIDE[0]])
+    for bad in ([element, "1/2"], ["a", coefficient], ["b", WIDE[1]]):
+        weights.insert(data.draw(st.integers(0, len(weights)), label="at"), bad)
+    kind, text = outcome(oracle_weights, weights)
+    assert kind == "error"
+    assert cli(workdir, "reiter", group=F2, set=weights) == (1, "", f"error: {text}\n")
