@@ -19,9 +19,13 @@ Values are checked where they enter: the public constructors check every
 degree, key, value and diameter bound. Internal operations (boundaries and
 inflation) build their results through the private `_raw` constructors,
 each with the reason no check can fail there. `_read` and `_write` own the
-chain and cochain file format; `from_json` hands what `_read` reads to the
-constructor (`UfChain`'s to the constructor's own checks, `_checked`), so
-every error text past the file's own fields is the constructor's.
+chain and cochain file format. `_read` checks each key element as it reads
+it, and each value is made by a reader over the file's group, so
+`from_json` checks each element once: it makes the constructor's other
+checks, in its order and with its texts (the degree, then key lengths,
+zero values and repeated keys by `_slice_map`, and `UfChain`'s bound by
+`_checked`), so every error text past the file's own fields is the
+constructor's.
 
 An equivariant degree-m chain is recovered from its slice by
 c(g0,...,gm) = g0 . slice(g0^-1 g1, ..., g0^-1 gm).
@@ -36,6 +40,7 @@ from .groups import GroupSpec, group_from_dict, json_check, json_field, json_pai
 from .functions import (
     BoundedFn,
     FinSuppFn,
+    _ZERO,
     _add_terms,
     _check_den,
     _integer_form,
@@ -55,15 +60,16 @@ DUAL_FULL = "full-dual"          # functionals on all bounded functions
 DUAL_SCALAR = "scalar"           # scalar coefficients, embedded via delta at e
 
 
-def _tuple_key(group: GroupSpec, key, length: int) -> tuple:
-    key = tuple(key)
+def _sized(key: tuple, length: int) -> tuple:
+    """key, refused unless it holds `length` elements."""
     if len(key) != length:
         raise ValueError(f"expected a {length}-tuple slice key, got {key!r}")
-    return tuple(map(group.check, key))
+    return key
 
 
-def _key_sort(group: GroupSpec, key: tuple):
-    return tuple(group.sort_key(g) for g in key)
+def _tuple_key(group: GroupSpec, key, length: int) -> tuple:
+    """key as a `length`-tuple of checked elements of group."""
+    return tuple(map(group.check, _sized(tuple(key), length)))
 
 
 def _check_kind(kind) -> str:
@@ -78,16 +84,24 @@ def _check_degree(degree, what: str) -> None:
         raise ValueError(f"{what} degree must be >= 0")
 
 
-def _slice_map(group: GroupSpec, degree: int, entries, value_type: type, bad_type: str, bad_group: str, what: str):
-    """The checked dict of entries: `degree`-tuple keys of group elements,
-    value_type values over group, zero values dropped, duplicate keys refused."""
-    out: dict[tuple, object] = {}
+def _checked_entries(group: GroupSpec, degree: int, entries, value_type: type, bad_type: str, bad_group: str):
+    """The (key, value) entries a constructor is given, each key checked as a `degree`-tuple of
+    group elements and each value as a value_type over group, one entry at a time."""
     for key, value in entries.items() if isinstance(entries, Mapping) else entries:
         key = _tuple_key(group, key, degree)
         if not isinstance(value, value_type):
             raise ValueError(bad_type)
         if value.group != group:
             raise ValueError(bad_group)
+        yield key, value
+
+
+def _slice_map(degree: int, entries: Iterable, what: str) -> dict:
+    """The dict of (key, value) entries whose elements and values are checked: each key a
+    `degree`-tuple, zero values dropped, duplicate keys refused."""
+    out: dict[tuple, object] = {}
+    for key, value in entries:
+        _sized(key, degree)
         if value:
             if key in out:
                 raise ValueError(f"duplicate {what} key {key!r}")
@@ -101,9 +115,10 @@ def _read(data, what: str, read_value) -> tuple[GroupSpec, int, list]:
     Each key element is read by the group and each value by read_value over
     the same group. All the file's values share one rational table,
     `ratios`, made here and dropped when the read ends, so each distinct
-    rational string of the file is parsed once (`parse_once`). The degree,
-    key lengths, zero values and repeated keys are left to the constructor
-    that `from_json` hands the entries to.
+    rational string of the file is parsed once (`parse_once`). Every key is
+    read before any is checked further: the degree, key lengths, zero values
+    and repeated keys are left to `from_json`, which checks them as the
+    constructor does.
     """
     group = group_from_dict(json_field(data, "group", dict, what))
     degree = json_field(data, "degree", int, what)
@@ -123,8 +138,8 @@ def _write(group: GroupSpec, degree: int, fields: dict, entries: Mapping, write_
         "degree": degree,
         **fields,
         "entries": [
-            [[group.elem_to_json(g) for g in key], write_value(entries[key])]
-            for key in sorted(entries, key=lambda k: _key_sort(group, k))
+            [list(map(group.elem_to_json, key)), write_value(entries[key])]
+            for key in sorted(entries, key=lambda k: tuple(map(group.sort_key, k)))
         ],
     }
 
@@ -146,10 +161,10 @@ class EquivariantChain:
         self.group = group
         self.degree = degree
         self.kind = kind
-        self.slice = _slice_map(
+        self.slice = _slice_map(degree, _checked_entries(
             group, degree, entries, value_type,
-            f"{kind} chains take {value_type.__name__} values", "chain value over the wrong group", "slice",
-        )
+            f"{kind} chains take {value_type.__name__} values", "chain value over the wrong group",
+        ), "slice")
 
     @classmethod
     def _raw(cls, group, degree, kind, slice_map):
@@ -217,7 +232,8 @@ class EquivariantChain:
         """The chain a file names; its kind is checked before any entry is read, as it picks the value reader."""
         kind = _check_kind(json_field(data, "kind", str, "chain"))
         group, degree, entries = _read(data, "chain", _read_l1 if kind == KIND_L1 else bounded_from_json)
-        return cls(group, degree, kind, entries)
+        _check_degree(degree, "chain")
+        return cls._raw(group, degree, kind, _slice_map(degree, entries, "slice"))
 
 
 class BoundedCochain:
@@ -246,16 +262,23 @@ class BoundedCochain:
         self._entries = None
         if entries is not None:
             bad = "cochain values must be FinSuppFn over the same group"
-            self._entries = _slice_map(group, degree, entries, FinSuppFn, bad, bad, "cochain")
-            for value in self._entries.values():
-                self._check_value(value)
+            self._take(_checked_entries(group, degree, entries, FinSuppFn, bad, bad))
+
+    def _take(self, entries: Iterable) -> None:
+        """Back the cochain by the map of (key, value) entries whose elements and values are checked."""
+        self._entries = _slice_map(self.degree, entries, "cochain")
+        for value in self._entries.values():
+            self._check_value(value)
 
     def _check_value(self, value: FinSuppFn) -> None:
         if self.dual == DUAL_QUOTIENT and sum(value.nums.values()):
             raise ValueError("quotient-dual cochain produced a value with nonzero coefficient sum")
 
     def value_at(self, key) -> FinSuppFn:
-        key = _tuple_key(self.group, key, self.degree)
+        return self._value(_tuple_key(self.group, key, self.degree))
+
+    def _value(self, key: tuple) -> FinSuppFn:
+        """`value_at` at a key that is already a `degree`-tuple of checked elements."""
         if self._entries is not None:
             return self._entries.get(key, FinSuppFn.zero(self.group))
         value = self._rule(key)
@@ -269,8 +292,9 @@ class BoundedCochain:
 
         def rule(key: tuple) -> FinSuppFn:
             h1i = group.inv(key[0])
-            front = (1, key[0], self.value_at(tuple(group.mul(h1i, g) for g in key[1:])))
-            faces = [(1 if i % 2 else -1, None, self.value_at(key[:i] + key[i + 1 :])) for i in range(m + 1)]
+            # every key read is made from the checked key by group operations or is a slice of it
+            front = (1, key[0], self._value(tuple(group.mul(h1i, g) for g in key[1:])))
+            faces = [(1 if i % 2 else -1, None, self._value(key[:i] + key[i + 1 :])) for i in range(m + 1)]
             return FinSuppFn.combine(group, [front, *faces])
 
         label = f"coboundary({self.label})" if self.label else None
@@ -299,7 +323,9 @@ class BoundedCochain:
         group, degree, entries = _read(data, "cochain", FinSuppFn.from_pairs)
         dual = json_field(data, "dual", str, "cochain", DUAL_FULL)
         label = json_field(data, "label", str, "cochain", None)
-        return cls(group, degree, dual, entries=entries, label=label)
+        cochain = cls(group, degree, dual, entries=(), label=label)
+        cochain._take(entries)
+        return cochain
 
 
 def _diameter(group: GroupSpec, keys: Iterable[tuple]) -> int:
@@ -404,7 +430,7 @@ class UfChain:
             data, "uniformly finite chain", lambda group, c, ratios: parse_once(ratios, c))
         bound = json_field(data, "diameter-bound", int, "uniformly finite chain", None)
         return cls._raw(group, degree, *cls._checked(group, degree, bound, lambda length: _integer_form(
-            (_tuple_key(group, key, length), c) for key, c in coeffs)))
+            (_sized(key, length), c) for key, c in coeffs)))
 
 
 # -- complex-level operations -------------------------------------------------
@@ -430,7 +456,8 @@ def inflate(phi: UfChain) -> EquivariantChain:
         builders.setdefault(orbit_key, {})[t0i] = n
     den = phi.den
     entries = {
-        key: BoundedFn(group, 0, FinSuppFn._raw(group, *_reduced(den, nums))) for key, nums in builders.items()
+        key: BoundedFn._raw(group, _ZERO, FinSuppFn._raw(group, *_reduced(den, nums)), {})
+        for key, nums in builders.items()
     }
     return EquivariantChain._raw(group, phi.degree, KIND_LINF, entries)
 

@@ -19,11 +19,11 @@ rational.
 
 Each family has one n-ary sum, `combine`. Every operator on its values is
 one call of it, and so are the boundaries and coboundaries of `complexes`.
-`FinSuppFn.combine` adds integer numerators by `_lcm_sum`, which builds
-and checks the lcm of the denominators before it scales any numerator;
-the file reader does the same in two passes, each distinct coefficient
-reduced and scaled once, and `complexes.deflate`, whose keys never meet,
-writes each scaled numerator once.
+`FinSuppFn.combine` adds integer numerators in one loop, after it builds
+and checks the lcm of the denominators and before it scales any
+numerator; the file reader does the same in two passes, each distinct
+coefficient reduced and scaled once, and `complexes.deflate`, whose keys
+never meet, writes each scaled numerator once.
 
 Translation is the left action (g.f)(h) = f(g^-1 h) throughout.
 """
@@ -162,40 +162,21 @@ def _check_den(den: int) -> int:
 
 
 def _reduced(den: int, nums: dict) -> tuple[int, dict]:
-    """(den, nums) divided by gcd(den, *nums): the canonical form of nums / den, nums holding no zero."""
+    """(den, nums) divided by gcd(den, *nums): the canonical form of nums / den, nums holding no zero.
+
+    The sum of the numerators is an integer combination of them, so it
+    leaves the gcd as it is; read second, it usually brings the gcd to 1,
+    and from there `gcd` reads no further argument.
+    """
     if den != 1:
         if not nums:
             return 1, nums
-        g = gcd(den, *nums.values())
+        vals = nums.values()
+        g = gcd(den, sum(vals), *vals)
         if g != 1:
             den //= g
             nums = {k: n // g for k, n in nums.items()}
     return den, nums
-
-
-def _lcm_sum(parts: Sequence) -> tuple[int, dict]:
-    """The canonical (D, nums) of the sum of the parts (p, q, items), each (p / q) * items.
-
-    items is a one-pass iterable of (key, n) with distinct keys and nonzero
-    n, and p is nonzero. D, the lcm of the q, is built and checked
-    (`_check_den`) before any numerator is scaled; then each part adds
-    n * p * (D / q) at its keys, and the first fills the sum with no lookup.
-    Cancelled sums can leave a common factor, which `_reduced` divides out.
-    """
-    den = 1
-    for _, q, _ in parts:
-        if den % q:
-            den = _check_den(lcm(den, q))
-    nums = None
-    for p, q, items in parts:
-        f = p * (den // q)
-        if f != 1:
-            items = ((k, n * f) for k, n in items)
-        if nums is None:
-            nums = dict(items)
-        else:
-            _add_terms(nums, items)
-    return _reduced(den, nums or {})
 
 
 def _integer_form(terms: Iterable) -> tuple[int, dict]:
@@ -341,15 +322,36 @@ class FinSuppFn(_Linear):
         g . v moves the numerator of v at k to g k. A lone term (1, None, v) is v itself.
 
         The term c * v is (c.numerator * v.nums) / (c.denominator * v.den),
-        one part of `_lcm_sum`; a shifted term's keys come from one
-        `left_translates` pass."""
+        c an int or a Fraction. The first pass folds each q = c.denominator *
+        v.den of a nonzero term into D, their lcm, checked (`_check_den`) as it
+        grows and before any numerator is scaled. The second adds n *
+        c.numerator * (D / q) in place at k, or at g k from one
+        `left_translates` pass over v's keys, which are distinct, as g . v
+        moves distinct keys to distinct keys; a key whose sum reaches zero is
+        deleted, so no zero is kept. Each numerator is then D times its value,
+        and `_reduced` divides out the common factor that cancellation can
+        leave, which makes the form canonical."""
         if len(terms) == 1 and terms[0][:2] == (1, None):
             return terms[0][2]
-        return FinSuppFn._raw(group, *_lcm_sum([
-            (c.numerator, c.denominator * v.den,
-             zip(v.nums if g is None else group.left_translates(g, v.nums), v.nums.values()))
-            for c, g, v in terms if c and v.nums
-        ]))
+        den = 1
+        for c, _, v in terms:
+            if c and v.nums:
+                q = c.denominator * v.den
+                if den % q:
+                    den = _check_den(lcm(den, q))
+        nums = {}
+        get = nums.get
+        for c, g, v in terms:
+            if c and v.nums:
+                f = c.numerator * (den // (c.denominator * v.den))
+                src = v.nums
+                for k, n in zip(src if g is None else group.left_translates(g, src), src.values()):
+                    total = get(k, 0) + n * f
+                    if total:
+                        nums[k] = total
+                    else:
+                        del nums[k]
+        return FinSuppFn._raw(group, *_reduced(den, nums))
 
     def evaluate(self, g: Element) -> Fraction:
         n = self.nums.get(g)
@@ -440,7 +442,7 @@ class BoundedFn(_Linear):
     {(shift, edge, ray): c} with no zero c, each key a translated tree flow
     (`tree_flow`): an indicator, so `pair_eval` sums integers against it.
     The constructor builds a value with no terms; `combine` and `tree_flow`
-    set them. `combine` is the one sum, and every operator goes through
+    build theirs through `_raw`. `combine` is the one sum, and every operator goes through
     it: equal terms merge, so a sum that cancels term by term is
     structurally zero, and equality does not depend on the order of the
     terms. The file formats hold every value with no terms and the
@@ -456,6 +458,17 @@ class BoundedFn(_Linear):
         self.fn = FinSuppFn.zero(group) if fn is None else fn
         self.terms = {}
 
+    @classmethod
+    def _raw(cls, group: GroupSpec, const: Fraction, fn: FinSuppFn, terms: dict) -> "BoundedFn":
+        """A value from parts that are already in normal form: a Fraction constant, a function over
+        group and a {(shift, edge, ray): c} dict with no zero c."""
+        obj = object.__new__(cls)
+        obj.group = group
+        obj.const = const
+        obj.fn = fn
+        obj.terms = terms
+        return obj
+
     @staticmethod
     def combine(group: GroupSpec, terms: Sequence) -> "BoundedFn":
         """sum c * (g . v) over the terms (c, g, v), g None for no shift: the constants, the finite
@@ -465,12 +478,11 @@ class BoundedFn(_Linear):
             return terms[0][2]
         terms = [term for term in terms if term[0]]
         const = sum((c * v.const for c, _, v in terms if v.const), _ZERO)
-        value = BoundedFn(group, const, FinSuppFn.combine(group, [(c, g, v.fn) for c, g, v in terms]))
-        value.terms = _add_terms({}, (
+        fn = FinSuppFn.combine(group, [(c, g, v.fn) for c, g, v in terms])
+        return BoundedFn._raw(group, const, fn, _add_terms({}, (
             ((s if g is None else group.mul(g, s), edge, ray), c * ci)
             for c, g, v in terms for (s, edge, ray), ci in v.terms.items()
-        ))
-        return value
+        )))
 
     def evaluate(self, g: Element) -> Fraction:
         value = self.const + self.fn.evaluate(g)
@@ -537,9 +549,7 @@ def tree_flow(group: FreeGroup, edge: int, ray: int) -> BoundedFn:
         raise ValueError(f"edge letter {edge} out of range")
     if not 1 <= ray <= group.rank:
         raise ValueError(f"ray letter {ray} must be a positive generator index")
-    value = BoundedFn(group)
-    value.terms = {(group.identity, edge, ray): _ONE}
-    return value
+    return BoundedFn._raw(group, _ZERO, FinSuppFn.zero(group), {(group.identity, edge, ray): _ONE})
 
 
 def ray_first_letter(word: tuple[int, ...], ray: int) -> int:

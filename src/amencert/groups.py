@@ -492,12 +492,15 @@ class FreeAbelianGroup(_RankedGroup):
     def left_translates(self, s, elems):
         """s + h for each h in elems, built column by column in C.
 
-        zip(*elems) splits the vectors into coordinate columns, each column i
-        with s[i] != 0 is shifted by s[i], and zip(*cols) rebuilds the
-        tuples. An empty elems gives no column and so no output.
+        Column i is map(itemgetter(i), elems), one pass over elems, so a
+        one-pass iterable is made a list first; each column with s[i] != 0 is
+        shifted by s[i], and zip(*cols) rebuilds the tuples. An empty elems
+        gives empty columns and so no output.
         """
-        cols = [col if x == 0 else map(operator.add, col, repeat(x)) for col, x in zip(zip(*elems), s)]
-        return zip(*cols)
+        if iter(elems) is elems:
+            elems = list(elems)
+        cols = (map(operator.itemgetter(i), elems) for i in range(len(s)))
+        return zip(*[col if x == 0 else map(operator.add, col, repeat(x)) for col, x in zip(cols, s)])
 
     def inv(self, a):
         return tuple(-x for x in a)

@@ -22,8 +22,9 @@ def pair(phi: BoundedCochain, c: EquivariantChain) -> Fraction:
         raise ValueError("pairing requires a cochain and a chain over the same group")
     if phi.degree != c.degree:
         raise ValueError(f"degree mismatch: cochain {phi.degree}, chain {c.degree}")
-    # exact rational sums do not depend on the order of the slice keys
-    return sum((pair_eval(phi.value_at(key), value) for key, value in c.slice.items()), Fraction(0))
+    # exact rational sums do not depend on the order of the slice keys; a chain's slice keys are
+    # checked degree-tuples of group elements already, so each is read with no second check
+    return sum((pair_eval(phi._value(key), value) for key, value in c.slice.items()), Fraction(0))
 
 
 def adjointness_values(phi: BoundedCochain, c: EquivariantChain) -> tuple[Fraction, Fraction]:

@@ -186,6 +186,35 @@ class TestBarCoboundary:
             bad.value_at(())
 
 
+class TestValueAtKeys:
+    """value_at checks its key, whichever way the cochain is backed; only keys the library made
+    itself (a coboundary's faces, a chain's slice keys) skip the check."""
+
+    @pytest.mark.parametrize("key, error", [
+        (((1,), (2,)), "expected a 1-tuple slice key, got ((1,), (2,))"),
+        (((1, -1),), "word (1, -1) is not reduced"),
+        (((3,),), "invalid letter 3 in word (3,)"),
+    ])
+    def test_bad_free_group_keys(self, f2, key, error):
+        lift = one_lift_cochain(f2)
+        mapped = BoundedCochain(f2, 1, DUAL_FULL, entries={((1,),): delta(f2, f2.identity)})
+        for cochain in (mapped, lift.coboundary(), johnson_cocycle(f2)):
+            with pytest.raises(ValueError) as exc:
+                cochain.value_at(key)
+            assert str(exc.value) == error
+
+    def test_a_bool_inside_a_vector_is_refused(self):
+        z2 = FreeAbelianGroup(2)
+        mapped = BoundedCochain(z2, 1, DUAL_FULL, entries={((1, 0),): delta(z2, z2.identity)})
+        for cochain in (mapped, one_lift_cochain(z2).coboundary(), johnson_cocycle(z2)):
+            for key in (((1, True),), ((True, 0),)):
+                with pytest.raises(ValueError) as exc:
+                    cochain.value_at(key)
+                assert str(exc.value) == f"non-integer coordinate in {key[0]!r}"
+        # the same key written with ints reads
+        assert mapped.value_at(((1, 0),)) == delta(z2, z2.identity)
+
+
 class TestJohnson:
     def test_slice_values(self, f2):
         J = johnson_cocycle(f2)
@@ -327,8 +356,15 @@ def uf_file(entries, degree=1):
     return {"group": F2, "degree": degree, "entries": entries}
 
 
+Z2 = {"family": "free-abelian", "rank": 2}
+Z2_ONE = {"l1": [[[0, 0], "1/1"]]}
+C1 = [["e", "1/1"]]
+
+
 class TestFileEntries:
-    """from_json hands what it reads to the constructor, so its error texts are the constructor's."""
+    """from_json checks each key element once, as the file is read, then makes the constructor's
+    other checks in its order, so its error texts are the constructor's. Every key element of the
+    file is read before any key length is checked: a bad element after a wrong-length key is named."""
 
     @pytest.mark.parametrize("read, data, error", [
         (EquivariantChain.from_json, chain_file([[["a", "b"], ONE]]), "expected a 1-tuple slice key, got ((1,), (2,))"),
@@ -346,6 +382,25 @@ class TestFileEntries:
         (UfChain.from_json, uf_file([[["a"], "1/1"]]), "expected a 2-tuple slice key, got ((1,),)"),
         (UfChain.from_json, {**uf_file([[["e", "a^2"], "1/1"]]), "diameter-bound": 1},
          "support diameter 2 exceeds the declared bound 1"),
+        # each fault of a file with several faults, in the order the reader meets them
+        (EquivariantChain.from_json, chain_file([[["a", "b"], ONE], [["a"], ONE], [["a"], ONE]]),
+         "expected a 1-tuple slice key, got ((1,), (2,))"),
+        (EquivariantChain.from_json, chain_file([[["a"], ONE], [["a"], ONE], [["a", "b"], ONE]]),
+         "duplicate slice key ((1,),)"),
+        (EquivariantChain.from_json, chain_file([[["a"], ONE], [["a^-1", "b*c"], ONE]], degree=2),
+         "unknown generator 'c'"),
+        (EquivariantChain.from_json, {**chain_file([[[[1, 0], [0, 1]], Z2_ONE], [[[0, True]], Z2_ONE]]), "group": Z2},
+         "non-integer coordinate in (0, True)"),
+        (BoundedCochain.from_json, cochain_file([[["a", "b"], C1]]), "expected a 1-tuple slice key, got ((1,), (2,))"),
+        (BoundedCochain.from_json, cochain_file([[["a", "b"], C1], [["a^-1"], [["c", "1/1"]]]]),
+         "unknown generator 'c'"),
+        (BoundedCochain.from_json, cochain_file([[["a", "b"], C1], [["a"], C1]], degree=-1),
+         "cochain degree must be >= 0"),
+        (BoundedCochain.from_json, cochain_file([[["a", "b"], C1]], dual="quotient-dual"),
+         "expected a 1-tuple slice key, got ((1,), (2,))"),
+        (UfChain.from_json, uf_file([[["a"], "1/1"], [["e", "c"], "1/1"]]), "unknown generator 'c'"),
+        (UfChain.from_json, uf_file([[["a"], "1/1"], [["e", "a"], "x"]]), "cannot parse rational 'x'"),
+        (UfChain.from_json, uf_file([[["a"], "1/1"]], degree=-1), "chain degree must be >= 0"),
     ])
     def test_error_texts(self, read, data, error):
         with pytest.raises(ValueError) as exc:

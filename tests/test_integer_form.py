@@ -3,8 +3,8 @@
 Every route that builds a `FinSuppFn` or a `UfChain` must leave the one
 canonical form: den > 0, no zero numerator, gcd(den, *nums) = 1. The sum
 is checked against the `Fraction`-dict sum it replaced, kept here as an
-oracle, and the common denominator's guard is checked on values with
-1,000 and 2,000 distinct prime denominators.
+oracle, on 200 distinct prime denominators too, and the common
+denominator's guard is checked on values with 1,000 and 2,000 of them.
 """
 
 import functools
@@ -204,6 +204,24 @@ class TestFractionOracle:
 
     @SETTINGS
     @given(data=st.data())
+    def test_combine_meets_every_kind_of_term(self, group, data):
+        # each draw holds a zero coefficient, an empty value, int 1 and -1 and a Fraction, each with
+        # and without a shift, plus the negation of one drawn term, so that some keys cancel
+        near = st.sampled_from(group.ball(1))
+        vs = [data.draw(values(group, near)) for _ in range(3)]
+        shift = data.draw(near)
+        terms = [(c, g, data.draw(st.sampled_from(vs))) for c in (0, 1, -1, data.draw(rationals.filter(bool)))
+                 for g in (None, shift)]
+        terms += [(data.draw(st.sampled_from([0, 1, -1]) | rationals), g, FinSuppFn.zero(group)) for g in (None, shift)]
+        c, g, v = data.draw(st.sampled_from(terms))
+        terms.append((-c, g, v))
+        terms = data.draw(st.permutations(terms))
+        total = FinSuppFn.combine(group, terms)
+        assert_canonical(total.den, total.nums)
+        assert dict(total.items()) == oracle_combine(group, terms)
+
+    @SETTINGS
+    @given(data=st.data())
     def test_pair_eval_is_the_fraction_sum(self, group, data):
         near = st.sampled_from(group.ball(1))
         phi, f = data.draw(values(group, near)), data.draw(values(group, near))
@@ -244,6 +262,16 @@ class TestDenominatorGuard:
             for shift in (0, 1):
                 want[(k + shift,)] = want.get((k + shift,), 0) + Fraction(1, p)
         assert total.to_pairs() == [[list(k), frac_str(c)] for k, c in sorted(want.items())]
+
+    def test_200_primes_sum_as_fractions(self):
+        # numerators of a few hundred digits over distinct prime denominators: the gcd of the sum
+        # reaches 1 by the numerators' sum, and the result is the Fraction sum in canonical form
+        f = FinSuppFn.from_pairs(Z1, [[[k], f"{k % 7 - 3}/{p}"] for k, p in enumerate(primes(200))])
+        for sign in (1, -1):
+            terms = [(1, None, f), (sign, (1,), f)]
+            total = FinSuppFn.combine(Z1, terms)
+            assert_canonical(total.den, total.nums)
+            assert dict(total.items()) == oracle_combine(Z1, terms)
 
     def test_the_readers_refuse_2000_primes(self):
         with pytest.raises(ValueError, match=GUARD):
