@@ -6,8 +6,8 @@ The Reiter ratio of a nonnegative summable function f is
 
 an exact rational; indicator functions of finite sets recover the usual
 symmetric-difference Folner quotient, which a Folner certificate counts
-in integers by set membership. A certificate stores the witness set
-together with the per-generator differences so it can be revalidated
+in integers by set membership. A certificate holds the witness set and
+its per-generator differences, from which it can be revalidated
 independently. `folner_search` reads the size and ratio of boxes in Z^d
 and of balls in free groups from closed forms, and builds and counts only
 the set it returns, so a free group's failure report builds no ball;
@@ -33,7 +33,7 @@ from functools import partial
 from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
-from .functions import FinSuppFn, frac, frac_str
+from .functions import FinSuppFn, frac
 from .groups import (
     Element, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupSpec, _check_radius, free_ball_letters, free_ball_size,
 )
@@ -93,19 +93,6 @@ class FolnerCertificate(NamedTuple):
     differences: dict[str, int]
     ratio: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "type": "folner-certificate",
-            "group": self.group.to_dict(),
-            "group-hash": self.group.spec_hash(),
-            "strategy": self.strategy,
-            "parameter": self.parameter,
-            "set-size": len(self.members),
-            "set": [self.group.elem_to_json(g) for g in self.members],
-            "generator-differences": {k: v for k, v in self.differences.items()},
-            "ratio": frac_str(self.ratio),
-        }
-
 
 class FolnerFailure(NamedTuple):
     """Exhausted search: the best ratio seen at each parameter value."""
@@ -114,26 +101,11 @@ class FolnerFailure(NamedTuple):
     strategy: str
     eps: Fraction
     max_parameter: int
-    attempts: list[dict]
+    attempts: list[tuple[int, int, Fraction]]  # (parameter, set size, ratio)
 
     @property
     def best_ratio(self) -> Fraction:
-        return min(a["_ratio"] for a in self.attempts)
-
-    def to_json(self) -> dict:
-        return {
-            "type": "folner-failure",
-            "group": self.group.to_dict(),
-            "group-hash": self.group.spec_hash(),
-            "strategy": self.strategy,
-            "eps": frac_str(self.eps),
-            "max-parameter": self.max_parameter,
-            "attempts": [
-                {"parameter": a["parameter"], "set-size": a["set-size"], "ratio": frac_str(a["_ratio"])}
-                for a in self.attempts
-            ],
-            "best-ratio": frac_str(self.best_ratio),
-        }
+        return min(ratio for _, _, ratio in self.attempts)
 
 
 def folner_certificate_from_set(
@@ -287,7 +259,7 @@ def folner_search(
         if closed_form is not None:
             size, ratio = closed_form(parameter)
             if ratio > eps:
-                attempts.append({"parameter": parameter, "set-size": size, "_ratio": ratio})
+                attempts.append((parameter, size, ratio))
                 continue
         cert = folner_certificate_from_set(group, build(parameter), strategy, parameter, _raw=True)
         if closed_form is not None and (len(cert.members), cert.ratio) != (size, ratio):
@@ -297,7 +269,7 @@ def folner_search(
             )
         if cert.ratio <= eps:
             return cert
-        attempts.append({"parameter": parameter, "set-size": len(cert.members), "_ratio": cert.ratio})
+        attempts.append((parameter, len(cert.members), cert.ratio))
     return FolnerFailure(group, strategy, eps, max_radius, attempts)
 
 
@@ -412,16 +384,6 @@ class FiniteH0Report(NamedTuple):
     span_dimension: int
     one_in_span: bool
     residual_l1: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "type": "finite-h0-report",
-            "group-hash": self.group.spec_hash(),
-            "order": self.order,
-            "span-dimension": self.span_dimension,
-            "one-in-span": self.one_in_span,
-            "residual-l1": frac_str(self.residual_l1),
-        }
 
 
 def finite_h0(group: FiniteGroup) -> FiniteH0Report:

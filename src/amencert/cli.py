@@ -1,10 +1,12 @@
 """Command-line surface: certificates in, JSON certificates out.
 
-Exit codes: 0 for a verified pass, 2 for a verified failure (for example
-an exhausted Folner search or a failed selftest), 1 for malformed input.
-Output is deterministic byte-for-byte for identical inputs: every support
-set is serialized in the canonical element order and all rationals are
-"p/q" strings.
+The library returns values; this module alone writes certificates, each
+type's keys in one dict literal, in output order. Exit codes: 0 for a
+verified pass, 2 for a verified failure (for example an exhausted Folner
+search or a failed selftest), 1 for malformed input. Output is
+deterministic byte-for-byte for identical inputs: every support set is
+serialized in the canonical element order and all rationals are "p/q"
+strings.
 """
 
 from __future__ import annotations
@@ -102,6 +104,45 @@ def _emit(payload: dict, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
+def _flow_json(report: FlowVerification) -> dict:
+    group, to_str = report.fs.group, report.fs.group.elem_to_str
+    return {
+        "type": "flow-cycle-verification",
+        "group": group.to_dict(),
+        "group-hash": group.spec_hash(),
+        "ray": report.fs.ray_label,
+        "radius": report.radius,
+        "points-checked": report.points_checked,
+        "outgoing-constant": report.outgoing_constant,
+        "incoming-constant": report.incoming_constant,
+        "boundary-constant": report.boundary_constant,
+        "failures": [
+            {"base": to_str(k), "point": to_str(g), "outgoing": out, "incoming": inc, "boundary": inc - out}
+            for k, g, out, inc in report.failures[:20]
+        ],
+        "passed": report.passed,
+    }
+
+
+def _pairing_json(cert: PairingCertificate) -> dict:
+    out = {
+        "type": "pairing-certificate",
+        "cochain": cert.cochain_id,
+        "cycle": cert.cycle_id,
+        "truncation-radius": cert.truncation_radius,
+        "value": frac_str(cert.value),
+        "group-hash": cert.group.spec_hash(),
+    }
+    if cert.adjointness is not None:
+        via_cochain, via_chain = cert.adjointness
+        out["adjointness-witness"] = {
+            "cochain-route": frac_str(via_cochain),
+            "chain-route": frac_str(via_chain),
+            "equal": via_cochain == cert.value == via_chain,
+        }
+    return out
+
+
 def _flow_spec(group: FreeGroup, label: str) -> FlowCycleSpec:
     """The flow cycle spec whose ray is the generator labelled `label`."""
     from .witnesses import FlowCycleSpec
@@ -138,10 +179,9 @@ def cmd_verify_f2(args) -> int:
     fs = _flow_spec(group, group.gen_labels[0] if args.ray is None else args.ray)
     report = verify_flow_cycle(fs, args.radius)
     cert = flow_pairing_certificate(fs)
-    payload = report.to_json()
-    payload["pairing"] = cert.to_json()
-    _emit(payload, args.out)
-    return 0 if report.passed and cert.adjointness["equal"] else 2
+    pairing = _pairing_json(cert)
+    _emit(_flow_json(report) | {"pairing": pairing}, args.out)
+    return 0 if report.passed and pairing["adjointness-witness"]["equal"] else 2
 
 
 def cmd_pair(args) -> int:
@@ -166,8 +206,7 @@ def cmd_pair(args) -> int:
     cycle, cycle_id = _load_pair_input(
         args.cycle, "cycle", cycles, lambda data: (EquivariantChain.from_json(data), "cycle-file")
     )
-    cert = make_pairing_certificate(phi, cycle, cycle_id=cycle_id)
-    _emit(cert.to_json(), args.out)
+    _emit(_pairing_json(make_pairing_certificate(phi, cycle, cycle_id=cycle_id)), args.out)
     return 0
 
 
@@ -178,8 +217,32 @@ def cmd_folner(args) -> int:
     result = folner_search(
         group, parse_frac(args.eps), strategy=args.strategy, max_radius=args.max_radius
     )
-    _emit(result.to_json(), args.out)
-    return 0 if isinstance(result, FolnerCertificate) else 2
+    accepted = isinstance(result, FolnerCertificate)
+    if accepted:
+        payload = {
+            "type": "folner-certificate",
+            "group": group.to_dict(),
+            "group-hash": group.spec_hash(),
+            "strategy": result.strategy,
+            "parameter": result.parameter,
+            "set-size": len(result.members),
+            "set": [group.elem_to_json(g) for g in result.members],
+            "generator-differences": result.differences,
+            "ratio": frac_str(result.ratio),
+        }
+    else:
+        payload = {
+            "type": "folner-failure",
+            "group": group.to_dict(),
+            "group-hash": group.spec_hash(),
+            "strategy": result.strategy,
+            "eps": frac_str(result.eps),
+            "max-parameter": result.max_parameter,
+            "attempts": [{"parameter": p, "set-size": size, "ratio": frac_str(r)} for p, size, r in result.attempts],
+            "best-ratio": frac_str(result.best_ratio),
+        }
+    _emit(payload, args.out)
+    return 0 if accepted else 2
 
 
 def cmd_reiter(args) -> int:
@@ -214,7 +277,16 @@ def cmd_finite_h0(args) -> int:
     group = load_group(args.group)
     if not isinstance(group, FiniteGroup):
         raise ValueError("finite-h0 requires a finite group spec")
-    _emit(finite_h0(group).to_json(), args.out)
+    report = finite_h0(group)
+    payload = {
+        "type": "finite-h0-report",
+        "group-hash": group.spec_hash(),
+        "order": report.order,
+        "span-dimension": report.span_dimension,
+        "one-in-span": report.one_in_span,
+        "residual-l1": frac_str(report.residual_l1),
+    }
+    _emit(payload, args.out)
     return 0
 
 
@@ -242,7 +314,16 @@ def cmd_selftest(args) -> int:
     """Seeded randomized property checks across the whole library (`sampling.selftest`)."""
     from .sampling import selftest
 
-    payload = selftest(args.seed, args.trials)
+    checks = selftest(args.seed, args.trials)
+    payload = {
+        "type": "selftest",
+        "seed": args.seed,
+        "checks": [
+            {"name": name, "trials": trials, "passed": error is None} | ({} if error is None else {"error": error})
+            for name, trials, error in checks
+        ],
+        "passed": all(error is None for _, _, error in checks),
+    }
     _emit(payload, args.out)
     return 0 if payload["passed"] else 2
 

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .complexes import BoundedCochain, EquivariantChain
-from .functions import frac_str, pair_eval
+from .functions import pair_eval
+from .groups import GroupSpec
 
 
 def pair(phi: BoundedCochain, c: EquivariantChain) -> Fraction:
@@ -35,27 +36,14 @@ def adjointness_values(phi: BoundedCochain, c: EquivariantChain) -> tuple[Fracti
 
 
 class PairingCertificate(NamedTuple):
-    """Serializable record of one pairing computation."""
+    """One pairing computation: the pairing value, and both adjointness routes when they were computed."""
 
     cochain_id: str
     cycle_id: str
     truncation_radius: int
     value: Fraction
-    group_hash: str
-    adjointness: dict | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "type": "pairing-certificate",
-            "cochain": self.cochain_id,
-            "cycle": self.cycle_id,
-            "truncation-radius": self.truncation_radius,
-            "value": frac_str(self.value),
-            "group-hash": self.group_hash,
-        }
-        if self.adjointness is not None:
-            out["adjointness-witness"] = self.adjointness
-        return out
+    group: GroupSpec
+    adjointness: tuple[Fraction, Fraction] | None = None  # (cochain route, chain route)
 
 
 def make_pairing_certificate(
@@ -67,24 +55,15 @@ def make_pairing_certificate(
     """Pair and certify; optionally cross-check through a lower cochain.
 
     When `adjoint_of` is a degree m-1 cochain whose coboundary has the same
-    values as `phi` on the chain's support, the certificate records both
-    routes pair(phi, c) and pair(adjoint_of, boundary c) as an adjointness
-    witness.
+    values as `phi` on the chain's support, the certificate also holds the
+    adjointness routes pair(d adjoint_of, c) and pair(adjoint_of, boundary c),
+    which then both equal the value.
     """
-    value = pair(phi, c)
-    adjointness = None
-    if adjoint_of is not None:
-        via_cochain, via_chain = adjointness_values(adjoint_of, c)
-        adjointness = {
-            "cochain-route": frac_str(via_cochain),
-            "chain-route": frac_str(via_chain),
-            "equal": via_cochain == value == via_chain,
-        }
     return PairingCertificate(
         cochain_id=phi.label or "cochain",
         cycle_id=cycle_id or "cycle",
         truncation_radius=c.support_radius(),
-        value=value,
-        group_hash=c.group.spec_hash(),
-        adjointness=adjointness,
+        value=pair(phi, c),
+        group=c.group,
+        adjointness=None if adjoint_of is None else adjointness_values(adjoint_of, c),
     )

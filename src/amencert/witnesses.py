@@ -83,26 +83,11 @@ class FlowVerification(NamedTuple):
     outgoing_constant: int
     incoming_constant: int
     boundary_constant: int
-    failures: list
+    failures: list[tuple[Element, Element, int, int]]  # (base k, point g, outgoing, incoming) per failing pair
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "type": "flow-cycle-verification",
-            "group": self.fs.group.to_dict(),
-            "group-hash": self.fs.group.spec_hash(),
-            "ray": self.fs.ray_label,
-            "radius": self.radius,
-            "points-checked": self.points_checked,
-            "outgoing-constant": self.outgoing_constant,
-            "incoming-constant": self.incoming_constant,
-            "boundary-constant": self.boundary_constant,
-            "failures": self.failures[:20],
-            "passed": self.passed,
-        }
 
 
 # Work caps of the flow sweep, on top of the group rank cap MAX_RANK that
@@ -227,23 +212,11 @@ def verify_flow_cycle(
         if not bad:
             break
     failures = []
-    if bad:
+    if bad:  # expand each failing h = k^-1 g back into its (k, g) rows
         ball = group.ball(radius)
         for k in ball:
             ki = group.inv(k)
-            for g in ball:
-                sums = bad.get(group.mul(ki, g))
-                if sums is not None:
-                    outgoing, incoming = sums
-                    failures.append(
-                        {
-                            "base": group.elem_to_str(k),
-                            "point": group.elem_to_str(g),
-                            "outgoing": outgoing,
-                            "incoming": incoming,
-                            "boundary": incoming - outgoing,
-                        }
-                    )
+            failures += [(k, g, *bad[h]) for g in ball if (h := group.mul(ki, g)) in bad]
     return FlowVerification(
         fs=fs,
         radius=radius,

@@ -1,5 +1,6 @@
 """Reiter ratios, Folner search, isoperimetric brute force, finite-group span."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from amencert.amenability import (
     reiter_counts,
     reiter_ratio,
 )
+from amencert.cli import main
 from amencert.functions import FinSuppFn
 from amencert.groups import FiniteGroup, FreeAbelianGroup, FreeGroup, cyclic_group, cyclic_table
 from amencert.sampling import random_element, random_finsupp, random_fraction
@@ -183,14 +185,16 @@ class TestFolnerSearch:
         assert isinstance(result, FolnerFailure)
         assert result.best_ratio == Fraction(8 * 3**6, 2 * 3**6 - 1)
         assert result.best_ratio > 4
-        ratios = [a["_ratio"] for a in result.attempts]
+        ratios = [ratio for _, _, ratio in result.attempts]
         assert ratios == [Fraction(8 * 3**r, 2 * 3**r - 1) for r in range(7)]
         best_so_far = [min(ratios[: i + 1]) for i in range(len(ratios))]
         assert all(a >= b for a, b in zip(best_so_far, best_so_far[1:]))
 
-    def test_certificate_revalidates(self, z2):
-        cert = folner_search(z2, Fraction(1, 4), strategy="boxes", max_radius=40)
-        payload = cert.to_json()
+    def test_certificate_revalidates(self, z2, tmp_path, capsys):
+        spec = tmp_path / "z2.json"
+        spec.write_text(json.dumps(z2.to_dict()))
+        assert main(["folner", "--group", str(spec), "--eps", "1/4", "--strategy", "boxes", "--max-radius", "40"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         from amencert.groups import group_from_dict
 
         group = group_from_dict(payload["group"])
@@ -514,7 +518,7 @@ class TestIsoperimetricMin:
     def test_search_ratios_never_beat_four(self, f2):
         result = folner_search(f2, Fraction(4), strategy="balls", max_radius=5)
         assert isinstance(result, FolnerFailure)
-        assert all(a["_ratio"] >= 4 for a in result.attempts)
+        assert all(ratio >= 4 for _, _, ratio in result.attempts)
 
 
 def rank_and_membership_oracle(group):
@@ -638,7 +642,7 @@ class TestFiniteH0:
         assert d18.identity != 0
         groups = (cyclic_group(1), cyclic_group(2), cyclic_group(5), s3, shuffled_s4(), d18)
         for group in groups:
-            assert finite_h0(group).to_json() == pivot_insertion_report(group).to_json()
+            assert finite_h0(group) == pivot_insertion_report(group)
 
     def test_matches_row_echelon_oracle(self, z3, s3):
         for group in (z3, cyclic_group(2), cyclic_group(5), s3, shuffled_s4(), dihedral_group(6)):
@@ -677,8 +681,11 @@ class TestFiniteH0:
         with pytest.raises(ValueError):
             finite_h0(f2)
 
-    def test_report_payload(self, z3):
-        payload = finite_h0(z3).to_json()
+    def test_report_payload(self, z3, tmp_path, capsys):
+        spec = tmp_path / "z3.json"
+        spec.write_text(json.dumps(z3.to_dict()))
+        assert main(["finite-h0", "--group", str(spec)]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["one-in-span"] is False
         assert payload["residual-l1"] == "3/1"
 

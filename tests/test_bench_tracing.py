@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from amencert import amenability, pairing, witnesses
-from amencert.groups import FreeAbelianGroup, FreeGroup
+from amencert.groups import FreeAbelianGroup, FreeGroup, cyclic_group
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -57,3 +57,15 @@ def test_box_search_counts_every_candidate():
     assert tracer.counts["amenability.candidates"] == 1
     assert tracer.counts["amenability.candidate_elems"] == 32 * 32
     assert tracer.counts["amenability.accepted"] == 1
+
+
+def test_pairing_and_h0_counters():
+    # the flow certificate pairs three times: the value, then both adjointness routes, over
+    # slices of 4, 4 and 1 keys; the H_0 report states the order of the group it was given
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        witnesses.flow_pairing_certificate(witnesses.FlowCycleSpec(FreeGroup(2), 1))
+        amenability.finite_h0(cyclic_group(6))
+    assert tracer.counts["pairing.pair_calls"] == 3
+    assert tracer.counts["pairing.slice_keys"] == 9
+    assert tracer.counts["amenability.h0_order"] == 6

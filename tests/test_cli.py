@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amencert import groups
-from amencert.cli import _dumps, main
+from amencert.cli import _dumps, _flow_json, _pairing_json, main
 from amencert.complexes import EquivariantChain
 from amencert.groups import FreeGroup, cyclic_table
 from amencert.witnesses import FlowCycleSpec, flow_cycle
@@ -486,8 +486,8 @@ class TestSelftest:
 
     def test_a_broken_boundary_fails_under_python_O(self):
         # -O strips assert statements; the selftest's checks must still run
-        code = ("import json; from amencert import complexes, sampling; complexes.UfChain.boundary = lambda self: self; "
-                "print(json.dumps(sampling.selftest(0, 5)))")
+        code = ("from amencert import cli, complexes; complexes.UfChain.boundary = lambda self: self; "
+                "cli.main(['selftest', '--seed', '0', '--trials', '5'])")
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
@@ -749,8 +749,7 @@ class TestOutputContract:
         fs = FlowCycleSpec(group, ray)
         report = verify_flow_cycle(fs, payload["radius"])
         cert = flow_pairing_certificate(fs)
-        rebuilt = report.to_json()
-        rebuilt["pairing"] = cert.to_json()
+        rebuilt = _flow_json(report) | {"pairing": _pairing_json(cert)}
         assert json.dumps(rebuilt, indent=2) + "\n" == first
 
 

@@ -2,7 +2,7 @@
 
 `hypothesis` draws jobs in the shapes that `perfbench/gen.py` writes:
 `verify-f2`, `iso-min`, `folner --strategy boxes` and `folner --strategy
-balls` jobs; weighted
+balls` jobs; `finite-h0` jobs on relabelled tables; weighted
 `reiter` files; `pair` jobs with full-dual cochain files and `l1` cycle
 files; and the `inflate` and `uf-boundary2` API jobs, which run through
 `perfbench/worker.OPS`. CLI jobs run through `cli.main` in process, and
@@ -34,7 +34,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amencert import cli
@@ -411,3 +411,66 @@ def test_uf_chain_jobs(bench, workdir, params):
     job = gen.api_job(f"{op}-drawn", op, write(workdir, plain, data))
     text = json.dumps(worker.OPS[op](data), sort_keys=True)
     assert validate.check(job, 0, text) is None, (op, data)
+
+
+# -- finite-h0 on relabelled tables --------------------------------------------
+
+
+def z2_times_table(n):
+    """Z/2 x Z/n of order 2n: index a + 2b is (a, b)."""
+    return [[(x + y) % 2 + 2 * ((x // 2 + y // 2) % n) for y in range(2 * n)] for x in range(2 * n)]
+
+
+def relabelled(table, perm):
+    """The same group with element i renamed perm[i]."""
+    out = [[0] * len(table) for _ in table]
+    for i, row in enumerate(table):
+        for j, x in enumerate(row):
+            out[perm[i]][perm[j]] = perm[x]
+    return out
+
+
+def generates(table, identity, gens):
+    """Whether the products of `gens` reach every element of the table's group."""
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [y for y in {table[x][g] for x in frontier for g in gens} if y not in seen]
+        seen.update(frontier)
+    return len(seen) == len(table)
+
+
+@st.composite
+def h0_inputs(draw):
+    """(file spec, spec with its generators spelled out): Z/n, D_k or Z/2 x Z/n of order <= 12, or S_3.
+
+    Every table keeps its identity at index 0 until a drawn permutation
+    relabels it. The generators are the default (every other element) or
+    a drawn subset that generates the group.
+    """
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "z2-times", "s3"]))
+    if kind == "s3":
+        table = S3["table"]
+    else:
+        n = draw(st.integers(1, 12 if kind == "cyclic" else 6))
+        table = {"cyclic": cyclic_table, "dihedral": dihedral_table, "z2-times": z2_times_table}[kind](n)
+    perm = draw(st.permutations(range(len(table))))
+    spec = {"family": "finite", "table": relabelled(table, perm)}
+    others = [g for g in range(len(table)) if g != perm[0]]
+    if others and draw(st.booleans()):
+        gens = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+        assume(generates(spec["table"], perm[0], gens))
+        spec["generators"] = gens
+    return spec, {**spec, "generators": spec.get("generators", others)}
+
+
+@DRAWN
+@given(h0_inputs())
+def test_finite_h0_tables(bench, workdir, params):
+    gen, plain, validate, _ = bench
+    spec, spelled = params
+    job = gen.cli_job("h0-drawn", ["finite-h0", "--group", write(workdir, plain, spec)],
+                      {"type": "finite-h0", "group": spelled})
+    rc, text = run(job["argv"])
+    assert validate.check(job, rc, text) is None, (job["argv"], text[:300])
+    # the validator asks only for a positive residual; the augmentation witness gives |G| exactly
+    assert json.loads(text)["residual-l1"] == f"{len(spec['table'])}/1"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from amencert.cli import _pairing_json
 from amencert.complexes import (
     KIND_L1,
     BoundedCochain,
@@ -125,10 +126,17 @@ class TestCertificate:
             cycle_id="tree-flow(a)",
             adjoint_of=one_lift_cochain(f2),
         )
-        payload = cert.to_json()
+        payload = _pairing_json(cert)
         assert payload["value"] == "2/1"
         assert payload["truncation-radius"] == 1
         assert payload["cochain"] == "johnson-cocycle"
         assert payload["adjointness-witness"]["equal"] is True
         assert payload["adjointness-witness"]["cochain-route"] == "2/1"
         assert payload["adjointness-witness"]["chain-route"] == "2/1"
+
+    def test_routes_off_the_value_are_unequal(self, f2):
+        cert = make_pairing_certificate(johnson_cocycle(f2), flow_cycle(FlowCycleSpec(f2, 1)))
+        assert cert.value == 2
+        for a, b in ((2, 3), (3, 2), (3, 3)):
+            witness = _pairing_json(cert._replace(adjointness=(Fraction(a), Fraction(b))))["adjointness-witness"]
+            assert witness == {"cochain-route": f"{a}/1", "chain-route": f"{b}/1", "equal": False}
