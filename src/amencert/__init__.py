@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "groups": (
         "Element", "FiniteGroup", "FreeAbelianGroup", "FreeGroup", "GroupSpec",
-        "cyclic_group", "cyclic_table", "group_from_dict", "load_group",
+        "cyclic_group", "cyclic_table", "group_from_dict",
     ),
     "functions": ("BoundedFn", "FinSuppFn", "delta", "pair_eval", "tree_flow"),
     "complexes": (

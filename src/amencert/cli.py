@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .functions import FinSuppFn, frac_str, parse_frac
-from .groups import FiniteGroup, FreeGroup, group_from_dict, json_field, load_group, load_json
+from .groups import FiniteGroup, FreeGroup, group_from_dict, json_field, load_json
 
 # the writer for each scalar type, looked up by exact type: a float (never exact) has none
 _SCALARS = {
@@ -105,7 +105,7 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def _flow_json(report: FlowVerification) -> dict:
-    group, to_str = report.fs.group, report.fs.group.elem_to_str
+    group, write = report.fs.group, report.fs.group.elem_to_json
     return {
         "type": "flow-cycle-verification",
         "group": group.to_dict(),
@@ -117,7 +117,7 @@ def _flow_json(report: FlowVerification) -> dict:
         "incoming-constant": report.incoming_constant,
         "boundary-constant": report.boundary_constant,
         "failures": [
-            {"base": to_str(k), "point": to_str(g), "outgoing": out, "incoming": inc, "boundary": inc - out}
+            {"base": write(k), "point": write(g), "outgoing": out, "incoming": inc, "boundary": inc - out}
             for k, g, out, inc in report.failures[:20]
         ],
         "passed": report.passed,
@@ -213,7 +213,7 @@ def cmd_pair(args) -> int:
 def cmd_folner(args) -> int:
     from .amenability import FolnerCertificate, folner_search
 
-    group = load_group(args.group)
+    group = group_from_dict(load_json(args.group))
     result = folner_search(
         group, parse_frac(args.eps), strategy=args.strategy, max_radius=args.max_radius
     )
@@ -248,7 +248,7 @@ def cmd_folner(args) -> int:
 def cmd_reiter(args) -> int:
     from .amenability import indicator, reiter_counts
 
-    group = load_group(args.group)
+    group = group_from_dict(load_json(args.group))
     data = load_json(args.set)
     if not isinstance(data, list) or not data:
         raise ValueError("the set file must hold a nonempty list of elements or [element, rational] pairs")
@@ -274,7 +274,7 @@ def cmd_reiter(args) -> int:
 def cmd_finite_h0(args) -> int:
     from .amenability import finite_h0
 
-    group = load_group(args.group)
+    group = group_from_dict(load_json(args.group))
     if not isinstance(group, FiniteGroup):
         raise ValueError("finite-h0 requires a finite group spec")
     report = finite_h0(group)
@@ -293,7 +293,7 @@ def cmd_finite_h0(args) -> int:
 def cmd_iso_min(args) -> int:
     from .amenability import isoperimetric_argmin
 
-    group = load_group(args.group) if args.group else FreeGroup(2)
+    group = group_from_dict(load_json(args.group)) if args.group else FreeGroup(2)
     ratio, members = isoperimetric_argmin(group, args.radius)
     ball = group.ball(args.radius)
     payload = {

@@ -406,7 +406,7 @@ class FinSuppFn(_Linear):
 
     def __repr__(self) -> str:
         nums, den = self.nums, self.den
-        terms = ", ".join(f"{self.group.elem_to_str(g)}: {Fraction(nums[g], den)}" for g in self.support())
+        terms = ", ".join(f"{self.group.elem_to_json(g)}: {Fraction(nums[g], den)}" for g in self.support())
         return f"FinSuppFn({{{terms}}})"
 
     def to_pairs(self) -> list:
@@ -510,7 +510,7 @@ class BoundedFn(_Linear):
         )
 
     def __repr__(self):
-        word = self.group.elem_to_str
+        word = self.group.elem_to_json
         terms = "".join(f", {c} * {word(s)}.flow({word((edge,))}, {word((ray,))})"
                         for (s, edge, ray), c in self.terms.items())
         return f"BoundedFn({self.const}, {self.fn!r}{terms})"
@@ -522,7 +522,7 @@ class BoundedFn(_Linear):
             (s, edge, ray), c = next(iter(self.terms.items()))
             if len(self.terms) > 1 or c != 1 or s != self.group.identity or self.const or self.fn:
                 raise ValueError("a bounded value with tree-flow terms has no serialized form")
-            word = self.group.elem_to_str  # each letter as a one-letter word: "b^-1", "a"
+            word = self.group.elem_to_json  # each letter as a one-letter word: "b^-1", "a"
             return {"tree-flow": {"edge": word((edge,)), "ray": word((ray,))}}
         if self.fn.is_zero:
             return {"constant": frac_str(self.const)}
@@ -584,7 +584,7 @@ def bounded_from_json(group: GroupSpec, data: dict, ratios: dict | None = None) 
         if not isinstance(group, FreeGroup):
             raise ValueError("tree-flow values require a free group")
         edge, ray = json_field(payload, "edge", str, kind), json_field(payload, "ray", str, kind)
-        edge_word, ray_word = group.elem_from_str(edge), group.elem_from_str(ray)
+        edge_word, ray_word = group.elem_from_json(edge), group.elem_from_json(ray)
         if len(edge_word) != 1:
             raise ValueError(f"tree-flow edge must be one letter, got {edge!r}")
         if len(ray_word) != 1 or ray_word[0] < 0:

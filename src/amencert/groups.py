@@ -20,7 +20,9 @@ then its inverse, and `letters()` returns that one tuple to every caller:
 balls, word metrics and the flow cycle. `letter_pairs()` gives the same
 letters once per inverse pair, for the Reiter and Folner differences.
 Free and free-abelian groups share the rank, the labels and `to_dict`
-through `_RankedGroup`; each family supplies only its basis.
+through `_RankedGroup`; each family supplies only its basis. Each family
+has one element text form, written by `elem_to_json` and read by
+`elem_from_json`: files, certificates and reprs all use it.
 
 Every JSON input file of the library and the CLI is read through
 `load_json` and checked with `json_field`, `json_pairs` and `json_check`.
@@ -178,9 +180,6 @@ class GroupSpec:
     def elem_from_json(self, data) -> Element:
         raise NotImplementedError
 
-    def elem_to_str(self, a: Element) -> str:
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -312,7 +311,7 @@ class FreeGroup(_RankedGroup):
     def __init__(self, rank: int, labels: Sequence[str] | None = None) -> None:
         super().__init__(rank, labels, "free group")
         self._label_letter = {lab: i + 1 for i, lab in enumerate(self.gen_labels)}
-        # raw token text -> (signed letter, count >= 0), filled by elem_from_str
+        # raw token text -> (signed letter, count >= 0), filled by elem_from_json
         self._tokens: dict[str, tuple[int, int]] = {}
         letters = tuple(x for _, x in self.letters())
         # each letter's place in letters(): a < a^-1 < b < b^-1 < ..., the word order of sort_key
@@ -394,7 +393,7 @@ class FreeGroup(_RankedGroup):
     def ball_size(self, radius, cap):
         return free_ball_size(self.rank, radius, cap)
 
-    def elem_to_str(self, a) -> str:
+    def elem_to_json(self, a) -> str:
         if not a:
             return "e"
         labels = self.gen_labels
@@ -405,7 +404,7 @@ class FreeGroup(_RankedGroup):
             parts.append(lab if exp == 1 else f"{lab}^{exp}")
         return "*".join(parts)
 
-    def elem_from_str(self, s: str):
+    def elem_from_json(self, data):
         """The reduced word written as `a^2*b^-1` (or `e`).
 
         Each token is `label` or `label^n`, read by _read_token on its
@@ -421,7 +420,9 @@ class FreeGroup(_RankedGroup):
         letters on top, and the rest of it is pushed, so the result is the
         free reduction of the whole expanded word.
         """
-        s = s.strip()
+        if not isinstance(data, str):
+            raise ValueError(f"free-group element must serialize as a string, got {data!r}")
+        s = data.strip()
         if s in ("e", ""):
             return ()
         tokens = self._tokens
@@ -461,14 +462,6 @@ class FreeGroup(_RankedGroup):
             raise ValueError(f"unknown generator {lab!r}")
         n = int(exp_s) if caret else 1
         return (-letter, -n) if n < 0 else (letter, n)
-
-    def elem_to_json(self, a):
-        return self.elem_to_str(a)
-
-    def elem_from_json(self, data):
-        if not isinstance(data, str):
-            raise ValueError(f"free-group element must serialize as a string, got {data!r}")
-        return self.elem_from_str(data)
 
 
 class FreeAbelianGroup(_RankedGroup):
@@ -532,9 +525,6 @@ class FreeAbelianGroup(_RankedGroup):
             if total > cap:
                 break
         return total
-
-    def elem_to_str(self, a) -> str:
-        return "(" + ",".join(str(x) for x in a) + ")"
 
     def elem_to_json(self, a):
         return list(a)
@@ -696,9 +686,6 @@ class FiniteGroup(GroupSpec):
     def ball_size(self, radius, cap):
         return sum(d <= radius for d in self._distances)
 
-    def elem_to_str(self, a) -> str:
-        return str(a)
-
     def elem_to_json(self, a):
         return a
 
@@ -818,7 +805,3 @@ def load_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
-
-
-def load_group(path: str) -> GroupSpec:
-    return group_from_dict(load_json(path))

@@ -89,10 +89,11 @@ def random_uf_chain(rng: random.Random, group: GroupSpec, degree: int, max_len: 
     return UfChain(group, degree, _entries(rng, group, degree + 1, max_len, random_fraction))
 
 
-def _holds(ok: bool) -> None:
-    """A selftest check: AssertionError when ok is false, raised by code that `python -O` keeps."""
+def _holds(ok: bool, broken: str) -> None:
+    """A selftest check: AssertionError(broken) when ok is false, raised by code that `python -O`
+    keeps; `broken` says which property fails, and the selftest writes it as the check's error."""
     if not ok:
-        raise AssertionError
+        raise AssertionError(broken)
 
 
 def selftest(seed: int, trials: int) -> list[tuple[str, int, str | None]]:
@@ -118,9 +119,9 @@ def selftest(seed: int, trials: int) -> list[tuple[str, int, str | None]]:
         for _ in range(trials):
             g = rng.choice(specs)
             a, b, c = (random_element(rng, g) for _ in range(3))
-            _holds(g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c)))
-            _holds(g.mul(a, g.identity) == a and g.mul(g.identity, a) == a)
-            _holds(g.mul(a, g.inv(a)) == g.identity)
+            _holds(g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c)), "multiplication is not associative")
+            _holds(g.mul(a, g.identity) == a and g.mul(g.identity, a) == a, "the identity is not a two-sided unit")
+            _holds(g.mul(a, g.inv(a)) == g.identity, "an element times its inverse is not the identity")
             n += 3
         return n
 
@@ -129,16 +130,16 @@ def selftest(seed: int, trials: int) -> list[tuple[str, int, str | None]]:
         for _ in range(trials):
             g = rng.choice(specs)
             chain = random_l1_chain(rng, g, rng.randint(2, 3))
-            _holds(chain.boundary().boundary().is_zero)
+            _holds(chain.boundary().boundary().is_zero, "boundary of a boundary of an l1 chain is not zero")
             uf = random_uf_chain(rng, g, rng.randint(2, 3))
-            _holds(uf.boundary().boundary().is_zero)
+            _holds(uf.boundary().boundary().is_zero, "boundary of a boundary of a uniformly finite chain is not zero")
             linf = random_linf_chain(rng, g, rng.randint(2, 3))
-            _holds(linf.boundary().boundary().is_zero)
+            _holds(linf.boundary().boundary().is_zero, "boundary of a boundary of a bounded chain is not zero")
             phi = random_cochain(rng, g, rng.randint(0, 1))
             dd = phi.coboundary().coboundary()
             for _ in range(3):
                 key = tuple(random_element(rng, g, 2) for _ in range(dd.degree))
-                _holds(dd.value_at(key).is_zero)
+                _holds(dd.value_at(key).is_zero, "coboundary of a coboundary is not zero")
             n += 4
         return n
 
@@ -148,7 +149,7 @@ def selftest(seed: int, trials: int) -> list[tuple[str, int, str | None]]:
             g = rng.choice(specs)
             m = rng.randint(0, 2)
             left, right = adjointness_values(random_cochain(rng, g, m), random_l1_chain(rng, g, m + 1))
-            _holds(left == right)
+            _holds(left == right, "the two adjointness routes disagree")
             n += 1
         return n
 
@@ -157,15 +158,15 @@ def selftest(seed: int, trials: int) -> list[tuple[str, int, str | None]]:
         for _ in range(trials):
             g = rng.choice(specs)
             uf = random_uf_chain(rng, g, rng.randint(0, 2))
-            _holds(deflate(inflate(uf)) == uf)
+            _holds(deflate(inflate(uf)) == uf, "deflation does not undo inflation")
             if uf.degree >= 1:
-                _holds(inflate(uf.boundary()) == inflate(uf).boundary())
+                _holds(inflate(uf.boundary()) == inflate(uf).boundary(), "inflation does not commute with the boundary")
             n += 1
         return n
 
     def connecting():
         for g in specs:
-            _holds(connecting_lift_check(g))
+            _holds(connecting_lift_check(g), "the coboundary of the lifted constant one is not Johnson's cocycle")
         return len(specs)
 
     run("group-laws", group_laws)

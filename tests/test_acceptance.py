@@ -173,7 +173,7 @@ def test_criterion_7_isoperimetric_brute_force():
 def test_criterion_8_negative_control():
     f2 = FreeGroup(2)
     fs = FlowCycleSpec(f2, 1)
-    bad_point = f2.elem_from_str("b*a^-1")
+    bad_point = f2.elem_from_json("b*a^-1")
 
     def perturbed(s, g):
         value = flow_value(fs, s, g)

@@ -61,6 +61,10 @@ PINS = {
         ["reiter", "--group", "{f2}", "--set", "{f2-weights}"], 0,
         "4249ec003cae84440cf2699691bccca5ac7ca971856c6d5bcbd419f17d7747e6",
     ),
+    "reiter-f2-set": (
+        ["reiter", "--group", "{f2}", "--set", "{f2-set}"], 0,
+        "ac9aaa01597d1095e33af0be703e50afdb3bfa7c003372fb2aea7a46a6a5ca65",
+    ),
     "finite-h0-s3": (
         ["finite-h0", "--group", "{s3}"], 0,
         "1b03fcf8daab6e37b7e0e4669bb4f12baea724203ea3b4f175cd7b1c7bf469db",
@@ -98,6 +102,7 @@ FILES = {
         "entries": [[["a"], {"l1": [["e", "1/1"], ["b", "-1/2"]]}], [["b^-1"], {"l1": [["a*b", "2/3"]]}]],
     },
     "z2-set": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]],
+    "f2-set": ["e", "a", "a", "b^-1*a"],
     "f2-weights": [["e", "1/2"], ["a", "1/3"], ["b^-1", "2/1"], ["a*b", "3/4"]],
 }
 

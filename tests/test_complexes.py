@@ -254,7 +254,7 @@ class TestUfChains:
                             assert group.dist(x, y) <= out.diameter_bound
 
     def test_declared_bound_validated(self, f2):
-        far = f2.elem_from_str("a^5")
+        far = f2.elem_from_json("a^5")
         with pytest.raises(ValueError):
             UfChain(f2, 1, {(f2.identity, far): 1}, diameter_bound=2)
 

@@ -78,6 +78,12 @@ class TestFinSuppFn:
             f = random_finsupp(rng, group)
             assert FinSuppFn.from_pairs(group, f.to_pairs()) == f
 
+    def test_repr_prints_the_element_codec(self, f2, z2, z3):
+        # a repr writes each key as its file does: a word string, an integer list, a table index
+        assert repr(FinSuppFn(f2, [((1, -2), Fraction(1, 2)), ((), 1)])) == "FinSuppFn({e: 1, a*b^-1: 1/2})"
+        assert repr(FinSuppFn(z2, [((1, -2), -1)])) == "FinSuppFn({[1, -2]: -1})"
+        assert repr(FinSuppFn(z3, [(2, 3)])) == "FinSuppFn({2: 3})"
+
     def test_families_and_groups_do_not_mix(self, f2):
         # both families share their operators but not their sum, so a mixed + or - is refused
         f, v = delta(f2, f2.identity), BoundedFn(f2, 1)
@@ -153,7 +159,7 @@ class TestBoundedFn:
         # original flow at a; the direct geodesic computation gives 1.
         flow = tree_flow(f2, 1, 1)
         shifted = flow.translate(f2.gens[0])
-        assert shifted.evaluate(f2.elem_from_str("a^2")) == flow.evaluate(f2.gens[0]) == 1
+        assert shifted.evaluate(f2.elem_from_json("a^2")) == flow.evaluate(f2.gens[0]) == 1
 
     def test_tree_flow_requires_free_group(self, z2, z3):
         # the group is checked first, so letters that would be out of range are never read

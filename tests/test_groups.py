@@ -1,6 +1,7 @@
 """Normal forms, ball enumeration and the word metric."""
 
 import itertools
+import json
 import random
 import re
 import sys
@@ -78,10 +79,10 @@ class TestMultiply:
         assert f2.mul(a, f2.inv(a)) == f2.identity
 
     def test_word_reduction_example(self, f2):
-        left = f2.elem_from_str("a*b")
-        right = f2.elem_from_str("b^-1*a")
+        left = f2.elem_from_json("a*b")
+        right = f2.elem_from_json("b^-1*a")
         product = f2.mul(left, right)
-        assert product == f2.elem_from_str("a^2")
+        assert product == f2.elem_from_json("a^2")
         assert product == naive_reduce(left + right)
 
     def test_vector_addition(self, z2):
@@ -103,11 +104,11 @@ class TestMultiply:
 
     @pytest.mark.parametrize("word", ["a*b*b^-1*a^-1", "a^2*a^-2", "b*a*a^-1*b^-1*a^3*a^-3"])
     def test_unreduced_strings_parse_to_identity(self, f2, word):
-        assert f2.elem_from_str(word) == f2.identity
+        assert f2.elem_from_json(word) == f2.identity
 
     def test_unreduced_string_reduces_inside(self, f2):
         # cancellation away from any junction still happens in parsing
-        assert f2.elem_from_str("a*b*b^-1*a") == (1, 1)
+        assert f2.elem_from_json("a*b*b^-1*a") == (1, 1)
 
     def test_family_mismatch_rejected(self, f2, z2):
         with pytest.raises(ValueError):
@@ -294,8 +295,8 @@ class TestWordMetric:
         assert f2.dist(a, f2.mul(a, f2.gens[1])) == 1
 
     def test_ab_ba_distance(self, f2):
-        ab = f2.elem_from_str("a*b")
-        ba = f2.elem_from_str("b*a")
+        ab = f2.elem_from_json("a*b")
+        ba = f2.elem_from_json("b*a")
         assert f2.dist(ab, ba) == 4
         assert bfs_distance(f2, ab, ba) == 4
 
@@ -522,18 +523,18 @@ class TestWorkGuards:
                 cls(rank)
 
     def test_word_letter_cap(self, f2):
-        assert f2.elem_from_str(f"a^{MAX_WORD_LETTERS - 1}*b^-1") == (1,) * (MAX_WORD_LETTERS - 1) + (-2,)
+        assert f2.elem_from_json(f"a^{MAX_WORD_LETTERS - 1}*b^-1") == (1,) * (MAX_WORD_LETTERS - 1) + (-2,)
         # the running sum counts letters before reduction, so a word that reduces to a is refused too
         half = MAX_WORD_LETTERS // 2
         for word in (f"a^{MAX_WORD_LETTERS + 1}", f"b^-{MAX_WORD_LETTERS}*a", f"a^{half}*a^-{half}*a"):
             with pytest.raises(ValueError, match="cap"):
-                f2.elem_from_str(word)
+                f2.elem_from_json(word)
 
     def test_word_letter_cap_fires_before_expanding(self, f2):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="cap"):
-                f2.elem_from_str("a^3000000000")
+                f2.elem_from_json("a^3000000000")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -546,21 +547,23 @@ class TestWorkGuards:
 
 
 class TestSerialization:
-    def test_word_string_roundtrip(self, f2, rng):
-        from amencert.sampling import random_element
-
-        for _ in range(100):
-            g = random_element(rng, f2, max_len=5)
-            assert f2.elem_from_str(f2.elem_to_str(g)) == g
+    def test_word_string_roundtrip(self, s3):
+        """Each family's one codec pair reads back what it wrote, through JSON text."""
+        ranked = [family(rank) for family in (FreeGroup, FreeAbelianGroup) for rank in (1, 2, 3)]
+        groups = [(group, group.ball(3)) for group in ranked]
+        groups += [(group, range(group.order)) for group in (cyclic_group(1), cyclic_group(5), s3)]
+        for group, elems in groups:
+            for x in elems:
+                assert group.elem_from_json(json.loads(json.dumps(group.elem_to_json(x)))) == x == group.check(x)
 
     def test_word_string_examples(self, f2):
-        assert f2.elem_to_str(()) == "e"
-        assert f2.elem_to_str((1, 1, -2)) == "a^2*b^-1"
-        assert f2.elem_from_str("a^-3") == (-1, -1, -1)
+        assert f2.elem_to_json(()) == "e"
+        assert f2.elem_to_json((1, 1, -2)) == "a^2*b^-1"
+        assert f2.elem_from_json("a^-3") == (-1, -1, -1)
         with pytest.raises(ValueError):
-            f2.elem_from_str("c")
+            f2.elem_from_json("c")
         with pytest.raises(ValueError):
-            f2.elem_from_str("a**b")
+            f2.elem_from_json("a**b")
 
     def test_group_dict_roundtrip(self, all_groups, s3):
         for group in list(all_groups) + [s3]:
@@ -619,14 +622,14 @@ class TestSerialization:
     def test_word_token_edge_cases(self, f2, word, want):
         *before, word = (word,) if isinstance(word, str) else word
         for earlier in before:
-            assert self.SHARED.elem_from_str(earlier) == f2.elem_from_str(earlier)
+            assert self.SHARED.elem_from_json(earlier) == f2.elem_from_json(earlier)
         # a group that has read only this row, then the shared one twice: the second read finds every token stored
         for group in (f2, self.SHARED, self.SHARED):
             if isinstance(want, tuple):
-                assert group.elem_from_str(word) == want
+                assert group.elem_from_json(word) == want
             else:
                 with pytest.raises(ValueError) as exc:
-                    group.elem_from_str(word)
+                    group.elem_from_json(word)
                 assert str(exc.value) == want
 
 
@@ -647,7 +650,7 @@ class TestDefaultLabels:
             words = [tuple(range(1, rank + 1)), tuple(range(-rank, 0))]
             words += [random_element(rng, free, max_len=6) for _ in range(5)]
             for word in words:
-                assert free.elem_from_str(free.elem_to_str(word)) == word
+                assert free.elem_from_json(free.elem_to_json(word)) == word
             assert group_from_dict({"family": "free", "rank": rank}) == free
 
 

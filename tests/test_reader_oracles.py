@@ -1,7 +1,7 @@
 """The file readers against the pattern-based readers they replaced.
 
 `parse_frac` reads the short "p/q" form with `partition` and `int`, and
-`FreeGroup.elem_from_str` reads its tokens with `str` tests. The earlier
+`FreeGroup.elem_from_json` reads its tokens with `str` tests. The earlier
 bodies, which ran a pattern on every string, are kept here as oracles: on
 every drawn string both must give the same value or the same error text.
 
@@ -66,7 +66,7 @@ def oracle_frac(s):
 
 
 def oracle_word(group, s):
-    """FreeGroup.elem_from_str as it matched a pattern per token, then reduced the expanded word."""
+    """FreeGroup.elem_from_json as it matched a pattern per token, then reduced the expanded word."""
     index = {lab: i for i, lab in enumerate(group.gen_labels)}
     s = s.strip()
     if s in ("e", ""):
@@ -133,8 +133,8 @@ def test_parse_frac_matches_the_pattern_reader(text):
 
 @settings(max_examples=150, **SETTINGS)
 @given(text=WORDS)
-def test_elem_from_str_matches_the_pattern_reader(text):
-    assert outcome(GROUP.elem_from_str, text) == outcome(oracle_word, GROUP, text)
+def test_elem_from_json_matches_the_pattern_reader(text):
+    assert outcome(GROUP.elem_from_json, text) == outcome(oracle_word, GROUP, text)
 
 
 

@@ -82,8 +82,8 @@ def pair_loop_report(fs, radius, flow):
                 failures.append((k, g, outgoing, incoming))
                 rows.append(
                     {
-                        "base": group.elem_to_str(k),
-                        "point": group.elem_to_str(g),
+                        "base": group.elem_to_json(k),
+                        "point": group.elem_to_json(g),
                         "outgoing": outgoing,
                         "incoming": incoming,
                         "boundary": incoming - outgoing,
@@ -111,7 +111,7 @@ def one_line_value_error(call, *args):
 
 def flipped_at(fs, edge, word):
     """The flow oracle with the value of `edge` at the point `word` flipped."""
-    bad_point = fs.group.elem_from_str(word)
+    bad_point = fs.group.elem_from_json(word)
 
     def perturbed(s, g):
         value = flow_value(fs, s, g)
@@ -128,7 +128,7 @@ class TestFlowValue:
 
     def test_stripping_example(self, f2):
         fs = FlowCycleSpec(f2, 1)
-        g = f2.elem_from_str("b*a^-3")
+        g = f2.elem_from_json("b*a^-3")
         assert flow_value(fs, 1, g) == 0
         assert flow_value(fs, 2, g) == 1
 
@@ -214,7 +214,7 @@ class TestVerifyFlowCycle:
 
     def test_perturbation_detected(self, f2):
         fs = FlowCycleSpec(f2, 1)
-        bad_point = f2.elem_from_str("a*b")
+        bad_point = f2.elem_from_json("a*b")
 
         def perturbed(s, g):
             value = flow_value(fs, s, g)
@@ -325,7 +325,7 @@ class TestDefaultRoute:
     def test_wrong_head_is_caught(self, monkeypatch, rank, word, wrong):
         group = FreeGroup(rank)
         fs = FlowCycleSpec(group, 1)
-        bad_point = group.elem_from_str(word)
+        bad_point = group.elem_from_json(word)
 
         def perturbed_head(g, ray):
             return wrong if g == bad_point else ray_first_letter(g, ray)
