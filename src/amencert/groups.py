@@ -133,7 +133,7 @@ class GroupSpec:
         self._letter_pairs = tuple(pairs)
         # The canonical JSON of the spec, built once: it decides equality,
         # hashing and the spec hash.
-        self._canonical = _canonical_json(self.to_dict())
+        self._canonical = self._canonical_text()
         # The walk's state. The lock keeps concurrent ball() calls from
         # appending a level twice; everything else is immutable, except
         # FreeGroup's token table. Each of its entries is a function of its
@@ -182,6 +182,9 @@ class GroupSpec:
 
     def to_dict(self) -> dict:
         raise NotImplementedError
+
+    def _canonical_text(self) -> str:  # to_dict() as compact, key-sorted JSON; a family may write it faster
+        return _canonical_json(self.to_dict())
 
     # -- shared machinery -------------------------------------------------
 
@@ -540,7 +543,7 @@ class FiniteGroup(GroupSpec):
 
     The table is validated eagerly, in this order: entries in range, a
     two-sided identity, two-sided inverses, associativity by Light's test
-    (n |L| row comparisons for a set L of at most 2 log2 n letters, see
+    (n |L| row comparisons for a set L of at most log2 n letters, see
     _validate_table), then the declared generators. These must generate
     the whole group; they default to all non-identity elements.
     """
@@ -556,9 +559,8 @@ class FiniteGroup(GroupSpec):
         if generators is None:
             generators = tuple(i for i in range(self.order) if i != self._identity)
         self.gens = tuple(map(self.check, generators))
-        for g in self.gens:
-            if g == self._identity:
-                raise ValueError("identity cannot be a declared generator")
+        if self._identity in self.gens:
+            raise ValueError("identity cannot be a declared generator")
         if len(set(self.gens)) != len(self.gens):
             raise ValueError("declared generators must be distinct")
         self.gen_labels = tuple(f"g{i}" for i in self.gens)
@@ -584,7 +586,7 @@ class FiniteGroup(GroupSpec):
         using a, b, a and then b in A (the last with x = a). So A is closed
         under products and holds every left-normed product: A is everything.
 
-        L comes from _light_letters, at most 2 log2 n letters for a group, so
+        L comes from _light_letters, at most log2 n letters for a group, so
         the check is n |L| row comparisons: O(n^2 log n) where all triples
         were n^3. A failing comparison names a triple (x, s, y) with
         (x.s).y != x.(s.y), a witness that holds whatever L was.
@@ -597,17 +599,12 @@ class FiniteGroup(GroupSpec):
                 raise ValueError("multiplication table must be square")
             for x in row:
                 if type(x) is not int or not 0 <= x < n:
-                    raise ValueError(f"table entry {x!r} out of range")
-        ident = None
-        full = tuple(range(n))
-        for i in range(n):
-            if self.table[i] == full and all(self.table[j][i] == j for j in range(n)):
-                ident = i
-                break
+                    raise ValueError(f"table entry {x!r} must be an index 0..{n - 1}")
+        table, full = self.table, tuple(range(n))
+        ident = next((i for i in range(n) if table[i] == full and all(table[j][i] == j for j in range(n))), None)
         if ident is None:
             raise ValueError("table has no two-sided identity")
         self._identity = ident
-        table = self.table
         self._inverses = []
         for i, row in enumerate(table):
             # the first j with i.j = e = j.i
@@ -631,32 +628,29 @@ class FiniteGroup(GroupSpec):
         """A greedy L for Light's test: e's left-normed products over L reach every element.
 
         Start from the reached set {e}; while some element is unreached, add
-        the lowest one and its inverse to L and close the reached set under
-        right multiplication by L. For a group the reached set is the
-        submonoid generated by L, which in a finite group is a subgroup; each
-        new letter lies outside it, so by Lagrange the next subgroup is at
-        least twice as large. Hence at most log2 n steps of at most two
-        letters: |L| <= 2 log2 n. A table that is not a group still stops,
-        as each step reaches one more element at least.
+        the lowest one (no inverse: Light's lemma does not use them) to L and
+        close the reached set under right multiplication by L. For a group
+        the reached set is the submonoid generated by L, which in a finite
+        group is a subgroup; each new letter lies outside it, so by Lagrange
+        the next subgroup is at least twice as large: |L| <= log2 n. A table
+        that is not a group still stops, as each step reaches its new letter.
         """
-        table = self.table
         reached = [False] * self.order
         reached[self._identity] = True
         found = [self._identity]
         letters: list[int] = []
         for a in range(self.order):
-            if reached[a]:
-                continue
-            letters.extend(dict.fromkeys((a, self._inverses[a])))
-            stack = list(found)  # the new letters act on everything reached so far
-            while stack:
-                row = table[stack.pop()]
-                for s in letters:
-                    y = row[s]
-                    if not reached[y]:
-                        reached[y] = True
-                        found.append(y)
-                        stack.append(y)
+            if not reached[a]:
+                letters.append(a)
+                stack = list(found)  # the new letter acts on everything reached so far
+                while stack:
+                    row = self.table[stack.pop()]
+                    for s in letters:
+                        y = row[s]
+                        if not reached[y]:
+                            reached[y] = True
+                            found.append(y)
+                            stack.append(y)
         return letters
 
     @property
@@ -693,11 +687,17 @@ class FiniteGroup(GroupSpec):
         return self.check(data)
 
     def to_dict(self):
-        return {
-            "family": "finite",
-            "table": [list(row) for row in self.table],
-            "generators": list(self.gens),
-        }
+        return {"family": "finite", "table": [list(row) for row in self.table], "generators": list(self.gens)}
+
+    def _canonical_text(self):
+        """_canonical_json(self.to_dict()) from one list of digit strings: keys sort family < generators
+        < table, and json writes each entry and generator, an int in [0, n), as str(i) = texts[i]. A
+        one-index itemgetter returns a bare text: the order-1 row (0,) joins the one character of "0"
+        back to "0", but a lone generator "17" would split, so the generators go through map."""
+        texts = [str(i) for i in range(self.order)]
+        rows = "],[".join([",".join(operator.itemgetter(*row)(texts)) for row in self.table])
+        gens = ",".join(map(texts.__getitem__, self.gens))
+        return f'{{"family":"finite","generators":[{gens}],"table":[[{rows}]]}}'
 
 
 # -- constructors ---------------------------------------------------------

@@ -23,7 +23,7 @@ from amencert.cli import main
 from amencert.functions import FinSuppFn
 from amencert.groups import FiniteGroup, FreeAbelianGroup, FreeGroup, cyclic_group, cyclic_table
 from amencert.sampling import random_element, random_finsupp, random_fraction
-from conftest import dihedral_table, s3_group, symmetric_table
+from conftest import dihedral_table, relabelled, s3_group, symmetric_table
 
 
 def box(group, side):
@@ -601,15 +601,6 @@ def pivot_insertion_report(group):
         one_in_span=residual_l1 == 0,
         residual_l1=residual_l1,
     )
-
-
-def relabelled(table, perm):
-    """The same group with element i renamed perm[i]."""
-    out = [[0] * len(table) for _ in table]
-    for i, row in enumerate(table):
-        for j, x in enumerate(row):
-            out[perm[i]][perm[j]] = perm[x]
-    return out
 
 
 def shuffled_s4():

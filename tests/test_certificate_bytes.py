@@ -18,6 +18,9 @@ Z2 = {"family": "free-abelian", "rank": 2, "generators": ["a", "b"]}
 Z3 = {"family": "finite", "table": cyclic_table(3), "generators": [1]}
 Z5 = {"family": "finite", "table": cyclic_table(5), "generators": [1]}
 D4 = {"family": "finite", "table": dihedral_table(4), "generators": [1, 4]}
+D8 = {"family": "finite", "table": dihedral_table(8), "generators": [1, 8]}
+D18 = {"family": "finite", "table": dihedral_table(18), "generators": [1, 18]}
+Z60 = {"family": "finite", "table": cyclic_table(60), "generators": [7]}
 
 # name -> (argv, with {file} fields naming the input files below, exit code, sha256 of stdout)
 PINS = {
@@ -69,6 +72,18 @@ PINS = {
         ["finite-h0", "--group", "{s3}"], 0,
         "1b03fcf8daab6e37b7e0e4669bb4f12baea724203ea3b4f175cd7b1c7bf469db",
     ),
+    "finite-h0-z60-g7": (
+        ["finite-h0", "--group", "{z60}"], 0,
+        "c0098fbd47e8b2586cbe6e2b355d8781f9197b8a6a0ecc6f595d6c6baa2bf153",
+    ),
+    "finite-h0-d18": (
+        ["finite-h0", "--group", "{d18}"], 0,
+        "8466a4fd6b7b4be3083882dee5eac8e1d831b887e966538b2ed4c0052c8841d2",
+    ),
+    "iso-min-d8-r5": (
+        ["iso-min", "--radius", "5", "--group", "{d8}"], 0,
+        "23f36b785436be21a5478abc479a9c21d15083e5b1f2f1ce7829a7fcde30760e",
+    ),
     "iso-min-f2-r2": (
         ["iso-min", "--radius", "2"], 0,
         "d7eb836cf07da7dff28ba327b5491f2d57d6e6d7ec2fd81e52fa46f45baeb1d5",
@@ -92,6 +107,9 @@ FILES = {
     "z2": Z2,
     "z5": Z5,
     "d4": D4,
+    "d8": D8,
+    "d18": D18,
+    "z60": Z60,
     "s3": s3_group().to_dict(),
     "johnson-f2": {"builtin": "johnson", "group": F2},
     "flow-f2": {"builtin": "flow", "group": F2, "ray": "a"},

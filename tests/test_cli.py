@@ -379,6 +379,17 @@ class TestFiniteH0:
         code, _ = run_cli(capsys, "finite-h0", "--group", z2_file)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "entry, text",
+        [("true", "True"), ("0.0", "0.0"), ("-2", "-2"), ('"x"', "'x'"), ("2", "2")],
+    )
+    def test_table_entry_that_is_not_an_index(self, capsys, tmp_path, entry, text):
+        # a bool, a float, a negative int, a string and n itself all fail with one text
+        path = tmp_path / "z2.json"
+        path.write_text(f'{{"family": "finite", "table": [[0, 1], [1, {entry}]]}}')
+        assert main(["finite-h0", "--group", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: table entry {text} must be an index 0..1\n"
+
 
 class TestIsoMin:
     def test_default_group_radius_one(self, capsys):

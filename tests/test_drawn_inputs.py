@@ -38,7 +38,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amencert import cli
-from conftest import dihedral_table, s3_group
+from conftest import dihedral_table, generates, relabelled, s3_group, z2_times_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -414,29 +414,6 @@ def test_uf_chain_jobs(bench, workdir, params):
 
 
 # -- finite-h0 on relabelled tables --------------------------------------------
-
-
-def z2_times_table(n):
-    """Z/2 x Z/n of order 2n: index a + 2b is (a, b)."""
-    return [[(x + y) % 2 + 2 * ((x // 2 + y // 2) % n) for y in range(2 * n)] for x in range(2 * n)]
-
-
-def relabelled(table, perm):
-    """The same group with element i renamed perm[i]."""
-    out = [[0] * len(table) for _ in table]
-    for i, row in enumerate(table):
-        for j, x in enumerate(row):
-            out[perm[i]][perm[j]] = perm[x]
-    return out
-
-
-def generates(table, identity, gens):
-    """Whether the products of `gens` reach every element of the table's group."""
-    seen, frontier = {identity}, [identity]
-    while frontier:
-        frontier = [y for y in {table[x][g] for x in frontier for g in gens} if y not in seen]
-        seen.update(frontier)
-    return len(seen) == len(table)
 
 
 @st.composite

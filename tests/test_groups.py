@@ -1,5 +1,6 @@
 """Normal forms, ball enumeration and the word metric."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -9,7 +10,7 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amencert.groups import (
@@ -24,7 +25,7 @@ from amencert.groups import (
     group_from_dict,
 )
 from amencert.sampling import random_element
-from conftest import dihedral_table, s3_group, symmetric_table
+from conftest import dihedral_table, generates, relabelled, s3_group, symmetric_table, z2_times_table
 
 S4_TABLE, _, S4_INDEX = symmetric_table(4)
 
@@ -380,7 +381,7 @@ def random_magma(rng, n, latin):
 
 
 def light_letters_bound(n):
-    return 2 * (n - 1).bit_length()  # 2 ceil(log2 n)
+    return (n - 1).bit_length()  # ceil(log2 n)
 
 
 class TestFiniteValidation:
@@ -436,6 +437,12 @@ class TestFiniteValidation:
                 frontier = {y for x in frontier for s in letters if (y := group.mul(x, s)) not in reached}
                 reached.update(frontier)
             assert len(reached) == group.order
+
+    def test_light_takes_one_letter_on_a_cyclic_group(self):
+        # 1 generates Z/n, so the first step reaches everything; D_18 needs a rotation and a reflection
+        for n in [*range(2, 65), MAX_TABLE_ORDER]:
+            assert FiniteGroup(cyclic_table(n))._light_letters() == [1], n
+        assert FiniteGroup(dihedral_table(18))._light_letters() == [1, 18]
 
     def test_rejects_missing_identity(self):
         with pytest.raises(ValueError):
@@ -546,7 +553,49 @@ class TestWorkGuards:
             FiniteGroup(Unreadable(MAX_TABLE_ORDER + 1))
 
 
+@st.composite
+def finite_specs(draw):
+    """(table, generators or None): Z/n (n <= 64), D_n, S_3-S_5 or Z/2 x Z/n, relabelled.
+
+    Each table has its identity at index 0 until a drawn permutation moves
+    it. The generators are the default (None), the shortest generating
+    prefix of a drawn order of the other elements, or that prefix reversed.
+    """
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "symmetric", "z2-times"]))
+    if kind == "cyclic":
+        table = cyclic_table(draw(st.integers(1, 64)))
+    elif kind == "symmetric":
+        table = symmetric_table(draw(st.integers(3, 5)))[0]
+    else:
+        table = {"dihedral": dihedral_table, "z2-times": z2_times_table}[kind](draw(st.integers(1, 16)))
+    perm = draw(st.permutations(range(len(table))))
+    table = relabelled(table, perm)
+    how = draw(st.sampled_from(["default", "drawn", "reversed"]))
+    if how == "default":
+        return table, None
+    order = draw(st.permutations([g for g in range(len(table)) if g != perm[0]]))
+    gens = next(order[:k] for k in range(len(order) + 1) if generates(table, perm[0], order[:k]))
+    return table, gens[::-1] if how == "reversed" else gens
+
+
+# i -> 5i + 3 mod 256 is a bijection, as 5 is odd: the identity becomes 3 and the generator 7 becomes 38
+_MAX_PERM = [(5 * i + 3) % MAX_TABLE_ORDER for i in range(MAX_TABLE_ORDER)]
+
+
 class TestSerialization:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(finite_specs())
+    @example((cyclic_table(1), None))
+    @example((relabelled(cyclic_table(MAX_TABLE_ORDER), _MAX_PERM), [_MAX_PERM[7]]))
+    def test_finite_canonical_text_is_compact_sorted_json(self, spec):
+        """A finite group's own canonical text is json's compact, key-sorted form of its spec."""
+        table, gens = spec
+        group = FiniteGroup(table, gens)
+        text = json.dumps(group.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert group._canonical == text
+        assert group.spec_hash() == hashlib.sha256(text.encode()).hexdigest()
+        assert json.loads(text) == {"family": "finite", "generators": list(group.gens), "table": table}
+
     def test_word_string_roundtrip(self, s3):
         """Each family's one codec pair reads back what it wrote, through JSON text."""
         ranked = [family(rank) for family in (FreeGroup, FreeAbelianGroup) for rank in (1, 2, 3)]
