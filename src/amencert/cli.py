@@ -11,9 +11,10 @@ strings.
 
 from __future__ import annotations
 
-# argparse, hashlib (through groups) and json stay at the top: main builds the
-# parser on every run and every certificate carries its group-hash, so every
-# command pays for them. Each command imports the rest of the library it runs.
+# argparse, the builtin sha256 (through groups) and json stay at the top: main
+# builds the parser on every run and every certificate carries its group-hash,
+# so every command pays for them. Each command imports the rest of the library
+# it runs.
 import argparse
 import functools
 import sys

@@ -597,30 +597,51 @@ def bounded_from_json(group: GroupSpec, data: dict, ratios: dict | None = None) 
 
 
 def pair_eval(phi: FinSuppFn, v: FinSuppFn | BoundedFn) -> Fraction:
-    """Evaluation pairing <phi, v> = sum_g phi(g) v(g) over supp(phi), summed on integers.
+    """Evaluation pairing <phi, v> = sum_g phi(g) v(g) over supp(phi), as one Fraction of `_pair_ratio`."""
+    return Fraction(*_pair_ratio(phi, v))
+
+
+def _pair_ratio(phi: FinSuppFn, v: FinSuppFn | BoundedFn) -> tuple[int, int]:
+    """<phi, v> as (p, q), q > 0 and gcd(p, q) = 1, summed on integers with no Fraction.
 
     With phi = n / D and a finite part m / E, the finite part gives the
-    integer dot product of n and m over D E; a constant c gives c sum(n) / D;
-    a term c (s . flow(edge, ray)) gives c / D times the sum of n(g) over
-    the g in supp(phi) where the ray head of s^-1 g (`ray_first_letter`) is
-    the edge. So each nonzero part forms one Fraction.
+    integer dot product of n and m over E; a constant c gives c sum(n); a
+    term c (s . flow(edge, ray)) gives c times the sum of n(g) over the g in
+    supp(phi) where the ray head of s^-1 g (`ray_first_letter`) is the
+    edge. Those parts are summed as p / Q, Q the lcm of E and the parts'
+    denominators, and the value is p / (Q D), reduced by one gcd. Each of
+    the few denominators is that of a checked value or of one rational
+    coefficient, so Q is not checked here; `pairing.pair` checks the lcm
+    of the values it sums.
     """
     if phi.group != v.group:
         raise ValueError("pairing requires functions over the same group")
     fn = v if isinstance(v, FinSuppFn) else v.fn
     small, large = (phi.nums, fn.nums) if len(phi.nums) <= len(fn.nums) else (fn.nums, phi.nums)
-    dot = sum(n * m for g, n in small.items() if (m := large.get(g)) is not None)
-    total = Fraction(dot, phi.den * fn.den) if dot else _ZERO
-    if fn is v:
-        return total
-    nums, den = phi.nums, phi.den
-    parts = [(v.const, sum(nums.values()))] if v.const else []
-    if v.terms:
-        group = v.group
-        for (s, edge, ray), c in v.terms.items():
-            heads = map(ray_first_letter, group.left_translates(group.inv(s), nums), repeat(ray))
-            parts.append((c, sum(n for n, head in zip(nums.values(), heads) if head == edge)))
-    for c, acc in parts:
-        if acc:
-            total += Fraction(c.numerator * acc, c.denominator * den)
-    return total
+    num = sum(n * m for g, n in small.items() if (m := large.get(g)) is not None)
+    den = fn.den if num else 1
+    if fn is not v:
+        nums = phi.nums
+        parts = [(v.const, sum(nums.values()))] if v.const else []
+        if v.terms:
+            group = v.group
+            for (s, edge, ray), c in v.terms.items():
+                heads = map(ray_first_letter, group.left_translates(group.inv(s), nums), repeat(ray))
+                parts.append((c, sum(n for n, head in zip(nums.values(), heads) if head == edge)))
+        for c, acc in parts:
+            if acc:
+                q = c.denominator
+                if den % q:
+                    common = lcm(den, q)
+                    num *= common // den
+                    den = common
+                num += c.numerator * acc * (den // q)
+    if not num:
+        return 0, 1
+    den *= phi.den
+    if den != 1:
+        g = gcd(num, den)
+        if g != 1:
+            num //= g
+            den //= g
+    return num, den

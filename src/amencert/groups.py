@@ -30,7 +30,6 @@ Every JSON input file of the library and the CLI is read through
 
 from __future__ import annotations
 
-import hashlib
 import json
 import operator
 import re
@@ -38,6 +37,16 @@ import threading
 from itertools import chain, groupby, repeat
 from math import comb
 from typing import Iterable, Iterator, Sequence, Union
+
+# the builtin SHA-256 (_sha2 from Python 3.12, _sha256 before): hashlib would load OpenSSL's
+# _hashlib, several milliseconds of import in every CLI process for one hash of one group spec
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 Element = Union[tuple, int]  # reduced word / exponent vector / table index
 
@@ -259,7 +268,7 @@ class GroupSpec:
         raise NotImplementedError
 
     def spec_hash(self) -> str:
-        return hashlib.sha256(self._canonical.encode()).hexdigest()
+        return sha256(self._canonical.encode()).hexdigest()
 
     def __eq__(self, other) -> bool:
         return self is other or isinstance(other, GroupSpec) and self._canonical == other._canonical
@@ -597,6 +606,7 @@ class FiniteGroup(GroupSpec):
         for row in self.table:
             if len(row) != n:
                 raise ValueError("multiplication table must be square")
+            # a per-row screen in C (set(map(type, row)), min, max) ahead of this loop made it slower
             for x in row:
                 if type(x) is not int or not 0 <= x < n:
                     raise ValueError(f"table entry {x!r} must be an index 0..{n - 1}")

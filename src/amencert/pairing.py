@@ -10,10 +10,11 @@ independent routes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .complexes import BoundedCochain, EquivariantChain
-from .functions import pair_eval
+from .functions import _check_den, _pair_ratio
 from .groups import GroupSpec
 
 
@@ -24,8 +25,17 @@ def pair(phi: BoundedCochain, c: EquivariantChain) -> Fraction:
     if phi.degree != c.degree:
         raise ValueError(f"degree mismatch: cochain {phi.degree}, chain {c.degree}")
     # exact rational sums do not depend on the order of the slice keys; a chain's slice keys are
-    # checked degree-tuples of group elements already, so each is read with no second check
-    return sum((pair_eval(phi._value(key), value) for key, value in c.slice.items()), Fraction(0))
+    # checked degree-tuples of group elements already, so each is read with no second check. Each
+    # key's reduced value p / q is added over den, the lcm of the q, checked as it grows
+    num, den = 0, 1
+    for key, value in c.slice.items():
+        p, q = _pair_ratio(phi._value(key), value)
+        if den % q:
+            common = _check_den(lcm(den, q))
+            num *= common // den
+            den = common
+        num += p * (den // q)
+    return Fraction(num, den)
 
 
 def adjointness_values(phi: BoundedCochain, c: EquivariantChain) -> tuple[Fraction, Fraction]:

@@ -15,9 +15,9 @@ identity.
 
 `verify_flow_cycle` checks those two sums at every pair of points of a
 ball B_r. The sums at k^-1 g depend only on a finite type of that word,
-so by default it evaluates them on the words of length <= 3, which show
-every type, and sweeps all of B_2r only to list failures or to run an
-oracle passed as `flow=`. The words are the group's own ball.
+so by default it evaluates them on a type table, B_2 and 2 rank - 1
+words of length 3, which shows every type, and sweeps all of B_2r only
+to list failures or to run an oracle passed as `flow=`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def flow_value(fs: FlowCycleSpec, s: int, g: Element) -> int:
     it is not re-validated here. Words from outside go through
     `fs.group.check` first. This is the per-edge oracle for outside callers
     and for oracles handed to `verify_flow_cycle`; its default sweep reads
-    `ray_first_letter` directly, on the words of B_min(2r, 3) only, and
+    `ray_first_letter` directly, on the words of the type table only, and
     makes no call here. It stays public because `perfbench/tracing.py`
     looks it up by name to count oracle calls, which therefore read 0 on
     the default sweep.
@@ -93,17 +93,14 @@ class FlowVerification(NamedTuple):
 # Work caps of the flow sweep, on top of the group rank cap MAX_RANK that
 # groups._check_rank applies: the word count |B_2r| is the number of
 # distinct h that the full sweep evaluates. The default route sweeps only
-# B_min(2r, 3) and runs the full sweep just when that finds a failure; the
-# `flow=` route always runs it, so the caps bound those two, and with them
-# the group's ball cache, which keeps the B_2r a full sweep reads.
+# the type table (B_2 and 2 rank - 1 words of length 3) when 2r >= 4, and
+# runs the full sweep just when that finds a failure; the `flow=` route
+# always runs it, so the caps bound those two, and with them the group's
+# ball cache, which keeps the B_2r a full sweep reads.
 # Past rank 1 the word cap already keeps 2r <= 10; the radius cap keeps
 # rank-1 words (and the r^2 letters of their ball) short as well.
 MAX_FLOW_WORDS = 10**6
 MAX_FLOW_RADIUS = 256
-
-# Every cone type of the flow sums occurs at a word of length <= 3; see
-# verify_flow_cycle.
-_TYPE_DEPTH = 3
 
 
 def check_flow_sweep(rank: int, radius: int) -> int:
@@ -123,6 +120,45 @@ def check_flow_sweep(rank: int, radius: int) -> int:
             f" {MAX_FLOW_WORDS} words of length <= 2 radius"
         )
     return total
+
+
+def _type_table(group: FreeGroup, ray: int) -> tuple[Element, ...]:
+    """B_2 and (x, ray^-1, y0) for each letter x != ray: a word of every type T of the flow sums.
+
+    y0 is the first letter of group.letters() other than ray and ray^-1; at
+    rank 1 there is none, and the table is B_2. See verify_flow_cycle.
+    """
+    words = group.ball(2)
+    others = [s for _, (s,) in group.letters() if abs(s) != ray]
+    if not others:
+        return words
+    return words + tuple((x, -ray, others[0]) for _, (x,) in group.letters() if x != ray)
+
+
+def _failing_words(
+    fs: FlowCycleSpec, words: tuple[Element, ...], flow: Callable[[int, Element], int] | None, expect: list[int]
+) -> dict:
+    """{h: [outgoing, incoming]} for each h in `words` whose two flow sums are not `expect`.
+
+    Without `flow` the sums are read from one head per word and incoming
+    point; see verify_flow_cycle.
+    """
+    group = fs.group
+    letters = [s for _, (s,) in group.letters()]
+    rays = repeat(fs.ray)
+    if flow is None:
+        out_sums = [letters.count(x) for x in map(ray_first_letter, words, rays)]
+    else:
+        out_sums = [sum(flow(s, h) for s in letters) for h in words]
+    in_sums = [0] * len(words)
+    for e in letters:  # e = s^-1 for the incoming letter s: flow(e, e.h)
+        points = group.left_translates((e,), words)
+        if flow is None:
+            hits = map(eq, map(ray_first_letter, points, rays), repeat(e))
+        else:
+            hits = map(flow, repeat(e), points)
+        in_sums = list(map(add, in_sums, hits))
+    return {h: sums for h, *sums in zip(words, out_sums, in_sums) if sums != expect}
 
 
 def verify_flow_cycle(
@@ -152,10 +188,10 @@ def verify_flow_cycle(
     compares the head of each incoming point with its edge letter. That is
     2 rank + 1 head evaluations per h instead of 4 rank oracle calls.
 
-    The default route then sweeps only B_min(2r, 3), as the sums at h
-    depend on a finite type of h, its cone type in the sense of Cannon
-    (1984). Write t for the ray letter and pure(w) when every letter of w
-    is t^-1; the empty word is pure.
+    The default route then sweeps only a type table when 2r >= 4, as the
+    sums at h depend on a finite type of h, its cone type in the sense of
+    Cannon (1984). Write t for the ray letter and pure(w) when every letter
+    of w is t^-1; the empty word is pure.
     - head(w) = ray_first_letter(w) strips the trailing run of t^-1, so it
       is t if pure(w), else w[0]. The outgoing sum reads head(h).
     - The incoming point for s = h[0] is h[1:], whose head is t if
@@ -163,54 +199,48 @@ def verify_flow_cycle(
     - For any other s the incoming point is (-s,) + h, which is pure just
       when s = t and pure(h); its head is then t, else -s.
     - So both sums are a function of T(h) = (h[:2], pure(h), pure(h[1:])).
-    - Every T of a word h of length >= 3 is the T of a word of length
-      <= 3. If pure(h), take (t^-1, t^-1). If pure(h[1:]) only, take
-      h[:2]. If h[1] != t^-1, take h[:2] again: neither is pure. Else
-      h = (x, t^-1, ..., t^-1, y, ...) with y the first letter after
-      h[1] other than t^-1; y != t as it follows t^-1, so (x, t^-1, y)
-      is reduced and has the same T. Only this type needs length 3.
-    Hence the sums over B_min(2r, 3) take every value that they take over
-    B_2r, and if none fails the full sweep cannot fail either. If one
-    fails, the same loop runs again over all of B_2r, so `failures` lists
-    exactly the full sweep's rows. `points_checked` stays |B_r|^2: the
-    pairs that the type argument covers. The `flow=` route cannot assume
-    that an oracle depends on T alone and always sweeps B_2r.
+    - The table (`_type_table`) is B_2 and, past rank 1, the 2 rank - 1
+      words (x, t^-1, y0), x a letter other than t, for one fixed letter
+      y0 other than t and t^-1. Each is reduced: x != t, and y0 != t.
+    - Every T of a word h of length >= 3 is the T of a table word. If
+      pure(h), take (t^-1, t^-1). If pure(h[1:]) only, take h[:2]. If
+      h[1] != t^-1, take h[:2] again: neither is pure. Else h = (x, t^-1,
+      ..., t^-1, y, ...) with y the first letter after h[1] other than
+      t^-1, so neither h nor h[1:] is pure; x != t, as t^-1 follows it.
+      (x, t^-1, y0) has that T: its h[:2] is (x, t^-1), and y0 != t^-1
+      keeps both it and its tail impure. Only this type needs length 3,
+      and at rank 1 it does not occur, since there every word is a power
+      of t.
+    A word of length <= 2 is in B_2, so every T of B_2r is a T of the
+    table; and for 2r >= 4 the table lies in B_2r. So the sums over the
+    table take exactly the values that they take over B_2r, and if none
+    fails the full sweep cannot fail either. If one fails, the same loop
+    runs again over all of B_2r, so `failures` lists exactly the full
+    sweep's rows. `points_checked` stays |B_r|^2: the pairs that the type
+    argument covers. When 2r <= 2 the route sweeps B_2r itself, which the
+    table need not lie in. The `flow=` route cannot assume that an oracle
+    depends on T alone and always sweeps B_2r.
 
     Only the entry is validated (`check_flow_sweep`, `FlowCycleSpec`): the
-    words swept are `group.ball(depth)`, and the incoming points e.h are
+    words swept are reduced words of the group, from `group.ball` or built
+    reduced above, and the incoming points e.h are
     `group.left_translates((e,), words)`, one pass per edge letter
     e = s^-1; both are reduced words of the group, so no word is checked
     again.
     The edge letters are the 2 rank signed letters of group.letters(), in
     its order a, a^-1, b, b^-1, ..., so `flow_value`'s edge-letter check
-    could never fire on them either. Both depths read the group's ball
-    cache, which keeps B_2r once the full sweep has run.
+    could never fire on them either. The table reads only B_2 from the
+    group's ball cache, which keeps B_2r once the full sweep has run.
     """
     group = fs.group
     rank = group.rank
     check_flow_sweep(rank, radius)
-    letters = [s for _, (s,) in group.letters()]
-    rays = repeat(fs.ray)
     expect = [1, 2 * rank - 1]  # the outgoing and incoming sums at every h
     full = 2 * radius
-    depths = (full,) if flow is not None or full <= _TYPE_DEPTH else (_TYPE_DEPTH, full)
-    for depth in depths:
-        words = group.ball(depth)
-        if flow is None:
-            out_sums = [letters.count(x) for x in map(ray_first_letter, words, rays)]
-        else:
-            out_sums = [sum(flow(s, h) for s in letters) for h in words]
-        in_sums = [0] * len(words)
-        for e in letters:  # e = s^-1 for the incoming letter s: flow(e, e.h)
-            points = group.left_translates((e,), words)
-            if flow is None:
-                hits = map(eq, map(ray_first_letter, points, rays), repeat(e))
-            else:
-                hits = map(flow, repeat(e), points)
-            in_sums = list(map(add, in_sums, hits))
-        bad = {h: sums for h, *sums in zip(words, out_sums, in_sums) if sums != expect}
-        if not bad:
-            break
+    typed = flow is None and full >= 4
+    bad = _failing_words(fs, _type_table(group, fs.ray) if typed else group.ball(full), flow, expect)
+    if bad and typed:  # list the full sweep's rows
+        bad = _failing_words(fs, group.ball(full), flow, expect)
     failures = []
     if bad:  # expand each failing h = k^-1 g back into its (k, g) rows
         ball = group.ball(radius)

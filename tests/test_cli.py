@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -701,6 +702,15 @@ class TestOutputContract:
         # 1 MB of RSS and 9 ms of import in every process that runs the CLI
         code = "import amencert.cli, sys; assert 'inspect' not in sys.modules"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_leaves_out_openssl(self):
+        # the group-hash comes from the builtin sha256 module: hashlib would load OpenSSL's
+        # _hashlib, about 4 ms of import in every process that runs the CLI
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (f"import sys; sys.path.insert(0, {src!r}); import amencert.cli;"
+                " assert '_hashlib' not in sys.modules, 'loaded'")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
     def test_cli_import_loads_only_groups_and_functions(self):

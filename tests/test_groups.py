@@ -596,6 +596,14 @@ class TestSerialization:
         assert group.spec_hash() == hashlib.sha256(text.encode()).hexdigest()
         assert json.loads(text) == {"family": "finite", "generators": list(group.gens), "table": table}
 
+    @pytest.mark.parametrize("group", [
+        FreeGroup(2), FreeGroup(3, ["x", "y", "z"]), FreeAbelianGroup(1), FreeAbelianGroup(3),
+        FiniteGroup(cyclic_table(1)), FiniteGroup(dihedral_table(4)), FiniteGroup(symmetric_table(4)[0]),
+    ])
+    def test_spec_hash_is_hashlib_sha256(self, group):
+        """The builtin sha256 module that spec_hash reads gives hashlib's digest for every family."""
+        assert group.spec_hash() == hashlib.sha256(group._canonical.encode()).hexdigest()
+
     def test_word_string_roundtrip(self, s3):
         """Each family's one codec pair reads back what it wrote, through JSON text."""
         ranked = [family(rank) for family in (FreeGroup, FreeAbelianGroup) for rank in (1, 2, 3)]

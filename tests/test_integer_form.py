@@ -21,9 +21,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amencert.amenability import indicator
-from amencert.complexes import KIND_L1, KIND_LINF, EquivariantChain, UfChain, deflate, inflate
+from amencert.complexes import (
+    DUAL_FULL, KIND_L1, KIND_LINF, BoundedCochain, EquivariantChain, UfChain, deflate, inflate)
 from amencert.functions import MAX_RATIONAL_DIGITS, BoundedFn, FinSuppFn, delta, frac_str, pair_eval, tree_flow
 from amencert.groups import FreeAbelianGroup, FreeGroup, cyclic_group
+from amencert.pairing import pair
 from amencert.witnesses import FlowCycleSpec, flow_pairing_certificate
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -233,6 +235,33 @@ class TestFractionOracle:
             v = v + data.draw(rationals) * flow.translate(data.draw(near))
         assert pair_eval(phi, v) == sum((c * v.evaluate(g) for g, c in phi.items()), Fraction(0))
 
+    @SETTINGS
+    @given(data=st.data())
+    def test_pair_is_the_fraction_sum_of_pair_eval(self, group, data):
+        # l1 and linf chains against a full-dual cochain; on F_2 the linf values carry constants and
+        # shifted tree-flow terms, so every part of the integer kernel is summed across the keys
+        degree = data.draw(st.integers(1, 2))
+        near = st.sampled_from(group.ball(1))
+        keys = st.tuples(*[near] * degree)
+        phi = BoundedCochain(group, degree, DUAL_FULL, entries=dict(
+            data.draw(st.lists(st.tuples(keys, values(group, near)), max_size=6))))
+
+        def bounded(f):
+            v = BoundedFn(group, data.draw(rationals), f)
+            if isinstance(group, FreeGroup):
+                for _ in range(data.draw(st.integers(0, 2))):
+                    edge, ray = data.draw(st.sampled_from([1, -1, 2, -2])), data.draw(st.sampled_from([1, 2]))
+                    flow = tree_flow(group, edge, ray)
+                    v = v + data.draw(rationals) * flow.translate(data.draw(near))
+            return v
+
+        entries = dict(data.draw(st.lists(st.tuples(keys, values(group, near)), max_size=6)))
+        for kind, wrap in ((KIND_L1, lambda f: f), (KIND_LINF, bounded)):
+            c = EquivariantChain(group, degree, kind, {key: wrap(f) for key, f in entries.items()})
+            want = sum((pair_eval(phi.value_at(key), value) for key, value in c.slice.items()), Fraction(0))
+            assert pair(phi, c) == want == sum((x * value.evaluate(g) for key, value in c.slice.items()
+                                                for g, x in phi.value_at(key).items()), Fraction(0))
+
 
 @functools.cache
 def primes(count):
@@ -292,6 +321,28 @@ class TestDenominatorGuard:
             ((k,),): BoundedFn(Z1, 0, FinSuppFn(Z1, {(0,): Fraction(1, p)})) for k, p in enumerate(primes(1400))})
         with pytest.raises(ValueError, match=GUARD):
             deflate(chain)
+
+    def prime_pairing(self, count, repeats):
+        """Degree-1 keys (k,) for k < count * repeats; at each the cochain is delta_e and the l1 chain is
+        1/p delta_e, p the (k mod count)-th prime: each prime is the denominator of `repeats` keys."""
+        ps = primes(count)
+        n = count * repeats
+        phi = BoundedCochain(Z1, 1, DUAL_FULL, entries={((k,),): delta(Z1, (0,)) for k in range(n)})
+        c = EquivariantChain(Z1, 1, KIND_L1, {((k,),): FinSuppFn(Z1, {(0,): Fraction(1, ps[k % count])})
+                                             for k in range(n)})
+        return phi, c, repeats * sum(Fraction(1, p) for p in ps)
+
+    def test_pair_sums_1000_primes_under_one_lcm(self):
+        # each prime is the denominator of two keys: their lcm, the product of the 1,000 primes, is
+        # under the limit, and the product of the 2,000 denominators is not
+        phi, c, want = self.prime_pairing(1000, 2)
+        assert len(str(want.denominator)) < MAX_RATIONAL_DIGITS < 2 * len(str(want.denominator))
+        assert pair(phi, c) == want
+
+    def test_pair_refuses_a_sum_past_the_limit(self):
+        phi, c, _ = self.prime_pairing(1400, 1)
+        with pytest.raises(ValueError, match=GUARD):
+            pair(phi, c)
 
     def write(self, tmp_path, count):
         group = tmp_path / "z1.json"

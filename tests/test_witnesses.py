@@ -320,7 +320,8 @@ class TestDefaultRoute:
 
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize(
-        "word, wrong", [("b*a^-1", 1), ("b*a^-1", -2), ("a*b", 0), ("a*b*a", 2), ("a*b*a", 0)]
+        "word, wrong",
+        [("b*a^-1", 1), ("b*a^-1", -2), ("a*b", 0), ("a*b*a", 2), ("a*b*a", 0), ("b*a^-1*b", 1), ("a^-2*b", 0)],
     )
     def test_wrong_head_is_caught(self, monkeypatch, rank, word, wrong):
         group = FreeGroup(rank)
@@ -343,7 +344,8 @@ class TestDefaultRoute:
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("radius", [0, 1, 2, 3])
     def test_one_head_per_word_and_incoming_point(self, monkeypatch, rank, radius):
-        # (2 rank + 1) |B_min(2r, 3)| evaluations: one per word of the type sweep
+        # (2 rank + 1) evaluations per swept word: the |B_2| + 2 rank - 1 words of the type table
+        # (|B_2| alone in rank 1) when 2r >= 4, else the |B_2r| words of the ball
         calls = Counter()
 
         def counted(g, ray):
@@ -352,14 +354,17 @@ class TestDefaultRoute:
 
         monkeypatch.setattr(witnesses, "ray_first_letter", counted)
         assert verify_flow_cycle(FlowCycleSpec(FreeGroup(rank), 1), radius).passed
-        words = free_ball_size(rank, min(2 * radius, 3), witnesses.MAX_FLOW_WORDS)
+        if radius >= 2:
+            words = free_ball_size(rank, 2, witnesses.MAX_FLOW_WORDS) + (2 * rank - 1 if rank > 1 else 0)
+        else:
+            words = free_ball_size(rank, 2 * radius, witnesses.MAX_FLOW_WORDS)
         assert sum(calls.values()) == (2 * rank + 1) * words
 
     def test_ball_is_built_only_for_failures(self, f2):
         fs = FlowCycleSpec(f2, 1)
-        # the passing type sweep reads B_min(2r, 3); the oracle route reads B_2r
+        # the passing table sweep reads B_2 alone; the oracle route reads B_2r
         assert verify_flow_cycle(fs, 3).points_checked == 53**2
-        assert len(f2._levels) == 4
+        assert len(f2._levels) == 3
         assert verify_flow_cycle(fs, 2, flow=flipped_at(fs, 2, "a*b")).failures
         assert len(f2._levels) == 5
 
@@ -380,11 +385,27 @@ class TestConeTypes:
         "rank, radius", [(1, r) for r in range(6)] + [(2, r) for r in range(4)] + [(3, r) for r in range(3)]
     )
     def test_the_type_sweep_finds_every_type(self, rank, radius):
-        depth = min(2 * radius, witnesses._TYPE_DEPTH)
+        # the default route sweeps the type table when 2r >= 4, else B_2r itself
+        group = FreeGroup(rank)
+        ball = group.ball(2 * radius)
+        for ray in range(1, rank + 1):
+            swept = witnesses._type_table(group, ray) if radius >= 2 else ball
+            assert set(swept) <= set(ball)
+            assert {flow_type(h, ray) for h in swept} == {flow_type(h, ray) for h in ball}
+
+    @pytest.mark.parametrize("rank, length", [(1, 6), (2, 4), (3, 3), (4, 3)])
+    def test_the_table_holds_every_type(self, rank, length):
+        # against brute force over a ball that holds every type; a table that drops one
+        # (x, t^-1, y0) word, or takes y0 = t^-1, misses the type ((x, t^-1), False, False)
         group = FreeGroup(rank)
         for ray in range(1, rank + 1):
-            found = {flow_type(h, ray) for h in group.ball(depth)}
-            assert found == {flow_type(h, ray) for h in group.ball(2 * radius)}
+            table = witnesses._type_table(group, ray)
+            assert len(set(table)) == len(table) == 4 * rank**2 + 2 * rank - (1 if rank == 1 else 0)
+            assert all(group.check(h) == h and len(h) <= 3 for h in table)
+            found = Counter(flow_type(h, ray) for h in table)
+            assert set(found) == {flow_type(h, ray) for h in group.ball(length)}
+            # past B_2, one word per type that B_2 does not show
+            assert all(found[flow_type(h, ray)] == 1 for h in table if len(h) == 3)
 
     def test_depth_two_is_not_enough(self):
         # (x, a^-1, y) with y not a or a^-1 first occurs at length 3
