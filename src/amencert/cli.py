@@ -227,7 +227,7 @@ def cmd_folner(args) -> int:
             "strategy": result.strategy,
             "parameter": result.parameter,
             "set-size": len(result.members),
-            "set": [group.elem_to_json(g) for g in result.members],
+            "set": list(map(group.elem_to_json, result.members)),
             "generator-differences": result.differences,
             "ratio": frac_str(result.ratio),
         }
@@ -305,7 +305,7 @@ def cmd_iso_min(args) -> int:
         # the 2^|B| - 1 subsets the answer covers, by closed form or enumeration
         "subsets-enumerated": (1 << len(ball)) - 1,
         "min-ratio": frac_str(ratio),
-        "minimizer": [group.elem_to_json(g) for g in members],
+        "minimizer": list(map(group.elem_to_json, members)),
     }
     _emit(payload, args.out)
     return 0

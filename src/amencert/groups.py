@@ -52,8 +52,8 @@ Element = Union[tuple, int]  # reduced word / exponent vector / table index
 
 # Work caps checked before anything is allocated: the rank sets the length
 # of every free-abelian vector and of the label tuple, validating a table
-# of order n costs O(n^2 log n), and a word string is expanded letter by letter
-# before it is reduced. 256 admits S_5 (order 120) with room.
+# of order n costs O(n^2 log n), and each token of a word string is expanded to
+# its run of letters as it is read. 256 admits S_5 (order 120) with room.
 MAX_RANK = 64
 MAX_TABLE_ORDER = 256
 MAX_WORD_LETTERS = 10**6
@@ -382,12 +382,12 @@ class FreeGroup(_RankedGroup):
 
     def check(self, a):
         if not isinstance(a, tuple):
-            raise ValueError(f"free-group element must be a tuple, got {a!r}")
+            raise ValueError(f"free-group element must be a tuple, got {_short(a)}")
         for i, letter in enumerate(a):
             if type(letter) is not int or letter == 0 or abs(letter) > self.rank:
-                raise ValueError(f"invalid letter {letter!r} in word {a!r}")
+                raise ValueError(f"invalid letter {_short(letter)} in word {_short(a)}")
             if i and a[i - 1] == -letter:
-                raise ValueError(f"word {a!r} is not reduced")
+                raise ValueError(f"word {_short(a)} is not reduced")
         return a
 
     def sort_key(self, a):
@@ -427,13 +427,26 @@ class FreeGroup(_RankedGroup):
 
         The running sum of the counts is checked against MAX_WORD_LETTERS
         before each token is expanded, so nothing is allocated for a word
-        past the cap, even one that would reduce to a short word. Expansion
-        reduces on a stack: a run of one letter first cancels the inverse
-        letters on top, and the rest of it is pushed, so the result is the
-        free reduction of the whole expanded word.
+        past the cap, even one that would reduce to a short word.
+
+        Expansion reduces on a stack, and a token cancels only where it
+        meets the stack: when the top of the stack is the inverse of its
+        letter. A one-letter token that does not cancel is appended, and
+        any other is extended by its run. The result is the free reduction
+        of the whole expanded word. Free reduction does not depend on the
+        order in which pairs cancel, so it is enough that each token turns
+        the reduced word w on the stack into the reduction of w x^n, for x
+        the token's letter and n >= 0 its count:
+        - if w does not end in x^-1, w x^n is already reduced: its one new
+          adjacent pair (w's last letter, x) does not cancel, and x next to x
+          does not either. So the run is pushed whole;
+        - else w = u (x^-1)^m with m >= 1 as large as it goes. Popping
+          min(m, n) letters leaves u (x^-1)^(m - n) when n <= m, and pushing
+          the rest gives u x^(n - m) when n > m. Both are reduced: u does
+          not end in x^-1 (m is maximal) nor in x (w is reduced).
         """
         if not isinstance(data, str):
-            raise ValueError(f"free-group element must serialize as a string, got {data!r}")
+            raise ValueError(f"free-group element must serialize as a string, got {_short(data)}")
         s = data.strip()
         if s in ("e", ""):
             return ()
@@ -447,11 +460,16 @@ class FreeGroup(_RankedGroup):
             letter, n = entry
             count += n
             if count > MAX_WORD_LETTERS:
-                raise ValueError(f"word token {token.strip()!r} passes the cap of {MAX_WORD_LETTERS} letters")
-            while n and word and word[-1] == -letter:
-                word.pop()
-                n -= 1
-            word.extend([letter] * n)
+                raise ValueError(f"word token {_short(token.strip())} passes the cap of {MAX_WORD_LETTERS} letters")
+            if word and word[-1] == -letter:
+                while n and word and word[-1] == -letter:
+                    word.pop()
+                    n -= 1
+                word += [letter] * n
+            elif n == 1:
+                word.append(letter)
+            else:
+                word += [letter] * n
         return tuple(word)
 
     def _read_token(self, token: str) -> tuple[int, int]:
@@ -464,16 +482,27 @@ class FreeGroup(_RankedGroup):
         unknown generator. The labels all match `_LABEL_RE` whole, so a label
         that names a letter needs no pattern, and the pattern only words the
         error on a token that fails.
+
+        A count with more digits than MAX_WORD_LETTERS, leading zeros (of any
+        script) dropped, is past the cap, and is refused with the cap error
+        before `int` runs: `int` reads at most 4300 digits, and would refuse
+        more with an error of its own. So `int` only ever reads the last
+        digits, as many as the cap has; any before them are zeros.
         """
         lab, caret, exp_s = token.strip().partition("^")
         letter = self._label_letter.get(lab)
         digits = exp_s[1:] if exp_s[:1] == "-" else exp_s
         if caret and not digits.isdecimal() or letter is None and not _LABEL_RE.fullmatch(lab):
-            raise ValueError(f"cannot parse word token {token!r}")
+            raise ValueError(f"cannot parse word token {_short(token)}")
         if letter is None:
-            raise ValueError(f"unknown generator {lab!r}")
-        n = int(exp_s) if caret else 1
-        return (-letter, -n) if n < 0 else (letter, n)
+            raise ValueError(f"unknown generator {_short(lab)}")
+        if not caret:
+            return letter, 1
+        width = len(str(MAX_WORD_LETTERS))
+        if any(map(int, digits[:-width])):
+            raise ValueError(f"word token {_short(token.strip())} passes the cap of {MAX_WORD_LETTERS} letters")
+        n = int(digits[-width:])
+        return (-letter, n) if exp_s[:1] == "-" else (letter, n)
 
 
 class FreeAbelianGroup(_RankedGroup):
@@ -512,10 +541,10 @@ class FreeAbelianGroup(_RankedGroup):
 
     def check(self, a):
         if not isinstance(a, tuple) or len(a) != self.rank:
-            raise ValueError(f"expected an integer vector of length {self.rank}, got {a!r}")
+            raise ValueError(f"expected an integer vector of length {self.rank}, got {_short(a)}")
         for x in a:
             if type(x) is not int:
-                raise ValueError(f"non-integer coordinate in {a!r}")
+                raise ValueError(f"non-integer coordinate in {_short(a)}")
         return a
 
     def sort_key(self, a):
@@ -542,9 +571,20 @@ class FreeAbelianGroup(_RankedGroup):
         return list(a)
 
     def elem_from_json(self, data):
-        if not isinstance(data, list):
-            raise ValueError(f"free-abelian element must serialize as a list, got {data!r}")
-        return self.check(tuple(data))
+        """The point [x1, ..., xd] as a tuple, checked in one pass that tests exact types.
+
+        The value must be exactly a list of length rank, each coordinate
+        exactly an int (a bool or a float is refused), and the errors are
+        check's, naming the value as a tuple.
+        """
+        if type(data) is not list:
+            raise ValueError(f"free-abelian element must serialize as a list, got {_short(data)}")
+        if len(data) != self.rank:
+            raise ValueError(f"expected an integer vector of length {self.rank}, got {_short(tuple(data))}")
+        for x in data:
+            if type(x) is not int:
+                raise ValueError(f"non-integer coordinate in {_short(tuple(data))}")
+        return tuple(data)
 
 
 class FiniteGroup(GroupSpec):
@@ -678,7 +718,7 @@ class FiniteGroup(GroupSpec):
 
     def check(self, a):
         if type(a) is not int or not 0 <= a < self.order:
-            raise ValueError(f"finite-group element must be an index 0..{self.order - 1}, got {a!r}")
+            raise ValueError(f"finite-group element must be an index 0..{self.order - 1}, got {_short(a)}")
         return a
 
     def sort_key(self, a):
@@ -761,6 +801,20 @@ def cyclic_group(n: int) -> FiniteGroup:
 _JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
+def _short(value) -> str:
+    """repr(value) for an error text, or reprlib's shortened form of it when that leaves something out.
+
+    reprlib is imported only when an error text is built. Its text marks
+    every cut with "...", and one with no cut is repr's except that it
+    sorts a dict's keys, so repr itself is used then: it is as short, and
+    names a short value as repr always did.
+    """
+    from reprlib import repr as short
+
+    text = short(value)
+    return text if "..." in text else repr(value)
+
+
 def json_check(value, kind: type, what: str):
     """value itself when its type is exactly kind: a bool or a float never passes as an int."""
     if type(value) is not kind:
@@ -788,9 +842,7 @@ def json_pairs(data, what: str) -> list:
     """
     for item in json_check(data, list, what):
         if type(item) is not list or len(item) != 2:
-            from reprlib import repr as short
-
-            raise ValueError(f"{what} item {data.index(item)} must be a [key, value] pair, got {short(item)}")
+            raise ValueError(f"{what} item {data.index(item)} must be a [key, value] pair, got {_short(item)}")
     return data
 
 
@@ -809,9 +861,11 @@ def group_from_dict(data: dict) -> GroupSpec:
 
 
 def load_json(path: str):
-    """The JSON value in the file at path; nesting too deep to parse is a ValueError."""
+    """The JSON value in the file at path; a file json cannot read is a ValueError that names the path."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer past int's 4300-digit limit
+            raise ValueError(f"{path}: {exc}") from None

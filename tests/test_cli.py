@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import reprlib
 import subprocess
 import sys
 from pathlib import Path
@@ -620,6 +621,47 @@ def test_deeply_nested_set_is_one_line_error(capsys, tmp_path, z2_file):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def cli_error(capsys, *argv):
+    """The stderr of a command that must fail with exit 1, one line and no stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_a_file_json_cannot_read_is_named_by_its_path(capsys, tmp_path, z2_file):
+    # an integer past int's 4300-digit limit, bad syntax and bad UTF-8: each error names the file
+    huge, syntax, binary = tmp_path / "huge.json", tmp_path / "syntax.json", tmp_path / "binary.json"
+    huge.write_text('{"family": "free", "rank": ' + "9" * 5000 + "}")
+    syntax.write_text("{")
+    binary.write_bytes(b"\xff[]")
+    err = cli_error(capsys, "iso-min", "--radius", "0", "--group", str(huge))
+    assert err.startswith(f"error: {huge}: ") and "4300" in err
+    err = cli_error(capsys, "reiter", "--group", z2_file, "--set", str(syntax))
+    assert err.startswith(f"error: {syntax}: Expecting property name")
+    assert cli_error(capsys, "reiter", "--group", z2_file, "--set", str(binary)).startswith(f"error: {binary}: ")
+
+
+def test_element_errors_shorten_long_values(capsys, tmp_path, z2_file, z3_file, f2_dict):
+    f2 = write_json(tmp_path / "f2.json", f2_dict)
+    word, point = "a" * 5000, list(range(5000))
+    cases = [
+        (z2_file, [word], f"free-abelian element must serialize as a list, got {reprlib.repr(word)}"),
+        (z2_file, [point], f"expected an integer vector of length 2, got {reprlib.repr(tuple(point))}"),
+        (z2_file, [[1, [0] * 5000]], f"non-integer coordinate in {reprlib.repr((1, [0] * 5000))}"),
+        (z3_file, [word], f"finite-group element must be an index 0..2, got {reprlib.repr(word)}"),
+        (f2, [point], f"free-group element must serialize as a string, got {reprlib.repr(point)}"),
+        (f2, ["a*" + "?" * 5000], f"cannot parse word token {reprlib.repr('?' * 5000)}"),
+        (f2, ["b*" + "c" * 5000], f"unknown generator {reprlib.repr('c' * 5000)}"),
+        # the exponent with 5000 digits is past the letter cap, not past int's digit limit
+        (f2, [["a^" + "9" * 5000, "1/1"]], f"word token {reprlib.repr('a^' + '9' * 5000)} passes the cap of 1000000 letters"),
+    ]
+    for group, members, want in cases:
+        err = cli_error(capsys, "reiter", "--group", group, "--set", write_json(tmp_path / "set.json", members))
+        assert err == f"error: {want}\n" and len(err) < 120
 
 
 def imported(code):

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+import reprlib
 import sys
 import threading
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from amencert import groups as groups_module
 from amencert.groups import (
     MAX_RANK,
     MAX_TABLE_ORDER,
@@ -538,14 +540,44 @@ class TestWorkGuards:
                 f2.elem_from_json(word)
 
     def test_word_letter_cap_fires_before_expanding(self, f2):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="cap"):
-                f2.elem_from_json("a^3000000000")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10**5
+        # one letter past the cap first: expanding that token before the check takes about 8 MB and
+        # fails here, before the second token could ask for 24 GB
+        for word in (f"b^-{MAX_WORD_LETTERS + 1}", "a^3000000000"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="cap"):
+                    f2.elem_from_json(word)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10**5, word
+
+    def test_word_exponent_past_the_cap_width_is_refused_before_int(self, f2, monkeypatch):
+        # an exponent of more digits than the cap is the cap error, whatever int would make of it: past
+        # 4300 digits int refuses it with its own error, which must never be what the reader says
+        width = len(str(MAX_WORD_LETTERS))
+        for token in ("a^" + "9" * 5000, "b^-" + "1" * 4301, "a^1" + "0" * width, "a^" + "9" * width):
+            with pytest.raises(ValueError) as exc:
+                f2.elem_from_json(token)
+            assert str(exc.value) == f"word token {reprlib.repr(token)} passes the cap of {MAX_WORD_LETTERS} letters"
+        # leading zeros, of any script, do not count: only the last digits are read, as many as the cap has
+        assert f2.elem_from_json("a^" + "0" * 5000 + "2") == (1, 1)
+        assert f2.elem_from_json("b^-" + "\u0660" * 5000 + "1*a") == (-2, 1)
+        assert f2.elem_from_json(f"a^0{MAX_WORD_LETTERS}") == (1,) * MAX_WORD_LETTERS
+        # int never sees the long exponent: every string the module's int reads has at most the cap's width
+        seen = []
+
+        def recording_int(x=0, *args):
+            if isinstance(x, str):
+                seen.append(len(x))
+            return int(x, *args)
+
+        fresh = FreeGroup(2)  # built first: the constructor tests types against int
+        monkeypatch.setattr(groups_module, "int", recording_int, raising=False)
+        with pytest.raises(ValueError, match="cap"):
+            fresh.elem_from_json("b^" + "7" * 5000)
+        assert fresh.elem_from_json("b^" + "0" * 5000 + "7") == (2,) * 7
+        assert seen and max(seen) <= width
 
     def test_table_order_cap_fires_before_reading(self):
         assert FiniteGroup(cyclic_table(MAX_TABLE_ORDER)).order == MAX_TABLE_ORDER

@@ -30,14 +30,14 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amencert import complexes, functions
 from amencert.cli import main
 from amencert.complexes import UfChain
 from amencert.functions import MAX_RATIONAL_DIGITS, parse_frac, parse_once, parse_ratio
-from amencert.groups import MAX_WORD_LETTERS, FreeGroup, json_field
+from amencert.groups import MAX_WORD_LETTERS, FreeAbelianGroup, FreeGroup, json_field
 
 SETTINGS = dict(derandomize=True, database=None, deadline=None)
 
@@ -118,7 +118,11 @@ TOKENS = joined(
     (["", "^2", "^-1", "^13", "^-0"], ["^", "^+2", "^٣", "^²", "^--1", "^ 2", "^2\n", "^1^2"]),
 )
 NEAR_WORDS = st.lists(TOKENS, min_size=1, max_size=3).map("*".join)
-WORDS = st.text(WORD_ALPHABET, max_size=8) | NEAR_WORDS | NEAR_WORDS
+# words that cancel where tokens meet: up to six tokens over the letters and their inverses, the
+# exponents short, of either sign, or 0, so a token often meets the inverse of the stack's top
+CANCELLING = joined((["a", "b", "x_1"], []), (["", "^-1", "^0", "^-0", "^2", "^-2", "^3", "^-3"], []))
+CANCELLING_WORDS = st.lists(CANCELLING, min_size=1, max_size=6).map("*".join)
+WORDS = st.text(WORD_ALPHABET, max_size=8) | NEAR_WORDS | NEAR_WORDS | CANCELLING_WORDS | CANCELLING_WORDS
 GROUP = FreeGroup(3, ("a", "b", "x_1"))
 
 
@@ -131,10 +135,45 @@ def test_parse_frac_matches_the_pattern_reader(text):
         assert type(got[1]) is Fraction
 
 
-@settings(max_examples=150, **SETTINGS)
+@settings(max_examples=250, **SETTINGS)
 @given(text=WORDS)
+@example(text="a*b*b^-1*a^-1").via("cancels back to e")
+@example(text="a^2*a^-3").via("a run cancels and the rest is pushed")
+@example(text="b^0*a^-1*a").via("a zero count, then a cancel")
+@example(text="x_1^-2*b*b^-1*x_1^3*a").via("a cancel that uncovers the token's inverse")
 def test_elem_from_json_matches_the_pattern_reader(text):
     assert outcome(GROUP.elem_from_json, text) == outcome(oracle_word, GROUP, text)
+
+
+def oracle_point(group, data):
+    """FreeAbelianGroup.elem_from_json as it tested isinstance, then ran check on the tuple."""
+    if not isinstance(data, list):
+        raise ValueError(f"free-abelian element must serialize as a list, got {data!r}")
+    a = tuple(data)
+    if not isinstance(a, tuple) or len(a) != group.rank:
+        raise ValueError(f"expected an integer vector of length {group.rank}, got {a!r}")
+    for x in a:
+        if type(x) is not int:
+            raise ValueError(f"non-integer coordinate in {a!r}")
+    return a
+
+
+# short values, which the error texts print whole: bools, floats, strings, None, objects and lists
+SCALARS = (st.booleans() | st.floats(width=32) | st.text("ab1 ", max_size=4) | st.none()
+           | st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), max_size=2))
+COORDINATES = st.integers(-50, 50) | st.integers() | SCALARS | st.lists(st.integers(-3, 3) | SCALARS, max_size=3)
+POINTS = (st.lists(st.integers(-50, 50), min_size=3, max_size=3) | st.lists(COORDINATES, min_size=3, max_size=3)
+          | st.lists(COORDINATES, max_size=6) | SCALARS)
+Z3 = FreeAbelianGroup(3)
+
+
+@settings(max_examples=250, **SETTINGS)
+@given(data=POINTS)
+def test_point_reader_matches_isinstance_and_check(data):
+    got = outcome(Z3.elem_from_json, data)
+    assert got == outcome(oracle_point, Z3, data)
+    if got[0] == "value":
+        assert type(got[1]) is tuple
 
 
 
