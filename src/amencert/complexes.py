@@ -49,7 +49,7 @@ from .functions import (
     _reduced,
     bounded_from_json,
     delta,
-    parse_once,
+    parse_ratio,
 )
 
 KIND_L1 = "l1"
@@ -110,24 +110,21 @@ def _slice_map(degree: int, entries: Iterable, what: str) -> dict:
 
 
 def _read(data, what: str, read_value) -> tuple[GroupSpec, int, list]:
-    """(group, degree, entries) of a chain or cochain file; read_value(group, value, ratios) reads each value.
+    """(group, degree, entries) of a chain or cochain file; read_value(group, value) reads each value.
 
     Each key element is read by the group and each value by read_value over
-    the same group. All the file's values share one rational table,
-    `ratios`, made here and dropped when the read ends, so each distinct
-    rational string of the file is parsed once (`parse_once`). Every key is
-    read before any is checked further: the degree, key lengths, zero values
-    and repeated keys are left to `from_json`, which checks them as the
-    constructor does.
+    the same group. Every key is read before any is checked further: the
+    degree, key lengths, zero values and repeated keys are left to
+    `from_json`, which checks them as the constructor does.
     """
     group = group_from_dict(json_field(data, "group", dict, what))
     degree = json_field(data, "degree", int, what)
-    entries, ratios = [], {}
+    entries = []
     for key, value in json_pairs(json_field(data, "entries", list, what), f"{what} entries"):
         if type(key) is not list:
             json_check(key, list, f"{what} key")  # raises, naming the key's type
         key = tuple(map(group.elem_from_json, key))
-        entries.append((key, read_value(group, value, ratios)))
+        entries.append((key, read_value(group, value)))
     return group, degree, entries
 
 
@@ -144,10 +141,10 @@ def _write(group: GroupSpec, degree: int, fields: dict, entries: Mapping, write_
     }
 
 
-def _read_l1(group: GroupSpec, value, ratios: dict) -> FinSuppFn:
+def _read_l1(group: GroupSpec, value) -> FinSuppFn:
     if type(value) is not dict or list(value) != ["l1"]:
         raise ValueError('an l1 chain value must be an object whose one field is "l1"')
-    return FinSuppFn.from_pairs(group, value["l1"], ratios)
+    return FinSuppFn.from_pairs(group, value["l1"])
 
 
 class EquivariantChain:
@@ -423,14 +420,14 @@ class UfChain:
 
     @classmethod
     def from_json(cls, data: dict) -> "UfChain":
-        """The chain a file names, with the constructor's checks; each coefficient is read straight
-        into integers (`parse_once`, through the file's table) and summed as `FinSuppFn.from_pairs`
+        """The chain a file names, with the constructor's checks; each coefficient is parsed as its
+        entry is read (`parse_ratio`), so a bad one is named before the degree and the bound are
+        checked, and the (p, q) pairs are summed by `_integer_form`, as `FinSuppFn.from_pairs`
         sums its pairs, with no Fraction."""
-        group, degree, coeffs = _read(
-            data, "uniformly finite chain", lambda group, c, ratios: parse_once(ratios, c))
+        group, degree, coeffs = _read(data, "uniformly finite chain", lambda group, c: parse_ratio(c))
         bound = json_field(data, "diameter-bound", int, "uniformly finite chain", None)
         return cls._raw(group, degree, *cls._checked(group, degree, bound, lambda length: _integer_form(
-            (_sized(key, length), c) for key, c in coeffs)))
+            ((_sized(key, length), c) for key, c in coeffs), tuple)))
 
 
 # -- complex-level operations -------------------------------------------------

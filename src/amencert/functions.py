@@ -22,8 +22,9 @@ one call of it, and so are the boundaries and coboundaries of `complexes`.
 `FinSuppFn.combine` adds integer numerators in one loop, after it builds
 and checks the lcm of the denominators and before it scales any
 numerator; the file reader does the same in two passes, each distinct
-coefficient reduced and scaled once, and `complexes.deflate`, whose keys
-never meet, writes each scaled numerator once.
+coefficient of a value parsed, reduced and scaled once in one table of
+the value (`_integer_form`), and `complexes.deflate`, whose keys never
+meet, writes each scaled numerator once.
 
 Translation is the left action (g.f)(h) = f(g^-1 h) throughout.
 """
@@ -36,7 +37,7 @@ from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .groups import Element, FreeGroup, GroupSpec, json_field, json_pairs
+from .groups import Element, FreeGroup, GroupSpec, _short, json_field, json_pairs
 
 Rational = Union[Fraction, int]
 _ZERO = Fraction(0)
@@ -105,7 +106,7 @@ def parse_ratio(s: str) -> tuple[int, int]:
     int() already refuses a string of more than 4300 digits.
     """
     if type(s) is not str:
-        raise ValueError(f'a rational must be a "p/q" string, got {s!r}')
+        raise ValueError(f'a rational must be a "p/q" string, got {_short(s)}')
     num, slash, den = s.partition("/")
     try:
         if (slash and s.isascii() and len(num) <= MAX_RATIONAL_DIGITS and len(den) <= MAX_RATIONAL_DIGITS
@@ -120,32 +121,15 @@ def parse_ratio(s: str) -> tuple[int, int]:
         too_long = exp is not None and abs(int(exp.group(1))) > MAX_RATIONAL_DIGITS + len(text)
         q = None if too_long else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational {s!r}") from exc
+        raise ValueError(f"cannot parse rational {_short(s)}") from exc
     if too_long or exp and max(abs(q.numerator), q.denominator) >= _DIGIT_BOUND:
-        raise ValueError(f"rational {s!r} passes the {MAX_RATIONAL_DIGITS}-digit limit")
+        raise ValueError(f"rational {_short(s)} passes the {MAX_RATIONAL_DIGITS}-digit limit")
     return q.numerator, q.denominator
 
 
 def parse_frac(s: str) -> Fraction:
     """The rational `parse_ratio` reads, as one Fraction."""
     return Fraction(*parse_ratio(s))
-
-
-def parse_once(table: dict, s) -> tuple[int, int]:
-    """parse_ratio(s), parsed on s's first occurrence in one input file and read from `table` after.
-
-    Each file reader makes one table and hands it to every value of the
-    file, so a string repeated across the file is parsed once; the table
-    lives for that one read. A string that raises is never stored. A value
-    that is not a str goes straight to parse_ratio, which refuses it with
-    its own one-line error (a list would not even hash).
-    """
-    if type(s) is not str:
-        return parse_ratio(s)
-    value = table.get(s)
-    if value is None:
-        value = table[s] = parse_ratio(s)
-    return value
 
 
 def _check_den(den: int) -> int:
@@ -179,20 +163,22 @@ def _reduced(den: int, nums: dict) -> tuple[int, dict]:
     return den, nums
 
 
-def _integer_form(terms: Iterable) -> tuple[int, dict]:
-    """The canonical (D, nums) of the sum of the terms (key, (p, q)), q > 0, in two passes, each
-    distinct coefficient (p, q) reduced and scaled once.
+def _integer_form(terms: Iterable, read) -> tuple[int, dict]:
+    """The canonical (D, nums) of the sum of the terms (key, c), in two passes: each distinct
+    coefficient c is read once, to (p, q) = read(c) with q > 0 and p/q its value, and scaled once.
 
-    Write p'/q' for p/q in lowest terms. The first pass reads and keeps the
-    terms in order, and folds the first occurrence of each coefficient
-    into D, entering it in a table of the call: a q that divides D so far
-    leaves D as it is, and any other is reduced first; if q' still does
-    not divide D, D grows to lcm(D, q'), checked by `_check_den` at that
-    term. A repeated coefficient could not grow D, as its q' already
-    divides it, so D and the term at which the check fires are those of a
-    fold over every term. The second pass scales each distinct coefficient
-    once, to the integer p D / q = p' (D / q'), and maps each key to its
-    coefficient's numerator.
+    The table of the call is keyed by c exactly as the terms give it: a
+    "p/q" string of a file, or a (p, q) pair. Write p'/q' for p/q in lowest
+    terms. The first pass reads and keeps the terms in order, and reads the
+    first occurrence of each coefficient into the table and folds it into D:
+    a q that divides D so far leaves D as it is, and any other is reduced
+    first; if q' still does not divide D, D grows to lcm(D, q'), checked by
+    `_check_den` at that term. A coefficient that raises is never stored. A
+    repeated coefficient could not grow D, as its q' already divides it, so
+    D and the term at which the check fires are those of a fold over every
+    term. The second pass scales each distinct coefficient once, to the
+    integer p D / q = p' (D / q'), and maps each key to its coefficient's
+    numerator.
 
     The result is canonical. D is the lcm of the q', and each numerator is
     D times its value. With distinct keys and no zero coefficient, the map
@@ -203,29 +189,29 @@ def _integer_form(terms: Iterable) -> tuple[int, dict]:
     `_add_terms`, which drops the keys whose sum reaches zero, and
     `_reduced` divides out what cancellation leaves.
     """
-    den, scale, read = 1, {}, []
+    den, scale, kept = 1, {}, []
     for term in terms:
         c = term[1]
         if c not in scale:
-            scale[c] = None
-            p, q = c
+            p, q = scale[c] = read(c)
             if den % q:
-                g = gcd(p, q)
-                p, q = p // g, q // g
+                q //= gcd(p, q)
                 if den % q:
                     den = _check_den(den * (q // gcd(den, q)))
-        read.append(term)
-    for c in scale:
-        scale[c] = c[0] * den // c[1]
-    nums = {key: scale[c] for key, c in read}
-    if len(nums) == len(read) and all(scale.values()):
+        kept.append(term)
+    for c, (p, q) in scale.items():
+        scale[c] = p * den // q
+    nums = {key: scale[c] for key, c in kept}
+    if len(nums) == len(kept) and all(scale.values()):
         return den, nums
-    return _reduced(den, _add_terms({}, ((key, scale[c]) for key, c in read)))
+    return _reduced(den, _add_terms({}, ((key, scale[c]) for key, c in kept)))
 
 
 def _rational_form(terms: Iterable) -> tuple[int, dict]:
-    """`_integer_form` of (key, c) terms, each c an int or a Fraction (`frac` refuses the rest)."""
-    return _integer_form((key, (q.numerator, q.denominator)) for key, q in ((k, frac(c)) for k, c in terms))
+    """`_integer_form` of (key, c) terms, each c an int or a Fraction (`frac` refuses the rest),
+    keyed by c's (numerator, denominator) pair, which `tuple` reads as itself."""
+    pairs = ((key, (q.numerator, q.denominator)) for key, q in ((k, frac(c)) for k, c in terms))
+    return _integer_form(pairs, tuple)
 
 
 def _add_terms(out: dict, terms: Iterable) -> dict:
@@ -414,17 +400,18 @@ class FinSuppFn(_Linear):
         return [[write(g), _ratio_str(nums[g], den)] for g in self.support()]
 
     @classmethod
-    def from_pairs(cls, group: GroupSpec, pairs: list, ratios: dict | None = None) -> "FinSuppFn":
-        """The function a file's [element, "p/q"] pairs name; repeated elements sum. Each pair is
-        read straight into integers, with no Fraction, by `_integer_form`: each distinct coefficient
-        reduced and scaled once, and the result canonical by the proof in its docstring. The readers
-        return checked elements, so nothing is checked twice. Each distinct "p/q" string is parsed
-        once, through `ratios`: the table of the file being read (`parse_once`), or a new one. The
-        pairs are read in order, and the first bad one is named: its element, then its coefficient,
-        then the common denominator past the digit limit."""
-        ratios = {} if ratios is None else ratios
-        terms = ((group.elem_from_json(e), parse_once(ratios, c)) for e, c in json_pairs(pairs, "function"))
-        return cls._raw(group, *_integer_form(terms))
+    def from_pairs(cls, group: GroupSpec, pairs: list) -> "FinSuppFn":
+        """The function a value's [element, "p/q"] pairs name; repeated elements sum. Each pair is
+        read straight into integers, with no Fraction, by `_integer_form`: each distinct "p/q"
+        string of the value parsed, reduced and scaled once, and the result canonical by the proof
+        in its docstring. A coefficient that is not a str is refused by `parse_ratio` before it
+        reaches that table, so a list gives that one-line error and not a TypeError for a key that
+        does not hash. The readers return checked elements, so nothing is checked twice. The pairs
+        are read in order, and the first bad one is named: its element, then its coefficient, then
+        the common denominator past the digit limit."""
+        terms = ((group.elem_from_json(e), c if type(c) is str else parse_ratio(c))
+                 for e, c in json_pairs(pairs, "function"))
+        return cls._raw(group, *_integer_form(terms, parse_ratio))
 
 
 def delta(group: GroupSpec, g: Element) -> FinSuppFn:
@@ -565,20 +552,19 @@ def ray_first_letter(word: tuple[int, ...], ray: int) -> int:
     return word[0] if i else ray
 
 
-def bounded_from_json(group: GroupSpec, data: dict, ratios: dict | None = None) -> BoundedFn:
-    """The bounded value a file's one-field object names; its rationals, the constant included,
-    are parsed through `ratios`, the table of the file being read (`parse_once`), or a new one."""
+def bounded_from_json(group: GroupSpec, data: dict) -> BoundedFn:
+    """The bounded value a file's one-field object names; a constant is read by `parse_frac`, and
+    a finite part by `FinSuppFn.from_pairs`."""
     if type(data) is not dict or len(data) != 1:
         raise ValueError("a bounded value must be an object with exactly one field")
-    ratios = {} if ratios is None else ratios
     (kind, payload), = data.items()
     if kind == "constant":
-        return BoundedFn(group, Fraction(*parse_once(ratios, payload)))
+        return BoundedFn(group, parse_frac(payload))
     if kind == "finite":
-        return BoundedFn(group, 0, FinSuppFn.from_pairs(group, payload, ratios))
+        return BoundedFn(group, 0, FinSuppFn.from_pairs(group, payload))
     if kind == "constant-plus-finite":
-        const = Fraction(*parse_once(ratios, json_field(payload, "constant", str, kind)))
-        finite = FinSuppFn.from_pairs(group, json_field(payload, "finite", list, kind), ratios)
+        const = parse_frac(json_field(payload, "constant", str, kind))
+        finite = FinSuppFn.from_pairs(group, json_field(payload, "finite", list, kind))
         return BoundedFn(group, const, finite)
     if kind == "tree-flow":
         if not isinstance(group, FreeGroup):

@@ -857,7 +857,7 @@ def group_from_dict(data: dict) -> GroupSpec:
         rows = json_field(data, "table", list, "finite group")
         table = [json_check(row, list, "each finite group table row") for row in rows]
         return FiniteGroup(table, json_field(data, "generators", list, "finite group", None))
-    raise ValueError(f"unknown group family {family!r}")
+    raise ValueError(f"unknown group family {_short(family)}")
 
 
 def load_json(path: str):

@@ -664,6 +664,27 @@ def test_element_errors_shorten_long_values(capsys, tmp_path, z2_file, z3_file, 
         assert err == f"error: {want}\n" and len(err) < 120
 
 
+def test_rational_and_family_errors_shorten_long_values(capsys, tmp_path, f2_dict):
+    f2 = write_json(tmp_path / "f2.json", f2_dict)
+    long = "1/" + "x" * 3000
+    cannot = f"cannot parse rational {reprlib.repr(long)}"
+    for weights, want in [
+        ([["a", long]], cannot),
+        ([["a", "1/2"], ["b", list(range(5000))]], f'a rational must be a "p/q" string, got {reprlib.repr(list(range(5000)))}'),
+        ([["a", "1" * 4000 + "e1000"]], f"rational {reprlib.repr('1' * 4000 + 'e1000')} passes the 4300-digit limit"),
+    ]:
+        err = cli_error(capsys, "reiter", "--group", f2, "--set", write_json(tmp_path / "set.json", weights))
+        assert err == f"error: {want}\n" and len(err) < 120
+    err = cli_error(capsys, "folner", "--group", f2, "--eps", long)
+    assert err == f"error: {cannot}\n" and len(err) < 120
+    family = write_json(tmp_path / "family.json", {"family": "x" * 3000, "table": [[0]]})
+    err = cli_error(capsys, "finite-h0", "--group", family)
+    assert err == f"error: unknown group family {reprlib.repr('x' * 3000)}\n" and len(err) < 120
+    # a short value is named whole, by repr, as before
+    err = cli_error(capsys, "finite-h0", "--group", write_json(tmp_path / "cyclic.json", {"family": "cyclic"}))
+    assert err == "error: unknown group family 'cyclic'\n"
+
+
 def imported(code):
     """The amencert modules loaded after running `code` in a fresh interpreter."""
     code += "; import json, sys; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'amencert']))"

@@ -475,8 +475,9 @@ def test_rational_strings():
     ("-0/0", "cannot parse rational '-0/0'"),
     ("\u00b2/4", "cannot parse rational '\u00b2/4'"),
     ("3/4/5", "cannot parse rational '3/4/5'"),
-    ("9" * 4301 + "/7", None),
-    ("7/" + "9" * 4301, None),
+    # a side past the digit limit is refused, the text shortened as reprlib shortens it
+    ("9" * 4301 + "/7", "cannot parse rational '999999999999...99999999999/7'"),
+    ("7/" + "9" * 4301, "cannot parse rational '7/9999999999...9999999999999'"),
     # whitespace around the text is stripped; whitespace left inside is refused on every
     # Python version, although Fraction's own pattern reads "3 / 4" from 3.12 on
     ("3/4\n", Fraction(3, 4)),

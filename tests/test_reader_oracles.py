@@ -9,12 +9,14 @@ The module-level `GROUP` carries its token table across all 150 drawn
 words, so most tokens are read from the table that earlier words filled,
 and a token that raised is read afresh each time it appears.
 
-Each weights, chain or cochain file is read with one rational table of its
-own: the last tests count `parse_ratio` calls per file, and check that a
-malformed coefficient among repeated strings gives the same one-line error
-as a reader with no table. The uniformly finite chain reader, which sums
-integers and forms no Fraction, is checked against the Fraction-taking
-constructor it replaced on fixed and drawn files, malformed ones included.
+Each value of a weights, chain or cochain file is read with one rational
+table of its own: the last tests count `parse_ratio` calls per value, check
+`FinSuppFn.from_pairs` against a plain loop of `parse_ratio` and a
+`Fraction` sum on drawn pairs, and check that a malformed coefficient among
+repeated strings gives the same one-line error as a reader with no table.
+The uniformly finite chain reader, which sums integers and forms no
+Fraction, is checked against the Fraction-taking constructor it replaced on
+fixed and drawn files, malformed ones included.
 The weights reader reduces and scales each distinct coefficient once, but
 still reads a file pair by pair: a bad element, a bad coefficient and a
 common denominator past the digit limit, placed anywhere, are named in the
@@ -36,7 +38,7 @@ from hypothesis import strategies as st
 from amencert import complexes, functions
 from amencert.cli import main
 from amencert.complexes import UfChain
-from amencert.functions import MAX_RATIONAL_DIGITS, parse_frac, parse_once, parse_ratio
+from amencert.functions import MAX_RATIONAL_DIGITS, FinSuppFn, _integer_form, parse_frac, parse_ratio
 from amencert.groups import MAX_WORD_LETTERS, FreeAbelianGroup, FreeGroup, json_field
 
 SETTINGS = dict(derandomize=True, database=None, deadline=None)
@@ -226,27 +228,31 @@ def parsed(monkeypatch):
         return parse_ratio(s)
 
     monkeypatch.setattr(functions, "parse_ratio", counting)
+    monkeypatch.setattr(complexes, "parse_ratio", counting)
     return calls
 
 
-def test_each_distinct_string_is_parsed_once_per_file(tmp_path, parsed):
-    assert len(rationals_of(WEIGHTS)) == 6 and len(set(rationals_of(WEIGHTS))) == 3
+def test_each_distinct_string_is_parsed_once_per_value(tmp_path, parsed):
+    # a weights file is one value: "1/2" and "1/3", repeated in it, are parsed once each
+    assert len(rationals_of(WEIGHTS)) == 6
     assert cli(tmp_path, "reiter", group=F2, set=WEIGHTS)[0] == 0
-    assert Counter(parsed) == Counter(set(rationals_of(WEIGHTS)))
+    assert Counter(parsed) == Counter({"1/2": 1, "1/3": 1, "2": 1})
     # a second read of the same file starts from a new table
     assert cli(tmp_path, "reiter", group=F2, set=WEIGHTS)[0] == 0
-    assert Counter(parsed) == Counter(2 * sorted(set(rationals_of(WEIGHTS))))
+    assert Counter(parsed) == Counter({"1/2": 2, "1/3": 2, "2": 2})
 
-    # the cochain and the cycle are two files: each parses its own distinct strings once, a
-    # constant and a pair coefficient that share a string included
+    # a string in two values of one file is parsed once in each: "1/2" and "-1/3" appear in two
+    # of the cochain's three values. A constant is parsed apart from its finite part, so the
+    # cycle's "5/7", a constant in one value and a pair in another, is parsed twice
     parsed.clear()
     assert cli(tmp_path, "pair", cochain=COCHAIN, cycle=LINF)[0] == 0
-    assert Counter(parsed) == Counter(set(rationals_of(COCHAIN))) + Counter(set(rationals_of(LINF)))
-    assert len(rationals_of(LINF)) == 6 and len(set(rationals_of(LINF))) == 3
+    assert Counter(parsed) == (Counter({"1/2": 2, "-1/3": 2, "2": 1})
+                               + Counter({"1/2": 3, "5/7": 2, "-1/3": 1}))
 
+    # each coefficient of a uniformly finite chain is a value of its own
     parsed.clear()
     chain = UfChain.from_json(UF)
-    assert Counter(parsed) == Counter(set(rationals_of(UF))) and len(rationals_of(UF)) == 4
+    assert Counter(parsed) == Counter(rationals_of(UF)) and len(parsed) == 4
     assert chain == UfChain(FreeGroup(2), 1, {((), (1,)): Fraction(1, 2), ((1,), (2,)): Fraction(-1, 3),
                                               ((2,), ()): Fraction(1, 2), ((), (2,)): Fraction(-1, 3)})
 
@@ -275,12 +281,21 @@ def test_a_bad_coefficient_among_repeated_strings_gives_the_one_line_error(tmp_p
 
 
 def test_a_string_that_raises_is_never_stored():
-    table = {}
+    reads = []
+
+    def read(c):
+        reads.append(c)
+        return parse_ratio(c)
+
+    # each read is a new table, so "1/0" is parsed, and refused, every time it is met
     for _ in range(2):
         with pytest.raises(ValueError, match="cannot parse rational '1/0'"):
-            parse_once(table, "1/0")
-    assert table == {}
-    assert parse_once(table, "2/4") == (2, 4) and table == {"2/4": (2, 4)}
+            _integer_form([("a", "2/4"), ("b", "1/0")], read)
+    assert reads == ["2/4", "1/0"] * 2
+    # an unreduced string is read once for all its keys, and its value reduced
+    reads.clear()
+    assert _integer_form([("a", "2/4"), ("b", "2/4"), ("c", "-2/4")], read) == (2, {"a": 1, "b": 1, "c": -1})
+    assert reads == ["2/4", "-2/4"]
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +306,7 @@ def workdir(tmp_path_factory):
 # coefficients no reader accepts: values that are not strings, and strings that name no rational
 BAD_COEFFICIENTS = [[1], [], {}, 3, 1.5, True, None, "1/0", "a/b", "", "1 / 2", "--1"]
 ELEMENTS = ["e", "a", "b^-1", "a*b", "a^2*b^-3"]
+GROUP_F2 = FreeGroup(2)
 
 
 @settings(max_examples=60, **SETTINGS)
@@ -304,6 +320,40 @@ def test_one_bad_pair_anywhere_in_a_weights_file_names_its_coefficient(workdir, 
     error = outcome(parse_ratio, bad)
     assert error[0] == "error" and repr(bad) in error[1]
     assert cli(workdir, "reiter", group=F2, set=weights) == (1, "", f"error: {error[1]}\n")
+
+
+def oracle_from_pairs(pairs):
+    """FinSuppFn.from_pairs as a plain loop: each pair's element read, then its coefficient by
+    parse_ratio, and the values summed as Fractions, zero sums dropped."""
+    out = {}
+    for e, c in pairs:
+        g = GROUP_F2.elem_from_json(e)
+        out[g] = out.get(g, 0) + Fraction(*parse_ratio(c))
+    return {g: q for g, q in out.items() if q}
+
+
+# equal values in several spellings, so one value's table holds each of them apart
+SPELLINGS = ["1/2", "2/4", "0.5", " 1/2 ", "-1/2", "-2/4", "1/3", "-2/6", "2", "0/5", "3/6"]
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(pairs=st.lists(st.tuples(st.sampled_from(ELEMENTS), st.sampled_from(SPELLINGS)), max_size=10),
+       bad=st.sampled_from(BAD_COEFFICIENTS), data=st.data())
+def test_from_pairs_is_the_fraction_sum_of_parse_ratio(pairs, bad, data):
+    # pairs drawn from a small pool, so they repeat strings and spell equal values apart, then
+    # sometimes one bad coefficient at a drawn index, often after a repeat: the same value or the
+    # same error as the plain loop
+    pairs = [list(pair) for pair in pairs]
+    if data.draw(st.booleans(), label="with a bad coefficient"):
+        pairs.insert(data.draw(st.integers(0, len(pairs)), label="at"),
+                     [data.draw(st.sampled_from(ELEMENTS), label="element"), bad])
+    got = outcome(FinSuppFn.from_pairs, GROUP_F2, pairs)
+    want = outcome(oracle_from_pairs, pairs)
+    if want[0] == "error":
+        assert got == want
+    else:
+        assert got[0] == "value" and dict(got[1].items()) == want[1]
+        assert got[1].den == lcm(1, *(q.denominator for q in want[1].values()))
 
 
 # items that are no [key, value] pair, and the text the refusal names each by
@@ -333,7 +383,7 @@ def test_an_item_that_is_no_pair_is_named_by_index_and_value(workdir, pairs, bad
 
 def uf_by_constructor(data):
     """UfChain.from_json as it read each coefficient into a Fraction and handed the entries to the constructor."""
-    group, degree, coeffs = complexes._read(data, "uniformly finite chain", lambda group, c, ratios: parse_frac(c))
+    group, degree, coeffs = complexes._read(data, "uniformly finite chain", lambda group, c: parse_frac(c))
     return UfChain(group, degree, coeffs, json_field(data, "diameter-bound", int, "uniformly finite chain", None))
 
 
@@ -375,7 +425,6 @@ def test_drawn_uf_files_read_as_the_constructor_reads_them(degree, bound, data):
 # second of the two to be read pushes the common denominator past it
 WIDE = [f"1/{10**2199}", f"-1/{10**2199 + 1}"]
 BAD_ELEMENTS = ["c", "a^", 5, ["a"]]
-GROUP_F2 = FreeGroup(2)
 
 
 def oracle_weights(pairs):

@@ -46,7 +46,8 @@ ONE_WRITER = "One module writes every certificate"  # aee748c
 ONE_CODEC = "One element codec per group family"  # f26d5ab
 FINITE_PASSES = "Build finite groups in fewer passes"  # e34f8fd
 TYPE_TABLE = "verify-f2 in fewer evaluations"  # 0fbe659
-TOKEN_READERS = "Read weights files at the cost of their tokens"
+TOKEN_READERS = "Read weights files at the cost of their tokens"  # 2f9ae0c
+ONE_TABLE = "One rational table per value"
 
 
 class Mutant(NamedTuple):
@@ -63,6 +64,7 @@ FLOW_ROWS = "tests/test_witnesses.py::TestVerifyFlowCycle::test_rows_past_the_tw
 CANONICAL_TEXT = "tests/test_groups.py::TestSerialization::test_finite_canonical_text_is_compact_sorted_json"
 TYPE_SWEEP = "tests/test_witnesses.py::TestConeTypes::test_the_table_holds_every_type"
 PAIR_GUARD = "tests/test_integer_form.py::TestDenominatorGuard::"
+FROM_PAIRS_ORACLE = "tests/test_reader_oracles.py::test_from_pairs_is_the_fraction_sum_of_parse_ratio"
 
 MUTANTS = (
     Mutant(INTEGER_SUMS, "combine keeps a key whose sum is zero", "src/amencert/functions.py",
@@ -158,6 +160,24 @@ MUTANTS = (
            # the test's first token expands to about 8 MB and fails it; were that case gone, its
            # 3e9-letter token would ask for 24 GB, which MEMORY_CAP refuses
            ("tests/test_groups.py::TestWorkGuards::test_word_letter_cap_fires_before_expanding",)),
+    Mutant(ONE_TABLE, "from_pairs sends a coefficient that is not a str to the table", "src/amencert/functions.py",
+           "c if type(c) is str else parse_ratio(c)", "c",
+           (FROM_PAIRS_ORACLE,
+            "tests/test_reader_oracles.py::test_one_bad_pair_anywhere_in_a_weights_file_names_its_coefficient")),
+    # a repeated key then reuses the coefficient it was first read with
+    Mutant(ONE_TABLE, "the table is keyed by the term's key, not its coefficient", "src/amencert/functions.py",
+           "        c = term[1]\n"
+           "        if c not in scale:\n"
+           "            p, q = scale[c] = read(c)\n",
+           "        key, c = term\n"
+           "        term = (key, key)\n"
+           "        if key not in scale:\n"
+           "            p, q = scale[key] = read(c)\n",
+           (FROM_PAIRS_ORACLE, "tests/test_reader_oracles.py::test_each_distinct_string_is_parsed_once_per_value")),
+    Mutant(ONE_TABLE, "the second pass scales by p * (den // q)", "src/amencert/functions.py",
+           "scale[c] = p * den // q", "scale[c] = p * (den // q)",
+           (FROM_PAIRS_ORACLE,
+            "tests/test_integer_form.py::TestDistinctCoefficients::test_reads_from_a_small_pool_of_strings")),
 )
 
 
