@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .functions import FinSuppFn, frac_str, parse_frac
-from .groups import FiniteGroup, FreeGroup, group_from_dict, json_field, load_json
+from .groups import FiniteGroup, FreeGroup, _short, group_from_dict, json_field, load_json
 
 # the writer for each scalar type, looked up by exact type: a float (never exact) has none
 _SCALARS = {
@@ -149,7 +149,7 @@ def _flow_spec(group: FreeGroup, label: str) -> FlowCycleSpec:
     from .witnesses import FlowCycleSpec
 
     if label not in group.gen_labels:
-        raise ValueError(f"ray {label!r} is not a generator of the rank-{group.rank} group")
+        raise ValueError(f"ray {_short(label)} is not a generator of the rank-{group.rank} group")
     return FlowCycleSpec(group, group.gen_labels.index(label) + 1)
 
 
@@ -169,7 +169,7 @@ def _load_pair_input(path: str, what: str, builtins: dict, from_json):
     if name is None:
         return from_json(data)
     if name not in builtins:
-        raise ValueError(f"unknown builtin {what} {name!r}")
+        raise ValueError(f"unknown builtin {what} {_short(name)}")
     return builtins[name](group_from_dict(json_field(data, "group", dict, f"the {what} file")), data)
 
 

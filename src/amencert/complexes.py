@@ -36,7 +36,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable, Mapping
 
-from .groups import GroupSpec, group_from_dict, json_check, json_field, json_pairs
+from .groups import GroupSpec, _short, group_from_dict, json_check, json_field, json_pairs
 from .functions import (
     BoundedFn,
     FinSuppFn,
@@ -74,7 +74,7 @@ def _tuple_key(group: GroupSpec, key, length: int) -> tuple:
 
 def _check_kind(kind) -> str:
     if kind not in (KIND_L1, KIND_LINF):
-        raise ValueError(f"unknown chain kind {kind!r}")
+        raise ValueError(f"unknown chain kind {_short(kind)}")
     return kind
 
 
@@ -248,7 +248,7 @@ class BoundedCochain:
     def __init__(self, group, degree, dual, *, entries=None, rule=None, label=None):
         _check_degree(degree, "cochain")
         if dual not in (DUAL_QUOTIENT, DUAL_FULL, DUAL_SCALAR):
-            raise ValueError(f"unknown dual flag {dual!r}")
+            raise ValueError(f"unknown dual flag {_short(dual)}")
         if (entries is None) == (rule is None):
             raise ValueError("exactly one of entries/rule must be given")
         self.group = group

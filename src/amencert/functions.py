@@ -572,11 +572,11 @@ def bounded_from_json(group: GroupSpec, data: dict) -> BoundedFn:
         edge, ray = json_field(payload, "edge", str, kind), json_field(payload, "ray", str, kind)
         edge_word, ray_word = group.elem_from_json(edge), group.elem_from_json(ray)
         if len(edge_word) != 1:
-            raise ValueError(f"tree-flow edge must be one letter, got {edge!r}")
+            raise ValueError(f"tree-flow edge must be one letter, got {_short(edge)}")
         if len(ray_word) != 1 or ray_word[0] < 0:
-            raise ValueError(f"tree-flow ray must be one positive letter, got {ray!r}")
+            raise ValueError(f"tree-flow ray must be one positive letter, got {_short(ray)}")
         return tree_flow(group, edge_word[0], ray_word[0])
-    raise ValueError(f"unknown bounded-function kind {kind!r}")
+    raise ValueError(f"unknown bounded-function kind {_short(kind)}")
 
 
 # -- evaluation pairing ------------------------------------------------------

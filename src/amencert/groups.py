@@ -70,7 +70,7 @@ def _check_labels(labels: Sequence[str], count: int) -> tuple[str, ...]:
         raise ValueError(f"expected {count} generator labels, got {len(labels)}")
     for lab in labels:
         if type(lab) is not str or not _LABEL_RE.fullmatch(lab):
-            raise ValueError(f"invalid generator label {lab!r}")
+            raise ValueError(f"invalid generator label {_short(lab)}")
         if lab == "e":
             raise ValueError("label 'e' is reserved for the identity")
     if len(set(labels)) != len(labels):
@@ -145,9 +145,10 @@ class GroupSpec:
         self._canonical = self._canonical_text()
         # The walk's state. The lock keeps concurrent ball() calls from
         # appending a level twice; everything else is immutable, except
-        # FreeGroup's token table. Each of its entries is a function of its
-        # key, so two racing writers store equal values, and it holds no
-        # more entries than the distinct valid tokens the group has read.
+        # FreeGroup's token, text and key tables. Each of their entries is a
+        # function of its key, so two racing writers store equal values, and
+        # each holds no more entries than the distinct valid tokens the group
+        # has read, or the distinct words it has written or ranked.
         self._levels: list[tuple[Element, ...]] = [(self.identity,)]
         self._seen: set[Element] = {self.identity}  # every element reached by the generic walk
         self._saturated = False
@@ -316,6 +317,14 @@ class FreeGroup(_RankedGroup):
     Let level r be in canonical order (the letter ranks, left to right),
     as level 0 = (e) is; then level r + 1 comes out ordered by prefix,
     then by last letter: in canonical order.
+
+    Chain writers and sorts ask for the same few words' texts and keys
+    again and again, so the group keeps two tables: word to text, filled
+    by elem_to_json, and word to sort key, filled by sort_key. Each entry
+    is built the first time its value is asked for, and neither method
+    touches the other's table, so a writer that never sorts builds no
+    keys. Each table holds at most the distinct words the group has
+    written or ranked.
     """
 
     family = "free"
@@ -325,6 +334,9 @@ class FreeGroup(_RankedGroup):
         self._label_letter = {lab: i + 1 for i, lab in enumerate(self.gen_labels)}
         # raw token text -> (signed letter, count >= 0), filled by elem_from_json
         self._tokens: dict[str, tuple[int, int]] = {}
+        # word -> its text, filled by elem_to_json; word -> its sort key, filled by sort_key
+        self._texts: dict[tuple[int, ...], str] = {}
+        self._keys: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
         letters = tuple(x for _, x in self.letters())
         # each letter's place in letters(): a < a^-1 < b < b^-1 < ..., the word order of sort_key
         self._letter_rank = {x[0]: i for i, x in enumerate(letters)}
@@ -378,7 +390,7 @@ class FreeGroup(_RankedGroup):
         return (h[1:] if h and h[0] == back else s + h for h in elems)
 
     def inv(self, a):
-        return tuple(-letter for letter in reversed(a))
+        return tuple(map(operator.neg, reversed(a)))
 
     def check(self, a):
         if not isinstance(a, tuple):
@@ -391,7 +403,11 @@ class FreeGroup(_RankedGroup):
         return a
 
     def sort_key(self, a):
-        return (len(a), tuple(map(self._letter_rank.__getitem__, a)))
+        """(length, letter ranks): shortlex in the order of letters(), read from the key table."""
+        key = self._keys.get(a)
+        if key is None:
+            key = self._keys[a] = (len(a), tuple(map(self._letter_rank.__getitem__, a)))
+        return key
 
     def dist(self, a, b):
         """|a| + |b| - 2|p| for p the longest common prefix. With a = p a' and b = p b', a^-1 b is
@@ -406,15 +422,16 @@ class FreeGroup(_RankedGroup):
         return free_ball_size(self.rank, radius, cap)
 
     def elem_to_json(self, a) -> str:
-        if not a:
-            return "e"
-        labels = self.gen_labels
-        parts = []
-        for letter, run in groupby(a):
-            lab = labels[abs(letter) - 1]
-            exp = len(list(run)) if letter > 0 else -len(list(run))
-            parts.append(lab if exp == 1 else f"{lab}^{exp}")
-        return "*".join(parts)
+        """The word as `a^2*b^-1` (or `e`), one `label^n` per run of one letter, read from the text table."""
+        text = self._texts.get(a)
+        if text is None:
+            labels, parts = self.gen_labels, []
+            for letter, run in groupby(a):
+                lab = labels[abs(letter) - 1]
+                exp = len(list(run)) if letter > 0 else -len(list(run))
+                parts.append(lab if exp == 1 else f"{lab}^{exp}")
+            text = self._texts[a] = "*".join(parts) or "e"
+        return text
 
     def elem_from_json(self, data):
         """The reduced word written as `a^2*b^-1` (or `e`).
@@ -537,7 +554,7 @@ class FreeAbelianGroup(_RankedGroup):
         return zip(*[col if x == 0 else map(operator.add, col, repeat(x)) for col, x in zip(cols, s)])
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def check(self, a):
         if not isinstance(a, tuple) or len(a) != self.rank:
@@ -551,7 +568,7 @@ class FreeAbelianGroup(_RankedGroup):
         return (sum(map(abs, a)), a)
 
     def dist(self, a, b):
-        return sum(abs(y - x) for x, y in zip(a, b))
+        return sum(map(abs, map(operator.sub, b, a)))
 
     def ball_size(self, radius, cap):
         """Sum over i of 2^i C(rank, i) C(radius, i), stopped once it passes cap.

@@ -685,6 +685,41 @@ def test_rational_and_family_errors_shorten_long_values(capsys, tmp_path, f2_dic
     assert err == "error: unknown group family 'cyclic'\n"
 
 
+# A value for each error that names one value of a file, 3,000 characters long and short: a chain
+# kind, dual flag, bounded-function kind, builtin name or flow ray; a tree-flow edge that reduces to
+# two letters; a tree-flow ray that reduces to a negative letter; a label that fails _LABEL_RE
+FILE_VALUES = {
+    "long": ("x" * 3000, "b*b^-1*" * 428 + "a^-2", "b*b^-1*" * 428 + "a^-1", "1" + "x" * 2999),
+    "short": ("x", "a^-2", "a^-1", "1x"),
+}
+
+
+@pytest.mark.parametrize("size", sorted(FILE_VALUES))
+def test_file_value_errors_shorten_long_values(capsys, tmp_path, size):
+    value, edge, ray, label = FILE_VALUES[size]
+    assert {len(value), len(edge), len(ray), len(label)} == ({3000} if size == "long" else {1, 2, 4})
+    johnson, named = {"builtin": "johnson", "group": F2}, reprlib.repr
+    pairs = [
+        (COCHAIN, {**L1_CYCLE, "kind": value}, f"unknown chain kind {named(value)}"),
+        ({**COCHAIN, "dual": value}, L1_CYCLE, f"unknown dual flag {named(value)}"),
+        (COCHAIN, {**L1_CYCLE, "kind": "linf", "entries": [[["a"], {value: []}]]},
+         f"unknown bounded-function kind {named(value)}"),
+        (COCHAIN, flow_file(edge, "a"), f"tree-flow edge must be one letter, got {named(edge)}"),
+        (COCHAIN, flow_file("a", ray), f"tree-flow ray must be one positive letter, got {named(ray)}"),
+        ({"builtin": value, "group": F2}, FUNDAMENTAL, f"unknown builtin cochain {named(value)}"),
+        (johnson, {"builtin": "flow", "group": F2, "ray": value}, f"ray {named(value)} is not a generator of the rank-2 group"),
+    ]
+    for cochain, cycle, want in pairs:
+        err = cli_error(capsys, "pair", "--cochain", write_json(tmp_path / "phi.json", cochain),
+                        "--cycle", write_json(tmp_path / "c.json", cycle))
+        assert err == f"error: {want}\n" and len(err) < 120
+    group = write_json(tmp_path / "g.json", {**F2, "generators": [label, "b"]})
+    err = cli_error(capsys, "iso-min", "--radius", "0", "--group", group)
+    assert err == f"error: invalid generator label {named(label)}\n" and len(err) < 120
+    if size == "short":  # reprlib names a short value as repr does, as these errors always did
+        assert all(named(v) == repr(v) for v in FILE_VALUES["short"])
+
+
 def imported(code):
     """The amencert modules loaded after running `code` in a fresh interpreter."""
     code += "; import json, sys; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'amencert']))"

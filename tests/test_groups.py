@@ -329,6 +329,16 @@ class TestWordMetric:
             for b in range(6):
                 assert s3.dist(a, b) == bfs_distance(s3, a, b)
 
+    def test_free_abelian_matches_bfs(self, z2):
+        # the l1 distance of Z^2 is its word metric, and is symmetric; Z^3's is the l1 norm of b - a
+        ball = z2.ball(2)
+        for a in ball:
+            for b in ball:
+                assert z2.dist(a, b) == bfs_distance(z2, a, b) == z2.dist(b, a)
+        z3 = FreeAbelianGroup(3)
+        assert z3.dist((1, -2, 3), (-4, 5, 3)) == 12 == z3.dist((-4, 5, 3), (1, -2, 3))
+        assert z3.inv((1, -2, 0)) == (-1, 2, 0) and FreeGroup(2).inv((1, -2, -2)) == (2, 2, -1)
+
 
 def first_non_associative_triple(table):
     """Associativity oracle: the first (x, s, y) of all n^3 with (x.s).y != x.(s.y), else None."""
@@ -721,6 +731,104 @@ class TestSerialization:
                     group.elem_from_json(word)
                 assert str(exc.value) == want
 
+
+
+def reference_text(group, word):
+    """A word's text with no table: one `label` or `label^n` per maximal run of one letter, or `e`."""
+    parts, i = [], 0
+    while i < len(word):
+        j = i
+        while j < len(word) and word[j] == word[i]:
+            j += 1
+        label, n = group.gen_labels[abs(word[i]) - 1], (j - i if word[i] > 0 else i - j)
+        parts.append(label if n == 1 else f"{label}^{n}")
+        i = j
+    return "*".join(parts) or "e"
+
+
+def reference_key(word):
+    """Shortlex with a < a^-1 < b < b^-1 < ...: letter +k ranks 2k - 2, letter -k ranks 2k - 1."""
+    return (len(word), tuple(2 * abs(x) - 1 - (x > 0) for x in word))
+
+
+@st.composite
+def run_words(draw):
+    """(rank, reduced word) for rank 2 or 30, the word drawn as runs of up to 40 letters each."""
+    rank = draw(st.sampled_from([2, 30]))
+    runs = draw(st.lists(st.tuples(st.integers(1, rank), st.booleans(), st.integers(1, 40)), max_size=8))
+    return rank, naive_reduce([k if positive else -k for k, positive, n in runs for _ in range(n)])
+
+
+class TestWordTables:
+    """A free group writes and ranks each word once: elem_to_json fills only the text table, sort_key only the key table."""
+
+    @staticmethod
+    def ask(group, words, text_first):
+        """Each word's text and key, in the order asked, twice each, as a reference that keeps no table would give them."""
+        for word in words:
+            for _ in range(2):
+                for ask_text in (text_first, not text_first):
+                    if ask_text:
+                        assert group.elem_to_json(word) == reference_text(group, word)
+                    else:
+                        assert group.sort_key(word) == reference_key(word)
+
+    @pytest.mark.parametrize("rank, radius", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("text_first", [True, False], ids=["text-first", "key-first"])
+    def test_every_word_of_a_ball(self, rank, radius, text_first):
+        words = sorted(enumerate_words(rank, radius), key=reference_key)
+        group = FreeGroup(rank)
+        self.ask(group, words, text_first)
+        assert set(group._texts) == set(group._keys) == set(words)
+        assert sorted(words, key=group.sort_key) == list(group.ball(radius))
+        for word in words:
+            assert group.elem_from_json(group.elem_to_json(word)) == word
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(run_words(), st.booleans())
+    def test_drawn_words_with_long_runs(self, drawn, text_first):
+        rank, word = drawn
+        group = FreeGroup(rank)
+        assert group.gen_labels[0] == ("a" if rank == 2 else "x0")
+        self.ask(group, [word], text_first)
+        assert group.elem_from_json(group.elem_to_json(word)) == word
+        assert list(group._texts) == list(group._keys) == [word]
+
+    def test_each_table_is_filled_only_by_its_own_method(self):
+        words = sorted(enumerate_words(2, 3))
+        written, ranked = FreeGroup(2), FreeGroup(2)
+        assert [written.elem_to_json(w) for w in words] == [reference_text(written, w) for w in words]
+        assert [ranked.sort_key(w) for w in words] == list(map(reference_key, words))
+        assert written._keys == {} and set(written._texts) == set(words)
+        assert ranked._texts == {} and set(ranked._keys) == set(words)
+
+    def test_two_threads_write_and_rank_overlapping_words(self):
+        # two threads ask for overlapping word lists on one fresh group, switching as often as
+        # the interpreter allows; a racing writer stores an equal value, so both read the reference
+        words = sorted(enumerate_words(2, 4))
+        halves = (words[: 2 * len(words) // 3], words[len(words) // 3 :])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for text_first in (True, False, True, False):
+                group, start, done = FreeGroup(2), threading.Barrier(2, timeout=30), []
+
+                def work(part):
+                    start.wait()
+                    self.ask(group, part, text_first)
+                    done.append(len(part))
+
+                threads = [threading.Thread(target=work, args=(part,)) for part in halves]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert sorted(done) == sorted(map(len, halves))
+                assert group._texts == {w: reference_text(group, w) for w in words}
+                assert group._keys == {w: reference_key(w) for w in words}
+        finally:
+            sys.setswitchinterval(interval)
 
 class TestDefaultLabels:
     """Default labels skip "e", the identity's word, up to rank 25, then are x0, x1, ..."""

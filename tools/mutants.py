@@ -47,7 +47,8 @@ ONE_CODEC = "One element codec per group family"  # f26d5ab
 FINITE_PASSES = "Build finite groups in fewer passes"  # e34f8fd
 TYPE_TABLE = "verify-f2 in fewer evaluations"  # 0fbe659
 TOKEN_READERS = "Read weights files at the cost of their tokens"  # 2f9ae0c
-ONE_TABLE = "One rational table per value"
+ONE_TABLE = "One rational table per value"  # b2e9d24
+ROUND_TRIP = "The inflation round trip, chain-algebra's slowest job, in fewer element operations"
 
 
 class Mutant(NamedTuple):
@@ -62,6 +63,7 @@ class Mutant(NamedTuple):
 COMBINE_ORACLE = "tests/test_integer_form.py::TestFractionOracle::test_combine_meets_every_kind_of_term"
 FLOW_ROWS = "tests/test_witnesses.py::TestVerifyFlowCycle::test_rows_past_the_twentieth_are_not_written"
 CANONICAL_TEXT = "tests/test_groups.py::TestSerialization::test_finite_canonical_text_is_compact_sorted_json"
+WORD_TABLES = "tests/test_groups.py::TestWordTables::"
 TYPE_SWEEP = "tests/test_witnesses.py::TestConeTypes::test_the_table_holds_every_type"
 PAIR_GUARD = "tests/test_integer_form.py::TestDenominatorGuard::"
 FROM_PAIRS_ORACLE = "tests/test_reader_oracles.py::test_from_pairs_is_the_fraction_sum_of_parse_ratio"
@@ -178,6 +180,31 @@ MUTANTS = (
            "scale[c] = p * den // q", "scale[c] = p * (den // q)",
            (FROM_PAIRS_ORACLE,
             "tests/test_integer_form.py::TestDistinctCoefficients::test_reads_from_a_small_pool_of_strings")),
+    # every word with one first letter then shares the text of the first such word written
+    Mutant(ROUND_TRIP, "the text table is keyed by the word's first letter", "src/amencert/groups.py",
+           "        text = self._texts.get(a)\n"
+           "        if text is None:\n"
+           "            labels, parts = self.gen_labels, []\n"
+           "            for letter, run in groupby(a):\n"
+           "                lab = labels[abs(letter) - 1]\n"
+           "                exp = len(list(run)) if letter > 0 else -len(list(run))\n"
+           "                parts.append(lab if exp == 1 else f\"{lab}^{exp}\")\n"
+           "            text = self._texts[a] = ",
+           "        text = self._texts.get(a[:1])\n"
+           "        if text is None:\n"
+           "            labels, parts = self.gen_labels, []\n"
+           "            for letter, run in groupby(a):\n"
+           "                lab = labels[abs(letter) - 1]\n"
+           "                exp = len(list(run)) if letter > 0 else -len(list(run))\n"
+           "                parts.append(lab if exp == 1 else f\"{lab}^{exp}\")\n"
+           "            text = self._texts[a[:1]] = ",
+           (WORD_TABLES + "test_every_word_of_a_ball", WORD_TABLES + "test_drawn_words_with_long_runs")),
+    Mutant(ROUND_TRIP, "sort_key fills the text table", "src/amencert/groups.py",
+           "key = self._keys[a] = (len(a)", "key = self._texts[a] = (len(a)",
+           (WORD_TABLES + "test_each_table_is_filled_only_by_its_own_method", WORD_TABLES + "test_every_word_of_a_ball")),
+    Mutant(ROUND_TRIP, "a Z^d distance adds the two points", "src/amencert/groups.py",
+           "sum(map(abs, map(operator.sub, b, a)))", "sum(map(abs, map(operator.add, b, a)))",
+           ("tests/test_groups.py::TestWordMetric::test_free_abelian_matches_bfs",)),
 )
 
 
